@@ -26,6 +26,7 @@ from .errors import (
     InvalidNodes,
     InvalidReference,
     NoEmbeddedMethod,
+    NonFiniteFactor,
     OracleDiverged,
     RefusedDense,
     StepSizeCollapse,
@@ -71,7 +72,6 @@ from .subflows import (
     QuadratureState,
     affine_flow,
     init_quadrature,
-    integral_factor,
     quad_weights,
     quadratic_flow,
     update_quadrature,

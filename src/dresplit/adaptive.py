@@ -136,14 +136,9 @@ def reject_resize(e_new: float, h: float, params: ControllerParams,
     return h * (params.safety * params.tol / e_new) ** (1.0 / est_order)
 
 
-def default_quad_degree(spec: SchemeSpec, variant: str = "scheme_order") -> int:
-    """Quadrature exactness degree: scheme order + 1 by default, or the
-    stage-count variant (stages + 1) used by the full driver's cheaper rule."""
-    if variant == "scheme_order":
-        return spec.order + 1
-    if variant == "stage_order":
-        return spec.stages + 1
-    raise InvalidInput(f"unknown quadrature degree variant {variant!r}")
+def default_quad_degree(spec: SchemeSpec) -> int:
+    """Quadrature exactness degree: scheme order + 1."""
+    return spec.order + 1
 
 
 class QuadraturePool:

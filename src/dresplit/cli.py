@@ -117,8 +117,6 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     problem = ingest_problem(args.problem)
     config = _config_from_args(args)
-    if config.n_steps is None and config.tol is None:
-        raise InvalidInput("pass --steps N or --tol X --h1 Y")
     traj = run_solve(problem, config, args.out)
     last = traj.records[-1]
     print(f"{len(traj.records)} steps, final t={last.t:g}, final rank {traj.final.rank}")

@@ -26,6 +26,10 @@ class ToleranceNotMet(DresplitError):
         self.estimate = estimate
 
 
+class NonFiniteFactor(DresplitError):
+    """A factor to be compressed holds non-finite values (overflow or NaN)."""
+
+
 class StepTooLarge(DresplitError):
     """A subflow solve became (numerically) singular for the requested step."""
 

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import _kernels
 from .errors import InvalidInput, ToleranceNotMet
 
 _SQRT6 = np.sqrt(6.0)
@@ -45,11 +44,9 @@ class StiffOperator:
             self.is_sparse = True
         else:
             self.matrix = np.asarray(a, dtype=np.float64)
-            if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-                raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
             self._at = self.matrix.T.copy()
             self.is_sparse = False
-        if self.matrix.shape[0] != self.matrix.shape[1]:
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
 
     @property
@@ -66,14 +63,11 @@ class StiffOperator:
 @dataclass(frozen=True)
 class ExpActionOptions:
     rel_tol: float = 1e-10
-    initial_substeps: int = 1
     max_doublings: int = 30
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise InvalidInput(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.initial_substeps < 1:
-            raise InvalidInput(f"initial_substeps must be >= 1, got {self.initial_substeps}")
         if self.max_doublings < 1:
             raise InvalidInput(f"max_doublings must be >= 1, got {self.max_doublings}")
 
@@ -99,9 +93,10 @@ def _propagate_dense(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> 
     log_n = int(np.log2(n_sub)) + 1
     if n_sub * m > 2 * log_n * n:
         return np.linalg.matrix_power(k_mat, n_sub) @ v
-    return _kernels.repeat_apply(
-        _kernels.as_kernel_array(k_mat), _kernels.as_kernel_array(v), n_sub
-    )
+    w = v
+    for _ in range(n_sub):
+        w = k_mat @ w
+    return w
 
 
 def _propagate_sparse(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
@@ -144,7 +139,7 @@ def exp_action(
         return v.copy()
 
     propagate = _propagate_sparse if op.is_sparse else _propagate_dense
-    n_sub = opts.initial_substeps
+    n_sub = 1
     w_prev = propagate(op, t, v, n_sub)
     estimate = np.inf
     for _ in range(opts.max_doublings):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RefusedDense
+from .errors import InvalidInput, NonFiniteFactor, RefusedDense
 
 DENSE_GUARD_DEFAULT = 4096
 
@@ -90,25 +90,36 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     magnitude are discarded as long as their cumulative energy stays within
     rel_tol times the total.  The discarded-energy criterion guarantees
     ||P_in - P_out||_F <= rel_tol * ||P_in||_F; the output core is diagonal.
-    Rank never increases.
+    Rank never increases.  Raises NonFiniteFactor when the congruence core
+    is not finite.
     """
     if factor.rank == 0:
         return factor
     q, r = np.linalg.qr(factor.L, mode="reduced")
     core = r @ factor.D @ r.T
     core = 0.5 * (core + core.T)
+    if not np.all(np.isfinite(core)):
+        raise NonFiniteFactor(
+            f"cannot compress a rank-{factor.rank} factor of dimension {factor.n}: "
+            "its core is not finite"
+        )
     eigvals, eigvecs = np.linalg.eigh(core)
 
     mag = np.abs(eigvals)
     order = np.argsort(mag, kind="stable")
-    total = float(np.sqrt(np.sum(eigvals**2)))
+    # Energies are summed with the largest magnitude scaled into [0.5, 1) by
+    # a power of two, so that squares of eigenvalues beyond ~1e154 cannot
+    # overflow; the scaling is exact and leaves every decision in the normal
+    # range as it would be unscaled.
+    scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
+    total = float(np.sqrt(np.sum(scaled**2)))
     tol = opts.resolve_tol(factor.n)
     if total == 0.0:
         return LDLTFactor.zero(factor.n)
 
     # Discard the largest ascending-|eigenvalue| prefix whose cumulative
     # energy stays within the budget (inclusive comparison for determinism).
-    cumulative = np.sqrt(np.cumsum(eigvals[order] ** 2))
+    cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
     n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
     keep = order[n_drop:]
     if opts.max_rank is not None and keep.size > opts.max_rank:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import _kernels
 from .errors import InvalidInput, InvalidReference, OracleDiverged, StepTooLarge
 
 DENSE_LIMIT = 256
@@ -68,15 +67,19 @@ def dense_dre_reference(problem: DenseProblem, n_fine: int) -> np.ndarray:
     if n_fine < 1:
         raise InvalidInput(f"n_fine must be >= 1, got {n_fine}")
     h = problem.horizon / n_fine
-    p = _kernels.dre_rk4_steps(
-        _kernels.as_kernel_array(problem.a.T),
-        _kernels.as_kernel_array(problem.a),
-        _kernels.as_kernel_array(problem.q),
-        _kernels.as_kernel_array(problem.s),
-        _kernels.as_kernel_array(problem.p0),
-        float(h),
-        int(n_fine),
-    )
+    a, q, s = problem.a, problem.q, problem.s
+    at = a.T.copy()
+    p = problem.p0.copy()
+    for _ in range(n_fine):
+        k1 = at @ p + p @ a + q - (p @ s) @ p
+        p2 = p + (0.5 * h) * k1
+        k2 = at @ p2 + p2 @ a + q - (p2 @ s) @ p2
+        p3 = p + (0.5 * h) * k2
+        k3 = at @ p3 + p3 @ a + q - (p3 @ s) @ p3
+        p4 = p + h * k3
+        k4 = at @ p4 + p4 @ a + q - (p4 @ s) @ p4
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = 0.5 * (p + p.T)
     if not np.all(np.isfinite(p)):
         raise OracleDiverged(
             "reference integration produced non-finite values; "

@@ -7,7 +7,6 @@ dedicated columns so reports can be compared byte-wise without them.
 
 import csv
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -360,19 +359,11 @@ def run_validation(seed: int = 0, n_instances: int = 25) -> list:
     results = []
 
     worst = 0.0
-    closed_ok = True
     for s in range(1, 9):
-        gamma = additive_coeffs(s, symmetric=False)
-        worst = max(worst, coefficient_residual(gamma, s, symmetric=False))
-        closed = np.array(
-            [(-1.0) ** (s - k) * k**s / (math.factorial(k) * math.factorial(s - k))
-             for k in range(1, s + 1)]
-        )
-        closed_ok &= bool(np.allclose(gamma, closed, rtol=0, atol=1e-12 * max(1, abs(closed).max())))
-        if s >= 1:
-            worst = max(worst, coefficient_residual(
-                additive_coeffs(s, symmetric=True), s, symmetric=True))
-    results.append(("coefficient order conditions (s<=8)", worst <= 1e-12 and closed_ok,
+        for symmetric in (False, True):
+            gamma = additive_coeffs(s, symmetric)
+            worst = max(worst, coefficient_residual(gamma, s, symmetric))
+    results.append(("coefficient order conditions (s<=8)", worst <= 1e-12,
                     f"max residual {worst:.2e}"))
 
     worst = 0.0

@@ -309,11 +309,6 @@ def update_quadrature(
                            assembled, fresh)
 
 
-def integral_factor(state: QuadratureState) -> LDLTFactor:
-    """Compressed factor of the source integral for the state's step size."""
-    return state.assembled
-
-
 def affine_flow(
     factor: LDLTFactor,
     h: float,
@@ -328,7 +323,7 @@ def affine_flow(
         raise InvalidInput(f"h must be nonnegative, got {h}")
     if h == 0.0:
         return factor
-    if not np.isclose(state.h, h, rtol=1e-12, atol=0.0):
+    if not abs(state.h - h) <= 1e-12 * abs(h):
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     terms = []
     if factor.rank > 0:

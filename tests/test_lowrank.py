@@ -5,6 +5,7 @@ from dresplit import (
     CompressionOptions,
     InvalidInput,
     LDLTFactor,
+    NonFiniteFactor,
     RefusedDense,
     combine,
     compress,
@@ -105,6 +106,19 @@ class TestCompress:
         f = random_factor(rng, 10, 5)
         out = compress(f, CompressionOptions(rel_tol=0.0))
         assert np.linalg.norm(to_dense(out) - to_dense(f)) <= 1e-13 * np.linalg.norm(to_dense(f))
+
+    @pytest.mark.parametrize("scale", [1e200, np.nan])
+    def test_large_core_kept_nonfinite_core_rejected(self, rng, scale):
+        q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+        f = LDLTFactor(q, scale * np.eye(2))
+        if np.isnan(scale):
+            with pytest.raises(NonFiniteFactor):
+                compress(f)
+            return
+        out = compress(f)
+        assert out.rank == 2
+        p = q @ q.T
+        assert np.linalg.norm(to_dense(out) / scale - p) <= 1e-13 * np.linalg.norm(p)
 
     def test_eigendecomposition_oracle(self, rng):
         f = random_factor(rng, 10, 6)

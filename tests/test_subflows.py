@@ -12,7 +12,6 @@ from dresplit import (
     StiffOperator,
     affine_flow,
     init_quadrature,
-    integral_factor,
     quad_weights,
     quadratic_flow,
     to_dense,
@@ -138,7 +137,7 @@ class TestQuadratureState:
     def test_zero_source_gives_rank_zero(self):
         problem = scalar_problem(0.5, 0.0, 1.0, 1.0)
         state = init_quadrature(problem, 0.5, 3, EXP, COMP)
-        assert integral_factor(state).rank == 0
+        assert state.assembled.rank == 0
 
     def test_zero_operator_integral(self, rng):
         n, r = 6, 2
@@ -153,14 +152,14 @@ class TestQuadratureState:
         h = 0.3
         state = init_quadrature(problem, h, 4, EXP, COMP)
         expected = h * (q_l @ q_l.T)
-        assert np.linalg.norm(to_dense(integral_factor(state)) - expected) <= 1e-10
+        assert np.linalg.norm(to_dense(state.assembled) - expected) <= 1e-10
 
     def test_scalar_closed_form(self):
         a, q, h = 0.7, 1.3, 0.4
         problem = scalar_problem(a, q, 1.0, 0.0)
         state = init_quadrature(problem, h, 8, EXP, COMP)
         exact = q * (np.exp(2 * a * h) - 1.0) / (2 * a)
-        got = to_dense(integral_factor(state))[0, 0]
+        got = to_dense(state.assembled)[0, 0]
         assert got == pytest.approx(exact, rel=1e-8)
 
     def test_update_same_h_no_fresh(self, rng):
@@ -212,8 +211,8 @@ class TestQuadratureState:
         state = init_quadrature(problem, 0.1, 8, EXP, COMP)
         state = update_quadrature(state, 0.11, problem, EXP, COMP)
         fresh = init_quadrature(problem, 0.11, 8, EXP, COMP)
-        a = to_dense(integral_factor(state))
-        b = to_dense(integral_factor(fresh))
+        a = to_dense(state.assembled)
+        b = to_dense(fresh.assembled)
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
 
 
