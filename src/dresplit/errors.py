@@ -27,7 +27,7 @@ class ToleranceNotMet(DresplitError):
 
 
 class NonFiniteFactor(DresplitError):
-    """A factor to be compressed holds non-finite values (overflow or NaN)."""
+    """A factor or propagated block holds non-finite values (overflow or NaN)."""
 
 
 class StepTooLarge(DresplitError):

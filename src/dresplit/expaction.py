@@ -4,19 +4,22 @@ The propagation integrates w' = A^T w with the 3-stage, 5th-order Radau IA
 implicit Runge-Kutta method.  Accuracy is controlled by comparing the
 n-substep and 2n-substep results in the whole-block relative Frobenius norm
 and doubling until they agree to the requested tolerance (the 2n solution is
-returned).  For dense operators the one-substep propagator matrix is formed
-once per substep size by a direct solve of the stacked stage system; for
-sparse operators the stage system is LU-factorized once and every substep
+returned).  For dense operators the one-substep propagator matrix K(tau) is
+formed by a direct solve of the stacked stage system and kept in a bounded
+per-operator LRU cache keyed by the substep size tau, so a repeated tau costs
+a lookup; the cache lives and dies with its operator.  For sparse operators
+the stage system is LU-factorized once per propagation and every substep
 solve gets one iterative-refinement pass.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidInput, ToleranceNotMet
+from .errors import InvalidInput, NonFiniteFactor, ToleranceNotMet
 
 _SQRT6 = np.sqrt(6.0)
 _RADAU_A = np.array(
@@ -28,13 +31,20 @@ _RADAU_A = np.array(
 )
 _RADAU_B = np.array([1.0 / 9.0, (16.0 + _SQRT6) / 36.0, (16.0 - _SQRT6) / 36.0])
 _STAGES = 3
+# Propagators kept per dense operator: 8 N x N matrices, less than the one
+# 3N x 3N stage matrix that a cache miss allocates.
+_PROPAGATOR_CACHE = 8
 
 
 class StiffOperator:
     """Sparse or dense wrapper around the state matrix A.
 
     Exposes the transposed action w -> A^T w used throughout the solver; the
-    wrapped matrix is treated as read-only.
+    wrapped matrix is treated as read-only.  A dense operator also exposes
+    ``propagator(tau)``, the one-substep Radau IA propagator K(tau), memoized
+    in a bounded LRU cache (safe to call from several threads; a concurrent
+    miss computes the same matrix twice).  Cached matrices are shared and
+    must not be modified.
     """
 
     def __init__(self, a):
@@ -46,6 +56,9 @@ class StiffOperator:
             self.matrix = np.asarray(a, dtype=np.float64)
             self._at = self.matrix.T.copy()
             self.is_sparse = False
+            self.propagator = functools.lru_cache(maxsize=_PROPAGATOR_CACHE)(
+                functools.partial(_dense_propagator, self._at)
+            )
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
 
@@ -72,22 +85,26 @@ class ExpActionOptions:
             raise InvalidInput(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
-def _dense_propagator(op: StiffOperator, tau: float) -> np.ndarray:
+def _dense_propagator(at: np.ndarray, tau: float) -> np.ndarray:
     """One-substep Radau IA map K with w_{k+1} = K w_k, formed explicitly."""
-    n = op.n
-    at = op._at
-    m = np.eye(_STAGES * n) - tau * np.kron(_RADAU_A, at)
+    n = at.shape[0]
+    # The stage matrix I - tau * kron(A_radau, A^T), built in place.
+    m = np.kron(_RADAU_A, at)
+    m *= -tau
+    m.flat[:: _STAGES * n + 1] += 1.0
     rhs = np.tile(np.eye(n), (_STAGES, 1))
     stages = np.linalg.solve(m, rhs)
     weighted = sum(
         _RADAU_B[i] * stages[i * n : (i + 1) * n] for i in range(_STAGES)
     )
-    return np.eye(n) + tau * (at @ weighted)
+    k_mat = np.eye(n) + tau * (at @ weighted)
+    k_mat.flags.writeable = False
+    return k_mat
 
 
 def _propagate_dense(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
     tau = t / n_sub
-    k_mat = _dense_propagator(op, tau)
+    k_mat = op.propagator(tau)
     n, m = v.shape
     # Binary powering wins once repeated block application costs more.
     log_n = int(np.log2(n_sub)) + 1
@@ -117,6 +134,19 @@ def _propagate_sparse(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) ->
     return w
 
 
+def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
+    """||w - w_prev||_F / ||w||_F, or the absolute change when w = 0.
+
+    Both norms are taken with the largest entry of w scaled into [0.5, 1) by
+    a power of two, so blocks beyond ~1e154 do not overflow them; the
+    scaling is exact and leaves the ratio in the normal range unchanged.
+    """
+    e = np.frexp(np.abs(w).max())[1]
+    scale = float(np.linalg.norm(np.ldexp(w, -e)))
+    diff = float(np.linalg.norm(np.ldexp(w - w_prev, -e)))
+    return diff / scale if scale > 0.0 else diff
+
+
 def exp_action(
     op: StiffOperator,
     t: float,
@@ -126,7 +156,9 @@ def exp_action(
     """Approximate exp(t A^T) @ v to the requested relative tolerance.
 
     Raises ToleranceNotMet (carrying the best iterate and its estimate) if
-    the substep-doubling budget is exhausted first.
+    the substep-doubling budget is exhausted first, and NonFiniteFactor as
+    soon as the error estimate is not finite, which no further doubling
+    can repair.
     """
     if t < 0:
         raise InvalidInput(f"t must be nonnegative, got {t}")
@@ -145,9 +177,12 @@ def exp_action(
     for _ in range(opts.max_doublings):
         n_sub *= 2
         w = propagate(op, t, v, n_sub)
-        scale = float(np.linalg.norm(w))
-        diff = float(np.linalg.norm(w - w_prev))
-        estimate = diff / scale if scale > 0.0 else diff
+        estimate = _relative_change(w, w_prev)
+        if not np.isfinite(estimate):
+            raise NonFiniteFactor(
+                f"exp action at t={t:g} produced a non-finite iterate "
+                f"with {n_sub} substeps"
+            )
         if estimate <= opts.rel_tol:
             return w
         w_prev = w

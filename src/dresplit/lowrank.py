@@ -183,14 +183,18 @@ def frob_norm(factor: LDLTFactor) -> float:
     """Frobenius norm of the represented product, without forming it.
 
     Uses ||L D L^T||_F = sqrt(trace((L^T L D)^2)); the argument of the root
-    is clipped at zero against round-off.
+    is clipped at zero against round-off.  As in ``compress``, the trace is
+    summed with the largest entry of L^T L D scaled into [0.5, 1) by a power
+    of two, so norms beyond ~1e154 do not overflow; the scaling is exact.
     """
     if factor.rank == 0:
         return 0.0
     gram = factor.L.T @ factor.L
     t = gram @ factor.D
+    e = np.frexp(np.abs(t).max())[1]
+    t = np.ldexp(t, -e)
     val = float(np.sum(t * t.T))
-    return float(np.sqrt(max(val, 0.0)))
+    return float(np.ldexp(np.sqrt(max(val, 0.0)), e))
 
 
 def interpolate(

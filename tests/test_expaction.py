@@ -1,4 +1,7 @@
 import logging
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,10 +11,15 @@ from scipy.linalg import expm
 from dresplit import (
     ExpActionOptions,
     InvalidInput,
+    NonFiniteFactor,
+    SchemeSpec,
     StiffOperator,
     ToleranceNotMet,
     exp_action,
+    generate_problem,
+    integrate_fixed,
 )
+from dresplit.expaction import _PROPAGATOR_CACHE, _dense_propagator, _relative_change
 
 logger = logging.getLogger(__name__)
 
@@ -134,3 +142,101 @@ def test_apply_transpose_linearity(rng):
     lhs = op.apply_transpose(2.0 * x + y)
     rhs = 2.0 * op.apply_transpose(x) + op.apply_transpose(y)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+def test_cached_propagator_matches_direct(rng):
+    op = StiffOperator(rng.standard_normal((9, 9)))
+    for tau in (0.3, 0.3 / 7, 1e-3):
+        k_mat = op.propagator(tau)
+        assert np.array_equal(k_mat, _dense_propagator(op._at, tau))
+        assert op.propagator(tau) is k_mat
+        assert not k_mat.flags.writeable
+    assert op.propagator.cache_info().hits == 3
+
+
+def test_propagator_cache_under_thread_contention(rng):
+    # More threads than cores and more substep sizes than cache entries, so
+    # concurrent misses and evictions interleave; every lookup must still
+    # return the directly formed propagator of its own substep size.
+    op = StiffOperator(rng.standard_normal((6, 6)))
+    taus = [0.1 / k for k in range(1, 2 * _PROPAGATOR_CACHE + 1)]
+    direct = {tau: _dense_propagator(op._at, tau) for tau in taus}
+    wrong = []
+
+    def worker(offset):
+        for i in range(200):
+            tau = taus[(offset + 3 * i) % len(taus)]
+            if not np.array_equal(op.propagator(tau), direct[tau]):
+                wrong.append(tau)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+    assert op.propagator.cache_info().currsize <= _PROPAGATOR_CACHE
+
+
+def test_propagator_cache_bounded_after_fixed_run():
+    problem = generate_problem("random_lowrank", n=12, seed=3, horizon=0.2)
+    integrate_fixed(problem, SchemeSpec("sym", 3), 4)
+    info = problem.a.propagator.cache_info()
+    assert info.maxsize == _PROPAGATOR_CACHE
+    assert 0 < info.currsize <= _PROPAGATOR_CACHE
+    assert info.hits > 0
+
+
+def test_operators_keep_their_own_propagators(rng):
+    a = rng.standard_normal((6, 6))
+    op1, op2 = StiffOperator(a), StiffOperator(2.0 * a)
+    k1, k2 = op1.propagator(0.1), op2.propagator(0.1)
+    assert np.array_equal(k1, _dense_propagator(op1._at, 0.1))
+    assert np.array_equal(k2, _dense_propagator(op2._at, 0.1))
+    assert not np.array_equal(k1, k2)
+    assert op1.propagator.cache_info().currsize == 1
+    assert op2.propagator.cache_info().currsize == 1
+
+
+def test_thread_pool_factors_byte_identical():
+    # Each run gets a fresh operator, so both start from an empty cache and
+    # the two-thread run fills it from concurrent chains.
+    finals = []
+    for threads in (1, 2):
+        problem = generate_problem("random_lowrank", n=16, seed=5, horizon=0.2)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 3, threads=threads)
+        finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
+    assert finals[0] == finals[1]
+
+
+def test_large_finite_block_scale_invariant(rng):
+    # Entries near 1e160 overflow an unscaled Frobenius norm of the block;
+    # scaling by a power of two must not change the refinement decisions.
+    op = StiffOperator(5.0 * rng.standard_normal((6, 6)))
+    v = rng.standard_normal((6, 2))
+    big = exp_action(op, 1.0, 2.0**530 * v)
+    assert np.array_equal(big / 2.0**530, exp_action(op, 1.0, v))
+    w, w_prev = rng.standard_normal((2, 6, 3))
+    unscaled = np.linalg.norm(w - w_prev) / np.linalg.norm(w)
+    assert _relative_change(w, w_prev) == unscaled
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_nonfinite_block_raises_promptly(rng, sparse):
+    # A NaN column can never converge; the doubling must stop at once
+    # instead of exhausting its budget (hours at the default on sparse).
+    problem = generate_problem("laplacian_lqr", n=100)
+    a = problem.a.matrix
+    op = StiffOperator(a if sparse else a.toarray())
+    v = rng.standard_normal((100, 3))
+    v[:, 1] = np.nan
+    start = time.perf_counter()
+    with pytest.raises(NonFiniteFactor, match="t=0.01"):
+        exp_action(op, 0.01, v, ExpActionOptions(max_doublings=14))
+    assert time.perf_counter() - start < 1.0

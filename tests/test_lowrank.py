@@ -148,6 +148,20 @@ class TestFrobNorm:
     def test_zero(self):
         assert frob_norm(LDLTFactor.zero(4)) == 0.0
 
+    def test_large_norm_finite(self):
+        # ||P||_F ~ 7e160: the squared trace terms overflow unless scaled.
+        l_mat = np.random.default_rng(0).standard_normal((6, 2))
+        unit = frob_norm(LDLTFactor(l_mat, np.diag([1.0, 2.0])))
+        big = frob_norm(LDLTFactor(l_mat, np.diag([1e160, 2e160])))
+        assert np.isfinite(big)
+        assert big == pytest.approx(1e160 * unit, rel=1e-14)
+
+    def test_scaling_exact_in_normal_range(self, rng):
+        for _ in range(20):
+            f = random_factor(rng, 12, 4)
+            t = f.L.T @ f.L @ f.D
+            assert frob_norm(f) == float(np.sqrt(np.sum(t * t.T)))
+
 
 class TestInterpolate:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
