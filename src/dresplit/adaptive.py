@@ -5,8 +5,11 @@ chains once, form the full-order combination and the estimate combination,
 compare the estimate against the tolerance (optionally per unit step), and
 steer the step size with a PI controller.  A first rejection triggers a full
 recomputation of the quadrature caches at the same step size; further
-rejections shrink the step.  The final step is clamped so the trajectory
-lands exactly on the horizon.
+rejections shrink the step.  A subflow that fails inside a step (a singular
+solve, StepTooLarge, or an exponential action short of its tolerance,
+ToleranceNotMet) also counts as a rejection: the step is halved and the
+quadrature caches are recomputed at the new size.  The final step is clamped
+so the trajectory lands exactly on the horizon.
 """
 
 import logging
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, StepSizeCollapse
+from .errors import InvalidInput, StepSizeCollapse, StepTooLarge, ToleranceNotMet
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress, interpolate
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
@@ -261,8 +264,9 @@ def integrate_adaptive(
     """Adaptive integration with the embedded estimate and a PI controller.
 
     Requires an additive scheme with at least two stages.  Raises
-    StepSizeCollapse (carrying the partial trajectory) if the controller
-    drives the step below h_min_factor * horizon.
+    StepSizeCollapse (carrying the partial trajectory, its message naming
+    the last rejection's cause) if the controller drives the step below
+    h_min_factor * horizon.
     """
     if not spec.is_additive or spec.stages < 2:
         raise InvalidInput("adaptive integration needs an additive scheme with >= 2 stages")
@@ -291,24 +295,39 @@ def integrate_adaptive(
         while True:
             rejections = 0
             fresh = 0
+            reset = False
             while True:
-                fresh += pool.prepare(h, divisors)
-                candidate, estimate = additive_step(
-                    current, h, spec, coeffs, problem, pool.states,
-                    exp_opts, comp_opts, executor,
-                )
-                e_cmp = estimate / h if params.epus else estimate
-                if e_cmp <= params.tol:
-                    break
-                rejections += 1
-                if rejections == 1:
-                    fresh += pool.reset(h, divisors)
-                    continue
-                h = reject_resize(e_cmp, h, params, p_est)
+                try:
+                    if reset:
+                        fresh += pool.reset(h, divisors)
+                        reset = False
+                    fresh += pool.prepare(h, divisors)
+                    candidate, estimate = additive_step(
+                        current, h, spec, coeffs, problem, pool.states,
+                        exp_opts, comp_opts, executor,
+                    )
+                except (StepTooLarge, ToleranceNotMet) as exc:
+                    # A subflow that fails at this h is a rejection: halve
+                    # the step and rebuild the quadrature at the new size.
+                    rejections += 1
+                    cause = f"{type(exc).__name__}: {exc}"
+                    h *= 0.5
+                    reset = True
+                else:
+                    e_cmp = estimate / h if params.epus else estimate
+                    if e_cmp <= params.tol:
+                        break
+                    rejections += 1
+                    cause = f"error estimate {e_cmp:.3e} above tol {params.tol:g}"
+                    if rejections == 1:
+                        reset = True
+                        continue
+                    h = reject_resize(e_cmp, h, params, p_est)
                 clamped = False
                 if h < h_min:
                     raise StepSizeCollapse(
-                        f"step size {h:.3e} fell below the floor {h_min:.3e} at t={t:g}",
+                        f"step size {h:.3e} fell below the floor {h_min:.3e} at t={t:g} "
+                        f"(last rejection: {cause})",
                         trajectory=trajectory,
                     )
             current = candidate

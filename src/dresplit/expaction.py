@@ -1,15 +1,30 @@
 """Action of the matrix exponential, W = exp(t A^T) V, for tall blocks.
 
 The propagation integrates w' = A^T w with the 3-stage, 5th-order Radau IA
-implicit Runge-Kutta method.  Accuracy is controlled by comparing the
-n-substep and 2n-substep results in the whole-block relative Frobenius norm
-and doubling until they agree to the requested tolerance (the 2n solution is
-returned).  For dense operators the one-substep propagator matrix K(tau) is
-formed by a direct solve of the stacked stage system and kept in a bounded
-per-operator LRU cache keyed by the substep size tau, so a repeated tau costs
-a lookup; the cache lives and dies with its operator.  For sparse operators
-the stage system is LU-factorized once per propagation and every substep
-solve gets one iterative-refinement pass.
+implicit Runge-Kutta method.  Its stage system is decoupled through the
+eigenvalues of the Radau coefficient matrix (the RADAU5 transformation,
+Hairer & Wanner, Solving ODEs II, IV.8).  With J = A^T, one real pole/weight
+pair (lambda_r, gamma_r) and one complex pair (lambda_c, gamma_c), a substep
+of size tau is
+
+    w <- w + tau J (gamma_r z_r + 2 Re(gamma_c z_c)),
+    z_j = (I - tau lambda_j J)^{-1} w,
+
+one real and one complex N x N shifted solve.  This increment form keeps
+the identity part of the map exact; the equivalent residue sum
+sum_j rho_j (I - tau lambda_j J)^{-1} leaves round-off of size eps on top of
+I, which the repeated powering of a small tau amplifies.
+
+Accuracy is controlled by comparing the n-substep and 2n-substep results in
+the whole-block relative Frobenius norm and doubling until they agree to the
+requested tolerance (the 2n solution is returned).  For dense operators the
+one-substep propagator matrix K(tau) is formed by the two shifted solves
+against the identity and kept in a bounded per-operator LRU cache keyed by
+the substep size tau, so a repeated tau costs a lookup; the cache lives and
+dies with its operator.  For sparse operators both shifted matrices are
+LU-factorized once per propagation, and every substep solve gets one
+iterative-refinement pass against its own shifted matrix.  An exactly
+singular shifted matrix raises StepTooLarge.
 """
 
 import functools
@@ -19,20 +34,18 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidInput, NonFiniteFactor, ToleranceNotMet
+from .errors import InvalidInput, NonFiniteFactor, StepTooLarge, ToleranceNotMet
 
-_SQRT6 = np.sqrt(6.0)
-_RADAU_A = np.array(
-    [
-        [1.0 / 9.0, (-1.0 - _SQRT6) / 18.0, (-1.0 + _SQRT6) / 18.0],
-        [1.0 / 9.0, (88.0 + 7.0 * _SQRT6) / 360.0, (88.0 - 43.0 * _SQRT6) / 360.0],
-        [1.0 / 9.0, (88.0 + 43.0 * _SQRT6) / 360.0, (88.0 - 7.0 * _SQRT6) / 360.0],
-    ]
-)
-_RADAU_B = np.array([1.0 / 9.0, (16.0 + _SQRT6) / 36.0, (16.0 - _SQRT6) / 36.0])
-_STAGES = 3
-# Propagators kept per dense operator: 8 N x N matrices, less than the one
-# 3N x 3N stage matrix that a cache miss allocates.
+# Eigenvalues of the Radau IA coefficient matrix and the weights b^T T_j
+# (T^-1 1)_j of its eigenbasis, correctly rounded from a 60-digit
+# computation.  The weights sum to b^T 1 = 1 exactly in floating point
+# (gamma_r + 2 Re gamma_c == 1.0), which an eigensolver's output does not.
+_POLE_REAL = 0.27488882959567734
+_WEIGHT_REAL = 1.3826297484603085
+_POLE_COMPLEX = 0.16255558520216132 + 0.1849493244071408j
+_WEIGHT_COMPLEX = -0.19131487423015428 - 0.4923757627721005j
+# Propagators kept per dense operator: 8 N x N matrices, about the working
+# memory of one cache miss (a real and a complex N x N solve).
 _PROPAGATOR_CACHE = 8
 
 
@@ -85,26 +98,45 @@ class ExpActionOptions:
             raise InvalidInput(f"max_doublings must be >= 1, got {self.max_doublings}")
 
 
+def _shifted(at, c):
+    """The shifted matrix I - c A^T, dense or sparse CSC like ``at``."""
+    if sp.issparse(at):
+        return (sp.identity(at.shape[0], format="csc") - c * at).tocsc()
+    m = at * -c
+    m.flat[:: at.shape[0] + 1] += 1.0
+    return m
+
+
+def _increment(z_r: np.ndarray, z_c: np.ndarray) -> np.ndarray:
+    """gamma_r z_r + 2 Re(gamma_c z_c), the weighted stage combination."""
+    return _WEIGHT_REAL * z_r + 2.0 * (_WEIGHT_COMPLEX * z_c).real
+
+
+def _singular(t: float, tau: float) -> StepTooLarge:
+    return StepTooLarge(
+        f"Radau shifted matrix is singular for the exp action at t={t:g} "
+        f"(substep tau={tau:g})"
+    )
+
+
 def _dense_propagator(at: np.ndarray, tau: float) -> np.ndarray:
     """One-substep Radau IA map K with w_{k+1} = K w_k, formed explicitly."""
     n = at.shape[0]
-    # The stage matrix I - tau * kron(A_radau, A^T), built in place.
-    m = np.kron(_RADAU_A, at)
-    m *= -tau
-    m.flat[:: _STAGES * n + 1] += 1.0
-    rhs = np.tile(np.eye(n), (_STAGES, 1))
-    stages = np.linalg.solve(m, rhs)
-    weighted = sum(
-        _RADAU_B[i] * stages[i * n : (i + 1) * n] for i in range(_STAGES)
-    )
-    k_mat = np.eye(n) + tau * (at @ weighted)
+    eye = np.eye(n)
+    z_r = np.linalg.solve(_shifted(at, tau * _POLE_REAL), eye)
+    z_c = np.linalg.solve(_shifted(at, tau * _POLE_COMPLEX), eye)
+    k_mat = tau * (at @ _increment(z_r, z_c))
+    k_mat.flat[:: n + 1] += 1.0
     k_mat.flags.writeable = False
     return k_mat
 
 
 def _propagate_dense(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
     tau = t / n_sub
-    k_mat = op.propagator(tau)
+    try:
+        k_mat = op.propagator(tau)
+    except np.linalg.LinAlgError as exc:
+        raise _singular(t, tau) from exc
     n, m = v.shape
     # Binary powering wins once repeated block application costs more.
     log_n = int(np.log2(n_sub)) + 1
@@ -118,19 +150,21 @@ def _propagate_dense(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> 
 
 def _propagate_sparse(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
     tau = t / n_sub
-    n = op.n
     at = op._at.tocsc()
-    m = (sp.identity(_STAGES * n, format="csc") - tau * sp.kron(_RADAU_A, at, format="csc")).tocsc()
-    lu = spla.splu(m)
+    m_r = _shifted(at, tau * _POLE_REAL)
+    m_c = _shifted(at, tau * _POLE_COMPLEX)
+    try:
+        lu_r = spla.splu(m_r)
+        lu_c = spla.splu(m_c)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise _singular(t, tau) from exc
     w = np.array(v, dtype=np.float64)
     for _ in range(n_sub):
-        rhs = np.tile(w, (_STAGES, 1))
-        stages = lu.solve(rhs)
-        stages += lu.solve(rhs - m @ stages)
-        weighted = _RADAU_B[0] * stages[:n]
-        for i in range(1, _STAGES):
-            weighted += _RADAU_B[i] * stages[i * n : (i + 1) * n]
-        w = w + tau * (at @ weighted)
+        z_r = lu_r.solve(w)
+        z_r += lu_r.solve(w - m_r @ z_r)
+        z_c = lu_c.solve(w)
+        z_c += lu_c.solve(w - m_c @ z_c)
+        w = w + tau * (at @ _increment(z_r, z_c))
     return w
 
 
@@ -156,12 +190,12 @@ def exp_action(
     """Approximate exp(t A^T) @ v to the requested relative tolerance.
 
     Raises ToleranceNotMet (carrying the best iterate and its estimate) if
-    the substep-doubling budget is exhausted first, and NonFiniteFactor as
-    soon as the error estimate is not finite, which no further doubling
-    can repair.
+    the substep-doubling budget is exhausted first, NonFiniteFactor as soon
+    as the error estimate is not finite, which no further doubling can
+    repair, and StepTooLarge if a shifted Radau matrix is exactly singular.
     """
-    if t < 0:
-        raise InvalidInput(f"t must be nonnegative, got {t}")
+    if not (np.isfinite(t) and t >= 0):
+        raise InvalidInput(f"t must be finite and nonnegative, got {t}")
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v.reshape(-1, 1)

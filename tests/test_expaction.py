@@ -2,6 +2,7 @@ import logging
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,13 +14,23 @@ from dresplit import (
     InvalidInput,
     NonFiniteFactor,
     SchemeSpec,
+    StepTooLarge,
     StiffOperator,
     ToleranceNotMet,
     exp_action,
     generate_problem,
     integrate_fixed,
 )
-from dresplit.expaction import _PROPAGATOR_CACHE, _dense_propagator, _relative_change
+from dresplit.expaction import (
+    _POLE_COMPLEX,
+    _POLE_REAL,
+    _PROPAGATOR_CACHE,
+    _WEIGHT_COMPLEX,
+    _WEIGHT_REAL,
+    _dense_propagator,
+    _propagate_sparse,
+    _relative_change,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -240,3 +251,107 @@ def test_nonfinite_block_raises_promptly(rng, sparse):
     with pytest.raises(NonFiniteFactor, match="t=0.01"):
         exp_action(op, 0.01, v, ExpActionOptions(max_doublings=14))
     assert time.perf_counter() - start < 1.0
+
+
+# The Radau IA Butcher tableau: the reference for the decoupled propagator.
+SQRT6 = np.sqrt(6.0)
+RADAU_A = np.array(
+    [
+        [1.0 / 9.0, (-1.0 - SQRT6) / 18.0, (-1.0 + SQRT6) / 18.0],
+        [1.0 / 9.0, (88.0 + 7.0 * SQRT6) / 360.0, (88.0 - 43.0 * SQRT6) / 360.0],
+        [1.0 / 9.0, (88.0 + 43.0 * SQRT6) / 360.0, (88.0 - 7.0 * SQRT6) / 360.0],
+    ]
+)
+RADAU_B = np.array([1.0 / 9.0, (16.0 + SQRT6) / 36.0, (16.0 - SQRT6) / 36.0])
+
+
+def coupled_propagator(at, tau):
+    """K(tau) from the coupled 3N x 3N stage system I - tau kron(A_radau, A^T)."""
+    n = at.shape[0]
+    m = np.eye(3 * n) - tau * np.kron(RADAU_A, at)
+    stages = np.linalg.solve(m, np.tile(np.eye(n), (3, 1)))
+    weighted = sum(RADAU_B[i] * stages[i * n : (i + 1) * n] for i in range(3))
+    return np.eye(n) + tau * (at @ weighted)
+
+
+def stable_operator(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return g / np.sqrt(n) - 2.0 * np.eye(n)
+
+
+def test_radau_weights_sum_to_one_exactly():
+    assert _WEIGHT_REAL + 2.0 * _WEIGHT_COMPLEX.real == 1.0
+
+
+def test_poles_and_weights_reproduce_stability_function():
+    # R(z) of Radau IA in exact rational arithmetic.  In 1 + z b^T (I - zA)^-1 1
+    # the increment cancels against 1 as R(z) ~ 3/|z| decays, so the error is
+    # measured on the scale max(1, |R|) of the terms that are summed (near
+    # z = -1e3 the coupled 3N x 3N form is also 6e-14 off relative to R).
+    def exact_r(z):
+        z = Fraction(z)
+        num = 1 + Fraction(2, 5) * z + z * z / 20
+        den = 1 - Fraction(3, 5) * z + Fraction(3, 20) * z * z - z**3 / 60
+        return num / den
+
+    for z in np.concatenate([-np.geomspace(1e-12, 1e3, 200), np.linspace(-1.0, 0.3, 53)]):
+        k = Fraction(_dense_propagator(np.array([[z]]), 1.0)[0, 0])
+        r = exact_r(z)
+        assert abs(k - r) <= Fraction(1e-14) * max(1, abs(r)), z
+
+
+TAU_NORMS = (1e-8, 1e-3, 0.1, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("n", [5, 57])
+def test_dense_propagator_matches_coupled_reference(n):
+    at = stable_operator(n, n).T.copy()
+    eye = np.eye(n)
+    for tau_norm in TAU_NORMS:
+        tau = tau_norm / np.linalg.norm(at, 2)
+        ref = coupled_propagator(at, tau) - eye
+        # K - I relative to itself: at tau ||A|| = 1e-8 a residue sum would
+        # leave ~eps / 1e-8 relative noise here.
+        diff = (_dense_propagator(at, tau) - eye) - ref
+        assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref), tau_norm
+
+
+@pytest.mark.parametrize("n", [5, 57])
+def test_sparse_substep_matches_coupled_reference(n):
+    a = stable_operator(n, n)
+    a[np.abs(a) < 0.5] = 0.0
+    op = StiffOperator(sp.csr_matrix(a))
+    eye = np.eye(n)
+    for tau_norm in TAU_NORMS:
+        tau = tau_norm / np.linalg.norm(a, 2)
+        ref = coupled_propagator(a.T.copy(), tau) - eye
+        diff = (_propagate_sparse(op, tau, eye, 1) - eye) - ref
+        assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref), tau_norm
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_nonfinite_time_rejected(sparse, t):
+    a = np.diag([-1.0, -2.0, -3.0])
+    op = StiffOperator(sp.csr_matrix(a) if sparse else a)
+    with pytest.raises(InvalidInput, match="finite"):
+        exp_action(op, t, np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_shift_raises_step_too_large(sparse):
+    # Pick the diagonal entry d a few ulps around 1/(t lambda_r) for which
+    # 1 - (t lambda_r) d is exactly zero, so the real shifted matrix of the
+    # first (one-substep) propagation is exactly singular.
+    t = 0.5
+    c = t * _POLE_REAL
+    d = 1.0 / c
+    for _ in range(8):
+        if 1.0 - c * d == 0.0:
+            break
+        d = np.nextafter(d, np.inf if c * d < 1.0 else -np.inf)
+    assert 1.0 - c * d == 0.0
+    a = np.diag([d, -1.0, -2.0])
+    op = StiffOperator(sp.csr_matrix(a) if sparse else a)
+    with pytest.raises(StepTooLarge, match=r"t=0\.5 .*tau=0\.5"):
+        exp_action(op, t, np.ones((3, 2)))
