@@ -31,7 +31,7 @@ logger = logging.getLogger(__name__)
 class ControllerParams:
     """PI step-size controller settings.
 
-    k_i / k_p default to 0.2 / p where p is the order of the error estimate.
+    Both PI gains are 0.2 / p, where p is the order of the error estimate.
     epus divides estimates by the step size before comparing against tol.
     The estimate floor and growth cap keep the controller defined when an
     estimate (nearly) vanishes.
@@ -39,8 +39,6 @@ class ControllerParams:
 
     tol: float
     safety: float = 0.9
-    k_i: float | None = None
-    k_p: float | None = None
     epus: bool = False
     est_floor_factor: float = 1e-4
     growth_cap: float = 5.0
@@ -51,11 +49,6 @@ class ControllerParams:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
         if not 0.0 < self.safety < 1.0:
             raise InvalidInput(f"safety must lie in (0, 1), got {self.safety}")
-
-    def gains(self, p_est: int) -> tuple:
-        k_i = self.k_i if self.k_i is not None else 0.2 / p_est
-        k_p = self.k_p if self.k_p is not None else 0.2 / p_est
-        return k_i, k_p
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ def pi_update(e_prev: float, e_new: float, h: float, params: ControllerParams,
     step up; growth is capped.  Scale-invariant: scaling both estimates and
     the tolerance by a common factor leaves the result unchanged.
     """
-    k_i, k_p = params.gains(p_est)
+    k_i = k_p = 0.2 / p_est
     floor = params.est_floor_factor * params.safety * params.tol
     e_new = max(e_new, floor)
     e_prev = max(e_prev, floor)
@@ -177,13 +170,8 @@ class QuadraturePool:
         return fresh
 
     def reset(self, h: float, divisors) -> int:
-        fresh = 0
-        for k in divisors:
-            self.states[k] = init_quadrature(
-                self.problem, h / k, self.degree, self.exp_opts, self.comp_opts
-            )
-            fresh += self.states[k].fresh_blocks
-        return fresh
+        self.states.clear()
+        return self.prepare(h, divisors)
 
 
 def _log_core_floor(factor: LDLTFactor, t: float) -> None:
@@ -233,8 +221,7 @@ def integrate_fixed(
                 )
             else:
                 current = multiplicative_step(
-                    current, h, spec.kind, problem, pool.states,
-                    exp_opts, comp_opts, spec.operator_order,
+                    current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
                 )
                 estimate = None
             t = problem.horizon if i == n_steps else i * h

@@ -99,9 +99,12 @@ def _read_mm(path: Path):
             f"{path}: line 1 is not a MatrixMarket header (got {first.strip()!r})"
         )
     try:
-        return scipy.io.mmread(str(path))
+        matrix = scipy.io.mmread(str(path))
     except Exception as exc:
         raise IngestError(f"{path}: {exc}") from exc
+    if not np.isfinite(matrix.data if sp.issparse(matrix) else matrix).all():
+        raise IngestError(f"{path}: non-finite entries")
+    return matrix
 
 
 def _read_dense(path: Path) -> np.ndarray:
@@ -109,7 +112,7 @@ def _read_dense(path: Path) -> np.ndarray:
     return m.toarray() if sp.issparse(m) else np.asarray(m, dtype=np.float64)
 
 
-def export_problem(problem: ProblemData, out_dir, q_as_factor: bool = True) -> Path:
+def export_problem(problem: ProblemData, out_dir) -> Path:
     """Write a problem directory (factored-form manifest)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,8 +155,16 @@ def ingest_problem(path) -> ProblemData:
     def fpath(key):
         return base / files[key]
 
+    def build(key, make, *args):
+        """make(*args), with a rejected argument reported against file key."""
+        try:
+            return make(*args)
+        except InvalidInput as exc:
+            raise IngestError(f"{fpath(key)}: {exc}") from exc
+
     a_raw = _read_mm(fpath("A"))
-    a = StiffOperator(a_raw if sp.issparse(a_raw) else np.asarray(a_raw, dtype=np.float64))
+    a = build("A", StiffOperator,
+              a_raw if sp.issparse(a_raw) else np.asarray(a_raw, dtype=np.float64))
     n = a.n
 
     form = manifest["form"]
@@ -170,14 +181,15 @@ def ingest_problem(path) -> ProblemData:
             raise IngestError(f"{fpath('C')}: {c.shape[1]} columns, operator dimension is {n}")
         rx = _read_dense(fpath("Rx")) if files.get("Rx") else np.eye(c.shape[0])
         ru_inv = _read_dense(fpath("Ru_inv")) if files.get("Ru_inv") else None
-        q = LDLTFactor(c.T, rx)
-        s_op = QuadraticTerm.from_lowrank(b, ru_inv)
+        q = build("Rx" if files.get("Rx") else "C", LDLTFactor, c.T, rx)
+        s_op = build("Ru_inv" if files.get("Ru_inv") else "B",
+                     QuadraticTerm.from_lowrank, b, ru_inv)
     elif form == "factored":
         q_l = _read_dense(fpath("Q_L"))
         q_d = _read_dense(fpath("Q_D"))
         if q_l.shape[0] != n:
             raise IngestError(f"{fpath('Q_L')}: {q_l.shape[0]} rows, operator dimension is {n}")
-        q = LDLTFactor(q_l, q_d)
+        q = build("Q_D", LDLTFactor, q_l, q_d)
         s_raw = _read_mm(fpath("S"))
         s_op = (QuadraticTerm.from_sparse(s_raw) if sp.issparse(s_raw)
                 else QuadraticTerm.from_dense(np.asarray(s_raw, dtype=np.float64)))
@@ -191,7 +203,7 @@ def ingest_problem(path) -> ProblemData:
         p0_d = _read_dense(fpath("P0_D")) if files.get("P0_D") else np.eye(p0_l.shape[1])
         if p0_l.shape[0] != n:
             raise IngestError(f"{fpath('P0_L')}: {p0_l.shape[0]} rows, operator dimension is {n}")
-        p0 = LDLTFactor(p0_l, p0_d)
+        p0 = build("P0_D" if files.get("P0_D") else "P0_L", LDLTFactor, p0_l, p0_d)
     else:
         p0 = LDLTFactor.zero(n)
 

@@ -33,21 +33,18 @@ class SchemeSpec:
     """Which splitting scheme to run.
 
     kind is one of lie, strang, asym, sym; stages matters for the additive
-    kinds only.  operator_order picks which subflow acts first inside each
-    Lie-type substep (the roles are interchangeable).
+    kinds only.  Lie, Strang and asym apply the quadratic subflow first in
+    each Lie-type substep; sym averages both operator orders.
     """
 
     kind: str
     stages: int = 1
-    operator_order: str = QUADRATIC_FIRST
 
     def __post_init__(self):
         if self.kind not in MULTIPLICATIVE_KINDS + ADDITIVE_KINDS:
             raise InvalidInput(f"unknown scheme kind {self.kind!r}")
         if self.stages < 1:
             raise InvalidInput(f"stages must be >= 1, got {self.stages}")
-        if self.operator_order not in (QUADRATIC_FIRST, AFFINE_FIRST):
-            raise InvalidInput(f"unknown operator order {self.operator_order!r}")
 
     @property
     def order(self) -> int:
@@ -71,10 +68,8 @@ class SchemeSpec:
 
     def substep_divisors(self) -> tuple:
         """Divisors k such that the scheme needs a quadrature state at h/k."""
-        if self.kind == "lie":
+        if self.kind in MULTIPLICATIVE_KINDS:
             return (1,)
-        if self.kind == "strang":
-            return (1,) if self.operator_order == QUADRATIC_FIRST else (2,)
         return tuple(range(1, self.stages + 1))
 
 
@@ -205,25 +200,22 @@ def multiplicative_step(
     states: dict,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    operator_order: str = QUADRATIC_FIRST,
 ) -> LDLTFactor:
     """One Lie or Strang step in factored form.
 
-    states maps substep divisors to prepared quadrature states (divisor 1
-    for Lie and default Strang, divisor 2 for the interchanged Strang).
+    Lie applies the quadratic flow over h, then the affine flow over h;
+    Strang applies half a quadratic step on each side of a full affine step.
+    states maps substep divisors to prepared quadrature states; both kinds
+    use divisor 1.
     """
     if kind == "lie":
-        return lie_chain(factor, h, 1, operator_order, problem, states[1],
+        return lie_chain(factor, h, 1, QUADRATIC_FIRST, problem, states[1],
                          exp_opts, comp_opts)
     if kind != "strang":
         raise InvalidInput(f"unknown multiplicative kind {kind!r}")
-    if operator_order == QUADRATIC_FIRST:
-        mid = quadratic_flow(factor, h / 2, problem.s)
-        mid = affine_flow(mid, h, problem, states[1], exp_opts, comp_opts)
-        return quadratic_flow(mid, h / 2, problem.s)
-    mid = affine_flow(factor, h / 2, problem, states[2], exp_opts, comp_opts)
-    mid = quadratic_flow(mid, h, problem.s)
-    return affine_flow(mid, h / 2, problem, states[2], exp_opts, comp_opts)
+    mid = quadratic_flow(factor, h / 2, problem.s)
+    mid = affine_flow(mid, h, problem, states[1], exp_opts, comp_opts)
+    return quadratic_flow(mid, h / 2, problem.s)
 
 
 def additive_step(
@@ -251,7 +243,7 @@ def additive_step(
     if spec.kind == "sym":
         directions = (QUADRATIC_FIRST, AFFINE_FIRST)
     else:
-        directions = (spec.operator_order,)
+        directions = (QUADRATIC_FIRST,)
     jobs = [(k, d) for k in range(1, s + 1) for d in directions]
 
     def run(job):

@@ -79,9 +79,17 @@ class RunConfig:
         return cls(**json.loads(text))
 
 
+FIT_WINDOW = (1e-10, 1e-3)
+REFINE_SUBSTEPS = 10
+
+
 @dataclass(frozen=True)
 class StudySpec:
-    """What a study sweeps over and how errors are referenced."""
+    """What a study sweeps over and how errors are referenced.
+
+    Order slopes are fitted to the errors inside FIT_WINDOW only; the
+    adaptivity study measures each step against REFINE_SUBSTEPS substeps.
+    """
 
     schemes: tuple = (
         SchemeSpec("lie"),
@@ -93,8 +101,6 @@ class StudySpec:
     ladder: tuple = (10, 20, 40, 80, 160, 320, 640, 1280)
     tolerances: tuple = (1e-1, 1e-2, 1e-3)
     reference: str = "oracle"
-    window: tuple = (1e-10, 1e-3)
-    refine_substeps: int = 10
 
     def __post_init__(self):
         if len(self.ladder) < 3:
@@ -198,19 +204,18 @@ def run_fixed_ladder(problem: ProblemData, study: StudySpec, config: RunConfig):
                          fresh, elapsed])
             hs.append(h)
             errs.append(err)
-        slopes[scheme_label(spec)] = fit_order(hs, errs, study.window)
+        slopes[scheme_label(spec)] = fit_order(hs, errs, FIT_WINDOW)
     return rows, slopes, failures
 
 
 def _refined_step_error(problem: ProblemData, spec: SchemeSpec, config: RunConfig,
-                        start: LDLTFactor, h: float, accepted: LDLTFactor,
-                        substeps: int) -> float:
+                        start: LDLTFactor, h: float, accepted: LDLTFactor) -> float:
     """Local error of one accepted step, measured against a fixed-step
-    refinement with `substeps` equal substeps from the same start factor."""
+    refinement with REFINE_SUBSTEPS equal substeps from the same start factor."""
     sub_problem = ProblemData(a=problem.a, q=problem.q, s=problem.s,
                               p0=start, horizon=h)
     refined = integrate_fixed(
-        sub_problem, spec, substeps, config.exp_opts(), config.comp_opts(),
+        sub_problem, spec, REFINE_SUBSTEPS, config.exp_opts(), config.comp_opts(),
         config.quad_degree, threads=1, store_factors=False,
     )
     diff = combine([(1.0, accepted), (-1.0, refined.final)],
@@ -244,8 +249,7 @@ def run_adaptive_sweep(problem: ProblemData, study: StudySpec, config: RunConfig
         n_below = 0
         for i, rec in enumerate(traj.records):
             e_actual = _refined_step_error(
-                problem, spec, config, traj.factors[i], rec.h,
-                traj.factors[i + 1], study.refine_substeps,
+                problem, spec, config, traj.factors[i], rec.h, traj.factors[i + 1],
             )
             if config.epus:
                 e_actual /= rec.h

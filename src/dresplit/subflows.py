@@ -26,11 +26,16 @@ RESET_GROW = 1.25
 NODE_CLASH_TOL = 1e-12
 
 
+def _require_finite(what: str, *arrays) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InvalidInput(f"{what} has non-finite entries")
+
+
 class QuadraticTerm:
     """The quadratic-term operator S, applied to tall blocks.
 
     Backed by a dense matrix, a sparse matrix, or the low-rank control form
-    S = B Ru_inv B^T.
+    S = B Ru_inv B^T; every entry must be finite.
     """
 
     def __init__(self, apply_fn, n, dense_fn):
@@ -41,11 +46,13 @@ class QuadraticTerm:
     @classmethod
     def from_dense(cls, s) -> "QuadraticTerm":
         s = np.asarray(s, dtype=np.float64)
+        _require_finite("quadratic term", s)
         return cls(lambda x: s @ x, s.shape[0], lambda: s)
 
     @classmethod
     def from_sparse(cls, s) -> "QuadraticTerm":
         s = s.tocsr()
+        _require_finite("quadratic term", s.data)
         return cls(lambda x: s @ x, s.shape[0], lambda: s.toarray())
 
     @classmethod
@@ -58,6 +65,7 @@ class QuadraticTerm:
             raise InvalidInput(
                 f"Ru_inv shape {ru_inv.shape} does not match {b.shape[1]} input channels"
             )
+        _require_finite("quadratic term", b, ru_inv)
         return cls(
             lambda x: b @ (ru_inv @ (b.T @ x)),
             b.shape[0],
@@ -87,9 +95,9 @@ class ProblemData:
     """Factored Riccati problem: operator, source factor, quadratic term,
     initial factor, and horizon.
 
-    The source and initial cores must be positive semi-definite (up to a
-    -1e-12 eigenvalue tolerance); this is what guarantees existence of the
-    exact solution.
+    The source and initial factors must be finite and their cores positive
+    semi-definite (up to a -1e-12 eigenvalue tolerance); this is what
+    guarantees existence of the exact solution.
     """
 
     a: StiffOperator
@@ -104,10 +112,11 @@ class ProblemData:
                           ("initial factor", self.p0.n)):
             if dim != n:
                 raise InvalidInput(f"{name} dimension {dim} does not match operator {n}")
-        if self.horizon <= 0:
-            raise InvalidInput(f"horizon must be positive, got {self.horizon}")
-        _check_psd_core(self.q.D, "source")
-        _check_psd_core(self.p0.D, "initial")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise InvalidInput(f"horizon must be finite and positive, got {self.horizon}")
+        for name, factor in (("source", self.q), ("initial", self.p0)):
+            _require_finite(f"{name} factor", factor.L, factor.D)
+            _check_psd_core(factor.D, name)
 
     @property
     def n(self) -> int:

@@ -4,10 +4,27 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from dresplit import IngestError, generate_problem, ingest_problem, to_dense
 from dresplit.cli import main
 from dresplit.problems import export_problem
+
+
+def corrupt_matrix(path, fault):
+    """Rewrite a MatrixMarket file with one more column (fault "nonsquare")
+    or with its first stored entry replaced by ``fault`` (NaN or inf),
+    keeping its dense or sparse layout."""
+    m = scipy.io.mmread(str(path))
+    if fault == "nonsquare":
+        m = sp.hstack([m, m.tocsc()[:, :1]]) if sp.issparse(m) else np.hstack([m, m[:, :1]])
+    elif sp.issparse(m):
+        m = m.tocoo()
+        m.data[0] = fault
+    else:
+        m[0, 0] = fault
+    scipy.io.mmwrite(str(path), m, precision=17)
 
 
 class TestGenerateIngest:
@@ -74,6 +91,35 @@ class TestGenerateIngest:
         with pytest.raises(IngestError) as info:
             ingest_problem(tmp_path)
         assert "Q_L.mtx" in str(info.value)
+
+    @pytest.mark.parametrize("kind, name, message", [
+        ("random_lowrank", "A.mtx", "operator must be square"),
+        ("laplacian_lqr", "A.mtx", "operator must be square"),
+        ("random_lowrank", "Q_D.mtx", "core must be square"),
+        ("random_lowrank", "P0_D.mtx", "core must be square"),
+    ])
+    def test_nonsquare_matrix_named(self, tmp_path, kind, name, message):
+        export_problem(generate_problem(kind, 4, 2, seed=1), tmp_path)
+        corrupt_matrix(tmp_path / name, "nonsquare")
+        with pytest.raises(IngestError, match=f"{name}: {message}"):
+            ingest_problem(tmp_path)
+
+    @pytest.mark.parametrize("fault", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind, name", [
+        ("random_lowrank", "A.mtx"),
+        ("random_lowrank", "Q_L.mtx"),
+        ("random_lowrank", "Q_D.mtx"),
+        ("random_lowrank", "P0_L.mtx"),
+        ("random_lowrank", "P0_D.mtx"),
+        ("random_lowrank", "S.mtx"),
+        ("laplacian_lqr", "A.mtx"),
+        ("laplacian_lqr", "Q_L.mtx"),
+    ])
+    def test_nonfinite_entry_rejected(self, tmp_path, kind, name, fault):
+        export_problem(generate_problem(kind, 6, 2, seed=1), tmp_path)
+        corrupt_matrix(tmp_path / name, fault)
+        with pytest.raises(IngestError, match=f"{name}: non-finite"):
+            ingest_problem(tmp_path)
 
     def test_control_form(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -159,6 +205,20 @@ class TestCommands:
     def test_ingest_error_exit_code(self, tmp_path):
         assert main(["solve", "--problem", str(tmp_path / "nope"), "--steps", "4",
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
+    @pytest.mark.parametrize("name, fault", [
+        ("A.mtx", "nonsquare"), ("A.mtx", np.nan), ("Q_D.mtx", np.nan), ("S.mtx", np.nan),
+    ])
+    def test_malformed_input_exit_code(self, tmp_path, capsys, kind, name, fault):
+        prob_dir = tmp_path / "prob"
+        export_problem(generate_problem(kind, 6, 2, seed=1), prob_dir)
+        corrupt_matrix(prob_dir / name, fault)
+        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error:") and name in err
 
     def test_solver_error_exit_code(self, tmp_path):
         prob_dir = tmp_path / "prob"

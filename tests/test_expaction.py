@@ -339,6 +339,17 @@ def test_nonfinite_time_rejected(sparse, t):
 
 
 @pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_operator_rejected(sparse, value):
+    # Unchecked, a NaN entry makes every shifted solve fail, which the
+    # adaptive driver mistakes for a step too large and halves h to collapse.
+    a = np.diag([-1.0, -2.0, -3.0])
+    a[0, 2] = value
+    with pytest.raises(InvalidInput, match="non-finite"):
+        StiffOperator(sp.csr_matrix(a) if sparse else a)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
 def test_singular_shift_raises_step_too_large(sparse):
     # Pick the diagonal entry d a few ulps around 1/(t lambda_r) for which
     # 1 - (t lambda_r) d is exactly zero, so the real shifted matrix of the

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dresplit import (
     CompressionOptions,
@@ -285,6 +286,45 @@ class TestProblemData:
                 s=QuadraticTerm.from_dense(np.eye(n)),
                 p0=LDLTFactor.zero(n),
                 horizon=1.0,
+            )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("part", ["q.L", "q.D", "p0.L", "p0.D"])
+    def test_nonfinite_factor_rejected(self, part, value):
+        n = 4
+        parts = {"q.L": np.ones((n, 1)), "q.D": np.ones((1, 1)),
+                 "p0.L": np.ones((n, 2)), "p0.D": np.eye(2)}
+        parts[part][0, 0] = value
+        with pytest.raises(InvalidInput, match="non-finite"):
+            ProblemData(
+                a=StiffOperator(np.eye(n)),
+                q=LDLTFactor(parts["q.L"], parts["q.D"]),
+                s=QuadraticTerm.from_dense(np.eye(n)),
+                p0=LDLTFactor(parts["p0.L"], parts["p0.D"]),
+                horizon=1.0,
+            )
+
+    @pytest.mark.parametrize("form", ["dense", "sparse", "lowrank"])
+    def test_nonfinite_quadratic_term_rejected(self, form):
+        s = np.eye(3)
+        s[1, 2] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            if form == "dense":
+                QuadraticTerm.from_dense(s)
+            elif form == "sparse":
+                QuadraticTerm.from_sparse(sp.csr_matrix(s))
+            else:
+                QuadraticTerm.from_lowrank(s[:, 1:])
+
+    @pytest.mark.parametrize("horizon", [np.nan, np.inf])
+    def test_nonfinite_horizon_rejected(self, horizon):
+        with pytest.raises(InvalidInput, match="horizon"):
+            ProblemData(
+                a=StiffOperator(np.eye(3)),
+                q=LDLTFactor.zero(3),
+                s=QuadraticTerm.from_dense(np.eye(3)),
+                p0=LDLTFactor.zero(3),
+                horizon=horizon,
             )
 
     def test_dimension_check(self, rng):
