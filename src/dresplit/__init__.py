@@ -11,10 +11,8 @@ from .adaptive import (
     StepRecord,
     Trajectory,
     default_quad_degree,
-    estimate_derivatives,
     integrate_adaptive,
     integrate_fixed,
-    interpolation_error_bound,
     pi_update,
     reject_resize,
 )
@@ -40,15 +38,13 @@ from .lowrank import (
     combine,
     compress,
     frob_norm,
-    interpolate,
     to_dense,
 )
 from .oracle import (
     DenseProblem,
-    dense_dre_reference,
+    dense_reference,
     dense_subflow,
     relative_error,
-    self_verified_reference,
 )
 from .problems import (
     export_problem,

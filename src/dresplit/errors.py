@@ -54,7 +54,7 @@ class StepSizeCollapse(DresplitError):
 
 
 class OracleDiverged(DresplitError):
-    """The dense reference integration produced non-finite values."""
+    """The dense reference is non-finite or escapes, or failed its self-check."""
 
 
 class InvalidReference(DresplitError, ValueError):

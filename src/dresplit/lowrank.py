@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonFiniteFactor, RefusedDense
 
-DENSE_GUARD_DEFAULT = 4096
+DENSE_GUARD = 4096
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,14 @@ class CompressionOptions:
     """Truncation control for column compression.
 
     rel_tol bounds the relative Frobenius reconstruction error; None selects
-    the default N * machine-epsilon for the factor at hand.  max_rank, when
-    set, caps the output rank regardless of the error bound.
+    the default N * machine-epsilon for the factor at hand.
     """
 
     rel_tol: float | None = None
-    max_rank: int | None = None
 
     def __post_init__(self):
         if self.rel_tol is not None and self.rel_tol < 0:
             raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise InvalidInput(f"max_rank must be >= 1, got {self.max_rank}")
 
     def resolve_tol(self, n: int) -> float:
         if self.rel_tol is not None:
@@ -122,8 +118,6 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
     n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
     keep = order[n_drop:]
-    if opts.max_rank is not None and keep.size > opts.max_rank:
-        keep = keep[keep.size - opts.max_rank :]
     if keep.size == 0:
         return LDLTFactor.zero(factor.n)
 
@@ -197,23 +191,9 @@ def frob_norm(factor: LDLTFactor) -> float:
     return float(np.ldexp(np.sqrt(max(val, 0.0)), e))
 
 
-def interpolate(
-    f1: LDLTFactor,
-    f2: LDLTFactor,
-    alpha: float,
-    opts: CompressionOptions = CompressionOptions(),
-) -> LDLTFactor:
-    """Compressed convex combination alpha * P1 + (1 - alpha) * P2."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha}")
-    if f1.n != f2.n:
-        raise InvalidInput(f"state dimensions differ: {f1.n} vs {f2.n}")
-    return combine([(alpha, f1), (1.0 - alpha, f2)], opts)
-
-
-def to_dense(factor: LDLTFactor, dense_guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:
-    """Dense product L D L^T, exactly symmetric. Guarded against large N."""
-    if factor.n > dense_guard:
-        raise RefusedDense(f"refusing to densify dimension {factor.n} > guard {dense_guard}")
+def to_dense(factor: LDLTFactor) -> np.ndarray:
+    """Dense product L D L^T, exactly symmetric. Refuses N above DENSE_GUARD."""
+    if factor.n > DENSE_GUARD:
+        raise RefusedDense(f"refusing to densify dimension {factor.n} > guard {DENSE_GUARD}")
     p = factor.L @ factor.D @ factor.L.T
     return 0.5 * (p + p.T)

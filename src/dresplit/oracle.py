@@ -1,12 +1,14 @@
 """Desk-scale dense reference solutions and error metrics.
 
 Everything here works on full N x N matrices and is deliberately independent
-of the factored solver: the reference integrates the matrix ODE with
-classical RK4, and the dense subflows use a direct solve and a dense matrix
-exponential with adaptive composite-Simpson quadrature for the source
-integral.
+of the factored solver.  Both closed forms are exponentials of a 2N x 2N
+block matrix: the reference solution propagates the Hamiltonian system of
+the Riccati equation (the modified Davison-Maki method), and the source
+integral of the affine subflow is a block of Van Loan's block-triangular
+exponential.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,7 @@ from .errors import InvalidInput, InvalidReference, OracleDiverged, StepTooLarge
 DENSE_LIMIT = 256
 _SYM_TOL = 1e-10
 _PSD_TOL = 1e-12
+_SELF_CHECK = 1e-12
 
 
 def _check_symmetric_psd(m: np.ndarray, name: str) -> None:
@@ -45,89 +48,86 @@ class DenseProblem:
             raise InvalidInput(f"operator must be square, got {a.shape}")
         if n > DENSE_LIMIT:
             raise InvalidInput(f"dense problems are capped at N={DENSE_LIMIT}, got {n}")
+        if not np.isfinite(a).all():
+            raise InvalidInput("operator has non-finite entries")
         for name in ("q", "s", "p0"):
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.shape != (n, n):
                 raise InvalidInput(f"{name} has shape {m.shape}, expected {(n, n)}")
+            if not np.isfinite(m).all():
+                raise InvalidInput(f"{name} has non-finite entries")
             _check_symmetric_psd(m, name)
             object.__setattr__(self, name, 0.5 * (m + m.T))
         object.__setattr__(self, "a", a)
-        if self.horizon <= 0:
-            raise InvalidInput(f"horizon must be positive, got {self.horizon}")
+        if not (np.isfinite(self.horizon) and self.horizon > 0):
+            raise InvalidInput(f"horizon must be finite and positive, got {self.horizon}")
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
 
-def dense_dre_reference(problem: DenseProblem, n_fine: int) -> np.ndarray:
-    """Reference solution at the horizon via fixed-step RK4 on the matrix
-    ODE, symmetrizing after every step.  Accuracy is O(n_fine^-4); callers
-    should self-verify by doubling n_fine."""
-    if n_fine < 1:
-        raise InvalidInput(f"n_fine must be >= 1, got {n_fine}")
-    h = problem.horizon / n_fine
-    a, q, s = problem.a, problem.q, problem.s
-    at = a.T.copy()
-    p = problem.p0.copy()
-    for _ in range(n_fine):
-        k1 = at @ p + p @ a + q - (p @ s) @ p
-        p2 = p + (0.5 * h) * k1
-        k2 = at @ p2 + p2 @ a + q - (p2 @ s) @ p2
-        p3 = p + (0.5 * h) * k2
-        k3 = at @ p3 + p3 @ a + q - (p3 @ s) @ p3
-        p4 = p + h * k3
-        k4 = at @ p4 + p4 @ a + q - (p4 @ s) @ p4
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _davison_maki(hamiltonian: np.ndarray, p0: np.ndarray, horizon: float,
+                  intervals: int) -> np.ndarray:
+    """P at the horizon from equal intervals, each restarted from X = I."""
+    n = p0.shape[0]
+    step = expm((horizon / intervals) * hamiltonian)
+    p = p0
+    for k in range(1, intervals + 1):
+        x = step[:n, :n] + step[:n, n:] @ p
+        y = step[n:, :n] + step[n:, n:] @ p
+        try:
+            p = np.linalg.solve(x.T, y.T).T
+        except np.linalg.LinAlgError as exc:
+            raise OracleDiverged(
+                f"reference solution escapes at interval {k} of {intervals}: X is singular"
+            ) from exc
+        if not np.isfinite(p).all():
+            raise OracleDiverged(
+                f"reference solution is not finite after interval {k} of {intervals}"
+            )
         p = 0.5 * (p + p.T)
-    if not np.all(np.isfinite(p)):
-        raise OracleDiverged(
-            "reference integration produced non-finite values; "
-            "increase n_fine or shorten the horizon"
-        )
     return p
 
 
-def _source_integral_dense(a: np.ndarray, q: np.ndarray, h: float,
-                           rel_tol: float = 1e-12) -> np.ndarray:
-    """Adaptive composite Simpson for int_0^h exp(sA^T) Q exp(sA) ds.
+def dense_reference(problem: DenseProblem) -> np.ndarray:
+    """P at the horizon from the exponential of the Hamiltonian.
 
-    Panel counts double (reusing previous nodes) until two successive
-    composite values agree to rel_tol in the Frobenius norm.
+    By Radon's lemma, [X; Y]' = H [X; Y] with H = [[-A, S], [Q, A^T]],
+    X(0) = I and Y(0) = P0 gives P = Y X^{-1}.  The exponential is exact in
+    time; the horizon is cut into m = max(1, ceil(T ||H||_1)) intervals only
+    to keep X well conditioned.  The solution with 2m intervals is returned
+    once it agrees with the one with m intervals to 1e-12 relative.  Raises
+    OracleDiverged on a non-finite or escaping iterate, or a failed
+    self-check.
     """
-    def integrand(s):
-        e = expm(s * a)
-        return e.T @ q @ e
-
-    panels = 2
-    values = {0.0: integrand(0.0), h: integrand(h)}
-    prev = None
-    for _ in range(16):
-        grid = np.linspace(0.0, h, panels + 1)
-        for s in grid:
-            if s not in values:
-                values[s] = integrand(float(s))
-        f = [values[s] for s in grid]
-        total = f[0] + f[-1] + 4.0 * sum(f[1:-1:2]) + 2.0 * sum(f[2:-1:2])
-        total = (h / (3.0 * panels)) * total
-        if prev is not None:
-            scale = max(float(np.linalg.norm(total)), np.finfo(np.float64).tiny)
-            if float(np.linalg.norm(total - prev)) <= rel_tol * scale:
-                return total
-        prev = total
-        panels *= 2
-    return prev
+    a = problem.a
+    hamiltonian = np.block([[-a, problem.s], [problem.q, a.T]])
+    intervals = max(1, math.ceil(problem.horizon * np.linalg.norm(hamiltonian, 1)))
+    coarse = _davison_maki(hamiltonian, problem.p0, problem.horizon, intervals)
+    fine = _davison_maki(hamiltonian, problem.p0, problem.horizon, 2 * intervals)
+    scale = max(float(np.linalg.norm(fine)), np.finfo(np.float64).tiny)
+    agreement = float(np.linalg.norm(coarse - fine)) / scale
+    if not agreement <= _SELF_CHECK:
+        raise OracleDiverged(
+            f"reference failed its self-check: {intervals} and {2 * intervals} "
+            f"intervals differ by {agreement:.2e}, above {_SELF_CHECK:g}"
+        )
+    return fine
 
 
 def dense_subflow(kind: str, p: np.ndarray, h: float, problem: DenseProblem) -> np.ndarray:
     """Exact dense evaluation of one subflow.
 
     kind "quadratic": (I + h P S)^{-1} P by direct solve.
-    kind "affine": exp(hA^T) P exp(hA) plus the source integral to 1e-12.
+    kind "affine": exp(hA^T) P exp(hA) plus int_0^h exp(sA^T) Q exp(sA) ds.
+    Both terms come from F = exp(h [[-A^T, Q], [0, A]]) (Van Loan): F_22 is
+    exp(hA) and the integral is F_22^T F_12.
     """
     p = np.asarray(p, dtype=np.float64)
+    n = problem.n
     if kind == "quadratic":
-        system = np.eye(problem.n) + h * (p @ problem.s)
+        system = np.eye(n) + h * (p @ problem.s)
         cond = np.linalg.cond(system)
         if not np.isfinite(cond) or cond > 1.0 / np.finfo(np.float64).eps:
             raise StepTooLarge(f"dense quadratic subflow is singular for h={h:g}")
@@ -137,8 +137,9 @@ def dense_subflow(kind: str, p: np.ndarray, h: float, problem: DenseProblem) -> 
             raise StepTooLarge(f"dense quadratic subflow failed for h={h:g}") from exc
         return 0.5 * (out + out.T)
     if kind == "affine":
-        phi = expm(h * problem.a)
-        out = phi.T @ p @ phi + _source_integral_dense(problem.a, problem.q, h)
+        f = expm(h * np.block([[-problem.a.T, problem.q], [np.zeros((n, n)), problem.a]]))
+        phi = f[n:, n:]
+        out = phi.T @ p @ phi + phi.T @ f[:n, n:]
         return 0.5 * (out + out.T)
     raise InvalidInput(f"unknown subflow kind {kind!r}")
 
@@ -153,20 +154,3 @@ def relative_error(p_approx: np.ndarray, p_ref: np.ndarray) -> float:
     if denom == 0.0:
         raise InvalidReference("reference norm is zero")
     return float(np.linalg.norm(p_approx - p_ref)) / denom
-
-
-def self_verified_reference(problem: DenseProblem, n_start: int = 512,
-                            rel_tol: float = 1e-10, max_doublings: int = 12) -> np.ndarray:
-    """Reference with step-halving self-verification: doubles n_fine until
-    two successive solutions agree to rel_tol."""
-    n_fine = n_start
-    prev = dense_dre_reference(problem, n_fine)
-    for _ in range(max_doublings):
-        n_fine *= 2
-        cur = dense_dre_reference(problem, n_fine)
-        if relative_error(prev, cur) <= rel_tol:
-            return cur
-        prev = cur
-    raise OracleDiverged(
-        f"reference did not self-verify to {rel_tol:g} within {max_doublings} doublings"
-    )

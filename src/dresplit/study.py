@@ -18,7 +18,7 @@ from .adaptive import ControllerParams, Trajectory, integrate_adaptive, integrat
 from .errors import DresplitError, InvalidInput
 from .expaction import ExpActionOptions, StiffOperator
 from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm, to_dense
-from .oracle import dense_subflow, relative_error, self_verified_reference
+from .oracle import dense_reference, dense_subflow, relative_error
 from .problems import to_dense_problem
 from .schemes import SchemeSpec, additive_coeffs, coefficient_residual
 from .subflows import (
@@ -163,7 +163,7 @@ def _factored_error(approx: LDLTFactor, ref: LDLTFactor) -> float:
 def _build_reference(problem: ProblemData, study: StudySpec, config: RunConfig):
     """(dense reference or None, factored reference or None)."""
     if study.reference == "oracle":
-        return self_verified_reference(to_dense_problem(problem)), None
+        return dense_reference(to_dense_problem(problem)), None
     best = max(study.schemes, key=lambda s: s.order)
     n_ref = 2 * max(study.ladder)
     traj = integrate_fixed(

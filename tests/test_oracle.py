@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from dresplit import (
     DenseProblem,
@@ -7,13 +8,13 @@ from dresplit import (
     InvalidReference,
     OracleDiverged,
     StepTooLarge,
-    dense_dre_reference,
+    dense_reference,
     dense_subflow,
     relative_error,
-    self_verified_reference,
 )
 
 from conftest import make_random_problem
+from dresplit import oracle
 from dresplit.problems import to_dense_problem
 
 
@@ -25,8 +26,22 @@ def scalar_dense(a=0.0, q=1.0, s=1.0, p0=0.0, horizon=1.0):
 class TestReference:
     def test_tanh(self):
         problem = scalar_dense()
-        out = dense_dre_reference(problem, 2000)
+        out = dense_reference(problem)
         assert out[0, 0] == pytest.approx(np.tanh(1.0), abs=1e-10)
+
+    @pytest.mark.parametrize("a, q, s, p0", [
+        (-2.0, 1.0, 1.0, 0.0), (1.5, 0.5, 2.0, 1.0), (0.3, 0.0, 1.0, 3.0),
+        (-40.0, 2.0, 0.5, 0.2),
+    ])
+    def test_scalar_closed_form(self, a, q, s, p0):
+        # p' = 2ap + q - sp^2: H^2 = (a^2 + qs) I, so exp(tH) is
+        # cosh(dt) I + sinh(dt) H / d with d = sqrt(a^2 + qs).
+        t = 1.0
+        d = np.sqrt(a * a + q * s)
+        c, sh = np.cosh(d * t), np.sinh(d * t) / d
+        expected = (c * p0 + sh * (q + a * p0)) / (c + sh * (s * p0 - a))
+        out = dense_reference(scalar_dense(a, q, s, p0, t))
+        assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_pure_conjugation(self, rng):
         n = 6
@@ -35,47 +50,35 @@ class TestReference:
         p0 = g @ g.T
         problem = DenseProblem(a=a, q=np.zeros((n, n)), s=np.zeros((n, n)),
                                p0=p0, horizon=0.9)
-        from scipy.linalg import expm
-
         phi = expm(0.9 * a)
         ref = phi.T @ p0 @ phi
-        out = dense_dre_reference(problem, 2000)
+        out = dense_reference(problem)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
-
-    def test_self_consistency_halving(self, rng):
-        problem = to_dense_problem(make_random_problem(rng, 10, 4))
-        a = dense_dre_reference(problem, 4000)
-        b = dense_dre_reference(problem, 8000)
-        assert relative_error(a, b) <= 1e-10
-
-    def test_fourth_order_converge_ratio(self, rng):
-        problem = to_dense_problem(make_random_problem(rng, 8, 3))
-        fine = dense_dre_reference(problem, 16000)
-        d1 = np.linalg.norm(dense_dre_reference(problem, 500) - fine)
-        d2 = np.linalg.norm(dense_dre_reference(problem, 1000) - fine)
-        assert 10.0 <= d1 / d2 <= 22.0
 
     def test_symmetry_and_psd(self, rng):
         problem = to_dense_problem(make_random_problem(rng, 9, 4))
-        out = dense_dre_reference(problem, 3000)
+        out = dense_reference(problem)
         assert np.array_equal(out, out.T)
         eigs = np.linalg.eigvalsh(out)
         assert eigs.min() >= -1e-10 * max(1.0, eigs.max())
 
     def test_divergence_detected(self):
         # Exploding linear problem: q = s = 0, strongly unstable a; the exact
-        # solution exp(2*a*T) overflows double precision.
+        # solution exp(2*a*T) overflows double precision.  The overflow must
+        # surface as OracleDiverged, not as an error from a linear solve.
         one = np.ones((1, 1))
         problem = DenseProblem(a=500.0 * one, q=0.0 * one, s=0.0 * one,
                                p0=one, horizon=1.0)
-        with pytest.raises(OracleDiverged):
-            dense_dre_reference(problem, 200)
+        with pytest.raises(OracleDiverged, match="not finite after interval"):
+            dense_reference(problem)
 
-    def test_self_verified(self, rng):
-        problem = to_dense_problem(make_random_problem(rng, 8, 3))
-        ref = self_verified_reference(problem, n_start=256, rel_tol=1e-10)
-        again = dense_dre_reference(problem, 50000)
-        assert relative_error(ref, again) <= 1e-9
+    def test_failed_self_check(self, rng, monkeypatch):
+        # The two subdivisions agree to round-off, never exactly, on a random
+        # problem; a zero limit makes that agreement a failure.
+        problem = to_dense_problem(make_random_problem(rng, 6, 2))
+        monkeypatch.setattr(oracle, "_SELF_CHECK", 0.0)
+        with pytest.raises(OracleDiverged, match="self-check"):
+            dense_reference(problem)
 
 
 class TestDenseSubflow:
@@ -93,6 +96,18 @@ class TestDenseSubflow:
         p = np.eye(n)
         out = dense_subflow("affine", p, 0.3, problem)
         assert np.linalg.norm(out - (p + 0.3 * q)) <= 1e-11
+
+    @pytest.mark.parametrize("lam", [-3.0, 0.5, 2.0])
+    def test_affine_scaled_identity(self, rng, lam):
+        # A = lam I: the source integral is Q (exp(2 lam h) - 1) / (2 lam).
+        n, h = 4, 0.7
+        g = rng.standard_normal((n, 2))
+        q = g @ g.T
+        problem = DenseProblem(a=lam * np.eye(n), q=q, s=np.eye(n),
+                               p0=np.zeros((n, n)), horizon=1.0)
+        out = dense_subflow("affine", np.zeros((n, n)), h, problem)
+        expected = q * np.expm1(2.0 * lam * h) / (2.0 * lam)
+        assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
 
     def test_singular_quadratic_raises(self):
         # (I + h P S) singular: P = -1/h * S^{-1} with scalar entries.
@@ -142,3 +157,17 @@ class TestDenseProblemValidation:
         n = 300
         with pytest.raises(InvalidInput):
             DenseProblem(a=np.eye(n), q=np.eye(n), s=np.eye(n), p0=np.eye(n), horizon=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("a", np.nan), ("a", np.inf), ("q", np.nan), ("s", np.nan),
+        ("p0", np.inf), ("horizon", np.nan), ("horizon", np.inf),
+    ])
+    def test_nonfinite_rejected(self, field, value):
+        n = 3
+        data = dict(a=np.eye(n), q=np.eye(n), s=np.eye(n), p0=np.eye(n), horizon=1.0)
+        if field == "horizon":
+            data[field] = value
+        else:
+            data[field][0, 0] = value
+        with pytest.raises(InvalidInput, match="finite"):
+            DenseProblem(**data)
