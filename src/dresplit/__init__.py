@@ -11,8 +11,10 @@ from .adaptive import (
     StepRecord,
     Trajectory,
     default_quad_degree,
+    estimate_derivatives,
     integrate_adaptive,
     integrate_fixed,
+    interpolation_error_bound,
     pi_update,
     reject_resize,
 )
@@ -38,6 +40,7 @@ from .lowrank import (
     combine,
     compress,
     frob_norm,
+    interpolate,
     to_dense,
 )
 from .oracle import (

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInput, StepSizeCollapse, StepTooLarge, ToleranceNotMet
 from .expaction import ExpActionOptions
-from .lowrank import CompressionOptions, LDLTFactor, compress
+from .lowrank import CompressionOptions, LDLTFactor, compress, interpolate
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
 from .subflows import ProblemData, init_quadrature, update_quadrature
 
@@ -92,6 +92,20 @@ class Trajectory:
             self.factors.append(factor)
         else:
             self.factors[-1] = factor
+
+    def interpolate_at(self, t: float,
+                       opts: CompressionOptions = CompressionOptions()) -> LDLTFactor:
+        """Piecewise-linear factor interpolant at time t (needs stored factors)."""
+        if not self.store_factors:
+            raise InvalidInput("trajectory was run without factor storage")
+        times = np.concatenate([[self.records[0].t - self.records[0].h], self.times])
+        if not times[0] <= t <= times[-1]:
+            raise InvalidInput(f"t={t:g} outside the computed range")
+        idx = int(np.searchsorted(times, t, side="right"))
+        idx = min(max(idx, 1), times.size - 1)
+        t0, t1 = times[idx - 1], times[idx]
+        alpha = 1.0 if t1 == t0 else float((t1 - t) / (t1 - t0))
+        return interpolate(self.factors[idx - 1], self.factors[idx], alpha, opts)
 
 
 def pi_update(e_prev: float, e_new: float, h: float, params: ControllerParams,
@@ -323,3 +337,52 @@ def integrate_adaptive(
         if executor is not None:
             executor.shutdown()
     return trajectory
+
+
+def estimate_derivatives(
+    factor: LDLTFactor,
+    problem: ProblemData,
+    comp_opts: CompressionOptions = CompressionOptions(),
+):
+    """Factored estimates of the first and second time derivatives at the
+    given state, for interpolation-error bounds.
+
+    Both derivatives follow from the right-hand side and its differentiated
+    form; each costs one application of A^T to a block plus one compression.
+    """
+    l0, d0 = factor.L, factor.D
+    r = factor.rank
+    rq = problem.q.rank
+
+    al = problem.a.apply_transpose(l0) if r else np.zeros((problem.n, 0))
+    lt = np.hstack([al, l0, problem.q.L])
+    dt = np.zeros((2 * r + rq, 2 * r + rq))
+    if r:
+        cross = l0.T @ problem.s.apply(l0)
+        dt[0:r, r:2 * r] = d0
+        dt[r:2 * r, 0:r] = d0
+        dt[r:2 * r, r:2 * r] = -d0 @ cross @ d0
+    if rq:
+        dt[2 * r:, 2 * r:] = problem.q.D
+    pdot = compress(LDLTFactor(lt, dt), comp_opts)
+
+    lt_c, dt_c = pdot.L, pdot.D
+    rt = pdot.rank
+    alt = problem.a.apply_transpose(lt_c) if rt else np.zeros((problem.n, 0))
+    lh = np.hstack([alt, lt_c, l0])
+    dh = np.zeros((2 * rt + r, 2 * rt + r))
+    if rt:
+        dh[0:rt, rt:2 * rt] = dt_c
+        dh[rt:2 * rt, 0:rt] = dt_c
+        if r:
+            cross_t = lt_c.T @ problem.s.apply(l0)
+            coupling = dt_c @ cross_t @ d0
+            dh[rt:2 * rt, 2 * rt:] = -coupling
+            dh[2 * rt:, rt:2 * rt] = -coupling.T
+    pddot = compress(LDLTFactor(lh, dh), comp_opts)
+    return pdot, pddot
+
+
+def interpolation_error_bound(tol: float, h: float, pddot_norm: float) -> float:
+    """Bound on the piecewise-linear interpolation error over one step."""
+    return tol + h * h * pddot_norm / 8.0

@@ -191,6 +191,20 @@ def frob_norm(factor: LDLTFactor) -> float:
     return float(np.ldexp(np.sqrt(max(val, 0.0)), e))
 
 
+def interpolate(
+    f1: LDLTFactor,
+    f2: LDLTFactor,
+    alpha: float,
+    opts: CompressionOptions = CompressionOptions(),
+) -> LDLTFactor:
+    """Compressed convex combination alpha * P1 + (1 - alpha) * P2."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha}")
+    if f1.n != f2.n:
+        raise InvalidInput(f"state dimensions differ: {f1.n} vs {f2.n}")
+    return combine([(alpha, f1), (1.0 - alpha, f2)], opts)
+
+
 def to_dense(factor: LDLTFactor) -> np.ndarray:
     """Dense product L D L^T, exactly symmetric. Refuses N above DENSE_GUARD."""
     if factor.n > DENSE_GUARD:

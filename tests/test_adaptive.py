@@ -12,8 +12,11 @@ from dresplit import (
     SchemeSpec,
     StepSizeCollapse,
     StiffOperator,
+    estimate_derivatives,
+    frob_norm,
     integrate_adaptive,
     integrate_fixed,
+    interpolation_error_bound,
     pi_update,
     reject_resize,
     to_dense,
@@ -188,3 +191,52 @@ class TestAdaptiveDriver:
         assert traj.records[0].rejections >= 1
         assert all(r.err_est <= 1e-10 for r in traj.records)
         assert traj.times[-1] == 0.5
+
+    def test_interpolation_inside_trajectory(self):
+        problem = make_tanh_problem()
+        traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.05,
+                                  ControllerParams(tol=1e-8), EXP, COMP)
+        t_query = 0.37
+        val = to_dense(traj.interpolate_at(t_query))[0, 0]
+        assert val == pytest.approx(np.tanh(t_query), abs=1e-4)
+
+
+class TestDerivativeEstimates:
+    def test_stationary_point(self):
+        # At the algebraic fixed point p=1 of p' = 1 - p^2 the derivative is 0.
+        problem = make_tanh_problem(p0=1.0)
+        pdot, _ = estimate_derivatives(problem.p0, problem)
+        assert frob_norm(pdot) <= 1e-12
+
+    def test_zero_state(self):
+        problem = make_tanh_problem(p0=0.0)
+        pdot, _ = estimate_derivatives(problem.p0, problem)
+        assert to_dense(pdot)[0, 0] == pytest.approx(1.0)
+
+    def test_tanh_derivatives(self):
+        p = np.tanh(0.5)
+        problem = make_tanh_problem(p0=p)
+        pdot, pddot = estimate_derivatives(problem.p0, problem)
+        expected_dot = 1.0 - p**2
+        expected_ddot = -2.0 * p * (1.0 - p**2)
+        assert to_dense(pdot)[0, 0] == pytest.approx(expected_dot, abs=1e-10)
+        assert to_dense(pddot)[0, 0] == pytest.approx(expected_ddot, abs=1e-10)
+
+    def test_matrix_case_against_dense_rhs(self, rng):
+        n = 6
+        from conftest import make_random_problem
+        from dresplit.problems import to_dense_problem
+
+        problem = make_random_problem(rng, n, 3)
+        f = problem.p0
+        pdot, pddot = estimate_derivatives(f, problem)
+        dense = to_dense_problem(problem)
+        p = to_dense(f)
+        rhs = dense.a.T @ p + p @ dense.a + dense.q - p @ dense.s @ p
+        assert np.linalg.norm(to_dense(pdot) - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
+        pd = rhs
+        rhs2 = dense.a.T @ pd + pd @ dense.a - pd @ dense.s @ p - p @ dense.s @ pd
+        assert np.linalg.norm(to_dense(pddot) - rhs2) <= 1e-9 * max(1.0, np.linalg.norm(rhs2))
+
+    def test_bound_helper(self):
+        assert interpolation_error_bound(1e-3, 0.2, 2.0) == pytest.approx(1e-3 + 0.01)

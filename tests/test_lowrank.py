@@ -10,6 +10,7 @@ from dresplit import (
     combine,
     compress,
     frob_norm,
+    interpolate,
     to_dense,
 )
 
@@ -155,6 +156,25 @@ class TestFrobNorm:
             f = random_factor(rng, 12, 4)
             t = f.L.T @ f.L @ f.D
             assert frob_norm(f) == float(np.sqrt(np.sum(t * t.T)))
+
+
+class TestInterpolate:
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_endpoints_and_midpoint(self, rng, alpha):
+        f1 = random_factor(rng, 6, 3)
+        f2 = random_factor(rng, 6, 2)
+        out = interpolate(f1, f2, alpha, CompressionOptions(rel_tol=0.0))
+        expected = alpha * to_dense(f1) + (1 - alpha) * to_dense(f2)
+        assert np.allclose(to_dense(out), expected, atol=1e-13)
+
+    def test_same_factor_midpoint(self, rng):
+        f = random_factor(rng, 5, 3)
+        out = interpolate(f, f, 0.5)
+        assert np.linalg.norm(to_dense(out) - to_dense(f)) <= 1e-14 * np.linalg.norm(to_dense(f))
+
+    def test_alpha_out_of_range(self, rng):
+        with pytest.raises(InvalidInput):
+            interpolate(random_factor(rng, 4, 2), random_factor(rng, 4, 2), 1.5)
 
 
 class TestToDense:

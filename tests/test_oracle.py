@@ -23,6 +23,24 @@ def scalar_dense(a=0.0, q=1.0, s=1.0, p0=0.0, horizon=1.0):
     return DenseProblem(a=a * one, q=q * one, s=s * one, p0=p0 * one, horizon=horizon)
 
 
+def rk4_dense(problem, n_steps):
+    """Classical RK4 on P' = A^T P + P A + Q - P S P, independent of the oracle."""
+    a, q, s = problem.a, problem.q, problem.s
+
+    def rhs(p):
+        return a.T @ p + p @ a + q - p @ s @ p
+
+    h = problem.horizon / n_steps
+    p = problem.p0.copy()
+    for _ in range(n_steps):
+        k1 = rhs(p)
+        k2 = rhs(p + 0.5 * h * k1)
+        k3 = rhs(p + 0.5 * h * k2)
+        k4 = rhs(p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return p
+
+
 class TestReference:
     def test_tanh(self):
         problem = scalar_dense()
@@ -55,6 +73,27 @@ class TestReference:
         out = dense_reference(problem)
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
+    def test_self_consistency_halving(self, rng):
+        # Two half-horizon solves, the second started from the first, must
+        # compose to the full-horizon solve (the flow is a semigroup).
+        problem = to_dense_problem(make_random_problem(rng, 10, 4))
+        full = dense_reference(problem)
+        half = DenseProblem(a=problem.a, q=problem.q, s=problem.s, p0=problem.p0,
+                            horizon=0.5 * problem.horizon)
+        mid = dense_reference(half)
+        rest = DenseProblem(a=problem.a, q=problem.q, s=problem.s, p0=mid,
+                            horizon=0.5 * problem.horizon)
+        assert relative_error(dense_reference(rest), full) <= 1e-10
+
+    def test_fourth_order_converge_ratio(self, rng):
+        # Against the reference, RK4 errors must fall by about 2^4 per step
+        # halving: a reference off by more than RK4's error flattens the ratio.
+        problem = to_dense_problem(make_random_problem(rng, 8, 3))
+        exact = dense_reference(problem)
+        d1 = np.linalg.norm(rk4_dense(problem, 500) - exact)
+        d2 = np.linalg.norm(rk4_dense(problem, 1000) - exact)
+        assert 10.0 <= d1 / d2 <= 22.0
+
     def test_symmetry_and_psd(self, rng):
         problem = to_dense_problem(make_random_problem(rng, 9, 4))
         out = dense_reference(problem)
@@ -79,6 +118,12 @@ class TestReference:
         monkeypatch.setattr(oracle, "_SELF_CHECK", 0.0)
         with pytest.raises(OracleDiverged, match="self-check"):
             dense_reference(problem)
+
+    def test_self_verified(self, rng):
+        problem = to_dense_problem(make_random_problem(rng, 8, 3))
+        ref = dense_reference(problem)
+        again = rk4_dense(problem, 4000)
+        assert relative_error(ref, again) <= 1e-9
 
 
 class TestDenseSubflow:
