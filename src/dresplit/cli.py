@@ -33,7 +33,8 @@ def _add_run_flags(parser):
     parser.add_argument("--epus", action="store_true",
                         help="compare error per unit step against the tolerance")
     parser.add_argument("--exp-tol", type=float, default=1e-10,
-                        help="relative tolerance for exponential actions")
+                        help="stopping tolerance of the sparse Krylov exponential "
+                        "action (successive iterates); dense actions are exact")
     parser.add_argument("--comp-tol", type=float, default=None,
                         help="column compression tolerance (default N*eps)")
     parser.add_argument("--quad-degree", type=int, default=None,

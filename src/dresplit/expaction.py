@@ -1,30 +1,29 @@
 """Action of the matrix exponential, W = exp(t A^T) V, for tall blocks.
 
-The propagation integrates w' = A^T w with the 3-stage, 5th-order Radau IA
-implicit Runge-Kutta method.  Its stage system is decoupled through the
-eigenvalues of the Radau coefficient matrix (the RADAU5 transformation,
-Hairer & Wanner, Solving ODEs II, IV.8).  With J = A^T, one real pole/weight
-pair (lambda_r, gamma_r) and one complex pair (lambda_c, gamma_c), a substep
-of size tau is
+Dense operators form E = expm(t A^T) by scaling and squaring (Al-Mohy &
+Higham, SIAM J. Matrix Anal. Appl. 31, 2009) and return E V.  E is kept in a
+bounded per-operator LRU cache keyed by t, so a repeated t costs a lookup;
+the cache lives and dies with its operator.  This path is exact to
+round-off, so ``rel_tol`` is not consulted there.
 
-    w <- w + tau J (gamma_r z_r + 2 Re(gamma_c z_c)),
-    z_j = (I - tau lambda_j J)^{-1} w,
+Sparse operators use the block shift-and-invert (restricted-denominator)
+Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
+SIAM J. Sci. Comput. 27, 2006).  With M = (I - gamma A^T)^{-1}, block Arnoldi
+on V = Q_0 R_0 builds an orthonormal basis U_m of the block Krylov space of
+M and the projection H_m = U_m^T M U_m.  Since A^T = (I - M^{-1}) / gamma,
 
-one real and one complex N x N shifted solve.  This increment form keeps
-the identity part of the map exact; the equivalent residue sum
-sum_j rho_j (I - tau lambda_j J)^{-1} leaves round-off of size eps on top of
-I, which the repeated powering of a small tau amplifies.
+    exp(t A^T) V ~ U_m exp((t/gamma) (I - H_m^{-1})) E_1 R_0.
 
-Accuracy is controlled by comparing the n-substep and 2n-substep results in
-the whole-block relative Frobenius norm and doubling until they agree to the
-requested tolerance (the 2n solution is returned).  For dense operators the
-one-substep propagator matrix K(tau) is formed by the two shifted solves
-against the identity and kept in a bounded per-operator LRU cache keyed by
-the substep size tau, so a repeated tau costs a lookup; the cache lives and
-dies with its operator.  For sparse operators both shifted matrices are
-LU-factorized once per propagation, and every substep solve gets one
-iterative-refinement pass against its own shifted matrix.  An exactly
-singular shifted matrix raises StepTooLarge.
+The shift sits on a power-of-two grid, gamma = 2^floor(log2 t) / 2, so that
+t/gamma lies in [2, 4): the dimension needed does not grow as t shrinks,
+and one sparse LU of I - gamma A^T, kept in a small per-operator LRU cache
+keyed by gamma, serves every t of its octave.  Each new block is
+orthogonalized twice against the basis; its SVD then drops the directions
+below _DEFLATE_TOL of the block's norm before orthogonalization (rank loss,
+or an exhausted space), and the kept ones are orthogonalized once more.
+The iteration stops when two successive iterates agree to ``rel_tol``.  An
+exhausted (invariant) space, or dimension N, is exact and returns the
+iterate; reaching ``max_dim`` below N first raises ToleranceNotMet.
 """
 
 import functools
@@ -33,20 +32,31 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import expm
 
 from .errors import InvalidInput, NonFiniteFactor, StepTooLarge, ToleranceNotMet
 
-# Eigenvalues of the Radau IA coefficient matrix and the weights b^T T_j
-# (T^-1 1)_j of its eigenbasis, correctly rounded from a 60-digit
-# computation.  The weights sum to b^T 1 = 1 exactly in floating point
-# (gamma_r + 2 Re gamma_c == 1.0), which an eigensolver's output does not.
-_POLE_REAL = 0.27488882959567734
-_WEIGHT_REAL = 1.3826297484603085
-_POLE_COMPLEX = 0.16255558520216132 + 0.1849493244071408j
-_WEIGHT_COMPLEX = -0.19131487423015428 - 0.4923757627721005j
-# Propagators kept per dense operator: 8 N x N matrices, about the working
-# memory of one cache miss (a real and a complex N x N solve).
-_PROPAGATOR_CACHE = 8
+# Exponentials kept per dense operator, keyed by t.
+_EXPM_CACHE = 8
+# Sparse LUs kept per operator, keyed by gamma.  Cached factors stay
+# resident: with 4 entries, laplacian_lqr N=400 peaks 3.8% higher in RSS.
+_LU_CACHE = 4
+# Default Krylov dimension cap, min(N, _MAX_DIM).
+_MAX_DIM = 512
+# Directions of a new block below this share of its norm are dropped.
+_DEFLATE_TOL = 1e-13
+
+
+def _dense_expm(at: np.ndarray, t: float) -> np.ndarray:
+    e = expm(t * at)
+    e.flags.writeable = False
+    return e
+
+
+def _shift_lu(at_csc, gamma: float):
+    """SuperLU factorization of I - gamma A^T."""
+    shifted = (sp.identity(at_csc.shape[0], format="csc") - gamma * at_csc).tocsc()
+    return spla.splu(shifted)
 
 
 class StiffOperator:
@@ -54,10 +64,11 @@ class StiffOperator:
 
     Exposes the transposed action w -> A^T w used throughout the solver; the
     wrapped matrix is treated as read-only.  A dense operator also exposes
-    ``propagator(tau)``, the one-substep Radau IA propagator K(tau), memoized
-    in a bounded LRU cache (safe to call from several threads; a concurrent
-    miss computes the same matrix twice).  Cached matrices are shared and
-    must not be modified.
+    ``expm(t)``, the read-only matrix exp(t A^T); a sparse one exposes
+    ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both are
+    memoized in bounded LRU caches (safe to call from several threads; a
+    concurrent miss computes the same value twice).  Cached values are
+    shared and must not be modified.
     """
 
     def __init__(self, a):
@@ -65,12 +76,15 @@ class StiffOperator:
             self.matrix = a.tocsr()
             self._at = self.matrix.T.tocsr()
             self.is_sparse = True
+            self.shift_lu = functools.lru_cache(maxsize=_LU_CACHE)(
+                functools.partial(_shift_lu, self._at.tocsc())
+            )
         else:
             self.matrix = np.asarray(a, dtype=np.float64)
             self._at = self.matrix.T.copy()
             self.is_sparse = False
-            self.propagator = functools.lru_cache(maxsize=_PROPAGATOR_CACHE)(
-                functools.partial(_dense_propagator, self._at)
+            self.expm = functools.lru_cache(maxsize=_EXPM_CACHE)(
+                functools.partial(_dense_expm, self._at)
             )
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
@@ -90,89 +104,17 @@ class StiffOperator:
 
 @dataclass(frozen=True)
 class ExpActionOptions:
+    """rel_tol: stop of the sparse Krylov iteration (the dense path is exact).
+    max_dim: Krylov dimension cap; None means min(N, 512)."""
+
     rel_tol: float = 1e-10
-    max_doublings: int = 30
+    max_dim: int | None = None
 
     def __post_init__(self):
         if self.rel_tol <= 0:
             raise InvalidInput(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_doublings < 1:
-            raise InvalidInput(f"max_doublings must be >= 1, got {self.max_doublings}")
-
-
-def _shifted(at, c):
-    """The shifted matrix I - c A^T, dense or sparse CSC like ``at``."""
-    if sp.issparse(at):
-        return (sp.identity(at.shape[0], format="csc") - c * at).tocsc()
-    m = at * -c
-    m.flat[:: at.shape[0] + 1] += 1.0
-    return m
-
-
-def _increment(z_r: np.ndarray, z_c: np.ndarray) -> np.ndarray:
-    """gamma_r z_r + 2 Re(gamma_c z_c), the weighted stage combination."""
-    return _WEIGHT_REAL * z_r + 2.0 * (_WEIGHT_COMPLEX * z_c).real
-
-
-def _singular(t: float, tau: float) -> StepTooLarge:
-    return StepTooLarge(
-        f"Radau shifted matrix is singular for the exp action at t={t:g} "
-        f"(substep tau={tau:g})"
-    )
-
-
-def _dense_propagator(at: np.ndarray, tau: float) -> np.ndarray:
-    """One-substep Radau IA map K with w_{k+1} = K w_k, formed explicitly."""
-    n = at.shape[0]
-    eye = np.eye(n)
-    z_r = np.linalg.solve(_shifted(at, tau * _POLE_REAL), eye)
-    z_c = np.linalg.solve(_shifted(at, tau * _POLE_COMPLEX), eye)
-    k_mat = tau * (at @ _increment(z_r, z_c))
-    k_mat.flat[:: n + 1] += 1.0
-    k_mat.flags.writeable = False
-    return k_mat
-
-
-def _propagate_dense(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
-    tau = t / n_sub
-    try:
-        k_mat = op.propagator(tau)
-    except np.linalg.LinAlgError as exc:
-        raise _singular(t, tau) from exc
-    n, m = v.shape
-    # Binary powering wins once repeated block application costs more.  It
-    # also bounds the cost of an action that never converges: a doubling
-    # level costs O(log n_sub) products here but n_sub substep solves on the
-    # sparse path, so a failing sparse action doubles its time per level
-    # (laplacian_lqr N=20, rel_tol=5e-16, 16 doublings, 2-vCPU Xeon VM:
-    # 0.00 s dense, 7.1 s sparse; the default 30 would take about 30 h).
-    log_n = int(np.log2(n_sub)) + 1
-    if n_sub * m > 2 * log_n * n:
-        return np.linalg.matrix_power(k_mat, n_sub) @ v
-    w = v
-    for _ in range(n_sub):
-        w = k_mat @ w
-    return w
-
-
-def _propagate_sparse(op: StiffOperator, t: float, v: np.ndarray, n_sub: int) -> np.ndarray:
-    tau = t / n_sub
-    at = op._at.tocsc()
-    m_r = _shifted(at, tau * _POLE_REAL)
-    m_c = _shifted(at, tau * _POLE_COMPLEX)
-    try:
-        lu_r = spla.splu(m_r)
-        lu_c = spla.splu(m_c)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise _singular(t, tau) from exc
-    w = np.array(v, dtype=np.float64)
-    for _ in range(n_sub):
-        z_r = lu_r.solve(w)
-        z_r += lu_r.solve(w - m_r @ z_r)
-        z_c = lu_c.solve(w)
-        z_c += lu_c.solve(w - m_c @ z_c)
-        w = w + tau * (at @ _increment(z_r, z_c))
-    return w
+        if self.max_dim is not None and self.max_dim < 1:
+            raise InvalidInput(f"max_dim must be >= 1, got {self.max_dim}")
 
 
 def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
@@ -188,18 +130,117 @@ def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
+def _nonfinite(t: float, what: str) -> NonFiniteFactor:
+    return NonFiniteFactor(f"exp action at t={t:g} produced a non-finite {what}")
+
+
+def _rank_revealing(block: np.ndarray, norm: float | None = None):
+    """(Q, R) with block ~ Q R, Q orthonormal, dropping directions whose
+    singular value is at most _DEFLATE_TOL * norm (default: the largest)."""
+    u, s, zt = np.linalg.svd(block, full_matrices=False)
+    keep = int(np.count_nonzero(s > _DEFLATE_TOL * (s[0] if norm is None else norm)))
+    return u[:, :keep], s[:keep, None] * zt[:keep]
+
+
+def _krylov_iterate(h: np.ndarray, ratio: float, r0: np.ndarray, t: float) -> np.ndarray:
+    """Coefficients exp(ratio (I - H^{-1})) E_1 R_0 in the Krylov basis."""
+    m = h.shape[0]
+    try:
+        f = -ratio * np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise _nonfinite(t, "projected matrix") from exc
+    f.flat[:: m + 1] += ratio
+    if not np.isfinite(f).all():
+        raise _nonfinite(t, "projected matrix")
+    y = expm(f)[:, : r0.shape[0]] @ r0
+    if not np.isfinite(y).all():
+        raise _nonfinite(t, "iterate")
+    return y
+
+
+def _krylov_action(op: StiffOperator, t: float, v: np.ndarray,
+                   opts: ExpActionOptions) -> np.ndarray:
+    n = op.n
+    cap = min(n, _MAX_DIM if opts.max_dim is None else opts.max_dim)
+    gamma = float(np.ldexp(1.0, np.frexp(t)[1] - 2))
+    try:
+        lu = op.shift_lu(gamma)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise StepTooLarge(
+            f"shifted matrix I - gamma A^T is singular for the exp action at "
+            f"t={t:g} (gamma={gamma:g})"
+        ) from exc
+    basis, r0 = _rank_revealing(v)
+    if basis.shape[1] == 0:
+        return np.zeros_like(v)
+    ratio = t / gamma
+    h = np.zeros((basis.shape[1], 0))
+    done = 0  # leading basis columns whose image under M is projected
+    y_prev = None
+    check_at = 0
+    estimate = np.inf
+    while True:
+        w = lu.solve(basis[:, done:])
+        norm = float(np.linalg.norm(w))
+        if not np.isfinite(norm):
+            raise _nonfinite(t, "Krylov block")
+        coeff = basis.T @ w
+        w -= basis @ coeff
+        again = basis.T @ w
+        w -= basis @ again
+        coeff += again
+        q, sub = _rank_revealing(w, norm)
+        again = basis.T @ q
+        q, r = np.linalg.qr(q - basis @ again)
+        coeff += again @ sub
+        m = basis.shape[1]
+        grown = np.zeros((m + q.shape[1], m))
+        grown[: h.shape[0], :done] = h
+        grown[:m, done:] = coeff
+        grown[m:, done:] = r @ sub
+        h, basis, done = grown, np.hstack([basis, q]), m
+
+        exact = q.shape[1] == 0 or m >= n
+        if not (exact or m >= check_at or m >= cap):
+            continue
+        # Successive iterates are compared on a geometric dimension grid, so
+        # the projected exponentials cost a bounded multiple of the last one.
+        # Past N/4 the space nears exhaustion, where the action is exact, and
+        # each O(m^3) check outweighs the block steps; the grid coarsens.
+        check_at = m + max(1, m // 8 if 4 * m < n else m // 2)
+        y = _krylov_iterate(h[:m, :m], ratio, r0, t)
+        if exact:
+            return basis[:, :m] @ y
+        if y_prev is not None:
+            padded = np.zeros_like(y)
+            padded[: y_prev.shape[0]] = y_prev
+            estimate = _relative_change(y, padded)
+            if estimate <= opts.rel_tol:
+                return basis[:, :m] @ y
+        if m >= cap:
+            raise ToleranceNotMet(
+                f"exp action did not reach rel_tol={opts.rel_tol:g} within "
+                f"Krylov dimension {m} (estimate {estimate:.3e})",
+                best=basis[:, :m] @ y,
+                estimate=estimate,
+            )
+        y_prev = y
+
+
 def exp_action(
     op: StiffOperator,
     t: float,
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
 ) -> np.ndarray:
-    """Approximate exp(t A^T) @ v to the requested relative tolerance.
+    """Approximate exp(t A^T) @ v.
 
+    Dense operators: exact to round-off through the cached expm(t A^T).
+    Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``.
     Raises ToleranceNotMet (carrying the best iterate and its estimate) if
-    the substep-doubling budget is exhausted first, NonFiniteFactor as soon
-    as the error estimate is not finite, which no further doubling can
-    repair, and StepTooLarge if a shifted Radau matrix is exactly singular.
+    the Krylov dimension reaches ``opts.max_dim`` below N first,
+    NonFiniteFactor on a non-finite block or iterate, and StepTooLarge if
+    the shifted matrix I - gamma A^T is exactly singular.
     """
     if not (np.isfinite(t) and t >= 0):
         raise InvalidInput(f"t must be finite and nonnegative, got {t}")
@@ -210,26 +251,11 @@ def exp_action(
         raise InvalidInput(f"block has {v.shape[0]} rows, operator dimension is {op.n}")
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
-
-    propagate = _propagate_sparse if op.is_sparse else _propagate_dense
-    n_sub = 1
-    w_prev = propagate(op, t, v, n_sub)
-    estimate = np.inf
-    for _ in range(opts.max_doublings):
-        n_sub *= 2
-        w = propagate(op, t, v, n_sub)
-        estimate = _relative_change(w, w_prev)
-        if not np.isfinite(estimate):
-            raise NonFiniteFactor(
-                f"exp action at t={t:g} produced a non-finite iterate "
-                f"with {n_sub} substeps"
-            )
-        if estimate <= opts.rel_tol:
-            return w
-        w_prev = w
-    raise ToleranceNotMet(
-        f"exp action did not reach rel_tol={opts.rel_tol:g} within "
-        f"{opts.max_doublings} doublings (estimate {estimate:.3e})",
-        best=w_prev,
-        estimate=estimate,
-    )
+    if not np.isfinite(v).all():
+        raise _nonfinite(t, "input block")
+    if op.is_sparse:
+        return _krylov_action(op, t, v, opts)
+    w = op.expm(t) @ v
+    if not np.isfinite(w).all():
+        raise _nonfinite(t, "iterate")
+    return w

@@ -67,6 +67,21 @@ class DenseProblem:
         return self.a.shape[0]
 
 
+def _relative_frobenius(diff: np.ndarray, ref: np.ndarray) -> float:
+    """||diff||_F / ||ref||_F, inf for a zero ref unless diff is zero too.
+
+    Both are scaled by the power of two that brings the largest entry of ref
+    into [0.5, 1), so finite matrices beyond ~1e154 do not overflow the
+    norms; the scaling is exact and leaves the ratio unchanged.
+    """
+    e = np.frexp(np.abs(ref).max())[1]
+    num = float(np.linalg.norm(np.ldexp(diff, -e)))
+    den = float(np.linalg.norm(np.ldexp(ref, -e)))
+    if den == 0.0:
+        return 0.0 if num == 0.0 else np.inf
+    return num / den
+
+
 def _davison_maki(hamiltonian: np.ndarray, p0: np.ndarray, horizon: float,
                   intervals: int) -> np.ndarray:
     """P at the horizon from equal intervals, each restarted from X = I."""
@@ -106,8 +121,7 @@ def dense_reference(problem: DenseProblem) -> np.ndarray:
     intervals = max(1, math.ceil(problem.horizon * np.linalg.norm(hamiltonian, 1)))
     coarse = _davison_maki(hamiltonian, problem.p0, problem.horizon, intervals)
     fine = _davison_maki(hamiltonian, problem.p0, problem.horizon, 2 * intervals)
-    scale = max(float(np.linalg.norm(fine)), np.finfo(np.float64).tiny)
-    agreement = float(np.linalg.norm(coarse - fine)) / scale
+    agreement = _relative_frobenius(coarse - fine, fine)
     if not agreement <= _SELF_CHECK:
         raise OracleDiverged(
             f"reference failed its self-check: {intervals} and {2 * intervals} "
@@ -145,12 +159,12 @@ def dense_subflow(kind: str, p: np.ndarray, h: float, problem: DenseProblem) -> 
 
 
 def relative_error(p_approx: np.ndarray, p_ref: np.ndarray) -> float:
-    """Relative Frobenius error ||P_approx - P_ref||_F / ||P_ref||_F."""
+    """Relative Frobenius error ||P_approx - P_ref||_F / ||P_ref||_F, finite
+    for references whose norm overflows (power-of-two scaled)."""
     p_approx = np.asarray(p_approx, dtype=np.float64)
     p_ref = np.asarray(p_ref, dtype=np.float64)
     if p_approx.shape != p_ref.shape:
         raise InvalidInput(f"shape mismatch: {p_approx.shape} vs {p_ref.shape}")
-    denom = float(np.linalg.norm(p_ref))
-    if denom == 0.0:
+    if not np.any(p_ref):
         raise InvalidReference("reference norm is zero")
-    return float(np.linalg.norm(p_approx - p_ref)) / denom
+    return _relative_frobenius(p_approx - p_ref, p_ref)

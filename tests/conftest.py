@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dresplit import (
     LDLTFactor,
@@ -49,6 +50,22 @@ def make_random_problem(rng, n, rank, horizon=1.0, spectral_scale=None):
             (lambda g: g @ g.T)(rng.standard_normal((n, r)))
         ),
         p0=LDLTFactor(rng.standard_normal((n, r)), np.eye(r)),
+        horizon=horizon,
+    )
+
+
+def make_sparse_linear_problem(rng, horizon):
+    """Sparse N=40 problem with Q = 0, S = 0 and a rank-one P0: the solution
+    exp(tA^T) P0 exp(tA) stays rank one, so every exponential action is on
+    one column and needs more Krylov dimensions the longer its t (15 at
+    t = 0.1, 12 at t = 0.05 for rel_tol 1e-10)."""
+    n = 40
+    a = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) * 10.0
+    return ProblemData(
+        a=StiffOperator(a.tocsr()),
+        q=LDLTFactor.zero(n),
+        s=QuadraticTerm.from_dense(np.zeros((n, n))),
+        p0=LDLTFactor(rng.standard_normal((n, 1)), np.eye(1)),
         horizon=horizon,
     )
 

@@ -22,7 +22,12 @@ from dresplit import (
     to_dense,
 )
 
-from conftest import make_random_problem, make_tanh_problem, random_factor
+from conftest import (
+    make_random_problem,
+    make_sparse_linear_problem,
+    make_tanh_problem,
+    random_factor,
+)
 
 EXP = ExpActionOptions(rel_tol=1e-12)
 COMP = CompressionOptions(rel_tol=1e-14)
@@ -164,23 +169,28 @@ class TestAdaptiveDriver:
         assert info.value.trajectory is not None
 
     def test_failed_subflow_counts_as_rejection(self, rng):
-        # Two doublings cannot reach the exp-action tolerance at h = 0.1, so
-        # the first trials raise ToleranceNotMet; they must shrink the step
-        # instead of aborting the run.
-        problem = make_random_problem(rng, 6, 2, horizon=0.1)
+        # A Krylov dimension cap of 13 cannot reach the exp-action tolerance
+        # at t = 0.1 but can at t <= 0.05, so the first trial raises
+        # ToleranceNotMet; it must shrink the step instead of aborting the
+        # run.  Uncapped, the same problem takes h = 0.1 in one step.
+        problem = make_sparse_linear_problem(rng, 0.1)
+        uncapped = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
+                                      ControllerParams(tol=1e-6))
+        assert [r.rejections for r in uncapped.records] == [0]
         traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
                                   ControllerParams(tol=1e-6),
-                                  ExpActionOptions(max_doublings=2))
+                                  ExpActionOptions(max_dim=13))
         assert traj.records[0].rejections >= 1
         assert traj.records[0].h < 0.1
         assert traj.times[-1] == 0.1
 
     def test_collapse_names_failure_cause(self, rng):
-        problem = make_random_problem(rng, 6, 2, horizon=0.2)
+        # A one-dimensional Krylov space can never confirm convergence.
+        problem = make_sparse_linear_problem(rng, 0.2)
         params = ControllerParams(tol=1e-6, h_min_factor=0.3)
         with pytest.raises(StepSizeCollapse, match="last rejection: ToleranceNotMet") as info:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params,
-                               ExpActionOptions(max_doublings=2))
+                               ExpActionOptions(max_dim=1))
         assert info.value.trajectory is not None
 
     def test_rejection_bookkeeping(self):

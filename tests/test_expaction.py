@@ -1,8 +1,6 @@
-import logging
 import sys
 import threading
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,18 +19,34 @@ from dresplit import (
     generate_problem,
     integrate_fixed,
 )
-from dresplit.expaction import (
-    _POLE_COMPLEX,
-    _POLE_REAL,
-    _PROPAGATOR_CACHE,
-    _WEIGHT_COMPLEX,
-    _WEIGHT_REAL,
-    _dense_propagator,
-    _propagate_sparse,
-    _relative_change,
-)
+from dresplit.expaction import _EXPM_CACHE, _LU_CACHE, _dense_expm, _relative_change
 
-logger = logging.getLogger(__name__)
+
+def laplacian(n):
+    return generate_problem("laplacian_lqr", n=n).a.matrix
+
+
+def nonsymmetric_sparse(n, seed):
+    """Stable nonsymmetric sparse operator: random sparse part, diagonal shift."""
+    r = sp.random(n, n, density=0.02, random_state=seed) * 20.0
+    drift = sp.diags(30.0 * np.ones(n - 1), 1)
+    return (r + drift - 50.0 * sp.identity(n)).tocsr()
+
+
+def run_threads(worker, count):
+    """Run worker(k) for k < count with a tiny switch interval, so cache
+    misses and hits interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(count)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
 
 
 def test_zero_operator_is_identity(rng):
@@ -104,39 +118,19 @@ def test_sparse_path_matches_dense_path(rng):
     assert np.linalg.norm(w_sp - w_de) <= 1e-8 * np.linalg.norm(w_de)
 
 
-def test_monotone_refinement_logged(rng):
-    # Stiff 1-D Laplacian: halving substeps should not raise the estimate.
-    # Observed and logged, not asserted hard.
-    n = 16
-    dx = 1.0 / (n + 1)
-    a = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1)
-         + np.diag(np.ones(n - 1), -1)) / dx**2
-    op = StiffOperator(a)
-    v = rng.standard_normal((n, 1))
-    from dresplit.expaction import _propagate_dense
-
-    t = 5e-4
-    estimates = []
-    prev = _propagate_dense(op, t, v, 1)
-    n_sub = 1
-    for _ in range(8):
-        n_sub *= 2
-        cur = _propagate_dense(op, t, v, n_sub)
-        estimates.append(np.linalg.norm(cur - prev) / np.linalg.norm(cur))
-        prev = cur
-    increases = sum(1 for a_, b_ in zip(estimates, estimates[1:]) if b_ > a_)
-    logger.info("laplacian refinement estimates: %s (%d increases)", estimates, increases)
-    assert len(estimates) == 8
-
-
 def test_tolerance_not_met_carries_best(rng):
-    a = rng.standard_normal((4, 4)) * 50.0
-    op = StiffOperator(a)
-    v = rng.standard_normal((4, 1))
+    # A dimension cap far below N stops the Krylov iteration unconverged.
+    op = StiffOperator(laplacian(200))
+    v = rng.standard_normal((200, 1))
     with pytest.raises(ToleranceNotMet) as info:
-        exp_action(op, 1.0, v, ExpActionOptions(rel_tol=1e-14, max_doublings=2))
+        exp_action(op, 1e-4, v, ExpActionOptions(rel_tol=1e-14, max_dim=4))
     assert info.value.best is not None
     assert info.value.estimate > 0
+
+
+def test_max_dim_validated():
+    with pytest.raises(InvalidInput, match="max_dim"):
+        ExpActionOptions(max_dim=0)
 
 
 def test_negative_time_rejected(rng):
@@ -155,64 +149,55 @@ def test_apply_transpose_linearity(rng):
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+# The dense propagator is exp(t A^T), cached per operator and keyed by t.
 def test_cached_propagator_matches_direct(rng):
     op = StiffOperator(rng.standard_normal((9, 9)))
-    for tau in (0.3, 0.3 / 7, 1e-3):
-        k_mat = op.propagator(tau)
-        assert np.array_equal(k_mat, _dense_propagator(op._at, tau))
-        assert op.propagator(tau) is k_mat
-        assert not k_mat.flags.writeable
-    assert op.propagator.cache_info().hits == 3
+    for t in (0.3, 0.3 / 7, 1e-3):
+        e = op.expm(t)
+        assert np.array_equal(e, _dense_expm(op._at, t))
+        assert op.expm(t) is e
+        assert not e.flags.writeable
+    assert op.expm.cache_info().hits == 3
 
 
 def test_propagator_cache_under_thread_contention(rng):
-    # More threads than cores and more substep sizes than cache entries, so
+    # More threads than cores and more times than cache entries, so
     # concurrent misses and evictions interleave; every lookup must still
-    # return the directly formed propagator of its own substep size.
+    # return the directly formed exponential of its own t.
     op = StiffOperator(rng.standard_normal((6, 6)))
-    taus = [0.1 / k for k in range(1, 2 * _PROPAGATOR_CACHE + 1)]
-    direct = {tau: _dense_propagator(op._at, tau) for tau in taus}
+    ts = [0.1 / k for k in range(1, 2 * _EXPM_CACHE + 1)]
+    direct = {t: _dense_expm(op._at, t) for t in ts}
     wrong = []
 
     def worker(offset):
         for i in range(200):
-            tau = taus[(offset + 3 * i) % len(taus)]
-            if not np.array_equal(op.propagator(tau), direct[tau]):
-                wrong.append(tau)
+            t = ts[(offset + 3 * i) % len(ts)]
+            if not np.array_equal(op.expm(t), direct[t]):
+                wrong.append(t)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=30.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
+    run_threads(worker, 6)
     assert wrong == []
-    assert op.propagator.cache_info().currsize <= _PROPAGATOR_CACHE
+    assert op.expm.cache_info().currsize <= _EXPM_CACHE
 
 
 def test_propagator_cache_bounded_after_fixed_run():
     problem = generate_problem("random_lowrank", n=12, seed=3, horizon=0.2)
     integrate_fixed(problem, SchemeSpec("sym", 3), 4)
-    info = problem.a.propagator.cache_info()
-    assert info.maxsize == _PROPAGATOR_CACHE
-    assert 0 < info.currsize <= _PROPAGATOR_CACHE
+    info = problem.a.expm.cache_info()
+    assert info.maxsize == _EXPM_CACHE
+    assert 0 < info.currsize <= _EXPM_CACHE
     assert info.hits > 0
 
 
 def test_operators_keep_their_own_propagators(rng):
     a = rng.standard_normal((6, 6))
     op1, op2 = StiffOperator(a), StiffOperator(2.0 * a)
-    k1, k2 = op1.propagator(0.1), op2.propagator(0.1)
-    assert np.array_equal(k1, _dense_propagator(op1._at, 0.1))
-    assert np.array_equal(k2, _dense_propagator(op2._at, 0.1))
-    assert not np.array_equal(k1, k2)
-    assert op1.propagator.cache_info().currsize == 1
-    assert op2.propagator.cache_info().currsize == 1
+    e1, e2 = op1.expm(0.1), op2.expm(0.1)
+    assert np.array_equal(e1, _dense_expm(op1._at, 0.1))
+    assert np.array_equal(e2, _dense_expm(op2._at, 0.1))
+    assert not np.array_equal(e1, e2)
+    assert op1.expm.cache_info().currsize == 1
+    assert op2.expm.cache_info().currsize == 1
 
 
 def test_thread_pool_factors_byte_identical():
@@ -240,8 +225,8 @@ def test_large_finite_block_scale_invariant(rng):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_nonfinite_block_raises_promptly(rng, sparse):
-    # A NaN column can never converge; the doubling must stop at once
-    # instead of exhausting its budget (hours at the default on sparse).
+    # A NaN column can never converge; the action must stop at once instead
+    # of growing the Krylov space to its cap.
     problem = generate_problem("laplacian_lqr", n=100)
     a = problem.a.matrix
     op = StiffOperator(a if sparse else a.toarray())
@@ -249,84 +234,8 @@ def test_nonfinite_block_raises_promptly(rng, sparse):
     v[:, 1] = np.nan
     start = time.perf_counter()
     with pytest.raises(NonFiniteFactor, match="t=0.01"):
-        exp_action(op, 0.01, v, ExpActionOptions(max_doublings=14))
+        exp_action(op, 0.01, v)
     assert time.perf_counter() - start < 1.0
-
-
-# The Radau IA Butcher tableau: the reference for the decoupled propagator.
-SQRT6 = np.sqrt(6.0)
-RADAU_A = np.array(
-    [
-        [1.0 / 9.0, (-1.0 - SQRT6) / 18.0, (-1.0 + SQRT6) / 18.0],
-        [1.0 / 9.0, (88.0 + 7.0 * SQRT6) / 360.0, (88.0 - 43.0 * SQRT6) / 360.0],
-        [1.0 / 9.0, (88.0 + 43.0 * SQRT6) / 360.0, (88.0 - 7.0 * SQRT6) / 360.0],
-    ]
-)
-RADAU_B = np.array([1.0 / 9.0, (16.0 + SQRT6) / 36.0, (16.0 - SQRT6) / 36.0])
-
-
-def coupled_propagator(at, tau):
-    """K(tau) from the coupled 3N x 3N stage system I - tau kron(A_radau, A^T)."""
-    n = at.shape[0]
-    m = np.eye(3 * n) - tau * np.kron(RADAU_A, at)
-    stages = np.linalg.solve(m, np.tile(np.eye(n), (3, 1)))
-    weighted = sum(RADAU_B[i] * stages[i * n : (i + 1) * n] for i in range(3))
-    return np.eye(n) + tau * (at @ weighted)
-
-
-def stable_operator(n, seed):
-    g = np.random.default_rng(seed).standard_normal((n, n))
-    return g / np.sqrt(n) - 2.0 * np.eye(n)
-
-
-def test_radau_weights_sum_to_one_exactly():
-    assert _WEIGHT_REAL + 2.0 * _WEIGHT_COMPLEX.real == 1.0
-
-
-def test_poles_and_weights_reproduce_stability_function():
-    # R(z) of Radau IA in exact rational arithmetic.  In 1 + z b^T (I - zA)^-1 1
-    # the increment cancels against 1 as R(z) ~ 3/|z| decays, so the error is
-    # measured on the scale max(1, |R|) of the terms that are summed (near
-    # z = -1e3 the coupled 3N x 3N form is also 6e-14 off relative to R).
-    def exact_r(z):
-        z = Fraction(z)
-        num = 1 + Fraction(2, 5) * z + z * z / 20
-        den = 1 - Fraction(3, 5) * z + Fraction(3, 20) * z * z - z**3 / 60
-        return num / den
-
-    for z in np.concatenate([-np.geomspace(1e-12, 1e3, 200), np.linspace(-1.0, 0.3, 53)]):
-        k = Fraction(_dense_propagator(np.array([[z]]), 1.0)[0, 0])
-        r = exact_r(z)
-        assert abs(k - r) <= Fraction(1e-14) * max(1, abs(r)), z
-
-
-TAU_NORMS = (1e-8, 1e-3, 0.1, 1.0, 10.0)
-
-
-@pytest.mark.parametrize("n", [5, 57])
-def test_dense_propagator_matches_coupled_reference(n):
-    at = stable_operator(n, n).T.copy()
-    eye = np.eye(n)
-    for tau_norm in TAU_NORMS:
-        tau = tau_norm / np.linalg.norm(at, 2)
-        ref = coupled_propagator(at, tau) - eye
-        # K - I relative to itself: at tau ||A|| = 1e-8 a residue sum would
-        # leave ~eps / 1e-8 relative noise here.
-        diff = (_dense_propagator(at, tau) - eye) - ref
-        assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref), tau_norm
-
-
-@pytest.mark.parametrize("n", [5, 57])
-def test_sparse_substep_matches_coupled_reference(n):
-    a = stable_operator(n, n)
-    a[np.abs(a) < 0.5] = 0.0
-    op = StiffOperator(sp.csr_matrix(a))
-    eye = np.eye(n)
-    for tau_norm in TAU_NORMS:
-        tau = tau_norm / np.linalg.norm(a, 2)
-        ref = coupled_propagator(a.T.copy(), tau) - eye
-        diff = (_propagate_sparse(op, tau, eye, 1) - eye) - ref
-        assert np.linalg.norm(diff) <= 1e-13 * np.linalg.norm(ref), tau_norm
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -349,20 +258,113 @@ def test_nonfinite_operator_rejected(sparse, value):
         StiffOperator(sp.csr_matrix(a) if sparse else a)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_singular_shift_raises_step_too_large(sparse):
-    # Pick the diagonal entry d a few ulps around 1/(t lambda_r) for which
-    # 1 - (t lambda_r) d is exactly zero, so the real shifted matrix of the
-    # first (one-substep) propagation is exactly singular.
-    t = 0.5
-    c = t * _POLE_REAL
-    d = 1.0 / c
-    for _ in range(8):
-        if 1.0 - c * d == 0.0:
-            break
-        d = np.nextafter(d, np.inf if c * d < 1.0 else -np.inf)
-    assert 1.0 - c * d == 0.0
-    a = np.diag([d, -1.0, -2.0])
-    op = StiffOperator(sp.csr_matrix(a) if sparse else a)
-    with pytest.raises(StepTooLarge, match=r"t=0\.5 .*tau=0\.5"):
-        exp_action(op, t, np.ones((3, 2)))
+def test_singular_shift_raises_step_too_large_sparse():
+    # t = 0.5 puts the shift on gamma = 2^floor(log2 t) / 2 = 0.25, so the
+    # diagonal entry 4 makes I - gamma A^T exactly singular.
+    a = sp.csr_matrix(np.diag([4.0, -1.0, -2.0]))
+    with pytest.raises(StepTooLarge, match=r"t=0\.5 .*gamma=0\.25"):
+        exp_action(StiffOperator(a), 0.5, np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("kind", ["laplacian", "nonsymmetric"])
+def test_krylov_matches_dense_expm(rng, kind):
+    n = 400
+    a = laplacian(n) if kind == "laplacian" else nonsymmetric_sparse(n, 7)
+    op, a_t = StiffOperator(a), a.toarray().T
+    v = rng.standard_normal((n, 4))
+    for t in (1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
+        ref = expm(t * a_t) @ v
+        out = exp_action(op, t, v)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), t
+
+
+def test_rank_deficient_block(rng):
+    # Dependent columns deflate out of the first block; the action stays
+    # linear in them.
+    n = 100
+    op = StiffOperator(laplacian(n))
+    base = rng.standard_normal((n, 2))
+    v = np.column_stack([base, base @ [1.0, -2.0], np.zeros(n)])
+    out = exp_action(op, 1e-3, v)
+    ref = expm(1e-3 * laplacian(n).toarray().T) @ v
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert np.allclose(out[:, 2], out[:, :2] @ [1.0, -2.0], rtol=0, atol=1e-12)
+    assert not out[:, 3].any()
+
+
+def test_invariant_subspace_is_exact():
+    # Eigenvectors of the symmetric Laplacian span an invariant subspace:
+    # the first new block deflates away and the iterate is returned exactly.
+    n = 50
+    a = laplacian(n)
+    lam, vecs = np.linalg.eigh(a.toarray())
+    v = vecs[:, [0, 3, 7]]
+    out = exp_action(StiffOperator(a), 1e-3, v, ExpActionOptions(rel_tol=1e-14))
+    ref = v * np.exp(1e-3 * lam[[0, 3, 7]])
+    assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_block_wider_than_half_n(rng):
+    n = 40
+    a = nonsymmetric_sparse(n, 3)
+    v = rng.standard_normal((n, 25))
+    out = exp_action(StiffOperator(a), 0.02, v)
+    ref = expm(0.02 * a.toarray().T) @ v
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_unreachable_tolerance_is_bounded(rng):
+    # Successive iterates cannot agree to 5e-16; the dimension cap (here N,
+    # which is exact) bounds the cost of the attempt.  The first call also
+    # factors the shifted matrix; the best of three runs keeps a busy shared
+    # CPU from being read as cost of the action.
+    op = StiffOperator(laplacian(400))
+    v = rng.standard_normal((400, 4))
+    opts = ExpActionOptions(rel_tol=5e-16)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        try:
+            exp_action(op, 0.01, v, opts)
+        except ToleranceNotMet:
+            pass
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+
+
+def test_shift_lu_shared_within_an_octave(rng):
+    op = StiffOperator(laplacian(60))
+    v = rng.standard_normal((60, 2))
+    for t in (0.016, 0.02, 0.031):  # all in [2^-6, 2^-5), on gamma = 2^-7
+        exp_action(op, t, v)
+    info = op.shift_lu.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (1, 2, _LU_CACHE)
+
+
+def test_lu_cache_under_thread_contention(rng):
+    # More octaves than cache entries, so concurrent misses and evictions
+    # interleave; every action must match its serial result byte for byte.
+    op = StiffOperator(laplacian(80))
+    v = rng.standard_normal((80, 3))
+    ts = [0.05 / 2.0**k for k in range(2 * _LU_CACHE)]
+    serial = {t: exp_action(StiffOperator(laplacian(80)), t, v).tobytes() for t in ts}
+    wrong = []
+
+    def worker(offset):
+        for i in range(12):
+            t = ts[(offset + 3 * i) % len(ts)]
+            if exp_action(op, t, v).tobytes() != serial[t]:
+                wrong.append(t)
+
+    run_threads(worker, 4)
+    assert wrong == []
+    assert op.shift_lu.cache_info().currsize <= _LU_CACHE
+
+
+def test_sparse_thread_pool_factors_byte_identical():
+    finals = []
+    for threads in (1, 2):
+        problem = generate_problem("laplacian_lqr", n=100)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2, threads=threads)
+        finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
+    assert finals[0] == finals[1]

@@ -61,6 +61,13 @@ class TestReference:
         out = dense_reference(scalar_dense(a, q, s, p0, t))
         assert out[0, 0] == pytest.approx(expected, rel=1e-12)
 
+    def test_reference_beyond_norm_overflow(self):
+        # p' = 2p + 1, p(0) = 1: P = 1.5 e^{400} - 0.5 ~ 7.8e173 is finite,
+        # but its square overflows an unscaled Frobenius norm.
+        out = dense_reference(scalar_dense(1.0, 1.0, 0.0, 1.0, 200.0))
+        expected = np.array([[1.5 * np.exp(400.0) - 0.5]])
+        assert relative_error(out, expected) <= 1e-12
+
     def test_pure_conjugation(self, rng):
         n = 6
         a = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -180,6 +187,12 @@ class TestRelativeError:
         b = rng.standard_normal((5, 5))
         manual = np.sqrt(np.sum((a - b) ** 2)) / np.sqrt(np.sum(b**2))
         assert relative_error(a, b) == pytest.approx(manual, rel=1e-15)
+
+    def test_scale_invariant_beyond_overflow(self, rng):
+        a = rng.standard_normal((5, 5))
+        b = rng.standard_normal((5, 5))
+        big = 2.0**600
+        assert relative_error(big * a, big * b) == relative_error(a, b)
 
     def test_zero_reference(self):
         with pytest.raises(InvalidReference):

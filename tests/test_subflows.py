@@ -10,6 +10,7 @@ from dresplit import (
     LDLTFactor,
     ProblemData,
     QuadraticTerm,
+    StepTooLarge,
     StiffOperator,
     affine_flow,
     init_quadrature,
@@ -78,6 +79,12 @@ class TestQuadraticFlow:
                 out = quadratic_flow(f, h, s_op)
                 eigs = np.linalg.eigvalsh(out.D)
                 assert eigs.min() >= -1e-12 * max(1.0, eigs.max())
+
+    def test_singular_system_raises_step_too_large(self):
+        # 1 + h d s = 0 for d = -1, s = 1, h = 1: the core update has no inverse.
+        f = LDLTFactor(np.ones((1, 1)), -np.ones((1, 1)))
+        with pytest.raises(StepTooLarge, match="condition estimate inf for h=1"):
+            quadratic_flow(f, 1.0, QuadraticTerm.from_dense(np.ones((1, 1))))
 
     def test_rank_zero_passthrough(self):
         f = LDLTFactor.zero(4)
