@@ -7,9 +7,11 @@ citizens.  All operations are pure: inputs are never mutated and results are
 fresh factors, so values may be shared freely across threads.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InvalidInput, NonFiniteFactor, RefusedDense
 
@@ -45,6 +47,16 @@ class LDLTFactor:
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "D", 0.5 * (D + D.T))
 
+    @classmethod
+    def _trusted(cls, L: np.ndarray, D: np.ndarray) -> "LDLTFactor":
+        """Factor from arrays the library built itself: a float64 2-D basis
+        and an exactly symmetric float64 core of matching size.  Skips the
+        checks and the re-symmetrization of the public constructor."""
+        factor = object.__new__(cls)
+        object.__setattr__(factor, "L", L)
+        object.__setattr__(factor, "D", D)
+        return factor
+
     @property
     def n(self) -> int:
         return self.L.shape[0]
@@ -78,6 +90,81 @@ class CompressionOptions:
         return n * np.finfo(np.float64).eps
 
 
+# Workspace per column for the LAPACK QR calls.  f2py's default (3 per
+# column) makes dgeqrf/dorgqr fall back to unblocked code on bases wider
+# than the crossover (128 columns), which changes the bits of Q and R; 64 per
+# column covers the block size, so the results match np.linalg.qr.
+_QR_WORK = 64
+
+
+@functools.lru_cache(maxsize=256)
+def _below_diagonal(k: int, m: int) -> np.ndarray:
+    """Boolean k x m mask of the entries below the diagonal (np.triu's)."""
+    return np.tri(k, m, -1, dtype=bool)
+
+
+def _thin_qr(basis: np.ndarray):
+    """Reduced QR (Q, R) of an N x m basis, as np.linalg.qr(mode="reduced")."""
+    m = basis.shape[1]
+    k = min(basis.shape)
+    qr, tau, _, _ = lapack.dgeqrf(basis, lwork=_QR_WORK * m)
+    q, _, _ = lapack.dorgqr(qr[:, :k], tau, lwork=_QR_WORK * k)
+    return q, np.where(_below_diagonal(k, m), 0.0, qr[:k])
+
+
+def _core_norm(core: np.ndarray, n: int) -> float:
+    """Frobenius norm of a square core, summed with its largest entry scaled
+    into [0.5, 1) by a power of two as in ``compress``.  Raises
+    NonFiniteFactor when the core is not finite."""
+    if not np.isfinite(core).all():
+        raise NonFiniteFactor(
+            f"cannot take the norm of a rank-{core.shape[0]} factor of dimension {n}: "
+            "its core is not finite"
+        )
+    top = np.abs(core).max()
+    if top == 0.0:
+        return 0.0
+    e = np.frexp(top)[1]
+    return float(np.ldexp(np.sqrt(np.sum(np.ldexp(core, -e) ** 2)), e))
+
+
+def _truncate(q: np.ndarray, r: np.ndarray, d: np.ndarray, n: int,
+              opts: CompressionOptions) -> LDLTFactor:
+    """Compressed factor of (Q R) D (Q R)^T from a thin QR of its basis."""
+    core = r @ d @ r.T
+    core = 0.5 * (core + core.T)
+    if not np.isfinite(core).all():
+        raise NonFiniteFactor(
+            f"cannot compress a rank-{d.shape[0]} factor of dimension {n}: "
+            "its core is not finite"
+        )
+    eigvals, eigvecs, _ = lapack.dsyevd(core, lower=1)
+
+    mag = np.abs(eigvals)
+    order = np.argsort(mag, kind="stable")
+    # Energies are summed with the largest magnitude scaled into [0.5, 1) by
+    # a power of two, so that squares of eigenvalues beyond ~1e154 cannot
+    # overflow; the scaling is exact and leaves every decision in the normal
+    # range as it would be unscaled.
+    scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
+    total = float(np.sqrt(np.sum(scaled**2)))
+    tol = opts.resolve_tol(n)
+    if total == 0.0:
+        return LDLTFactor.zero(n)
+
+    # Discard the largest ascending-|eigenvalue| prefix whose cumulative
+    # energy stays within the budget (inclusive comparison for determinism).
+    cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
+    n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
+    keep = order[n_drop:]
+    if keep.size == 0:
+        return LDLTFactor.zero(n)
+
+    # Order kept pairs by descending magnitude for a canonical layout.
+    keep = keep[::-1]
+    return LDLTFactor._trusted(q @ eigvecs[:, keep], np.diag(eigvals[keep]))
+
+
 def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()) -> LDLTFactor:
     """Rank-truncate a factor, bounding the relative reconstruction error.
 
@@ -91,39 +178,58 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     """
     if factor.rank == 0:
         return factor
-    q, r = np.linalg.qr(factor.L, mode="reduced")
-    core = r @ factor.D @ r.T
-    core = 0.5 * (core + core.T)
-    if not np.all(np.isfinite(core)):
-        raise NonFiniteFactor(
-            f"cannot compress a rank-{factor.rank} factor of dimension {factor.n}: "
-            "its core is not finite"
-        )
-    eigvals, eigvecs = np.linalg.eigh(core)
+    q, r = _thin_qr(factor.L)
+    return _truncate(q, r, factor.D, factor.n, opts)
 
-    mag = np.abs(eigvals)
-    order = np.argsort(mag, kind="stable")
-    # Energies are summed with the largest magnitude scaled into [0.5, 1) by
-    # a power of two, so that squares of eigenvalues beyond ~1e154 cannot
-    # overflow; the scaling is exact and leaves every decision in the normal
-    # range as it would be unscaled.
-    scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
-    total = float(np.sqrt(np.sum(scaled**2)))
-    tol = opts.resolve_tol(factor.n)
-    if total == 0.0:
-        return LDLTFactor.zero(factor.n)
 
-    # Discard the largest ascending-|eigenvalue| prefix whose cumulative
-    # energy stays within the budget (inclusive comparison for determinism).
-    cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
-    n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
-    keep = order[n_drop:]
-    if keep.size == 0:
-        return LDLTFactor.zero(factor.n)
+def _merge_bases(factors) -> tuple:
+    """(bases, members): the distinct bases of the factors of nonzero rank, in
+    first-seen order, and for each the indices of the factors sharing it.
 
-    # Order kept pairs by descending magnitude for a canonical layout.
-    keep = keep[::-1]
-    return LDLTFactor(q @ eigvecs[:, keep], np.diag(eigvals[keep]))
+    Bases are shared when they are the same array or bitwise identical.
+    """
+    bases: list[np.ndarray] = []
+    members: list[list[int]] = []
+    for i, f in enumerate(factors):
+        if f.rank == 0:
+            continue
+        for basis, idx in zip(bases, members):
+            if basis is f.L or (basis.shape == f.L.shape
+                                and basis.tobytes() == f.L.tobytes()):
+                idx.append(i)
+                break
+        else:
+            bases.append(f.L)
+            members.append([i])
+    return bases, members
+
+
+def _merged_cores(factors, members, weights) -> list:
+    """Per merged basis, the weighted sum of its factors' cores, summed in
+    factor order."""
+    cores = []
+    for idx in members:
+        core = float(weights[idx[0]]) * factors[idx[0]].D
+        for i in idx[1:]:
+            core = core + float(weights[i]) * factors[i].D
+        cores.append(core)
+    return cores
+
+
+def _block_diag(cores) -> np.ndarray:
+    if len(cores) == 1:
+        return cores[0]
+    size = sum(c.shape[0] for c in cores)
+    big_d = np.zeros((size, size))
+    at = 0
+    for c in cores:
+        big_d[at : at + c.shape[0], at : at + c.shape[0]] = c
+        at += c.shape[0]
+    return big_d
+
+
+def _stack(bases) -> np.ndarray:
+    return bases[0] if len(bases) == 1 else np.hstack(bases)
 
 
 def combine(
@@ -141,36 +247,50 @@ def combine(
     terms = list(terms)
     if not terms:
         raise InvalidInput("combine needs at least one (weight, factor) term")
-    n = terms[0][1].n
-    for _, f in terms:
+    factors = [f for _, f in terms]
+    n = factors[0].n
+    for f in factors:
         if f.n != n:
             raise InvalidInput(f"state dimensions differ: {f.n} vs {n}")
 
-    bases: list[np.ndarray] = []
-    cores: list[np.ndarray] = []
-    for weight, f in terms:
-        if f.rank == 0:
-            continue
-        scaled = float(weight) * f.D
-        for i, basis in enumerate(bases):
-            if basis.shape == f.L.shape and np.array_equal(basis, f.L):
-                cores[i] = cores[i] + scaled
-                break
-        else:
-            bases.append(f.L)
-            cores.append(scaled)
-
-    live = [(b, c) for b, c in zip(bases, cores) if np.any(c)]
+    bases, members = _merge_bases(factors)
+    cores = _merged_cores(factors, members, [w for w, _ in terms])
+    live = [i for i, c in enumerate(cores) if c.any()]
     if not live:
         return LDLTFactor.zero(n)
+    return compress(
+        LDLTFactor._trusted(_stack([bases[i] for i in live]),
+                            _block_diag([cores[i] for i in live])),
+        opts,
+    )
 
-    big_l = np.hstack([b for b, _ in live])
-    big_d = np.zeros((big_l.shape[1], big_l.shape[1]))
-    at = 0
-    for _, c in live:
-        big_d[at : at + c.shape[0], at : at + c.shape[0]] = c
-        at += c.shape[0]
-    return compress(LDLTFactor(big_l, big_d), opts)
+
+def _combine_and_norm(factors, gamma, alpha, opts: CompressionOptions):
+    """(combine(gamma terms), norm of the alpha terms' sum) from one thin QR.
+
+    Both sums run over the same factors, so the stacked basis Q R is factored
+    once: the first result is compressed from R D_gamma R^T exactly as
+    ``combine`` does it, and the norm is ||R D_alpha R^T||_F (symmetrized as
+    in ``compress``), that of the uncompressed alpha sum.  Bases are merged
+    and zero cores dropped by the rules of ``combine``, applied to the gamma
+    weights; when an alpha core is live on a basis whose gamma core cancels
+    to zero, the stack does not span the alpha sum and each sum is formed on
+    its own.
+    """
+    n = factors[0].n
+    bases, members = _merge_bases(factors)
+    gamma_cores = _merged_cores(factors, members, gamma)
+    alpha_cores = _merged_cores(factors, members, alpha)
+    live = [i for i, c in enumerate(gamma_cores) if c.any()]
+    if any(c.any() for i, c in enumerate(alpha_cores) if i not in live):
+        return (combine(zip(gamma, factors), opts),
+                frob_norm(combine(zip(alpha, factors), opts)))
+    if not live:
+        return LDLTFactor.zero(n), 0.0
+    q, r = _thin_qr(_stack([bases[i] for i in live]))
+    combined = _truncate(q, r, _block_diag([gamma_cores[i] for i in live]), n, opts)
+    alpha_core = r @ _block_diag([alpha_cores[i] for i in live]) @ r.T
+    return combined, _core_norm(0.5 * (alpha_core + alpha_core.T), n)
 
 
 def frob_norm(factor: LDLTFactor) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod
 from .expaction import ExpActionOptions
-from .lowrank import CompressionOptions, LDLTFactor, combine, frob_norm
+from .lowrank import CompressionOptions, LDLTFactor, _combine_and_norm, combine
 from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
@@ -234,7 +234,8 @@ def additive_step(
     The chains are data-independent and may be evaluated on the given
     executor; the weighted combinations are always formed in fixed
     (k, direction) order, so results do not depend on scheduling.  The
-    estimate is the Frobenius norm of the alpha-weighted combination; it is
+    estimate is the Frobenius norm of the alpha-weighted combination, taken
+    from the same QR of the stacked chain bases as the next factor; it is
     None for single-stage schemes, which have no embedded companion.
     """
     if not spec.is_additive:
@@ -255,14 +256,8 @@ def additive_step(
     else:
         chains = list(executor.map(run, jobs))
 
-    gamma_terms = [
-        (coeffs.gamma[k - 1], chain) for (k, _), chain in zip(jobs, chains)
-    ]
-    next_factor = combine(gamma_terms, comp_opts)
+    gamma = [coeffs.gamma[k - 1] for k, _ in jobs]
     if coeffs.alpha is None:
-        return next_factor, None
-    alpha_terms = [
-        (coeffs.alpha[k - 1], chain) for (k, _), chain in zip(jobs, chains)
-    ]
-    estimate = frob_norm(combine(alpha_terms, comp_opts))
-    return next_factor, estimate
+        return combine(zip(gamma, chains), comp_opts), None
+    alpha = [coeffs.alpha[k - 1] for k, _ in jobs]
+    return _combine_and_norm(chains, gamma, alpha, comp_opts)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io
 
 from .adaptive import ControllerParams, Trajectory, integrate_adaptive, integrate_fixed
-from .errors import DresplitError, InvalidInput
+from .errors import DresplitError, InvalidInput, StepSizeCollapse
 from .expaction import ExpActionOptions, StiffOperator
 from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm, to_dense
 from .oracle import dense_reference, dense_subflow, relative_error
@@ -319,30 +319,48 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
     return report
 
 
+def _write_trajectory(out: Path, records) -> None:
+    rows = [[i + 1, r.t, r.h, r.err_est, r.rank, r.rejections,
+             r.fresh_quad_blocks, r.clamped] for i, r in enumerate(records)]
+    _write_csv(out / "trajectory.csv",
+               ["step", "t", "h", "err_est", "rank", "rejections",
+                "fresh_quad_blocks", "clamped"], rows)
+
+
 def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
-    """One solver run; writes trajectory.csv, the final factor and a summary."""
+    """One solver run; writes trajectory.csv, the final factor and a summary.
+
+    On StepSizeCollapse the accepted steps of the partial trajectory go to
+    trajectory.csv and the summary gets a ``collapsed:`` line with the
+    message; then the exception propagates.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json())
     started = time.perf_counter()
-    if config.n_steps is not None:
-        traj = integrate_fixed(
-            problem, config.spec, config.n_steps, config.exp_opts(),
-            config.comp_opts(), config.quad_degree, config.threads,
+    try:
+        if config.n_steps is not None:
+            traj = integrate_fixed(
+                problem, config.spec, config.n_steps, config.exp_opts(),
+                config.comp_opts(), config.quad_degree, config.threads,
+            )
+        else:
+            params = ControllerParams(tol=config.tol, epus=config.epus)
+            traj = integrate_adaptive(
+                problem, config.spec, config.h1, params, config.exp_opts(),
+                config.comp_opts(), config.quad_degree, config.threads,
+            )
+    except StepSizeCollapse as exc:
+        records = exc.trajectory.records if exc.trajectory is not None else []
+        _write_trajectory(out, records)
+        (out / "summary.txt").write_text(
+            f"steps: {len(records)}\ncollapsed: {exc}\n"
+            f"wallclock_s: {time.perf_counter() - started!r}\n"
         )
-    else:
-        params = ControllerParams(tol=config.tol, epus=config.epus)
-        traj = integrate_adaptive(
-            problem, config.spec, config.h1, params, config.exp_opts(),
-            config.comp_opts(), config.quad_degree, config.threads,
-        )
+        raise
     elapsed = time.perf_counter() - started
 
-    rows = [[i + 1, r.t, r.h, r.err_est, r.rank, r.rejections,
-             r.fresh_quad_blocks, r.clamped] for i, r in enumerate(traj.records)]
-    _write_csv(out / "trajectory.csv",
-               ["step", "t", "h", "err_est", "rank", "rejections",
-                "fresh_quad_blocks", "clamped"], rows)
+    _write_trajectory(out, traj.records)
     scipy.io.mmwrite(str(out / "final_L.mtx"), traj.final.L, precision=17)
     scipy.io.mmwrite(str(out / "final_D.mtx"), traj.final.D, precision=17)
     (out / "summary.txt").write_text(

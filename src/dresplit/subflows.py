@@ -146,7 +146,8 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
         raise StepTooLarge(
             f"quadratic subflow system has condition estimate {cond:.3e} for h={h:g}"
         )
-    return LDLTFactor(factor.L, lapack.dgetrs(lu, piv, factor.D)[0])
+    core = lapack.dgetrs(lu, piv, factor.D)[0]
+    return LDLTFactor._trusted(factor.L, 0.5 * (core + core.T))
 
 
 def quad_weights(nodes, h: float) -> np.ndarray:
@@ -198,7 +199,7 @@ def _assemble(problem: ProblemData, nodes, weights, blocks,
               comp_opts: CompressionOptions) -> LDLTFactor:
     if problem.q.rank == 0 or len(blocks) == 0:
         return LDLTFactor.zero(problem.n)
-    terms = [(w, LDLTFactor(blk, problem.q.D)) for w, blk in zip(weights, blocks)]
+    terms = [(w, LDLTFactor._trusted(blk, problem.q.D)) for w, blk in zip(weights, blocks)]
     return combine(terms, comp_opts)
 
 
@@ -338,6 +339,6 @@ def affine_flow(
     terms = []
     if factor.rank > 0:
         propagated = exp_action(problem.a, h, factor.L, exp_opts)
-        terms.append((1.0, LDLTFactor(propagated, factor.D)))
+        terms.append((1.0, LDLTFactor._trusted(propagated, factor.D)))
     terms.append((1.0, state.assembled))
     return combine(terms, comp_opts)

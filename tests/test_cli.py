@@ -228,3 +228,20 @@ class TestCommands:
         code = main(["solve", "--problem", str(prob_dir), "--scheme", "lie",
                      "--steps", "0", "--out", str(tmp_path / "o")])
         assert code == 3
+
+    def test_collapse_writes_partial_output(self, tmp_path, capsys):
+        prob_dir = tmp_path / "prob"
+        out_dir = tmp_path / "run"
+        main(["generate", "--n", "10", "--out", str(prob_dir)])
+        code = main(["solve", "--problem", str(prob_dir), "--tol", "1e-300",
+                     "--h1", "0.01", "--out", str(out_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: step size")
+        rows = list(csv.reader(open(out_dir / "trajectory.csv")))
+        assert rows == [["step", "t", "h", "err_est", "rank", "rejections",
+                         "fresh_quad_blocks", "clamped"]]
+        summary = (out_dir / "summary.txt").read_text().splitlines()
+        assert summary[0] == "steps: 0"
+        assert summary[1].startswith("collapsed: step size")
+        assert "fell below the floor" in summary[1]

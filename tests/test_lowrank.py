@@ -7,14 +7,34 @@ from dresplit import (
     LDLTFactor,
     NonFiniteFactor,
     RefusedDense,
+    SchemeSpec,
     combine,
     compress,
     frob_norm,
+    generate_problem,
+    integrate_fixed,
     interpolate,
     to_dense,
 )
+from dresplit.lowrank import _combine_and_norm
 
 from conftest import random_factor
+
+
+def reference_compress(factor, tol):
+    """compress as numpy's QR and symmetric eigensolver compute it."""
+    q, r = np.linalg.qr(factor.L, mode="reduced")
+    core = r @ factor.D @ r.T
+    core = 0.5 * (core + core.T)
+    eigvals, eigvecs = np.linalg.eigh(core)
+    mag = np.abs(eigvals)
+    order = np.argsort(mag, kind="stable")
+    scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
+    total = float(np.sqrt(np.sum(scaled**2)))
+    cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
+    n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
+    keep = order[n_drop:][::-1]
+    return q @ eigvecs[:, keep], np.diag(eigvals[keep])
 
 
 class TestFactor:
@@ -35,12 +55,53 @@ class TestFactor:
         f = LDLTFactor(np.array([1.0, 1.0]), np.array(2.0))
         assert f.L.shape == (2, 1) and f.D.shape == (1, 1)
 
+    def test_public_constructor_checks_and_symmetrizes(self):
+        # The unchecked internal constructor must not leak into the public one.
+        f = LDLTFactor(np.ones((3, 2), dtype=np.int64), [[1, 4], [0, 2]])
+        assert f.L.dtype == np.float64 and f.D.dtype == np.float64
+        assert np.array_equal(f.D, [[1.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(InvalidInput, match="square"):
+            LDLTFactor(np.ones((3, 2)), np.ones((2, 3)))
+        with pytest.raises(InvalidInput, match="2-D"):
+            LDLTFactor(np.ones((3, 2, 1)), np.eye(2))
+        with pytest.raises(InvalidInput, match="columns"):
+            LDLTFactor(np.ones((3, 2)), np.eye(1))
+
+
+class TestTrustedConstructor:
+    """Factors built by the library skip the public constructor's checks;
+    routing them back through it must not change a single bit."""
+
+    @pytest.mark.parametrize("kind, n, stages", [("random_lowrank", 10, 3),
+                                                 ("laplacian_lqr", 20, 2)])
+    def test_checked_construction_gives_same_bits(self, monkeypatch, kind, n, stages):
+        def run():
+            return integrate_fixed(generate_problem(kind, n), SchemeSpec("sym", stages), 4).final
+
+        trusted = run()
+        calls = []
+
+        def checked(cls, L, D):
+            calls.append(1)
+            return cls(L, D)
+
+        monkeypatch.setattr(LDLTFactor, "_trusted", classmethod(checked))
+        routed = run()
+        assert calls
+        assert routed.L.tobytes() == trusted.L.tobytes()
+        assert routed.D.tobytes() == trusted.D.tobytes()
+
 
 class TestCombine:
     def test_exact_cancellation_gives_rank_zero(self, rng):
         f = random_factor(rng, 6, 3)
         out = combine([(1.0, f), (-1.0, f)])
         assert out.rank == 0
+
+    def test_bitwise_identical_bases_merge(self, rng):
+        f = random_factor(rng, 6, 3)
+        g = LDLTFactor(f.L.copy(), f.D.copy())
+        assert combine([(1.0, f), (-1.0, g)]).rank == 0
 
     def test_scaling(self):
         f = LDLTFactor(np.array([[1.0], [1.0]]), np.array([[1.0]]))
@@ -122,6 +183,59 @@ class TestCompress:
         w = np.linalg.eigvalsh(to_dense(f))
         err = np.linalg.norm(to_dense(f) - to_dense(out))
         assert err <= tol * np.sqrt(np.sum(w**2))
+
+
+    # 200 x 200 and 200 x 260 exceed the blocking crossover of LAPACK's QR,
+    # where too small a workspace changes the bits of Q and R.
+    @pytest.mark.parametrize("shape", [(10, 20), (10, 7), (400, 46), (200, 200), (200, 260)])
+    def test_bits_match_numpy_reference(self, rng, shape):
+        f = random_factor(rng, *shape)
+        for tol in (None, 1e-6):
+            opts = CompressionOptions(rel_tol=tol)
+            out = compress(f, opts)
+            ref_l, ref_d = reference_compress(f, opts.resolve_tol(f.n))
+            assert out.L.tobytes() == ref_l.tobytes()
+            assert out.D.tobytes() == ref_d.tobytes()
+
+
+class TestCombineAndNorm:
+    """The additive step's shared QR against two separate combinations."""
+
+    def test_matches_combine_and_frob_norm(self, rng):
+        shared = rng.standard_normal((12, 3))
+        factors = [random_factor(rng, 12, 3), LDLTFactor(shared, np.eye(3)),
+                   LDLTFactor(shared.copy(), np.diag([1.0, -2.0, 3.0])),
+                   LDLTFactor.zero(12), random_factor(rng, 12, 2)]
+        gamma = [0.5, -1.5, 2.0, 1.0, 0.25]
+        alpha = [0.1, 0.3, -0.2, 7.0, -0.05]
+        nxt, est = _combine_and_norm(factors, gamma, alpha, CompressionOptions())
+        ref = combine(zip(gamma, factors))
+        assert nxt.L.tobytes() == ref.L.tobytes() and nxt.D.tobytes() == ref.D.tobytes()
+        expected = frob_norm(combine(zip(alpha, factors)))
+        assert abs(est - expected) <= 1e-14 * expected
+
+    def test_alpha_live_where_gamma_cancels(self, rng):
+        # The gamma sum cancels exactly on a merged basis that the alpha sum
+        # keeps, so the stacked basis cannot carry the estimate.
+        f = random_factor(rng, 8, 2)
+        g = LDLTFactor(f.L.copy(), f.D)
+        nxt, est = _combine_and_norm([f, g], [1.0, -1.0], [1.0, 1.0], CompressionOptions())
+        assert nxt.rank == 0
+        assert est == frob_norm(combine([(1.0, f), (1.0, g)]))
+        assert est > 0.0
+
+    def test_all_cores_zero(self, rng):
+        f = random_factor(rng, 8, 2)
+        nxt, est = _combine_and_norm([f, f], [1.0, -1.0], [2.0, -2.0], CompressionOptions())
+        assert nxt.rank == 0 and nxt.n == 8 and est == 0.0
+
+    def test_nonfinite_alpha_core_rejected(self, rng):
+        f = random_factor(rng, 8, 3)
+        big = np.finfo(np.float64).max
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor, match="norm"):
+            _combine_and_norm([f, random_factor(rng, 8, 2)], [1.0, 1.0], [big, 1.0],
+                              CompressionOptions())
 
 
 class TestFrobNorm:

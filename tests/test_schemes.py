@@ -8,6 +8,7 @@ from dresplit import (
     InvalidInput,
     LDLTFactor,
     NoEmbeddedMethod,
+    NonFiniteFactor,
     ProblemData,
     QuadraticTerm,
     SchemeCoefficients,
@@ -18,12 +19,14 @@ from dresplit import (
     combine,
     embedded_coeffs,
     frob_norm,
+    generate_problem,
     integrate_fixed,
     lie_chain,
     multiplicative_step,
     to_dense,
 )
-from dresplit.schemes import coefficient_residual
+from dresplit.adaptive import default_quad_degree
+from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
 from dresplit.subflows import init_quadrature
 
@@ -264,3 +267,51 @@ class TestChainsAndSteps:
         assert np.array_equal(serial.L, threaded.L)
         assert np.array_equal(serial.D, threaded.D)
         assert est_s == est_t
+
+
+class TestSharedQRStep:
+    """additive_step forms the next factor and the estimate from one QR of
+    the stacked chain bases; both must match two separate combinations."""
+
+    @staticmethod
+    def _step_and_chains(problem, spec, h, coeffs=None):
+        if coeffs is None:
+            coeffs = SchemeCoefficients.for_spec(spec)
+        degree = default_quad_degree(spec)
+        states = {k: init_quadrature(problem, h / k, degree) for k in spec.substep_divisors()}
+        nxt, est = additive_step(problem.p0, h, spec, coeffs, problem, states)
+        jobs = [(k, d) for k in range(1, spec.stages + 1)
+                for d in (QUADRATIC_FIRST, AFFINE_FIRST)]
+        chains = [lie_chain(problem.p0, h, k, d, problem, states[k]) for k, d in jobs]
+        return nxt, est, chains, [k for k, _ in jobs], coeffs
+
+    @pytest.mark.parametrize("kind, n, stages", [("laplacian_lqr", 20, 2),
+                                                 ("random_lowrank", 10, 3)])
+    def test_matches_separate_combinations(self, kind, n, stages):
+        problem = generate_problem(kind, n, rank=4)
+        nxt, est, chains, ks, coeffs = self._step_and_chains(
+            problem, SchemeSpec("sym", stages), 0.01)
+        if kind == "laplacian_lqr":
+            # From P0 = 0 both k=1 chains keep one compressed source basis,
+            # which the combination merges.
+            assert chains[0].L.tobytes() == chains[1].L.tobytes()
+        else:
+            assert problem.p0.rank == 4
+        ref = combine([(coeffs.gamma[k - 1], c) for k, c in zip(ks, chains)])
+        assert nxt.L.tobytes() == ref.L.tobytes()
+        assert nxt.D.tobytes() == ref.D.tobytes()
+        expected = frob_norm(combine([(coeffs.alpha[k - 1], c) for k, c in zip(ks, chains)]))
+        assert expected > 0.0
+        assert abs(est - expected) <= 1e-14 * expected
+
+    def test_nonfinite_estimate_core_raises(self):
+        # The alpha weights overflow the chain cores while the gamma
+        # combination stays finite, so only the estimate path can raise.
+        problem = generate_problem("random_lowrank", 10, rank=4)
+        spec = SchemeSpec("sym", 2)
+        coeffs = SchemeCoefficients.for_spec(spec)
+        huge = SchemeCoefficients(coeffs.gamma, coeffs.beta,
+                                  np.full_like(coeffs.alpha, np.finfo(np.float64).max))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor, match="norm"):
+            self._step_and_chains(problem, spec, 0.01, huge)

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,13 +11,16 @@ from dresplit import (
     InvalidInput,
     RunConfig,
     SchemeSpec,
+    StepSizeCollapse,
     StiffOperator,
     StudySpec,
     generate_problem,
     run_study,
     run_validation,
 )
-from dresplit.study import fit_order, run_fixed_ladder, scheme_label
+from dresplit import study
+from dresplit.adaptive import StepRecord, Trajectory
+from dresplit.study import fit_order, run_fixed_ladder, run_solve, scheme_label
 
 
 class TestConfig:
@@ -38,6 +43,32 @@ class TestConfig:
     def test_positive_tolerances(self):
         with pytest.raises(InvalidInput):
             RunConfig(n_steps=4, exp_tol=-1.0)
+
+
+class TestRunSolveCollapse:
+    def test_partial_trajectory_written(self, tmp_path, monkeypatch):
+        problem = generate_problem("random_lowrank", 6, rank=2, seed=1)
+        partial = Trajectory()
+        partial.factors.append(problem.p0)
+        for i, est in enumerate((1e-5, 2e-5, 3e-5)):
+            partial.append(StepRecord(0.1 * (i + 1), 0.1, est, True, i, 2, 3), problem.p0)
+
+        def collapse(*args, **kwargs):
+            raise StepSizeCollapse("step size 1e-13 fell below the floor", trajectory=partial)
+
+        monkeypatch.setattr(study, "integrate_adaptive", collapse)
+        config = RunConfig(scheme="sym", stages=2, tol=1e-6, h1=0.1)
+        with pytest.raises(StepSizeCollapse):
+            run_solve(problem, config, tmp_path)
+        rows = list(csv.reader(open(tmp_path / "trajectory.csv")))
+        assert rows[0][:3] == ["step", "t", "h"]
+        assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
+        assert [float(row[3]) for row in rows[1:]] == [1e-5, 2e-5, 3e-5]
+        assert [row[5] for row in rows[1:]] == ["0", "1", "2"]
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert summary[0] == "steps: 3"
+        assert summary[1] == "collapsed: step size 1e-13 fell below the floor"
+        assert not (tmp_path / "final_L.mtx").exists()
 
 
 class TestStudySpec:
