@@ -103,12 +103,20 @@ def _below_diagonal(k: int, m: int) -> np.ndarray:
     return np.tri(k, m, -1, dtype=bool)
 
 
+def _lapack_check(info: int, routine: str) -> None:
+    """Raise LinAlgError, as numpy's wrappers do, when a LAPACK call fails."""
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
+
+
 def _thin_qr(basis: np.ndarray):
     """Reduced QR (Q, R) of an N x m basis, as np.linalg.qr(mode="reduced")."""
     m = basis.shape[1]
     k = min(basis.shape)
-    qr, tau, _, _ = lapack.dgeqrf(basis, lwork=_QR_WORK * m)
-    q, _, _ = lapack.dorgqr(qr[:, :k], tau, lwork=_QR_WORK * k)
+    qr, tau, _, info = lapack.dgeqrf(basis, lwork=_QR_WORK * m)
+    _lapack_check(info, "dgeqrf")
+    q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=_QR_WORK * k)
+    _lapack_check(info, "dorgqr")
     return q, np.where(_below_diagonal(k, m), 0.0, qr[:k])
 
 
@@ -138,7 +146,8 @@ def _truncate(q: np.ndarray, r: np.ndarray, d: np.ndarray, n: int,
             f"cannot compress a rank-{d.shape[0]} factor of dimension {n}: "
             "its core is not finite"
         )
-    eigvals, eigvecs, _ = lapack.dsyevd(core, lower=1)
+    eigvals, eigvecs, info = lapack.dsyevd(core, lower=1)
+    _lapack_check(info, "dsyevd")
 
     mag = np.abs(eigvals)
     order = np.argsort(mag, kind="stable")
@@ -186,7 +195,7 @@ def _merge_bases(factors) -> tuple:
     """(bases, members): the distinct bases of the factors of nonzero rank, in
     first-seen order, and for each the indices of the factors sharing it.
 
-    Bases are shared when they are the same array or bitwise identical.
+    Bases are shared when they are the same array or equal entry by entry.
     """
     bases: list[np.ndarray] = []
     members: list[list[int]] = []
@@ -195,7 +204,7 @@ def _merge_bases(factors) -> tuple:
             continue
         for basis, idx in zip(bases, members):
             if basis is f.L or (basis.shape == f.L.shape
-                                and basis.tobytes() == f.L.tobytes()):
+                                and np.array_equal(basis, f.L)):
                 idx.append(i)
                 break
         else:
@@ -272,19 +281,17 @@ def _combine_and_norm(factors, gamma, alpha, opts: CompressionOptions):
     once: the first result is compressed from R D_gamma R^T exactly as
     ``combine`` does it, and the norm is ||R D_alpha R^T||_F (symmetrized as
     in ``compress``), that of the uncompressed alpha sum.  Bases are merged
-    and zero cores dropped by the rules of ``combine``, applied to the gamma
-    weights; when an alpha core is live on a basis whose gamma core cancels
-    to zero, the stack does not span the alpha sum and each sum is formed on
-    its own.
+    by the rules of ``combine``, and a merged basis is stacked when either of
+    its cores is nonzero.  Where no alpha core is live on a basis whose gamma
+    core cancels, this is the stack ``combine`` builds for the gamma sum, and
+    the next factor has its bits; otherwise the core carries an extra zero
+    block and the next factor agrees with it to round-off.
     """
     n = factors[0].n
     bases, members = _merge_bases(factors)
     gamma_cores = _merged_cores(factors, members, gamma)
     alpha_cores = _merged_cores(factors, members, alpha)
-    live = [i for i, c in enumerate(gamma_cores) if c.any()]
-    if any(c.any() for i, c in enumerate(alpha_cores) if i not in live):
-        return (combine(zip(gamma, factors), opts),
-                frob_norm(combine(zip(alpha, factors), opts)))
+    live = [i for i in range(len(bases)) if gamma_cores[i].any() or alpha_cores[i].any()]
     if not live:
         return LDLTFactor.zero(n), 0.0
     q, r = _thin_qr(_stack([bases[i] for i in live]))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dresplit import (
     CompressionOptions,
@@ -16,17 +17,20 @@ from dresplit import (
     interpolate,
     to_dense,
 )
+from dresplit import lowrank
 from dresplit.lowrank import _combine_and_norm
 
 from conftest import random_factor
 
 
 def reference_compress(factor, tol):
-    """compress as numpy's QR and symmetric eigensolver compute it."""
-    q, r = np.linalg.qr(factor.L, mode="reduced")
+    """compress through scipy's QR and divide-and-conquer eigensolver
+    drivers, which size the LAPACK workspace optimally and, as asked here,
+    read the lower triangle."""
+    q, r = scipy.linalg.qr(factor.L, mode="economic")
     core = r @ factor.D @ r.T
     core = 0.5 * (core + core.T)
-    eigvals, eigvecs = np.linalg.eigh(core)
+    eigvals, eigvecs = scipy.linalg.eigh(core, lower=True, driver="evd")
     mag = np.abs(eigvals)
     order = np.argsort(mag, kind="stable")
     scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
@@ -188,7 +192,7 @@ class TestCompress:
     # 200 x 200 and 200 x 260 exceed the blocking crossover of LAPACK's QR,
     # where too small a workspace changes the bits of Q and R.
     @pytest.mark.parametrize("shape", [(10, 20), (10, 7), (400, 46), (200, 200), (200, 260)])
-    def test_bits_match_numpy_reference(self, rng, shape):
+    def test_bits_match_reference_drivers(self, rng, shape):
         f = random_factor(rng, *shape)
         for tol in (None, 1e-6):
             opts = CompressionOptions(rel_tol=tol)
@@ -196,6 +200,18 @@ class TestCompress:
             ref_l, ref_d = reference_compress(f, opts.resolve_tol(f.n))
             assert out.L.tobytes() == ref_l.tobytes()
             assert out.D.tobytes() == ref_d.tobytes()
+
+    @pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr", "dsyevd"])
+    def test_lapack_failure_raises(self, rng, monkeypatch, routine):
+        real = getattr(lowrank.lapack, routine)
+
+        def failing(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 1)
+
+        monkeypatch.setattr(lowrank.lapack, routine, failing)
+        with pytest.raises(np.linalg.LinAlgError, match=routine):
+            compress(random_factor(rng, 10, 4))
 
 
 class TestCombineAndNorm:
@@ -216,13 +232,28 @@ class TestCombineAndNorm:
 
     def test_alpha_live_where_gamma_cancels(self, rng):
         # The gamma sum cancels exactly on a merged basis that the alpha sum
-        # keeps, so the stacked basis cannot carry the estimate.
+        # keeps; that basis stays in the stack with a zero gamma block.
+        f = random_factor(rng, 8, 2)
+        g = LDLTFactor(f.L.copy(), f.D)
+        h = random_factor(rng, 8, 3)
+        factors, gamma, alpha = [f, g, h], [1.0, -1.0, 0.5], [1.0, 1.0, -0.25]
+        nxt, est = _combine_and_norm(factors, gamma, alpha, CompressionOptions())
+        ref = combine(zip(gamma, factors))
+        assert nxt.rank == ref.rank == 3
+        diff = np.linalg.norm(to_dense(nxt) - to_dense(ref))
+        assert diff <= 1e-14 * np.linalg.norm(to_dense(ref))
+        expected = frob_norm(combine(zip(alpha, factors)))
+        assert expected > 0.0
+        assert abs(est - expected) <= 1e-14 * expected
+
+    def test_gamma_cancels_everywhere(self, rng):
         f = random_factor(rng, 8, 2)
         g = LDLTFactor(f.L.copy(), f.D)
         nxt, est = _combine_and_norm([f, g], [1.0, -1.0], [1.0, 1.0], CompressionOptions())
-        assert nxt.rank == 0
-        assert est == frob_norm(combine([(1.0, f), (1.0, g)]))
-        assert est > 0.0
+        assert nxt.rank == 0 and nxt.n == 8
+        expected = frob_norm(combine([(1.0, f), (1.0, g)]))
+        assert expected > 0.0
+        assert abs(est - expected) <= 1e-14 * expected
 
     def test_all_cores_zero(self, rng):
         f = random_factor(rng, 8, 2)
