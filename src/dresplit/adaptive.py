@@ -5,11 +5,11 @@ chains once, form the full-order combination and the estimate combination,
 compare the estimate against the tolerance (optionally per unit step), and
 steer the step size with a PI controller.  A first rejection triggers a full
 recomputation of the quadrature caches at the same step size; further
-rejections shrink the step.  A subflow that fails inside a step (a singular
-solve, StepTooLarge, or an exponential action short of its tolerance,
-ToleranceNotMet) also counts as a rejection: the step is halved and the
-quadrature caches are recomputed at the new size.  The final step is clamped
-so the trajectory lands exactly on the horizon.
+rejections shrink the step, each by at most the growth cap.  A subflow that
+fails inside a step (a singular solve, StepTooLarge, or an exponential
+action short of its tolerance, ToleranceNotMet) also counts as a rejection:
+the step is halved and the quadrature caches are recomputed at the new size.
+The final step is clamped so the trajectory lands exactly on the horizon.
 """
 
 import logging
@@ -34,7 +34,8 @@ class ControllerParams:
     Both PI gains are 0.2 / p, where p is the order of the error estimate.
     epus divides estimates by the step size before comparing against tol.
     The estimate floor and growth cap keep the controller defined when an
-    estimate (nearly) vanishes.
+    estimate (nearly) vanishes; the adaptive driver also bounds the shrink
+    of one rejection by the growth cap.
     """
 
     tol: float
@@ -49,6 +50,8 @@ class ControllerParams:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
         if not 0.0 < self.safety < 1.0:
             raise InvalidInput(f"safety must lie in (0, 1), got {self.safety}")
+        if not self.growth_cap > 1.0:
+            raise InvalidInput(f"growth_cap must exceed 1, got {self.growth_cap}")
 
 
 @dataclass(frozen=True)
@@ -309,7 +312,10 @@ def integrate_adaptive(
                     if rejections == 1:
                         reset = True
                         continue
-                    h = reject_resize(e_cmp, h, params, p_est)
+                    # One rejection shrinks h by at most the growth cap, so
+                    # an estimate spike far above tol cannot cut it by many
+                    # orders of magnitude at once.
+                    h = max(reject_resize(e_cmp, h, params, p_est), h / params.growth_cap)
                 clamped = False
                 if h < h_min:
                     raise StepSizeCollapse(

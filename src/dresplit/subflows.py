@@ -12,13 +12,13 @@ whose per-node blocks exp(s_k A^T) L_Q are cached so that step-size changes
 recompute as few of them as possible.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput, InvalidNodes, StepTooLarge
-from .expaction import ExpActionOptions, StiffOperator, exp_action
+from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
 from .lowrank import CompressionOptions, LDLTFactor, combine
 
 PSD_EIG_TOL = 1e-12
@@ -98,7 +98,10 @@ class ProblemData:
 
     The source and initial factors must be finite and their cores positive
     semi-definite (up to a -1e-12 eigenvalue tolerance); this is what
-    guarantees existence of the exact solution.
+    guarantees existence of the exact solution.  ``source_blocks`` gives
+    the quadrature blocks exp(s A^T) L_Q; on a sparse operator it keeps the
+    Krylov spaces of L_Q per octave of s, and each new problem starts with
+    none.
     """
 
     a: StiffOperator
@@ -106,6 +109,7 @@ class ProblemData:
     s: QuadraticTerm
     p0: LDLTFactor
     horizon: float
+    source_blocks: BlockActions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.a.n
@@ -118,6 +122,7 @@ class ProblemData:
         for name, factor in (("source", self.q), ("initial", self.p0)):
             _require_finite(f"{name} factor", factor.L, factor.D)
             _check_psd_core(factor.D, name)
+        object.__setattr__(self, "source_blocks", BlockActions(self.a, self.q.L))
 
     @property
     def n(self) -> int:
@@ -216,7 +221,7 @@ def init_quadrature(
     if degree < 1:
         raise InvalidInput(f"degree must be >= 1, got {degree}")
     nodes = np.linspace(0.0, h, degree + 1)
-    blocks = tuple(exp_action(problem.a, s, problem.q.L, exp_opts) for s in nodes)
+    blocks = tuple(problem.source_blocks(s, exp_opts) for s in nodes)
     weights = quad_weights(nodes, h)
     assembled = _assemble(problem, nodes, weights, blocks, comp_opts)
     return QuadratureState(degree, h, nodes, weights, blocks, assembled, degree + 1)
@@ -290,7 +295,7 @@ def update_quadrature(
     if h_new > h_old:
         drop = _remove_index_grow(np.append(state.nodes, h_new), h_new)
         if drop != len(nodes):  # the appended node survives
-            new_block = exp_action(problem.a, h_new, problem.q.L, exp_opts)
+            new_block = problem.source_blocks(h_new, exp_opts)
             fresh = 1
             del nodes[drop], blocks[drop]
             nodes.append(h_new)
@@ -306,7 +311,7 @@ def update_quadrature(
                 if all(abs(cand - s) > NODE_CLASH_TOL * h_new for s in nodes):
                     pos = int(np.searchsorted(nodes, cand))
                     nodes.insert(pos, cand)
-                    blocks.insert(pos, exp_action(problem.a, cand, problem.q.L, exp_opts))
+                    blocks.insert(pos, problem.source_blocks(cand, exp_opts))
                     fresh += 1
                     placed = True
                     break

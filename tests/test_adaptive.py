@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dresplit import adaptive
 from dresplit import (
     CompressionOptions,
     ControllerParams,
@@ -14,6 +17,7 @@ from dresplit import (
     StiffOperator,
     estimate_derivatives,
     frob_norm,
+    generate_problem,
     integrate_adaptive,
     integrate_fixed,
     interpolation_error_bound,
@@ -75,6 +79,8 @@ class TestController:
     def test_invalid_params(self):
         with pytest.raises(InvalidInput):
             ControllerParams(tol=-1.0)
+        with pytest.raises(InvalidInput):
+            ControllerParams(tol=1.0, growth_cap=1.0)
         with pytest.raises(InvalidInput):
             ControllerParams(tol=1.0, safety=1.5)
 
@@ -168,6 +174,27 @@ class TestAdaptiveDriver:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1, params, EXP, COMP)
         assert info.value.trajectory is not None
 
+    def test_rejection_shrinks_by_at_most_the_growth_cap(self, monkeypatch):
+        # At tol 1e-300 every estimate is far above tol: the bare controller
+        # formula would cut h by ~150 orders of magnitude in one rejection.
+        trials = []
+        step = adaptive.additive_step
+
+        def record(current, h, *args, **kwargs):
+            trials.append(h)
+            return step(current, h, *args, **kwargs)
+
+        monkeypatch.setattr(adaptive, "additive_step", record)
+        params = ControllerParams(tol=1e-300)
+        with pytest.raises(StepSizeCollapse):
+            integrate_adaptive(generate_problem("random_lowrank", n=10), SchemeSpec("sym", 2),
+                               0.01, params)
+        assert trials[1] == trials[0]  # the first rejection recomputes at the same h
+        shrinks = list(zip(trials[1:], trials[2:]))
+        assert shrinks and all(new == old / params.growth_cap for old, new in shrinks)
+        # The run collapses one shrink below the floor (horizon 1).
+        assert trials[-1] / params.growth_cap < params.h_min_factor <= trials[-1]
+
     def test_failed_subflow_counts_as_rejection(self, rng):
         # A Krylov dimension cap of 13 cannot reach the exp-action tolerance
         # at t = 0.1 but can at t <= 0.05, so the first trial raises
@@ -250,3 +277,17 @@ class TestDerivativeEstimates:
 
     def test_bound_helper(self):
         assert interpolation_error_bound(1e-3, 0.2, 2.0) == pytest.approx(1e-3 + 0.01)
+
+
+SPARSE_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+                    / "sparse_fixed_n400.npz")
+
+
+def test_sparse_n400_matches_stored_answer():
+    # laplacian_lqr N=400, sym2, 2 fixed steps against the answer stored
+    # with the benchmark (read only).
+    with np.load(SPARSE_REFERENCE, allow_pickle=False) as stored:
+        ref = to_dense(LDLTFactor(stored["L"], stored["D"]))
+    problem = generate_problem("laplacian_lqr", n=400)
+    final = integrate_fixed(problem, SchemeSpec("sym", 2), 2).final
+    assert np.linalg.norm(to_dense(final) - ref) <= 1e-10 * np.linalg.norm(ref)

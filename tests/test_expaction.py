@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 import time
@@ -19,7 +20,13 @@ from dresplit import (
     generate_problem,
     integrate_fixed,
 )
-from dresplit.expaction import _EXPM_CACHE, _LU_CACHE, _dense_expm, _relative_change
+from dresplit.expaction import (
+    _EXPM_CACHE,
+    _LU_CACHE,
+    BlockActions,
+    _dense_expm,
+    _relative_change,
+)
 
 
 def laplacian(n):
@@ -368,3 +375,104 @@ def test_sparse_thread_pool_factors_byte_identical():
         traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2, threads=threads)
         finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
     assert finals[0] == finals[1]
+
+
+# Cached source blocks: every result must carry the bits of a one-shot action.
+
+def _spaces(blocks):
+    return list(blocks._spaces.values())
+
+
+def test_source_blocks_match_one_shot_across_octaves():
+    problem = generate_problem("laplacian_lqr", n=200)
+    # Three octaves of s, revisited out of order and with repeats.
+    nodes = [0.01, 0.0125, 0.02, 0.0075, 0.01, 0.03, 0.0125, 0.005, 0.005, 0.0]
+    for s in nodes:
+        cached = problem.source_blocks(s)
+        assert cached.tobytes() == exp_action(problem.a, s, problem.q.L).tobytes()
+    assert len(_spaces(problem.source_blocks)) == 3
+
+
+def test_source_blocks_grow_past_the_cached_dimension():
+    problem = generate_problem("laplacian_lqr", n=200)
+    # One octave (gamma = 2^-8); each tighter tolerance needs checkpoints
+    # past those already built, a looser one replays the built ones only.
+    runs = [(2.0**-7 * 1.9, 1e-4), (2.0**-7 * 1.9, 1e-8), (2.0**-7 * 1.9, 1e-12),
+            (2.0**-7 * 1.2, 1e-6), (2.0**-7, 1e-12)]
+    built = []
+    for t, tol in runs:
+        opts = ExpActionOptions(rel_tol=tol)
+        cached = problem.source_blocks(t, opts)
+        assert cached.tobytes() == exp_action(problem.a, t, problem.q.L, opts).tobytes()
+        (space,) = _spaces(problem.source_blocks)
+        built.append(len(space.checkpoints))
+    assert built[0] < built[1] < built[2] == built[3] < built[4]
+
+
+def test_source_blocks_on_an_exhausted_space():
+    # N = 12 is below the dimension the tolerance asks for, so the space
+    # exhausts and its last checkpoint is exact.
+    problem = generate_problem("laplacian_lqr", n=12)
+    for t in (0.003, 0.0035, 0.002, 0.0039, 0.003):
+        opts = ExpActionOptions(rel_tol=1e-14)
+        cached = problem.source_blocks(t, opts)
+        assert cached.tobytes() == exp_action(problem.a, t, problem.q.L, opts).tobytes()
+    (space,) = _spaces(problem.source_blocks)
+    assert space.checkpoints[-1][1]
+
+
+def test_source_blocks_tolerance_not_met_matches_one_shot():
+    problem = generate_problem("laplacian_lqr", n=200)
+    opts = ExpActionOptions(rel_tol=1e-15, max_dim=12)
+    with pytest.raises(ToleranceNotMet) as direct:
+        exp_action(problem.a, 0.05, problem.q.L, opts)
+    for t in (0.05, 0.05, 0.04):
+        with pytest.raises(ToleranceNotMet) as cached:
+            problem.source_blocks(t, opts)
+        if t == 0.05:
+            assert cached.value.best.tobytes() == direct.value.best.tobytes()
+            assert cached.value.estimate == direct.value.estimate
+    # A larger cap is a different space; both stay cached.
+    ok = problem.source_blocks(0.05)
+    assert ok.tobytes() == exp_action(problem.a, 0.05, problem.q.L).tobytes()
+    assert len(_spaces(problem.source_blocks)) == 2
+
+
+def test_source_blocks_under_thread_contention():
+    # More octaves than cache entries, so concurrent misses, evictions and
+    # growth of one space interleave; every block must keep its bits.
+    problem = generate_problem("laplacian_lqr", n=80)
+    ts = [0.05 / 2.0**k * f for k in range(2 * _LU_CACHE) for f in (1.0, 1.7)]
+    serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
+    blocks = BlockActions(problem.a, problem.q.L)
+    wrong = []
+    sizes = []
+
+    def worker(offset):
+        for i in range(12):
+            t = ts[(offset + 5 * i) % len(ts)]
+            if blocks(t).tobytes() != serial[t]:
+                wrong.append(t)
+            sizes.append(len(blocks._spaces))
+
+    run_threads(worker, 4)
+    assert wrong == []
+    assert max(sizes) <= _LU_CACHE
+    assert problem.a.shift_lu.cache_info().currsize <= _LU_CACHE
+
+
+def test_fresh_problem_starts_with_no_spaces():
+    problem = generate_problem("laplacian_lqr", n=60)
+    integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+    assert 0 < len(_spaces(problem.source_blocks)) <= _LU_CACHE
+    assert _spaces(generate_problem("laplacian_lqr", n=60).source_blocks) == []
+    copy = dataclasses.replace(problem, horizon=0.2)
+    assert _spaces(copy.source_blocks) == []
+
+
+def test_dense_source_blocks_keep_the_dense_path():
+    problem = generate_problem("random_lowrank", n=8, seed=1)
+    for t in (0.1, 0.3, 0.1):
+        assert problem.source_blocks(t).tobytes() == (
+            problem.a.expm(t) @ problem.q.L).tobytes()
+    assert _spaces(problem.source_blocks) == []
