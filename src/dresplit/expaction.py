@@ -4,7 +4,12 @@ Dense operators form E = expm(t A^T) by scaling and squaring (Al-Mohy &
 Higham, SIAM J. Matrix Anal. Appl. 31, 2009) and return E V.  E is kept in a
 bounded per-operator LRU cache keyed by t, so a repeated t costs a lookup;
 the cache lives and dies with its operator.  This path is exact to
-round-off, so ``rel_tol`` is not consulted there.
+round-off, so ``rel_tol`` is not consulted there.  On an equidistant grid
+of t (the initial quadrature nodes k h / degree), BlockActions steps from
+node to node with the one matrix expm((h/degree) A^T), as Al-Mohy & Higham
+(SIAM J. Sci. Comput. 33, 2011) do for the action on a grid, and takes the
+last node from the expm(h A^T) that the propagation over h caches: two
+N x N exponentials per grid instead of one per node.
 
 Sparse operators use the block shift-and-invert (restricted-denominator)
 Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
@@ -34,8 +39,8 @@ checkpoint, and adds blocks only when the rule needs a dimension not built
 yet.  exp_action builds a throwaway space per call; BlockActions keeps the
 spaces of one fixed block V (the source factor of the quadrature blocks
 exp(s A^T) L_Q) per octave.  The space at a checkpoint is the same
-whichever t first built it, so a cached action has the same bits as a
-one-shot one.
+whichever t first built it, so a cached sparse action has the same bits as
+a one-shot one.
 """
 
 import functools
@@ -149,6 +154,12 @@ def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
 
 def _nonfinite(t: float, what: str) -> NonFiniteFactor:
     return NonFiniteFactor(f"exp action at t={t:g} produced a non-finite {what}")
+
+
+def _finite_iterate(w: np.ndarray, t: float) -> np.ndarray:
+    if not np.isfinite(w).all():
+        raise _nonfinite(t, "iterate")
+    return w
 
 
 def _rank_revealing(block: np.ndarray, norm: float | None = None):
@@ -320,23 +331,22 @@ def exp_action(
     if op.is_sparse:
         space = _KrylovSpace(op, v, _octave_shift(t), _dim_cap(op, opts), t)
         return space.action(t, opts.rel_tol)
-    w = op.expm(t) @ v
-    if not np.isfinite(w).all():
-        raise _nonfinite(t, "iterate")
-    return w
+    return _finite_iterate(op.expm(t) @ v, t)
 
 
 class BlockActions:
     """t -> exp(t A^T) V for one operator and one fixed block V.
 
-    Each result has the same bits as ``exp_action(op, t, v, opts)`` and
+    Each call has the same bits as ``exp_action(op, t, v, opts)`` and
     raises the same errors.  A sparse operator keeps one Krylov space per
     octave shift gamma and dimension cap, in an LRU of _LU_CACHE entries
     (each space pins its LU), so a further t of a cached octave costs one
     small expm per checkpoint the stopping rule visits, plus blocks only
     past the dimension already built.  A dense operator calls exp_action.
-    Safe to call from several threads: a space is used under its own lock,
-    and a concurrent miss builds the same space twice and keeps one.
+    ``equidistant`` gives the blocks of a whole node grid; on a dense
+    operator it steps from node to node (see there).  Safe to call from
+    several threads: a space is used under its own lock, and a concurrent
+    miss builds the same space twice and keeps one.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
@@ -363,3 +373,32 @@ class BlockActions:
                 self._spaces.popitem(last=False)
         with space.lock:
             return space.action(t, opts.rel_tol)
+
+    def equidistant(self, h: float, degree: int,
+                    opts: ExpActionOptions = ExpActionOptions()) -> tuple:
+        """The blocks at the nodes np.linspace(0, h, degree + 1).
+
+        A sparse operator calls self per node, with the same bits.  A dense
+        one steps along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+        2011): with E = expm((h/degree) A^T), block k is E times block k-1
+        for 0 < k < degree, and the last block is expm(h A^T) V, the matrix
+        the propagation over h caches.  A grid thus costs two N x N
+        exponentials, not one per node, and its inner blocks agree with
+        exp_action to round-off, not bit for bit.  Each block is checked
+        finite as in exp_action.
+        """
+        if degree < 1:
+            raise InvalidInput(f"degree must be >= 1, got {degree}")
+        nodes = np.linspace(0.0, h, degree + 1)
+        if self.op.is_sparse:
+            return tuple(self(s, opts) for s in nodes)
+        v = _checked_block(self.op, h, self.v)
+        if v.shape[1] == 0 or h == 0.0:
+            return tuple(v.copy() for _ in nodes)
+        blocks = [v.copy()]
+        if degree > 1:
+            step = self.op.expm(h / degree)
+            for s in nodes[1:-1]:
+                blocks.append(_finite_iterate(step @ blocks[-1], s))
+        blocks.append(_finite_iterate(self.op.expm(h) @ v, h))
+        return tuple(blocks)

@@ -304,18 +304,29 @@ def frob_norm(factor: LDLTFactor) -> float:
     """Frobenius norm of the represented product, without forming it.
 
     Uses ||L D L^T||_F = sqrt(trace((L^T L D)^2)); the argument of the root
-    is clipped at zero against round-off.  As in ``compress``, the trace is
-    summed with the largest entry of L^T L D scaled into [0.5, 1) by a power
-    of two, so norms beyond ~1e154 do not overflow; the scaling is exact.
+    is clipped at zero against round-off.  L and D are first scaled so that
+    their largest entries lie in [0.5, 1), and the trace is summed with the
+    largest entry of L^T L D scaled likewise, all by powers of two: the
+    scalings are exact, so factors far beyond ~1e154 (or below ~1e-154) do
+    not overflow the Gram matrix, and the result in the normal range is
+    that of the unscaled formula.  Raises NonFiniteFactor when L or D is not
+    finite.
     """
     if factor.rank == 0:
         return 0.0
-    gram = factor.L.T @ factor.L
-    t = gram @ factor.D
+    if not (np.isfinite(factor.L).all() and np.isfinite(factor.D).all()):
+        raise NonFiniteFactor(
+            f"cannot take the norm of a rank-{factor.rank} factor of dimension "
+            f"{factor.n}: it is not finite"
+        )
+    e_l = np.frexp(np.abs(factor.L).max())[1]
+    e_d = np.frexp(np.abs(factor.D).max())[1]
+    basis = np.ldexp(factor.L, -e_l)
+    t = (basis.T @ basis) @ np.ldexp(factor.D, -e_d)
     e = np.frexp(np.abs(t).max())[1]
     t = np.ldexp(t, -e)
     val = float(np.sum(t * t.T))
-    return float(np.ldexp(np.sqrt(max(val, 0.0)), e))
+    return float(np.ldexp(np.sqrt(max(val, 0.0)), e + 2 * e_l + e_d))
 
 
 def interpolate(

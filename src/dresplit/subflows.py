@@ -9,7 +9,11 @@ interpolatory-quadrature approximation of the source integral
     int_0^h exp(s A^T) Q exp(s A) ds,
 
 whose per-node blocks exp(s_k A^T) L_Q are cached so that step-size changes
-recompute as few of them as possible.
+recompute as few of them as possible.  A fresh rule has equidistant nodes
+k h / degree; on a dense operator its blocks are stepped with one
+exponential of (h/degree) A^T, plus the exp(h A^T) the propagation over h
+shares (``BlockActions.equidistant``), while the single nodes an update
+adds are computed one at a time.
 """
 
 from dataclasses import dataclass, field, replace
@@ -199,6 +203,12 @@ class QuadratureState:
     assembled: LDLTFactor
     fresh_blocks: int
 
+    @property
+    def lebesgue(self) -> float:
+        """Lambda = sum |w_k| / h: 1 for nonnegative weights, and the factor by
+        which the rule can amplify errors in its blocks."""
+        return float(np.abs(self.weights).sum() / self.h)
+
 
 def _assemble(problem: ProblemData, nodes, weights, blocks,
               comp_opts: CompressionOptions) -> LDLTFactor:
@@ -221,7 +231,7 @@ def init_quadrature(
     if degree < 1:
         raise InvalidInput(f"degree must be >= 1, got {degree}")
     nodes = np.linspace(0.0, h, degree + 1)
-    blocks = tuple(problem.source_blocks(s, exp_opts) for s in nodes)
+    blocks = problem.source_blocks.equidistant(h, degree, exp_opts)
     weights = quad_weights(nodes, h)
     assembled = _assemble(problem, nodes, weights, blocks, comp_opts)
     return QuadratureState(degree, h, nodes, weights, blocks, assembled, degree + 1)

@@ -476,3 +476,75 @@ def test_dense_source_blocks_keep_the_dense_path():
         assert problem.source_blocks(t).tobytes() == (
             problem.a.expm(t) @ problem.q.L).tobytes()
     assert _spaces(problem.source_blocks) == []
+
+
+# Dense node grids are stepped with one exponential; sparse ones are not.
+
+def _stepped_operator(kind, n, rng):
+    """A dense operator with ||h A||_1 = 4 at h = 1 (the scale of the dense
+    benchmark problem's steps), or a strongly non-normal one."""
+    if kind == "random":
+        a = rng.standard_normal((n, n))
+        return a * (4.0 / np.linalg.norm(a, 1))
+    return -np.eye(n) + 8.0 * np.diag(np.ones(n - 1), 1)
+
+
+@pytest.mark.parametrize("kind", ["random", "nonnormal"])
+@pytest.mark.parametrize("degree", range(1, 10))
+def test_equidistant_matches_per_node_actions(rng, kind, degree):
+    op = StiffOperator(_stepped_operator(kind, 40, rng))
+    v = rng.standard_normal((40, 4))
+    h = 1.0
+    blocks = BlockActions(op, v).equidistant(h, degree)
+    nodes = np.linspace(0.0, h, degree + 1)
+    assert len(blocks) == degree + 1
+    scale = np.linalg.norm(v) * max(np.linalg.norm(expm(s * op.matrix.T), 2) for s in nodes)
+    for s, block in zip(nodes, blocks):
+        assert np.linalg.norm(block - exp_action(op, s, v)) <= 1e-12 * scale
+    # The end points keep their bits: V itself and the cached expm(h A^T) V.
+    assert blocks[0].tobytes() == v.tobytes() and blocks[0] is not v
+    assert blocks[-1].tobytes() == (op.expm(h) @ v).tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+def test_equidistant_takes_two_exponentials(rng, degree):
+    op = StiffOperator(rng.standard_normal((10, 10)))
+    asked = []
+    cached = op.expm
+    op.expm = lambda t: asked.append(t) or cached(t)
+    BlockActions(op, rng.standard_normal((10, 3))).equidistant(0.3, degree)
+    # Degree 1 (nodes 0 and h) has no inner node, so nothing is stepped.
+    assert asked == ([0.3] if degree == 1 else [0.3 / degree, 0.3])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("degree, t", [(1, "2"), (3, "1.33333"), (8, "1")])
+def test_equidistant_overflow_raises_nonfinite(degree, t):
+    # exp(800 s) overflows from s = 0.89 on; the first such node names it.
+    blocks = BlockActions(StiffOperator(800.0 * np.eye(5)), np.ones((5, 2)))
+    with pytest.raises(NonFiniteFactor, match=f"t={t} "):
+        blocks.equidistant(2.0, degree)
+
+
+def test_equidistant_rejects_bad_degree():
+    blocks = BlockActions(StiffOperator(np.eye(3)), np.ones((3, 1)))
+    with pytest.raises(InvalidInput, match="degree"):
+        blocks.equidistant(1.0, 0)
+
+
+def test_sparse_equidistant_is_per_node_source_blocks():
+    stepped = generate_problem("laplacian_lqr", n=200).source_blocks
+    per_node = generate_problem("laplacian_lqr", n=200).source_blocks
+    for h, degree in ((0.0125, 4), (0.025, 3), (0.00625, 9)):
+        got = stepped.equidistant(h, degree)
+        want = [per_node(s) for s in np.linspace(0.0, h, degree + 1)]
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+
+
+def test_fixed_run_takes_two_exponentials_per_node_grid():
+    # sym with 3 stages needs quadrature states at h, h/2 and h/3; each grid
+    # costs expm(h_k/degree) and expm(h_k), which the propagation over h_k
+    # shares, so the whole run takes 6 exponentials.
+    problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
+    integrate_fixed(problem, SchemeSpec("sym", 3), 2)
+    assert problem.a.expm.cache_info().misses == 6

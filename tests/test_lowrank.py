@@ -296,6 +296,24 @@ class TestFrobNorm:
         assert np.isfinite(big)
         assert big == pytest.approx(1e160 * unit, rel=1e-14)
 
+    @pytest.mark.parametrize("basis, core, norm", [(1e160, 1e-300, 1e21),
+                                                   (1e-160, 1e300, 1e-19)])
+    def test_extreme_basis_with_compensating_core(self, basis, core, norm):
+        # L^T L overflows (or underflows) unless L is scaled before the Gram
+        # matrix is formed, although the product itself is of moderate size.
+        f = LDLTFactor(basis * np.ones((5, 2)), core * np.eye(2))
+        assert frob_norm(f) == pytest.approx(norm, rel=1e-14)
+        assert frob_norm(f) == pytest.approx(frob_norm(compress(f)), rel=1e-14)
+
+    @pytest.mark.parametrize("where", ["basis", "core"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_raises(self, rng, where, value):
+        f = random_factor(rng, 6, 2)
+        l_mat, core = f.L.copy(), f.D.copy()
+        (l_mat if where == "basis" else core)[1, 1] = value
+        with pytest.raises(NonFiniteFactor, match="not finite"):
+            frob_norm(LDLTFactor(l_mat, core))
+
     def test_scaling_exact_in_normal_range(self, rng):
         for _ in range(20):
             f = random_factor(rng, 12, 4)

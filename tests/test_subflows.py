@@ -212,6 +212,28 @@ class TestQuadratureState:
                 target = h ** (j + 1) / (j + 1)
                 assert abs(float(state.weights @ state.nodes**j) - target) <= 1e-11 * target
 
+    @pytest.mark.parametrize("degree", range(1, 9))
+    def test_lebesgue_of_equidistant_rules(self, rng, degree):
+        # Up to degree 7 the weights are positive; the 9-point Newton-Cotes
+        # rule (degree 8) has negative ones.
+        problem = _random_instance(rng, 4)[0]
+        state = init_quadrature(problem, 0.3, degree, EXP, COMP)
+        if degree <= 7:
+            assert abs(state.lebesgue - 1.0) <= 1e-14
+        else:
+            assert state.lebesgue > 1.0 + 1e-3
+
+    def test_lebesgue_follows_an_in_band_update(self, rng):
+        # Shrinking to 0.19 relocates the node at 0.2 to the midpoint 0.125;
+        # the new weights are partly negative.
+        problem = _random_instance(rng, 5)[0]
+        state = init_quadrature(problem, 0.2, 4, EXP, COMP)
+        out = update_quadrature(state, 0.19, problem, EXP, COMP)
+        assert out.fresh_blocks == 1
+        expected = np.abs(quad_weights(out.nodes, 0.19)).sum() / 0.19
+        assert out.lebesgue == pytest.approx(expected, rel=1e-14)
+        assert out.lebesgue > 1.5
+
     def test_update_matches_fresh_init_value(self, rng):
         # The incrementally updated integral approximates the same quantity
         # as a fresh equidistant rule of the same degree.
