@@ -41,7 +41,6 @@ def _add_run_flags(parser):
                         help="quadrature exactness degree (default scheme order + 1)")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for independent chains")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -50,24 +49,32 @@ def _config_from_args(args) -> RunConfig:
         scheme=args.scheme, stages=args.stages, n_steps=args.steps,
         tol=args.tol, h1=args.h1, epus=args.epus, exp_tol=args.exp_tol,
         comp_tol=args.comp_tol, quad_degree=args.quad_degree,
-        threads=args.threads, seed=args.seed,
+        threads=args.threads,
     )
 
 
-def _parse_schemes(text: str):
-    specs = []
+def _scheme_entry(token: str) -> SchemeSpec:
+    if ":" not in token:
+        return SchemeSpec(token)
+    kind, stages = token.split(":", 1)
+    return SchemeSpec(kind.strip(), int(stages))
+
+
+def _parse_list(flag: str, text: str, convert) -> tuple:
+    """Entries of a comma list flag; a malformed one raises InvalidInput
+    naming the flag and the entry."""
+    items = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        if ":" in token:
-            kind, stages = token.split(":", 1)
-            specs.append(SchemeSpec(kind.strip(), int(stages)))
-        else:
-            specs.append(SchemeSpec(token))
-    if not specs:
-        raise InvalidInput(f"no schemes in {text!r}")
-    return tuple(specs)
+        try:
+            items.append(convert(token))
+        except (ValueError, InvalidInput) as exc:
+            raise InvalidInput(f"{flag}: bad entry {token!r} ({exc})") from None
+    if not items:
+        raise InvalidInput(f"{flag}: no entries in {text!r}")
+    return tuple(items)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,13 +144,13 @@ def _cmd_study(args) -> int:
     config = _config_from_args(args)
     overrides = {}
     if args.schemes:
-        overrides["schemes"] = _parse_schemes(args.schemes)
+        overrides["schemes"] = _parse_list("--schemes", args.schemes, _scheme_entry)
     elif args.kind == "adaptivity":
         overrides["schemes"] = (config.spec,)
     if args.ladder:
-        overrides["ladder"] = tuple(int(x) for x in args.ladder.split(","))
+        overrides["ladder"] = _parse_list("--ladder", args.ladder, int)
     if args.tols:
-        overrides["tolerances"] = tuple(float(x) for x in args.tols.split(","))
+        overrides["tolerances"] = _parse_list("--tols", args.tols, float)
     overrides["reference"] = args.reference
     study = StudySpec(**overrides)
     report = run_study(problem, study, config, args.kind, args.out)

@@ -84,8 +84,7 @@ def _shift_lu(at_csc, gamma: float):
 class StiffOperator:
     """Sparse or dense wrapper around the state matrix A.
 
-    Exposes the transposed action w -> A^T w used throughout the solver; the
-    wrapped matrix is treated as read-only.  A dense operator also exposes
+    The wrapped matrix is treated as read-only.  A dense operator exposes
     ``expm(t)``, the read-only matrix exp(t A^T); a sparse one exposes
     ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both are
     memoized in bounded LRU caches (safe to call from several threads; a
@@ -116,9 +115,6 @@ class StiffOperator:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    def apply_transpose(self, block: np.ndarray) -> np.ndarray:
-        return self._at @ block
 
     def as_dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix

@@ -135,8 +135,11 @@ def dense_subflow(kind: str, p: np.ndarray, h: float, problem: DenseProblem) -> 
 
     kind "quadratic": (I + h P S)^{-1} P by direct solve.
     kind "affine": exp(hA^T) P exp(hA) plus int_0^h exp(sA^T) Q exp(sA) ds.
-    Both terms come from F = exp(h [[-A^T, Q], [0, A]]) (Van Loan): F_22 is
-    exp(hA) and the integral is F_22^T F_12.
+    Both terms come from F = exp(tau [[-A^T, Q], [0, A]]) (Van Loan) on
+    tau = h / 2^k, the largest such step with ||tau A||_1 <= 1: Phi = F_22
+    is exp(tau A) and the integral over tau is X = Phi^T F_12.  The block
+    exp(-tau A^T) stays bounded on that step; k doublings
+    X <- X + Phi^T X Phi, Phi <- Phi^2 then reach h.
     """
     p = np.asarray(p, dtype=np.float64)
     n = problem.n
@@ -151,9 +154,16 @@ def dense_subflow(kind: str, p: np.ndarray, h: float, problem: DenseProblem) -> 
             raise StepTooLarge(f"dense quadratic subflow failed for h={h:g}") from exc
         return 0.5 * (out + out.T)
     if kind == "affine":
-        f = expm(h * np.block([[-problem.a.T, problem.q], [np.zeros((n, n)), problem.a]]))
+        a_norm = np.linalg.norm(problem.a, 1)
+        k = math.ceil(math.log2(h * a_norm)) if h * a_norm > 1.0 else 0
+        tau = h / 2**k
+        f = expm(tau * np.block([[-problem.a.T, problem.q], [np.zeros((n, n)), problem.a]]))
         phi = f[n:, n:]
-        out = phi.T @ p @ phi + phi.T @ f[:n, n:]
+        x = phi.T @ f[:n, n:]
+        for _ in range(k):
+            x = x + phi.T @ x @ phi
+            phi = phi @ phi
+        out = phi.T @ p @ phi + x
         return 0.5 * (out + out.T)
     raise InvalidInput(f"unknown subflow kind {kind!r}")
 

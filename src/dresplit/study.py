@@ -15,7 +15,7 @@ import numpy as np
 import scipy.io
 
 from .adaptive import ControllerParams, Trajectory, integrate_adaptive, integrate_fixed
-from .errors import DresplitError, InvalidInput, StepSizeCollapse
+from .errors import DresplitError, InvalidInput, InvalidReference, StepSizeCollapse
 from .expaction import ExpActionOptions, StiffOperator
 from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm, to_dense
 from .oracle import dense_reference, dense_subflow, relative_error
@@ -49,7 +49,6 @@ class RunConfig:
     comp_tol: float | None = None
     quad_degree: int | None = None
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if (self.n_steps is None) == (self.tol is None):
@@ -60,6 +59,8 @@ class RunConfig:
             val = getattr(self, name)
             if val is not None and val <= 0 and not (name == "comp_tol" and val == 0.0):
                 raise InvalidInput(f"{name} must be positive, got {val}")
+        if self.threads < 1:
+            raise InvalidInput(f"threads must be >= 1, got {self.threads}")
 
     @property
     def spec(self) -> SchemeSpec:
@@ -156,6 +157,8 @@ def fit_order(hs, errors, window) -> tuple:
 
 def _factored_error(approx: LDLTFactor, ref: LDLTFactor) -> float:
     denom = frob_norm(ref)
+    if denom == 0.0:
+        raise InvalidReference("finest-run reference norm is zero")
     diff = combine([(1.0, approx), (-1.0, ref)], CompressionOptions(rel_tol=0.0))
     return frob_norm(diff) / denom
 

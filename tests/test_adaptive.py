@@ -15,19 +15,15 @@ from dresplit import (
     SchemeSpec,
     StepSizeCollapse,
     StiffOperator,
-    estimate_derivatives,
-    frob_norm,
     generate_problem,
     integrate_adaptive,
     integrate_fixed,
-    interpolation_error_bound,
     pi_update,
     reject_resize,
     to_dense,
 )
 
 from conftest import (
-    make_random_problem,
     make_sparse_linear_problem,
     make_tanh_problem,
     random_factor,
@@ -96,6 +92,17 @@ class TestFixedDriver:
             errs[n] = abs(to_dense(traj.final)[0, 0] - exact)
         ratio = errs[16] / errs[32]
         assert 8.0 <= ratio <= 32.0
+
+    def test_core_floor_log_is_eigenvalue(self, caplog):
+        # A Strang step ends in the quadratic flow, whose core is not diagonal.
+        # Here its smallest diagonal entry exceeds its smallest eigenvalue by 6-9%.
+        problem = generate_problem("random_lowrank", 8, 3, seed=2, horizon=1.0)
+        caplog.set_level("DEBUG", logger=adaptive.__name__)
+        traj = integrate_fixed(problem, SchemeSpec("strang"), 2, EXP, COMP)
+        logged = [float(r.getMessage().split()[-1]) for r in caplog.records
+                  if "min core eigenvalue" in r.getMessage()]
+        expected = [np.linalg.eigvalsh(f.D)[0] for f in traj.factors[1:]]
+        assert logged == pytest.approx(expected, rel=1e-3)
 
     def test_pure_conjugation(self, rng):
         n = 5
@@ -228,55 +235,6 @@ class TestAdaptiveDriver:
         assert traj.records[0].rejections >= 1
         assert all(r.err_est <= 1e-10 for r in traj.records)
         assert traj.times[-1] == 0.5
-
-    def test_interpolation_inside_trajectory(self):
-        problem = make_tanh_problem()
-        traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.05,
-                                  ControllerParams(tol=1e-8), EXP, COMP)
-        t_query = 0.37
-        val = to_dense(traj.interpolate_at(t_query))[0, 0]
-        assert val == pytest.approx(np.tanh(t_query), abs=1e-4)
-
-
-class TestDerivativeEstimates:
-    def test_stationary_point(self):
-        # At the algebraic fixed point p=1 of p' = 1 - p^2 the derivative is 0.
-        problem = make_tanh_problem(p0=1.0)
-        pdot, _ = estimate_derivatives(problem.p0, problem)
-        assert frob_norm(pdot) <= 1e-12
-
-    def test_zero_state(self):
-        problem = make_tanh_problem(p0=0.0)
-        pdot, _ = estimate_derivatives(problem.p0, problem)
-        assert to_dense(pdot)[0, 0] == pytest.approx(1.0)
-
-    def test_tanh_derivatives(self):
-        p = np.tanh(0.5)
-        problem = make_tanh_problem(p0=p)
-        pdot, pddot = estimate_derivatives(problem.p0, problem)
-        expected_dot = 1.0 - p**2
-        expected_ddot = -2.0 * p * (1.0 - p**2)
-        assert to_dense(pdot)[0, 0] == pytest.approx(expected_dot, abs=1e-10)
-        assert to_dense(pddot)[0, 0] == pytest.approx(expected_ddot, abs=1e-10)
-
-    def test_matrix_case_against_dense_rhs(self, rng):
-        n = 6
-        from conftest import make_random_problem
-        from dresplit.problems import to_dense_problem
-
-        problem = make_random_problem(rng, n, 3)
-        f = problem.p0
-        pdot, pddot = estimate_derivatives(f, problem)
-        dense = to_dense_problem(problem)
-        p = to_dense(f)
-        rhs = dense.a.T @ p + p @ dense.a + dense.q - p @ dense.s @ p
-        assert np.linalg.norm(to_dense(pdot) - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
-        pd = rhs
-        rhs2 = dense.a.T @ pd + pd @ dense.a - pd @ dense.s @ p - p @ dense.s @ pd
-        assert np.linalg.norm(to_dense(pddot) - rhs2) <= 1e-9 * max(1.0, np.linalg.norm(rhs2))
-
-    def test_bound_helper(self):
-        assert interpolation_error_bound(1e-3, 0.2, 2.0) == pytest.approx(1e-3 + 0.01)
 
 
 SPARSE_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench" / "reference"

@@ -7,7 +7,14 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from dresplit import IngestError, generate_problem, ingest_problem, to_dense
+from dresplit import (
+    IngestError,
+    LDLTFactor,
+    ProblemData,
+    generate_problem,
+    ingest_problem,
+    to_dense,
+)
 from dresplit.cli import main
 from dresplit.problems import export_problem
 
@@ -228,6 +235,40 @@ class TestCommands:
         code = main(["solve", "--problem", str(prob_dir), "--scheme", "lie",
                      "--steps", "0", "--out", str(tmp_path / "o")])
         assert code == 3
+
+    @pytest.mark.parametrize("kind, flag, value, entry", [
+        ("order", "--ladder", "10,x", "'x'"),
+        ("order", "--schemes", "sym:x", "'sym:x'"),
+        ("adaptivity", "--tols", "1e-2,abc", "'abc'"),
+    ])
+    def test_malformed_list_flag_exit_code(self, tmp_path, capsys, kind, flag, value, entry):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["study", kind, "--problem", str(prob_dir), flag, value,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and flag in err and entry in err
+
+    def test_nonpositive_threads_exit_code(self, tmp_path, capsys):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
+                     "--threads", "-3", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+    def test_zero_finest_reference_exit_code(self, tmp_path, capsys):
+        # Q_D = 0 and no P0: the finest run, and so the reference, is zero.
+        base = generate_problem("laplacian_lqr", 6, 2)
+        problem = ProblemData(a=base.a, q=LDLTFactor(base.q.L, np.zeros((2, 2))),
+                              s=base.s, p0=base.p0, horizon=base.horizon)
+        prob_dir = tmp_path / "prob"
+        export_problem(problem, prob_dir)
+        code = main(["study", "order", "--problem", str(prob_dir), "--reference", "finest",
+                     "--schemes", "lie", "--ladder", "2,4,8", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "reference norm is zero" in capsys.readouterr().err
 
     def test_collapse_writes_partial_output(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"

@@ -146,16 +146,6 @@ def test_negative_time_rejected(rng):
         exp_action(op, -0.1, np.ones((3, 1)))
 
 
-def test_apply_transpose_linearity(rng):
-    a = rng.standard_normal((7, 7))
-    op = StiffOperator(a)
-    x = rng.standard_normal((7, 2))
-    y = rng.standard_normal((7, 2))
-    lhs = op.apply_transpose(2.0 * x + y)
-    rhs = 2.0 * op.apply_transpose(x) + op.apply_transpose(y)
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
 # The dense propagator is exp(t A^T), cached per operator and keyed by t.
 def test_cached_propagator_matches_direct(rng):
     op = StiffOperator(rng.standard_normal((9, 9)))

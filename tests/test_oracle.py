@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 from dresplit import (
     DenseProblem,
@@ -10,6 +10,7 @@ from dresplit import (
     StepTooLarge,
     dense_reference,
     dense_subflow,
+    generate_problem,
     relative_error,
 )
 
@@ -160,6 +161,22 @@ class TestDenseSubflow:
         out = dense_subflow("affine", np.zeros((n, n)), h, problem)
         expected = q * np.expm1(2.0 * lam * h) / (2.0 * lam)
         assert np.linalg.norm(out - expected) <= 1e-13 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    @pytest.mark.parametrize("h_norm", [41.0, 104.0, 1e3])
+    def test_affine_stiff_against_lyapunov(self, rng, n, h_norm):
+        # A stable A gives the source integral X from the Lyapunov form
+        # A^T X + X A = exp(hA^T) Q exp(hA) - Q, with h ||A||_1 = h_norm.
+        problem = to_dense_problem(generate_problem("laplacian_lqr", n))
+        a = problem.a
+        h = h_norm / np.linalg.norm(a, 1)
+        g = rng.standard_normal((n, 2))
+        p = g @ g.T
+        phi = expm(h * a)
+        x = solve_continuous_lyapunov(a.T, phi.T @ problem.q @ phi - problem.q)
+        expected = phi.T @ p @ phi + x
+        out = dense_subflow("affine", p, h, problem)
+        assert relative_error(out, 0.5 * (expected + expected.T)) <= 1e-11
 
     def test_singular_quadratic_raises(self):
         # (I + h P S) singular: P = -1/h * S^{-1} with scalar entries.

@@ -36,7 +36,7 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         config = RunConfig(scheme="asym", stages=3, n_steps=16, exp_tol=1e-9,
-                           comp_tol=1e-12, threads=2, seed=42)
+                           comp_tol=1e-12, threads=2)
         back = RunConfig.from_json(config.to_json())
         assert back == config
 
@@ -51,7 +51,7 @@ class TestRunSolveCollapse:
         partial = Trajectory()
         partial.factors.append(problem.p0)
         for i, est in enumerate((1e-5, 2e-5, 3e-5)):
-            partial.append(StepRecord(0.1 * (i + 1), 0.1, est, True, i, 2, 3), problem.p0)
+            partial.append(StepRecord(0.1 * (i + 1), 0.1, est, i, 2, 3), problem.p0)
 
         def collapse(*args, **kwargs):
             raise StepSizeCollapse("step size 1e-13 fell below the floor", trajectory=partial)
