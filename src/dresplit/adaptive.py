@@ -13,6 +13,7 @@ The final step is clamped so the trajectory lands exactly on the horizon.
 """
 
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ class ControllerParams:
     h_min_factor: float = 1e-12
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
         if not 0.0 < self.safety < 1.0:
             raise InvalidInput(f"safety must lie in (0, 1), got {self.safety}")
@@ -131,7 +132,11 @@ class QuadraturePool:
     The pool owns the states; prepare() moves every divisor's state to the
     new step size via the incremental update, reset() forces a full
     recomputation (the first-rejection rule).  Both return the number of
-    freshly computed blocks.
+    freshly computed blocks.  On a dense operator, the divisors k that get
+    a fresh rule need expm at h/k (their substep and last node) and at
+    (h/k)/degree (their grid step); all are integer powers of
+    E = expm(u A^T) with u = h / (lcm(k) degree), so prepare() primes them
+    from that one exponential before building the rules.
     """
 
     def __init__(self, problem: ProblemData, degree: int,
@@ -143,6 +148,16 @@ class QuadraturePool:
         self.states: dict = {}
 
     def prepare(self, h: float, divisors) -> int:
+        new = [k for k in divisors if k not in self.states]
+        if new and not self.problem.a.is_sparse:
+            # The keys are the exact float expressions lie_chain and
+            # BlockActions.equidistant ask the cache for.
+            lcm = math.lcm(*new)
+            powers = {}
+            for k in new:
+                powers[h / k] = lcm * self.degree // k
+                powers[(h / k) / self.degree] = lcm // k
+            self.problem.a.prime_expm(h / (lcm * self.degree), powers)
         fresh = 0
         for k in divisors:
             sub = h / k

@@ -8,8 +8,11 @@ round-off, so ``rel_tol`` is not consulted there.  On an equidistant grid
 of t (the initial quadrature nodes k h / degree), BlockActions steps from
 node to node with the one matrix expm((h/degree) A^T), as Al-Mohy & Higham
 (SIAM J. Sci. Comput. 33, 2011) do for the action on a grid, and takes the
-last node from the expm(h A^T) that the propagation over h caches: two
-N x N exponentials per grid instead of one per node.
+last node from the expm(h A^T) that the propagation over h caches.  The
+t of a set of grids and substeps are integer multiples m u of one u, so
+``StiffOperator.prime_expm`` fills their cache entries with the powers
+expm(u A^T)^m, formed by products from one scipy expm: one N x N
+exponential per set instead of one per t.
 
 Sparse operators use the block shift-and-invert (restricted-denominator)
 Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
@@ -75,6 +78,12 @@ def _dense_expm(at: np.ndarray, t: float) -> np.ndarray:
     return e
 
 
+def _expm_or_primed(at: np.ndarray, primed: dict, t: float) -> np.ndarray:
+    """The primed power pending for t, if any, else expm(t A^T)."""
+    fill = primed.pop(t, None)
+    return _dense_expm(at, t) if fill is None else fill()
+
+
 def _shift_lu(at_csc, gamma: float):
     """SuperLU factorization of I - gamma A^T."""
     shifted = (sp.identity(at_csc.shape[0], format="csc") - gamma * at_csc).tocsc()
@@ -85,10 +94,11 @@ class StiffOperator:
     """Sparse or dense wrapper around the state matrix A.
 
     The wrapped matrix is treated as read-only.  A dense operator exposes
-    ``expm(t)``, the read-only matrix exp(t A^T); a sparse one exposes
-    ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both are
-    memoized in bounded LRU caches (safe to call from several threads; a
-    concurrent miss computes the same value twice).  Cached values are
+    ``expm(t)``, the read-only matrix exp(t A^T), and ``prime_expm``, which
+    fills a set of its cache entries from one exponential; a sparse one
+    exposes ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both
+    are memoized in bounded LRU caches (safe to call from several threads;
+    a concurrent miss computes the same value twice).  Cached values are
     shared and must not be modified.
     """
 
@@ -104,13 +114,50 @@ class StiffOperator:
             self.matrix = np.asarray(a, dtype=np.float64)
             self._at = self.matrix.T.copy()
             self.is_sparse = False
+            self._primed = {}
+            self._prime_lock = threading.Lock()
             self.expm = functools.lru_cache(maxsize=_EXPM_CACHE)(
-                functools.partial(_dense_expm, self._at)
+                functools.partial(_expm_or_primed, self._at, self._primed)
             )
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
         if not np.isfinite(self.matrix.data if self.is_sparse else self.matrix).all():
             raise InvalidInput("operator has non-finite entries")
+
+    def prime_expm(self, u: float, powers: dict) -> None:
+        """Fill the ``expm`` cache entries t of ``powers`` = {t: m} that are
+        missing with E^m, where E = expm(u A^T) and m >= 1 is an integer.
+
+        E is one scipy expm, formed only if some entry is missing; each
+        power is the product of two powers already formed (a sum m = a + b
+        from the memo, else m // 2 + (m - m // 2)), and the memo's other
+        powers are freed on return.  E^m agrees with expm(m u A^T) to
+        round-off, not bit for bit.  Dense operators only; does nothing
+        unless every t fits in the cache at once.  Priming before the threads
+        that share the operator use it keeps a key's bits independent of
+        thread scheduling.
+        """
+        if len(powers) > _EXPM_CACHE:
+            return
+        memo = {}
+
+        def power(m):
+            if m not in memo:
+                if m == 1:
+                    memo[1] = _dense_expm(self._at, u)
+                else:
+                    a = next((a for a in sorted(memo, reverse=True) if m - a in memo), m // 2)
+                    memo[m] = power(a) @ power(m - a)
+                    memo[m].flags.writeable = False
+            return memo[m]
+
+        with self._prime_lock:
+            self._primed.update((t, functools.partial(power, m)) for t, m in powers.items())
+            try:
+                for t in sorted(powers, key=powers.get):
+                    self.expm(t)
+            finally:
+                self._primed.clear()
 
     @property
     def n(self) -> int:
@@ -129,7 +176,7 @@ class ExpActionOptions:
     max_dim: int | None = None
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise InvalidInput(f"rel_tol must be positive, got {self.rel_tol}")
         if self.max_dim is not None and self.max_dim < 1:
             raise InvalidInput(f"max_dim must be >= 1, got {self.max_dim}")
@@ -378,10 +425,11 @@ class BlockActions:
         one steps along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
         2011): with E = expm((h/degree) A^T), block k is E times block k-1
         for 0 < k < degree, and the last block is expm(h A^T) V, the matrix
-        the propagation over h caches.  A grid thus costs two N x N
-        exponentials, not one per node, and its inner blocks agree with
-        exp_action to round-off, not bit for bit.  Each block is checked
-        finite as in exp_action.
+        the propagation over h caches.  A grid thus takes two N x N
+        exponentials, not one per node (``QuadraturePool.prepare`` primes
+        both, with those of the other grids of its step, from one scipy
+        expm), and its inner blocks agree with exp_action to round-off, not
+        bit for bit.  Each block is checked finite as in exp_action.
         """
         if degree < 1:
             raise InvalidInput(f"degree must be >= 1, got {degree}")

@@ -81,7 +81,7 @@ class CompressionOptions:
     rel_tol: float | None = None
 
     def __post_init__(self):
-        if self.rel_tol is not None and self.rel_tol < 0:
+        if self.rel_tol is not None and not self.rel_tol >= 0:
             raise InvalidInput(f"rel_tol must be nonnegative, got {self.rel_tol}")
 
     def resolve_tol(self, n: int) -> float:
@@ -195,7 +195,10 @@ def _merge_bases(factors) -> tuple:
     """(bases, members): the distinct bases of the factors of nonzero rank, in
     first-seen order, and for each the indices of the factors sharing it.
 
-    Bases are shared when they are the same array or equal entry by entry.
+    Bases are shared when they are the same array or equal entry by entry;
+    the first entries are compared before the whole arrays, which decides
+    the same (NaN never equals, -0.0 equals 0.0) at a fraction of the cost
+    for bases that differ.
     """
     bases: list[np.ndarray] = []
     members: list[list[int]] = []
@@ -204,6 +207,7 @@ def _merge_bases(factors) -> tuple:
             continue
         for basis, idx in zip(bases, members):
             if basis is f.L or (basis.shape == f.L.shape
+                                and basis.flat[0] == f.L.flat[0]
                                 and np.array_equal(basis, f.L)):
                 idx.append(i)
                 break

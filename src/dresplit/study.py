@@ -55,10 +55,13 @@ class RunConfig:
             raise InvalidInput("exactly one of n_steps and tol must be set")
         if self.tol is not None and self.h1 is None:
             raise InvalidInput("adaptive runs need an initial step h1")
-        for name in ("tol", "h1", "exp_tol", "comp_tol"):
+        # Written so that NaN fails the checks.
+        for name in ("tol", "h1", "exp_tol"):
             val = getattr(self, name)
-            if val is not None and val <= 0 and not (name == "comp_tol" and val == 0.0):
+            if val is not None and not val > 0:
                 raise InvalidInput(f"{name} must be positive, got {val}")
+        if self.comp_tol is not None and not self.comp_tol >= 0:
+            raise InvalidInput(f"comp_tol must be nonnegative, got {self.comp_tol}")
         if self.threads < 1:
             raise InvalidInput(f"threads must be >= 1, got {self.threads}")
 
@@ -106,6 +109,8 @@ class StudySpec:
     def __post_init__(self):
         if len(self.ladder) < 3:
             raise InvalidInput("the step ladder needs at least 3 rungs for slope fits")
+        if any(n < 1 for n in self.ladder):
+            raise InvalidInput(f"ladder rungs must be >= 1, got {self.ladder}")
         if self.reference not in ("oracle", "finest"):
             raise InvalidInput(f"unknown reference policy {self.reference!r}")
 

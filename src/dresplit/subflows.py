@@ -12,8 +12,9 @@ whose per-node blocks exp(s_k A^T) L_Q are cached so that step-size changes
 recompute as few of them as possible.  A fresh rule has equidistant nodes
 k h / degree; on a dense operator its blocks are stepped with one
 exponential of (h/degree) A^T, plus the exp(h A^T) the propagation over h
-shares (``BlockActions.equidistant``), while the single nodes an update
-adds are computed one at a time.
+shares (``BlockActions.equidistant``; ``adaptive.QuadraturePool`` primes
+both from one expm), while the single nodes an update adds are computed
+one at a time.
 """
 
 from dataclasses import dataclass, field, replace

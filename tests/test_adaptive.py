@@ -75,6 +75,8 @@ class TestController:
     def test_invalid_params(self):
         with pytest.raises(InvalidInput):
             ControllerParams(tol=-1.0)
+        with pytest.raises(InvalidInput, match="tol"):
+            ControllerParams(tol=np.nan)
         with pytest.raises(InvalidInput):
             ControllerParams(tol=1.0, growth_cap=1.0)
         with pytest.raises(InvalidInput):
@@ -249,3 +251,23 @@ def test_sparse_n400_matches_stored_answer():
     problem = generate_problem("laplacian_lqr", n=400)
     final = integrate_fixed(problem, SchemeSpec("sym", 2), 2).final
     assert np.linalg.norm(to_dense(final) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("spec, tol", [(SchemeSpec("sym", 3), None),
+                                       (SchemeSpec("sym", 3), 1e-5),
+                                       (SchemeSpec("sym", 5), None)])
+def test_dense_factors_byte_identical_across_threads(spec, tol):
+    # sym3 primes its exponentials from one expm per fresh rule set (the
+    # adaptive run again at every reset); sym5 needs 10 keys, more than the
+    # cache holds, and keeps one expm per key.
+    finals = []
+    for threads in (1, 4):
+        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+        if tol is None:
+            traj = integrate_fixed(problem, spec, 2, threads=threads)
+        else:
+            traj = integrate_adaptive(problem, spec, 0.01, ControllerParams(tol=tol, epus=True),
+                                      threads=threads)
+            assert sum(r.rejections for r in traj.records) > 0
+        finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(traj.records)))
+    assert finals[0] == finals[1]

@@ -258,6 +258,25 @@ class TestCommands:
         assert code == 3
         assert "threads must be >= 1" in capsys.readouterr().err
 
+    def test_nan_option_exit_code(self, tmp_path, capsys):
+        # A NaN compression tolerance truncated every factor to rank 0.
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
+                     "--comp-tol", "nan", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "comp_tol must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_ladder_rung_below_one_exit_code(self, tmp_path, capsys):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["study", "order", "--problem", str(prob_dir), "--schemes", "lie",
+                     "--ladder", "0,-1,2", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "rungs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_finest_reference_exit_code(self, tmp_path, capsys):
         # Q_D = 0 and no P0: the finest run, and so the reference, is zero.
         base = generate_problem("laplacian_lqr", 6, 2)

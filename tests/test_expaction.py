@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from dresplit import (
+    CompressionOptions,
     ExpActionOptions,
     InvalidInput,
     NonFiniteFactor,
@@ -20,6 +21,8 @@ from dresplit import (
     generate_problem,
     integrate_fixed,
 )
+from dresplit import expaction
+from dresplit.adaptive import QuadraturePool, default_quad_degree
 from dresplit.expaction import (
     _EXPM_CACHE,
     _LU_CACHE,
@@ -138,6 +141,12 @@ def test_tolerance_not_met_carries_best(rng):
 def test_max_dim_validated():
     with pytest.raises(InvalidInput, match="max_dim"):
         ExpActionOptions(max_dim=0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0])
+def test_rel_tol_validated(tol):
+    with pytest.raises(InvalidInput, match="rel_tol"):
+        ExpActionOptions(rel_tol=tol)
 
 
 def test_negative_time_rejected(rng):
@@ -533,8 +542,110 @@ def test_sparse_equidistant_is_per_node_source_blocks():
 
 def test_fixed_run_takes_two_exponentials_per_node_grid():
     # sym with 3 stages needs quadrature states at h, h/2 and h/3; each grid
-    # costs expm(h_k/degree) and expm(h_k), which the propagation over h_k
-    # shares, so the whole run takes 6 exponentials.
+    # needs expm(h_k/degree) and expm(h_k), which the propagation over h_k
+    # shares, so the whole run fills 6 cache entries (all primed from one
+    # scipy expm, see test_fixed_dense_run_takes_one_scipy_expm).
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
     integrate_fixed(problem, SchemeSpec("sym", 3), 2)
     assert problem.a.expm.cache_info().misses == 6
+
+
+# A fresh set of quadrature rules on a dense operator takes one scipy expm:
+# every exponential its substeps and grid steps need is a power of it.
+
+def _dense_operator(kind, n, rng):
+    if kind == "laplacian":
+        return laplacian(n).toarray()
+    return _stepped_operator(kind, n, rng)
+
+
+def _symmetric_expm(a, t):
+    lam, vec = np.linalg.eigh(a)
+    return (vec * np.exp(t * lam)) @ vec.T
+
+
+# laplacian_lqr at N=40 has ||A||_1 = 6724, so h = 0.6 reaches ||h A||_1 = 4e3.
+# There scipy's expm itself is off by 9e-13 from the eigendecomposition of
+# the symmetric A (the primed powers by 5e-13), so that case is checked
+# against the eigendecomposition.
+@pytest.mark.parametrize("kind, h", [("random", 1.0), ("nonnormal", 1.0),
+                                     ("laplacian", 0.05), ("laplacian", 0.6)])
+@pytest.mark.parametrize("spec", [SchemeSpec("strang"), SchemeSpec("sym", 2),
+                                  SchemeSpec("sym", 3), SchemeSpec("sym", 4),
+                                  SchemeSpec("asym", 3)])
+def test_primed_powers_match_direct_exponentials(rng, monkeypatch, kind, h, spec):
+    base = generate_problem("random_lowrank", n=40, rank=4, seed=0)
+    problem = dataclasses.replace(base, a=StiffOperator(_dense_operator(kind, 40, rng)))
+    op = problem.a
+    primed = []
+    prime = op.prime_expm
+    op.prime_expm = lambda u, powers: primed.append(dict(powers)) or prime(u, powers)
+    calls = []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    degree = default_quad_degree(spec)
+    QuadraturePool(problem, degree, ExpActionOptions(), CompressionOptions()).prepare(
+        h, spec.substep_divisors())
+    monkeypatch.undo()
+    assert len(calls) == 1 and len(primed) == 1
+    keys = primed[0]
+    divisors = spec.substep_divisors()
+    assert set(keys) == {h / k for k in divisors} | {(h / k) / degree for k in divisors}
+    before = op.expm.cache_info()
+    for t in keys:
+        if kind == "laplacian" and h > 0.5:
+            direct = _symmetric_expm(op.matrix, t)
+        else:
+            direct = _dense_expm(op._at, t)
+        assert np.linalg.norm(op.expm(t) - direct) <= 1e-12 * np.linalg.norm(direct)
+        assert not op.expm(t).flags.writeable
+    # Every key was filled by the priming, so the lookups above all hit.
+    assert op.expm.cache_info().misses == before.misses
+
+
+def test_priming_fills_only_missing_keys(rng, monkeypatch):
+    op = StiffOperator(rng.standard_normal((10, 10)))
+    cached = op.expm(0.3)
+    calls = []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    op.prime_expm(0.1, {0.3: 3})
+    assert calls == [] and op.expm(0.3) is cached
+    op.prime_expm(0.1, {0.3: 3, 0.2: 2, 0.4: 4})
+    assert len(calls) == 1 and op.expm(0.3) is cached
+    assert op.expm.cache_info().currsize == 3
+
+
+def test_priming_skips_key_sets_beyond_the_cache(rng, monkeypatch):
+    op = StiffOperator(rng.standard_normal((6, 6)))
+    op.prime_expm(0.01, {0.01 * m: m for m in range(1, _EXPM_CACHE + 2)})
+    assert op.expm.cache_info().currsize == 0
+
+
+def test_priming_under_thread_contention(rng):
+    # Threads prime overlapping key sets and look keys up while others prime;
+    # every lookup must return its own t's exponential, and no pending power
+    # may outlive its priming call.
+    op = StiffOperator(_stepped_operator("random", 12, rng) * 0.1)
+    u = 0.01
+    sets = [{u * m: m for m in range(1 + k, 1 + k + _EXPM_CACHE // 2)} for k in range(6)]
+    direct = {t: _dense_expm(op._at, t) for keys in sets for t in keys}
+    wrong = []
+
+    def worker(k):
+        for i in range(30):
+            op.prime_expm(u, sets[(k + i) % len(sets)])
+            for t in sets[(k + 2 * i + 1) % len(sets)]:
+                if not np.linalg.norm(op.expm(t) - direct[t]) <= 1e-13 * np.linalg.norm(direct[t]):
+                    wrong.append(t)
+
+    run_threads(worker, 6)
+    assert wrong == []
+    assert op._primed == {}
+    assert op.expm.cache_info().currsize <= _EXPM_CACHE
+
+
+def test_fixed_dense_run_takes_one_scipy_expm(monkeypatch):
+    calls = []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
+    integrate_fixed(problem, SchemeSpec("sym", 3), 2)
+    assert len(calls) == 1

@@ -106,6 +106,28 @@ class TestCombine:
         g = LDLTFactor(f.L.copy(), f.D.copy())
         assert combine([(1.0, f), (-1.0, g)]).rank == 0
 
+    def test_merge_decisions(self, rng):
+        basis = rng.standard_normal((5, 2))
+        core = np.eye(2)
+
+        def merged(a, b):
+            factors = [LDLTFactor._trusted(a, core), LDLTFactor._trusted(b, core)]
+            return lowrank._merge_bases(factors)[1] == [[0, 1]]
+
+        signed_zero, tail = basis.copy(), basis.copy()
+        signed_zero[0, 0] = 0.0
+        tail[-1, -1] += 1.0
+        nan = basis.copy()
+        nan[0, 0] = np.nan
+        negative_zero = signed_zero.copy()
+        negative_zero[0, 0] = -0.0
+        assert merged(basis, basis)
+        assert merged(basis, basis.copy())
+        assert merged(signed_zero, negative_zero)
+        assert merged(nan, nan)  # the same array merges by identity
+        assert not merged(nan, nan.copy())
+        assert not merged(basis, tail)
+
     def test_scaling(self):
         f = LDLTFactor(np.array([[1.0], [1.0]]), np.array([[1.0]]))
         out = combine([(2.0, f)])
@@ -141,6 +163,11 @@ class TestCompress:
         out = compress(f)
         assert out.rank == 1
         assert np.allclose(to_dense(out), 2.0 * v @ v.T)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-3])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidInput, match="rel_tol"):
+            CompressionOptions(rel_tol=tol)
 
     def test_noop_below_spectrum(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((9, 4)))

@@ -44,6 +44,19 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             RunConfig(n_steps=4, exp_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["tol", "h1", "exp_tol", "comp_tol"])
+    def test_nan_option_rejected(self, field):
+        values = {"tol": 1e-3, "h1": 0.1, field: float("nan")}
+        with pytest.raises(InvalidInput, match=field):
+            RunConfig(**values)
+
+    def test_zero_comp_tol_allowed(self):
+        assert RunConfig(n_steps=4, comp_tol=0.0).comp_tol == 0.0
+
+    def test_ladder_rungs_below_one_rejected(self):
+        with pytest.raises(InvalidInput, match="rungs must be >= 1"):
+            StudySpec(ladder=(4, 0, 8))
+
 
 class TestRunSolveCollapse:
     def test_partial_trajectory_written(self, tmp_path, monkeypatch):
