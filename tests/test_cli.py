@@ -258,15 +258,18 @@ class TestCommands:
         assert code == 3
         assert "threads must be >= 1" in capsys.readouterr().err
 
-    def test_nan_option_exit_code(self, tmp_path, capsys):
-        # A NaN compression tolerance truncated every factor to rank 0.
+    # A NaN compression tolerance truncated every factor to rank 0; a NaN
+    # adaptive tolerance ran and failed inside the driver with exit 0.
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "--steps", "2", "--comp-tol", "nan"], "comp_tol must be nonnegative"),
+        (["study", "adaptivity", "--tols", "nan"], "tol must be positive"),
+    ])
+    def test_nan_option_exit_code(self, tmp_path, capsys, args, message):
         prob_dir = tmp_path / "prob"
         main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
-        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
-                     "--comp-tol", "nan", "--out", str(tmp_path / "o")])
+        code = main(args + ["--problem", str(prob_dir), "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "comp_tol must be nonnegative" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert message in capsys.readouterr().err
 
     def test_ladder_rung_below_one_exit_code(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"

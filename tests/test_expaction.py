@@ -614,7 +614,7 @@ def test_priming_fills_only_missing_keys(rng, monkeypatch):
     assert op.expm.cache_info().currsize == 3
 
 
-def test_priming_skips_key_sets_beyond_the_cache(rng, monkeypatch):
+def test_priming_skips_key_sets_beyond_the_cache(rng):
     op = StiffOperator(rng.standard_normal((6, 6)))
     op.prime_expm(0.01, {0.01 * m: m for m in range(1, _EXPM_CACHE + 2)})
     assert op.expm.cache_info().currsize == 0
