@@ -261,7 +261,7 @@ def integrate_adaptive(
     """
     if not spec.is_additive or spec.stages < 2:
         raise InvalidInput("adaptive integration needs an additive scheme with >= 2 stages")
-    if h1 <= 0:
+    if not h1 > 0:
         raise InvalidInput(f"h1 must be positive, got {h1}")
     p_est = spec.embedded_order
     coeffs = SchemeCoefficients.for_spec(spec)

@@ -8,6 +8,7 @@ fresh factors, so values may be shared freely across threads.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.linalg import lapack
 from .errors import InvalidInput, NonFiniteFactor, RefusedDense
 
 DENSE_GUARD = 4096
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class CompressionOptions:
     def resolve_tol(self, n: int) -> float:
         if self.rel_tol is not None:
             return self.rel_tol
-        return n * np.finfo(np.float64).eps
+        return n * _EPS
 
 
 # Workspace per column for the LAPACK QR calls.  f2py's default (3 per
@@ -115,9 +117,11 @@ def _thin_qr(basis: np.ndarray):
     k = min(basis.shape)
     qr, tau, _, info = lapack.dgeqrf(basis, lwork=_QR_WORK * m)
     _lapack_check(info, "dgeqrf")
-    q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=_QR_WORK * k)
+    r = np.where(_below_diagonal(k, m), 0.0, qr[:k])
+    # qr is ours: Q overwrites its leading columns, once R is taken out.
+    q, _, info = lapack.dorgqr(qr[:, :k], tau, lwork=_QR_WORK * k, overwrite_a=1)
     _lapack_check(info, "dorgqr")
-    return q, np.where(_below_diagonal(k, m), 0.0, qr[:k])
+    return q, r
 
 
 def _core_norm(core: np.ndarray, n: int) -> float:
@@ -150,27 +154,26 @@ def _truncate(q: np.ndarray, r: np.ndarray, d: np.ndarray, n: int,
     _lapack_check(info, "dsyevd")
 
     mag = np.abs(eigvals)
-    order = np.argsort(mag, kind="stable")
+    top = float(mag.max())
+    if top == 0.0:
+        return LDLTFactor.zero(n)
     # Energies are summed with the largest magnitude scaled into [0.5, 1) by
     # a power of two, so that squares of eigenvalues beyond ~1e154 cannot
     # overflow; the scaling is exact and leaves every decision in the normal
     # range as it would be unscaled.
-    scaled = np.ldexp(eigvals, -np.frexp(mag.max())[1])
-    total = float(np.sqrt(np.sum(scaled**2)))
-    tol = opts.resolve_tol(n)
-    if total == 0.0:
-        return LDLTFactor.zero(n)
+    scaled = np.ldexp(eigvals, -math.frexp(top)[1])
+    energy = scaled * scaled
+    total = math.sqrt(energy.sum())
 
     # Discard the largest ascending-|eigenvalue| prefix whose cumulative
     # energy stays within the budget (inclusive comparison for determinism).
-    cumulative = np.sqrt(np.cumsum(scaled[order] ** 2))
-    n_drop = int(np.searchsorted(cumulative, tol * total, side="right"))
-    keep = order[n_drop:]
+    order = mag.argsort(kind="stable")
+    cumulative = np.sqrt(energy[order].cumsum())
+    n_drop = int(cumulative.searchsorted(opts.resolve_tol(n) * total, side="right"))
+    # Kept pairs in descending magnitude, for a canonical layout.
+    keep = order[n_drop:][::-1]
     if keep.size == 0:
         return LDLTFactor.zero(n)
-
-    # Order kept pairs by descending magnitude for a canonical layout.
-    keep = keep[::-1]
     return LDLTFactor._trusted(q @ eigvecs[:, keep], np.diag(eigvals[keep]))
 
 
@@ -203,18 +206,26 @@ def _merge_bases(factors) -> tuple:
     bases: list[np.ndarray] = []
     members: list[list[int]] = []
     for i, f in enumerate(factors):
-        if f.rank == 0:
+        basis = f.L
+        if basis.shape[1] == 0:
             continue
-        for basis, idx in zip(bases, members):
-            if basis is f.L or (basis.shape == f.L.shape
-                                and basis.flat[0] == f.L.flat[0]
-                                and np.array_equal(basis, f.L)):
+        first = basis[0, 0]
+        for seen, idx in zip(bases, members):
+            if seen is basis or (seen.shape == basis.shape and seen[0, 0] == first
+                                 and np.array_equal(seen, basis)):
                 idx.append(i)
                 break
         else:
-            bases.append(f.L)
+            bases.append(basis)
             members.append([i])
     return bases, members
+
+
+def _scaled(weight, core: np.ndarray) -> np.ndarray:
+    """weight * core; a unit weight returns the core itself, which has the
+    same bits."""
+    weight = float(weight)
+    return core if weight == 1.0 else weight * core
 
 
 def _merged_cores(factors, members, weights) -> list:
@@ -222,9 +233,9 @@ def _merged_cores(factors, members, weights) -> list:
     factor order."""
     cores = []
     for idx in members:
-        core = float(weights[idx[0]]) * factors[idx[0]].D
+        core = _scaled(weights[idx[0]], factors[idx[0]].D)
         for i in idx[1:]:
-            core = core + float(weights[i]) * factors[i].D
+            core = core + _scaled(weights[i], factors[i].D)
         cores.append(core)
     return cores
 
@@ -242,7 +253,7 @@ def _block_diag(cores) -> np.ndarray:
 
 
 def _stack(bases) -> np.ndarray:
-    return bases[0] if len(bases) == 1 else np.hstack(bases)
+    return bases[0] if len(bases) == 1 else np.concatenate(bases, axis=1)
 
 
 def combine(
@@ -255,7 +266,11 @@ def combine(
     dimension.  Concatenation happens in the given order; terms whose basis
     blocks are bitwise identical are merged by summing their scaled cores
     before compression, so exact cancellations produce an exact rank-0
-    result.
+    result.  Merged cores that are all zero are left out, and a unit weight
+    takes the core as it is (1.0 * D has the bits of D).  The library sums
+    the quadrature blocks of the source integral and the chains of a
+    single-stage additive step here; the affine flow, whose two bases never
+    coincide, stacks them and calls ``compress`` itself.
     """
     terms = list(terms)
     if not terms:

@@ -22,9 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidInput, InvalidNodes, StepTooLarge
+from .errors import InvalidInput, InvalidNodes, NonFiniteFactor, StepTooLarge
 from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
-from .lowrank import CompressionOptions, LDLTFactor, combine
+from .lowrank import CompressionOptions, LDLTFactor, _block_diag, _stack, combine, compress
 
 PSD_EIG_TOL = 1e-12
 RESET_SHRINK = 0.8
@@ -143,14 +143,15 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
     is below eps or not finite: the system is numerically singular, which
     signals that h exceeds the invertibility bound of the Woodbury update.
     """
-    if h < 0:
+    if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
     if factor.rank == 0 or h == 0.0:
         return factor
     cross = factor.L.T @ s_op.apply(factor.L)
-    system = np.eye(factor.rank) + h * (factor.D @ cross)
+    system = h * (factor.D @ cross)
+    system.flat[:: factor.rank + 1] += 1.0
     lu, piv, info = lapack.dgetrf(system)
-    rcond = lapack.dgecon(lu, np.linalg.norm(system, 1))[0] if info == 0 else 0.0
+    rcond = lapack.dgecon(lu, np.abs(system).sum(axis=0).max())[0] if info == 0 else 0.0
     if not rcond >= np.finfo(np.float64).eps:
         cond = 1.0 / rcond if rcond > 0.0 else np.inf
         raise StepTooLarge(
@@ -345,16 +346,34 @@ def affine_flow(
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> LDLTFactor:
     """Exact flow of P' = A^T P + P A + Q over a step h:
-    exp(h A^T) P exp(h A) plus the quadrature factor, compressed."""
-    if h < 0:
+    exp(h A^T) L D L^T exp(h A) + X(h), compressed, where X(h) = L_X D_X L_X^T
+    is the quadrature factor of ``state``.
+
+    The basis [exp(h A^T) L | L_X] with core diag(D, D_X) is compressed
+    directly: the sum ``combine`` forms for the two unit-weight terms, with
+    the same bits, since the two bases never coincide.  A term of rank 0 or
+    with an all-zero core is left out, as ``combine`` does.  Raises
+    NonFiniteFactor naming the flow and h when the compressed core is not
+    finite.
+    """
+    if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
     if h == 0.0:
         return factor
     if not abs(state.h - h) <= 1e-12 * abs(h):
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
-    terms = []
+    bases, cores = [], []
     if factor.rank > 0:
-        propagated = exp_action(problem.a, h, factor.L, exp_opts)
-        terms.append((1.0, LDLTFactor._trusted(propagated, factor.D)))
-    terms.append((1.0, state.assembled))
-    return combine(terms, comp_opts)
+        bases.append(exp_action(problem.a, h, factor.L, exp_opts))
+        cores.append(factor.D)
+    bases.append(state.assembled.L)
+    cores.append(state.assembled.D)
+    live = [i for i, core in enumerate(cores) if core.any()]
+    if not live:
+        return LDLTFactor.zero(problem.n)
+    stacked = LDLTFactor._trusted(_stack([bases[i] for i in live]),
+                                  _block_diag([cores[i] for i in live]))
+    try:
+        return compress(stacked, comp_opts)
+    except NonFiniteFactor as exc:
+        raise NonFiniteFactor(f"affine flow over h={h:g}: {exc}") from exc

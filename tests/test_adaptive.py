@@ -160,6 +160,13 @@ class TestAdaptiveDriver:
         final_err = abs(to_dense(traj.final)[0, 0] - np.tanh(1.0))
         assert final_err <= tol
 
+    def test_nan_first_step_rejected(self):
+        # It used to fail later, at the first exponential action, with
+        # "t must be finite and nonnegative".
+        with pytest.raises(InvalidInput, match="h1 must be positive, got nan"):
+            integrate_adaptive(make_tanh_problem(), SchemeSpec("sym", 2), np.nan,
+                               ControllerParams(tol=1e-4))
+
     def test_single_clamped_step_for_loose_tol(self):
         problem = make_tanh_problem(horizon=0.05)
         traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 1.0,

@@ -11,6 +11,8 @@ from dresplit import (
     IngestError,
     LDLTFactor,
     ProblemData,
+    QuadraticTerm,
+    StiffOperator,
     generate_problem,
     ingest_problem,
     to_dense,
@@ -291,6 +293,26 @@ class TestCommands:
                      "--schemes", "lie", "--ladder", "2,4,8", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "reference norm is zero" in capsys.readouterr().err
+
+    def test_blow_up_exits_3_without_traceback(self, tmp_path, capsys):
+        # A = 400 I: exp(400) = 5e173 keeps every exponential finite, but the
+        # affine flow's congruence core of P0 overflows.
+        n = 3
+        problem = ProblemData(
+            a=StiffOperator(400.0 * np.eye(n)),
+            q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
+            s=QuadraticTerm.from_dense(np.zeros((n, n))),
+            p0=LDLTFactor(np.ones((n, 1)), np.eye(1)),
+            horizon=1.0,
+        )
+        prob_dir = tmp_path / "prob"
+        export_problem(problem, prob_dir)
+        code = main(["solve", "--problem", str(prob_dir), "--scheme", "lie", "--steps", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("solver error: affine flow over h=1: cannot compress")
+        assert "Traceback" not in captured.out + captured.err
 
     def test_collapse_writes_partial_output(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"

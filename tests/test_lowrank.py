@@ -206,6 +206,21 @@ class TestCompress:
         p = q @ q.T
         assert np.linalg.norm(to_dense(out) / scale - p) <= 1e-13 * np.linalg.norm(p)
 
+    # Four eigenvalues of equal magnitude: the cumulative energies are m,
+    # sqrt(2) m, sqrt(3) m, 2 m, with m the magnitude after scaling, and the
+    # budget rel_tol * total meets the first at 0.5 and the last at 1.0
+    # exactly.  A tie drops the pair (inclusive comparison); a tolerance one
+    # ulp lower keeps it.  The scaling keeps the decisions at 1e200, whose
+    # squares overflow, and at 1e-200, whose squares underflow.
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("tol, rank", [(0.5, 3), (np.nextafter(0.5, 0.0), 4),
+                                           (1.0, 0), (np.nextafter(1.0, 0.0), 1)])
+    def test_budget_tie_decisions(self, scale, tol, rank):
+        f = LDLTFactor(np.eye(6)[:, :4], scale * np.diag([1.0, -1.0, -1.0, 1.0]))
+        out = compress(f, CompressionOptions(rel_tol=tol))
+        assert out.rank == rank
+        assert np.array_equal(np.abs(np.diag(out.D)), np.full(rank, scale))
+
     def test_eigendecomposition_oracle(self, rng):
         f = random_factor(rng, 10, 6)
         tol = 1e-8

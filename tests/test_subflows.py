@@ -8,11 +8,15 @@ from dresplit import (
     InvalidInput,
     InvalidNodes,
     LDLTFactor,
+    NonFiniteFactor,
     ProblemData,
     QuadraticTerm,
     StepTooLarge,
     StiffOperator,
     affine_flow,
+    combine,
+    exp_action,
+    generate_problem,
     init_quadrature,
     quad_weights,
     quadratic_flow,
@@ -90,6 +94,13 @@ class TestQuadraticFlow:
         f = LDLTFactor.zero(4)
         out = quadratic_flow(f, 0.5, QuadraticTerm.from_dense(np.eye(4)))
         assert out.rank == 0
+
+    def test_nan_step_rejected(self, rng):
+        # A NaN h used to reach the solve and raise StepTooLarge, which the
+        # adaptive driver answers by halving the step.
+        f = random_factor(rng, 4, 2, definite=True)
+        with pytest.raises(InvalidInput, match="h must be nonnegative, got nan"):
+            quadratic_flow(f, np.nan, QuadraticTerm.from_dense(np.eye(4)))
 
 
 class TestQuadWeights:
@@ -303,6 +314,55 @@ class TestAffineFlow:
         state = init_quadrature(problem, 0.1, 3, EXP, COMP)
         with pytest.raises(InvalidInput):
             affine_flow(problem.p0, 0.2, problem, state, EXP, COMP)
+
+    def test_nan_step_rejected(self, rng):
+        problem = _random_instance(rng, 4)[0]
+        state = init_quadrature(problem, 0.1, 3, EXP, COMP)
+        with pytest.raises(InvalidInput, match="h must be nonnegative, got nan"):
+            affine_flow(problem.p0, np.nan, problem, state, EXP, COMP)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("factor_rank, source_rank", [(3, 2), (0, 2), (3, 0), (0, 0)])
+    def test_same_bits_as_combine(self, rng, kind, factor_rank, source_rank):
+        # The flow compresses [exp(h A^T) L | L_X] itself; it must give the
+        # bits of combine on the two unit-weight terms it replaces.
+        n, h = 12, 0.05
+        if kind == "dense":
+            a = StiffOperator(rng.standard_normal((n, n)))
+        else:
+            a = generate_problem("laplacian_lqr", n=n).a
+        q = (LDLTFactor(rng.standard_normal((n, source_rank)), np.eye(source_rank))
+             if source_rank else LDLTFactor.zero(n))
+        problem = ProblemData(a=a, q=q, s=QuadraticTerm.from_dense(np.eye(n)),
+                              p0=LDLTFactor.zero(n), horizon=1.0)
+        state = init_quadrature(problem, h, 4, EXP, COMP)
+        for factor in (random_factor(rng, n, factor_rank) if factor_rank else LDLTFactor.zero(n),
+                       LDLTFactor(rng.standard_normal((n, 2)), np.zeros((2, 2)))):
+            terms = []
+            if factor.rank:
+                propagated = exp_action(problem.a, h, factor.L, EXP)
+                terms.append((1.0, LDLTFactor._trusted(propagated, factor.D)))
+            terms.append((1.0, state.assembled))
+            want = combine(terms, COMP)
+            got = affine_flow(factor, h, problem, state, EXP, COMP)
+            assert got.L.tobytes() == want.L.tobytes()
+            assert got.D.tobytes() == want.D.tobytes()
+            assert got.L.shape == want.L.shape
+
+    def test_nonfinite_core_names_the_flow(self):
+        # exp(400 h) = 5e173 keeps the propagated basis finite, but its
+        # congruence core overflows; the source core 1e-300 stays finite.
+        n = 3
+        problem = ProblemData(
+            a=StiffOperator(400.0 * np.eye(n)),
+            q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
+            s=QuadraticTerm.from_dense(np.zeros((n, n))),
+            p0=LDLTFactor(np.ones((n, 1)), np.eye(1)),
+            horizon=1.0,
+        )
+        state = init_quadrature(problem, 1.0, 2, EXP, COMP)
+        with pytest.raises(NonFiniteFactor, match="affine flow over h=1: cannot compress"):
+            affine_flow(problem.p0, 1.0, problem, state, EXP, COMP)
 
 
 class TestProblemData:
