@@ -23,7 +23,7 @@ from .errors import InvalidInput, StepSizeCollapse, StepTooLarge, ToleranceNotMe
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
-from .subflows import ProblemData, init_quadrature, update_quadrature
+from .subflows import ProblemData, in_band, init_quadrature, update_quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -132,11 +132,16 @@ class QuadraturePool:
     The pool owns the states; prepare() moves every divisor's state to the
     new step size via the incremental update, reset() forces a full
     recomputation (the first-rejection rule).  Both return the number of
-    freshly computed blocks.  On a dense operator, the divisors k that get
-    a fresh rule need expm at h/k (their substep and last node) and at
-    (h/k)/degree (their grid step); all are integer powers of
-    E = expm(u A^T) with u = h / (lcm(k) degree), so prepare() primes them
-    from that one exponential before building the rules.
+    freshly computed blocks.
+
+    On a dense operator, a step size h needs expm at h/k for every divisor
+    k (the substep's propagation, and the last node of its rule), and a
+    divisor whose rule is built afresh (new, or outside the update band)
+    also needs it at (h/k)/degree (its grid step).  All of these are
+    integer powers of E = expm(u A^T), with u = h / lcm(k) when every rule
+    is updated in band and u = h / (lcm(k) degree) otherwise, so prepare()
+    primes the missing ones from that one exponential, in the calling
+    thread, before any rule is built or chain runs.
     """
 
     def __init__(self, problem: ProblemData, degree: int,
@@ -147,17 +152,20 @@ class QuadraturePool:
         self.comp_opts = comp_opts
         self.states: dict = {}
 
+    def _prime(self, h: float, divisors) -> None:
+        fresh = [k for k in divisors
+                 if k not in self.states or not in_band(self.states[k].h, h / k)]
+        lcm = math.lcm(*divisors) * (self.degree if fresh else 1)
+        # The keys are the exact float expressions lie_chain,
+        # update_quadrature and BlockActions.equidistant ask the cache for.
+        powers = {h / k: lcm // k for k in divisors}
+        for k in fresh:
+            powers[(h / k) / self.degree] = lcm // (k * self.degree)
+        self.problem.a.prime_expm(h / lcm, powers)
+
     def prepare(self, h: float, divisors) -> int:
-        new = [k for k in divisors if k not in self.states]
-        if new and not self.problem.a.is_sparse:
-            # The keys are the exact float expressions lie_chain and
-            # BlockActions.equidistant ask the cache for.
-            lcm = math.lcm(*new)
-            powers = {}
-            for k in new:
-                powers[h / k] = lcm * self.degree // k
-                powers[(h / k) / self.degree] = lcm // k
-            self.problem.a.prime_expm(h / (lcm * self.degree), powers)
+        if not self.problem.a.is_sparse:
+            self._prime(h, divisors)
         fresh = 0
         for k in divisors:
             sub = h / k

@@ -277,6 +277,12 @@ def _midpoint_candidates(nodes: list, h_new: float) -> list:
     return out
 
 
+def in_band(h_old: float, h_new: float) -> bool:
+    """Whether update_quadrature moves a rule from [0, h_old] to [0, h_new]
+    incrementally; outside the band (0.8, 1.25) * h_old it is rebuilt."""
+    return RESET_SHRINK * h_old < h_new < RESET_GROW * h_old
+
+
 def update_quadrature(
     state: QuadratureState,
     h_new: float,
@@ -296,7 +302,7 @@ def update_quadrature(
     if h_new <= 0:
         raise InvalidInput(f"h must be positive, got {h_new}")
     h_old = state.h
-    if h_new <= RESET_SHRINK * h_old or h_new >= RESET_GROW * h_old:
+    if not in_band(h_old, h_new):
         return init_quadrature(problem, h_new, state.degree, exp_opts, comp_opts)
     if h_new == h_old:
         return replace(state, fresh_blocks=0)

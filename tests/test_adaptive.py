@@ -264,9 +264,10 @@ def test_sparse_n400_matches_stored_answer():
                                        (SchemeSpec("sym", 3), 1e-5),
                                        (SchemeSpec("sym", 5), None)])
 def test_dense_factors_byte_identical_across_threads(spec, tol):
-    # sym3 primes its exponentials from one expm per fresh rule set (the
-    # adaptive run again at every reset); sym5 needs 10 keys, more than the
-    # cache holds, and keeps one expm per key.
+    # sym3 primes its exponentials from one expm per fresh rule set, and
+    # the adaptive run its substeps from one expm per step size; a fresh
+    # sym5 set needs 10 keys, more than the cache holds, and keeps one expm
+    # per key.
     finals = []
     for threads in (1, 4):
         problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from dresplit import (
     CompressionOptions,
+    ControllerParams,
     ExpActionOptions,
     InvalidInput,
     NonFiniteFactor,
@@ -19,10 +20,12 @@ from dresplit import (
     ToleranceNotMet,
     exp_action,
     generate_problem,
+    integrate_adaptive,
     integrate_fixed,
 )
-from dresplit import expaction
+from dresplit import adaptive, expaction
 from dresplit.adaptive import QuadraturePool, default_quad_degree
+from dresplit.subflows import in_band
 from dresplit.expaction import (
     _EXPM_CACHE,
     _LU_CACHE,
@@ -649,3 +652,59 @@ def test_fixed_dense_run_takes_one_scipy_expm(monkeypatch):
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
     integrate_fixed(problem, SchemeSpec("sym", 3), 2)
     assert len(calls) == 1
+
+
+def test_in_band_step_primes_its_substeps(rng, monkeypatch):
+    # A step size whose rules are all updated in band needs expm at h/k
+    # only: powers 6, 3 and 2 of expm((h/6) A^T) for sym3.
+    problem = generate_problem("random_lowrank", n=20, rank=4, seed=0)
+    spec = SchemeSpec("sym", 3)
+    pool = QuadraturePool(problem, default_quad_degree(spec), ExpActionOptions(),
+                          CompressionOptions())
+    pool.prepare(0.1, spec.substep_divisors())
+    op = problem.a
+    primed = []
+    prime = op.prime_expm
+    op.prime_expm = lambda u, powers: primed.append((u, dict(powers))) or prime(u, powers)
+    calls = []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    h = 0.11
+    pool.prepare(h, spec.substep_divisors())
+    monkeypatch.undo()
+    assert primed == [(h / 6, {h: 6, h / 2: 3, h / 3: 2})]
+    assert len(calls) == 1
+    for t in primed[0][1]:
+        direct = _dense_expm(op._at, t)
+        assert np.linalg.norm(op.expm(t) - direct) <= 1e-12 * np.linalg.norm(direct)
+
+
+def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
+    # Every tried step size primes its substep (and, for rules built afresh,
+    # grid-step) exponentials from one scipy expm; the only others are the
+    # nodes an in-band shrink relocates to gap midpoints.  adaptive_n10 of
+    # the benchmark made 586 calls over 193 tried step sizes before priming
+    # reached in-band steps.
+    finals = []
+    for threads in (1, 4):
+        calls, sizes, relocated = [], set(), []
+        monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+        prepare = QuadraturePool.prepare
+        monkeypatch.setattr(QuadraturePool, "prepare",
+                            lambda pool, h, divisors: sizes.add(h) or prepare(pool, h, divisors))
+        update = adaptive.update_quadrature
+
+        def counted(state, h_new, *args):
+            out = update(state, h_new, *args)
+            if h_new < state.h and in_band(state.h, h_new):
+                relocated.append(out.fresh_blocks)
+            return out
+
+        monkeypatch.setattr(adaptive, "update_quadrature", counted)
+        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+        traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                                  ControllerParams(tol=1e-5, epus=True), threads=threads)
+        monkeypatch.undo()
+        assert sum(r.rejections for r in traj.records) > 0 and len(sizes) > 10
+        assert len(calls) == len(sizes) + sum(relocated)
+        finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
+    assert finals[0] == finals[1]
