@@ -228,7 +228,7 @@ def init_quadrature(
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
     """Equidistant nodes k*h/degree with all blocks freshly computed."""
-    if h <= 0:
+    if not h > 0:
         raise InvalidInput(f"h must be positive, got {h}")
     if degree < 1:
         raise InvalidInput(f"degree must be >= 1, got {degree}")
@@ -299,7 +299,7 @@ def update_quadrature(
     of the largest remaining gaps.  Weights are recomputed from the moment
     system and the assembled factor is rebuilt either way.
     """
-    if h_new <= 0:
+    if not h_new > 0:
         raise InvalidInput(f"h must be positive, got {h_new}")
     h_old = state.h
     if not in_band(h_old, h_new):

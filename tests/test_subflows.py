@@ -245,6 +245,16 @@ class TestQuadratureState:
         assert out.lebesgue == pytest.approx(expected, rel=1e-14)
         assert out.lebesgue > 1.5
 
+    def test_nan_step_rejected(self, rng):
+        # Both used to fail at the first exponential action instead, with
+        # "t must be finite and nonnegative".
+        problem = _random_instance(rng, 4)[0]
+        with pytest.raises(InvalidInput, match="h must be positive, got nan"):
+            init_quadrature(problem, np.nan, 3, EXP, COMP)
+        state = init_quadrature(problem, 0.1, 3, EXP, COMP)
+        with pytest.raises(InvalidInput, match="h must be positive, got nan"):
+            update_quadrature(state, np.nan, problem, EXP, COMP)
+
     def test_update_matches_fresh_init_value(self, rng):
         # The incrementally updated integral approximates the same quantity
         # as a fresh equidistant rule of the same degree.
