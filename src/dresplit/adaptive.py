@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, StepSizeCollapse, StepTooLarge, ToleranceNotMet
+from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarge, ToleranceNotMet
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
@@ -192,6 +192,11 @@ def _log_core_floor(factor: LDLTFactor, t: float) -> None:
                      float(np.linalg.eigvalsh(factor.D)[0]))
 
 
+def _blown_up(exc: NonFiniteFactor, t: float, h: float) -> NonFiniteFactor:
+    """exc with the start t and size h of the step it came from."""
+    return NonFiniteFactor(f"{exc} (in the step from t={t:g} with h={h:g})")
+
+
 def _make_executor(threads: int):
     return ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
 
@@ -226,16 +231,19 @@ def integrate_fixed(
     trajectory.factors.append(current)
     try:
         for i in range(1, n_steps + 1):
-            if spec.is_additive:
-                current, estimate = additive_step(
-                    current, h, spec, coeffs, problem, pool.states,
-                    exp_opts, comp_opts, executor,
-                )
-            else:
-                current = multiplicative_step(
-                    current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
-                )
-                estimate = None
+            try:
+                if spec.is_additive:
+                    current, estimate = additive_step(
+                        current, h, spec, coeffs, problem, pool.states,
+                        exp_opts, comp_opts, executor,
+                    )
+                else:
+                    current = multiplicative_step(
+                        current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
+                    )
+                    estimate = None
+            except NonFiniteFactor as exc:
+                raise _blown_up(exc, (i - 1) * h, h) from exc
             t = problem.horizon if i == n_steps else i * h
             _log_core_floor(current, t)
             trajectory.append(
@@ -305,6 +313,8 @@ def integrate_adaptive(
                         current, h, spec, coeffs, problem, pool.states,
                         exp_opts, comp_opts, executor,
                     )
+                except NonFiniteFactor as exc:
+                    raise _blown_up(exc, t, h) from exc
                 except (StepTooLarge, ToleranceNotMet) as exc:
                     # A subflow that fails at this h is a rejection: halve
                     # the step and rebuild the quadrature at the new size.

@@ -39,11 +39,11 @@ gamma, V and the dimension cap only, not on t.  A Krylov space is therefore
 resumable: the action at any t of its octave replays the stopping rule over
 the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
-yet.  exp_action builds a throwaway space per call; BlockActions keeps the
-spaces of one fixed block V (the source factor of the quadrature blocks
-exp(s A^T) L_Q) per octave.  The space at a checkpoint is the same
-whichever t first built it, so a cached sparse action has the same bits as
-a one-shot one.
+yet.  exp_action builds a throwaway space per call, unless it is given
+the cache of spaces that a BlockActions keeps for its one fixed block V
+(the source factor of the quadrature blocks exp(s A^T) L_Q), one space per
+octave.  The space at a checkpoint is the same whichever t first built it,
+so a cached sparse action has the same bits as a one-shot one.
 """
 
 import functools
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import expm
 
 from .errors import InvalidInput, NonFiniteFactor, StepTooLarge, ToleranceNotMet
@@ -66,6 +65,8 @@ _EXPM_CACHE = 8
 # (sym2, 2 fixed steps) peaks 3.8% higher in RSS for the LUs and another
 # 2.0% for the spaces.
 _LU_CACHE = 4
+# Guards the LRU order of every BlockActions' spaces.
+_SPACES_LOCK = threading.Lock()
 # Default Krylov dimension cap, min(N, _MAX_DIM).
 _MAX_DIM = 512
 # Directions of a new block below this share of its norm are dropped.
@@ -86,8 +87,9 @@ def _expm_or_primed(at: np.ndarray, primed: dict, t: float) -> np.ndarray:
 
 def _shift_lu(at_csc, gamma: float):
     """SuperLU factorization of I - gamma A^T."""
+    import scipy.sparse.linalg  # loaded on first use: dense runs never need it
     shifted = (sp.identity(at_csc.shape[0], format="csc") - gamma * at_csc).tocsc()
-    return spla.splu(shifted)
+    return scipy.sparse.linalg.splu(shifted)
 
 
 class StiffOperator:
@@ -358,64 +360,61 @@ def exp_action(
     t: float,
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
+    spaces: OrderedDict | None = None,
 ) -> np.ndarray:
     """Approximate exp(t A^T) @ v.
 
     Dense operators: exact to round-off through the cached expm(t A^T).
-    Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``.
-    Raises ToleranceNotMet (carrying the best iterate and its estimate) if
-    the Krylov dimension reaches ``opts.max_dim`` below N first,
-    NonFiniteFactor on a non-finite block or iterate, and StepTooLarge if
-    the shifted matrix I - gamma A^T is exactly singular.
+    Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
+    a space built for the call or, given ``spaces`` (a ``BlockActions``
+    cache, whose block must be v), on the cached space of t's octave, with
+    the same bits.  Raises ToleranceNotMet (carrying the best iterate and
+    its estimate) if the Krylov dimension reaches ``opts.max_dim`` below N
+    first, NonFiniteFactor on a non-finite block or iterate, and
+    StepTooLarge if the shifted matrix I - gamma A^T is exactly singular.
     """
     v = _checked_block(op, t, v)
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
-    if op.is_sparse:
-        space = _KrylovSpace(op, v, _octave_shift(t), _dim_cap(op, opts), t)
+    if not op.is_sparse:
+        return _finite_iterate(op.expm(t) @ v, t)
+    key = (_octave_shift(t), _dim_cap(op, opts))
+    if spaces is None:
+        return _KrylovSpace(op, v, *key, t).action(t, opts.rel_tol)
+    with _SPACES_LOCK:
+        space = spaces.get(key)
+    if space is None:
+        space = _KrylovSpace(op, v, *key, t)
+    with _SPACES_LOCK:
+        space = spaces.setdefault(key, space)
+        spaces.move_to_end(key)
+        if len(spaces) > _LU_CACHE:
+            spaces.popitem(last=False)
+    with space.lock:
         return space.action(t, opts.rel_tol)
-    return _finite_iterate(op.expm(t) @ v, t)
 
 
 class BlockActions:
     """t -> exp(t A^T) V for one operator and one fixed block V.
 
-    Each call has the same bits as ``exp_action(op, t, v, opts)`` and
-    raises the same errors.  A sparse operator keeps one Krylov space per
-    octave shift gamma and dimension cap, in an LRU of _LU_CACHE entries
-    (each space pins its LU), so a further t of a cached octave costs one
-    small expm per checkpoint the stopping rule visits, plus blocks only
-    past the dimension already built.  A dense operator calls exp_action.
-    ``equidistant`` gives the blocks of a whole node grid; on a dense
-    operator it steps from node to node (see there).  Safe to call from
-    several threads: a space is used under its own lock, and a concurrent
-    miss builds the same space twice and keeps one.
+    A call is ``exp_action(op, t, V, opts, spaces)`` with this block's
+    Krylov spaces: one per octave shift gamma and dimension cap, in an LRU
+    of _LU_CACHE entries (each space pins its LU).  On a sparse operator a
+    further t of a cached octave thus costs one small expm per checkpoint
+    the stopping rule visits, plus blocks only past the dimension already
+    built.  ``equidistant`` gives the blocks of a whole node grid; on a
+    dense operator it steps from node to node (see there).  Safe to call
+    from several threads: a space is used under its own lock, and a
+    concurrent miss builds the same space twice and keeps one.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
         self.op = op
         self.v = v
         self._spaces = OrderedDict()
-        self._lock = threading.Lock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        if not self.op.is_sparse:
-            return exp_action(self.op, t, self.v, opts)
-        v = _checked_block(self.op, t, self.v)
-        if v.shape[1] == 0 or t == 0.0:
-            return v.copy()
-        gamma, cap = key = (_octave_shift(t), _dim_cap(self.op, opts))
-        with self._lock:
-            space = self._spaces.get(key)
-        if space is None:
-            space = _KrylovSpace(self.op, v, gamma, cap, t)
-        with self._lock:
-            space = self._spaces.setdefault(key, space)
-            self._spaces.move_to_end(key)
-            if len(self._spaces) > _LU_CACHE:
-                self._spaces.popitem(last=False)
-        with space.lock:
-            return space.action(t, opts.rel_tol)
+        return exp_action(self.op, t, self.v, opts, self._spaces)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

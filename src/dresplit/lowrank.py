@@ -194,33 +194,6 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     return _truncate(q, r, factor.D, factor.n, opts)
 
 
-def _merge_bases(factors) -> tuple:
-    """(bases, members): the distinct bases of the factors of nonzero rank, in
-    first-seen order, and for each the indices of the factors sharing it.
-
-    Bases are shared when they are the same array or equal entry by entry;
-    the first entries are compared before the whole arrays, which decides
-    the same (NaN never equals, -0.0 equals 0.0) at a fraction of the cost
-    for bases that differ.
-    """
-    bases: list[np.ndarray] = []
-    members: list[list[int]] = []
-    for i, f in enumerate(factors):
-        basis = f.L
-        if basis.shape[1] == 0:
-            continue
-        first = basis[0, 0]
-        for seen, idx in zip(bases, members):
-            if seen is basis or (seen.shape == basis.shape and seen[0, 0] == first
-                                 and np.array_equal(seen, basis)):
-                idx.append(i)
-                break
-        else:
-            bases.append(basis)
-            members.append([i])
-    return bases, members
-
-
 def _scaled(weight, core: np.ndarray) -> np.ndarray:
     """weight * core; a unit weight returns the core itself, which has the
     same bits."""
@@ -228,16 +201,37 @@ def _scaled(weight, core: np.ndarray) -> np.ndarray:
     return core if weight == 1.0 else weight * core
 
 
-def _merged_cores(factors, members, weights) -> list:
-    """Per merged basis, the weighted sum of its factors' cores, summed in
-    factor order."""
-    cores = []
-    for idx in members:
-        core = _scaled(weights[idx[0]], factors[idx[0]].D)
-        for i in idx[1:]:
-            core = core + _scaled(weights[i], factors[i].D)
-        cores.append(core)
-    return cores
+def _merge(terms, estimate_weights) -> tuple:
+    """(bases, cores, estimate cores), in one pass over the terms: the
+    distinct bases of the terms of nonzero rank, in first-seen order, and
+    for each the weighted sums of the cores of the terms sharing it, summed
+    in term order (estimate cores None without estimate weights).
+
+    Bases are shared when they are the same array or equal entry by entry;
+    the first entries are compared before the whole arrays, which decides
+    the same (NaN never equals, -0.0 equals 0.0) at a fraction of the cost
+    for bases that differ.
+    """
+    bases, cores, est_cores = [], [], []
+    for i, (weight, factor) in enumerate(terms):
+        basis = factor.L
+        if basis.shape[1] == 0:
+            continue
+        core = _scaled(weight, factor.D)
+        est = None if estimate_weights is None else _scaled(estimate_weights[i], factor.D)
+        first = basis[0, 0]
+        for j, seen in enumerate(bases):
+            if seen is basis or (seen.shape == basis.shape and seen[0, 0] == first
+                                 and np.array_equal(seen, basis)):
+                cores[j] = cores[j] + core
+                if est is not None:
+                    est_cores[j] = est_cores[j] + est
+                break
+        else:
+            bases.append(basis)
+            cores.append(core)
+            est_cores.append(est)
+    return bases, cores, est_cores
 
 
 def _block_diag(cores) -> np.ndarray:
@@ -259,7 +253,8 @@ def _stack(bases) -> np.ndarray:
 def combine(
     terms,
     opts: CompressionOptions = CompressionOptions(),
-) -> LDLTFactor:
+    estimate_weights=None,
+):
     """Weighted sum sum_i w_i * L_i D_i L_i^T, compressed.
 
     terms is a non-empty sequence of (weight, factor) pairs sharing the state
@@ -267,56 +262,40 @@ def combine(
     blocks are bitwise identical are merged by summing their scaled cores
     before compression, so exact cancellations produce an exact rank-0
     result.  Merged cores that are all zero are left out, and a unit weight
-    takes the core as it is (1.0 * D has the bits of D).  The library sums
-    the quadrature blocks of the source integral and the chains of a
-    single-stage additive step here; the affine flow, whose two bases never
-    coincide, stacks them and calls ``compress`` itself.
+    takes the core as it is (1.0 * D has the bits of D), so distinct bases
+    with unit weights are stacked without copying a core.
+
+    Given ``estimate_weights`` (one a_i per term), the result is the pair
+    (compressed sum, ||sum_i a_i L_i D_i L_i^T||_F), both from one thin QR
+    Q R of the stacked basis; the norm is that of R D_a R^T, symmetrized as
+    in ``compress``.  A merged basis is then left out only when both of its
+    cores are zero; where that keeps a basis whose sum core cancels, the
+    compressed sum agrees with the plain one to round-off, elsewhere it has
+    its bits.  Raises NonFiniteFactor when a congruence core is not finite.
     """
     terms = list(terms)
     if not terms:
         raise InvalidInput("combine needs at least one (weight, factor) term")
-    factors = [f for _, f in terms]
-    n = factors[0].n
-    for f in factors:
+    n = terms[0][1].n
+    for _, f in terms:
         if f.n != n:
             raise InvalidInput(f"state dimensions differ: {f.n} vs {n}")
 
-    bases, members = _merge_bases(factors)
-    cores = _merged_cores(factors, members, [w for w, _ in terms])
-    live = [i for i, c in enumerate(cores) if c.any()]
+    bases, cores, est_cores = _merge(terms, estimate_weights)
+    if estimate_weights is None:
+        live = [i for i, c in enumerate(cores) if c.any()]
+    else:
+        live = [i for i, c in enumerate(cores) if c.any() or est_cores[i].any()]
     if not live:
-        return LDLTFactor.zero(n)
-    return compress(
-        LDLTFactor._trusted(_stack([bases[i] for i in live]),
-                            _block_diag([cores[i] for i in live])),
-        opts,
-    )
-
-
-def _combine_and_norm(factors, gamma, alpha, opts: CompressionOptions):
-    """(combine(gamma terms), norm of the alpha terms' sum) from one thin QR.
-
-    Both sums run over the same factors, so the stacked basis Q R is factored
-    once: the first result is compressed from R D_gamma R^T exactly as
-    ``combine`` does it, and the norm is ||R D_alpha R^T||_F (symmetrized as
-    in ``compress``), that of the uncompressed alpha sum.  Bases are merged
-    by the rules of ``combine``, and a merged basis is stacked when either of
-    its cores is nonzero.  Where no alpha core is live on a basis whose gamma
-    core cancels, this is the stack ``combine`` builds for the gamma sum, and
-    the next factor has its bits; otherwise the core carries an extra zero
-    block and the next factor agrees with it to round-off.
-    """
-    n = factors[0].n
-    bases, members = _merge_bases(factors)
-    gamma_cores = _merged_cores(factors, members, gamma)
-    alpha_cores = _merged_cores(factors, members, alpha)
-    live = [i for i in range(len(bases)) if gamma_cores[i].any() or alpha_cores[i].any()]
-    if not live:
-        return LDLTFactor.zero(n), 0.0
-    q, r = _thin_qr(_stack([bases[i] for i in live]))
-    combined = _truncate(q, r, _block_diag([gamma_cores[i] for i in live]), n, opts)
-    alpha_core = r @ _block_diag([alpha_cores[i] for i in live]) @ r.T
-    return combined, _core_norm(0.5 * (alpha_core + alpha_core.T), n)
+        zero = LDLTFactor.zero(n)
+        return zero if estimate_weights is None else (zero, 0.0)
+    stacked = _stack([bases[i] for i in live])
+    core = _block_diag([cores[i] for i in live])
+    if estimate_weights is None:
+        return compress(LDLTFactor._trusted(stacked, core), opts)
+    q, r = _thin_qr(stacked)
+    est_core = r @ _block_diag([est_cores[i] for i in live]) @ r.T
+    return _truncate(q, r, core, n, opts), _core_norm(0.5 * (est_core + est_core.T), n)
 
 
 def frob_norm(factor: LDLTFactor) -> float:

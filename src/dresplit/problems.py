@@ -12,7 +12,6 @@ import json
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .errors import IngestError, InvalidInput
@@ -85,6 +84,7 @@ def to_dense_problem(problem: ProblemData) -> DenseProblem:
 
 
 def _write_mm(path: Path, matrix) -> None:
+    import scipy.io  # loaded on first use: solves never need it
     scipy.io.mmwrite(str(path), matrix if sp.issparse(matrix) else np.asarray(matrix),
                      precision=_MM_PRECISION)
 
@@ -98,6 +98,7 @@ def _read_mm(path: Path):
         raise IngestError(
             f"{path}: line 1 is not a MatrixMarket header (got {first.strip()!r})"
         )
+    import scipy.io  # loaded on first use: solves never need it
     try:
         matrix = scipy.io.mmread(str(path))
     except Exception as exc:

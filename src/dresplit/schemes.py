@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod
 from .expaction import ExpActionOptions
-from .lowrank import CompressionOptions, LDLTFactor, _combine_and_norm, combine
+from .lowrank import CompressionOptions, LDLTFactor, combine
 from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
@@ -233,10 +233,12 @@ def additive_step(
 
     The chains are data-independent and may be evaluated on the given
     executor; the weighted combinations are always formed in fixed
-    (k, direction) order, so results do not depend on scheduling.  The
-    estimate is the Frobenius norm of the alpha-weighted combination, taken
-    from the same QR of the stacked chain bases as the next factor; it is
-    None for single-stage schemes, which have no embedded companion.
+    (k, direction) order, so results do not depend on scheduling.  Both
+    come from one ``combine`` call over the chains: the next factor is their
+    gamma-weighted sum, and the estimate, the Frobenius norm of their
+    alpha-weighted sum, comes from the same QR with alpha as the estimate
+    weights.  It is None for single-stage schemes, which have no embedded
+    companion.
     """
     if not spec.is_additive:
         raise InvalidInput("additive_step requires an additive scheme spec")
@@ -256,8 +258,7 @@ def additive_step(
     else:
         chains = list(executor.map(run, jobs))
 
-    gamma = [coeffs.gamma[k - 1] for k, _ in jobs]
+    terms = [(coeffs.gamma[k - 1], chain) for (k, _), chain in zip(jobs, chains)]
     if coeffs.alpha is None:
-        return combine(zip(gamma, chains), comp_opts), None
-    alpha = [coeffs.alpha[k - 1] for k, _ in jobs]
-    return _combine_and_norm(chains, gamma, alpha, comp_opts)
+        return combine(terms, comp_opts), None
+    return combine(terms, comp_opts, [coeffs.alpha[k - 1] for k, _ in jobs])

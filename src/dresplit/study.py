@@ -12,14 +12,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 
 from .adaptive import ControllerParams, Trajectory, integrate_adaptive, integrate_fixed
 from .errors import DresplitError, InvalidInput, InvalidReference, StepSizeCollapse
 from .expaction import ExpActionOptions, StiffOperator
 from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm, to_dense
 from .oracle import dense_reference, dense_subflow, relative_error
-from .problems import to_dense_problem
+from .problems import _write_mm, to_dense_problem
 from .schemes import SchemeSpec, additive_coeffs, coefficient_residual
 from .subflows import (
     ProblemData,
@@ -219,11 +218,11 @@ def run_fixed_ladder(problem: ProblemData, study: StudySpec, config: RunConfig):
 def _refined_step_error(problem: ProblemData, spec: SchemeSpec, config: RunConfig,
                         start: LDLTFactor, h: float, accepted: LDLTFactor) -> float:
     """Local error of one accepted step, measured against a fixed-step
-    refinement with REFINE_SUBSTEPS equal substeps from the same start factor."""
-    sub_problem = ProblemData(a=problem.a, q=problem.q, s=problem.s,
-                              p0=start, horizon=h)
+    refinement with REFINE_SUBSTEPS equal substeps from the same start factor
+    (the solver's own, so its core may have a round-off negative eigenvalue)."""
     refined = integrate_fixed(
-        sub_problem, spec, REFINE_SUBSTEPS, config.exp_opts(), config.comp_opts(),
+        problem._restarted(start, h), spec, REFINE_SUBSTEPS, config.exp_opts(),
+        config.comp_opts(),
         config.quad_degree, threads=1, store_factors=False,
     )
     diff = combine([(1.0, accepted), (-1.0, refined.final)],
@@ -369,8 +368,8 @@ def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
     elapsed = time.perf_counter() - started
 
     _write_trajectory(out, traj.records)
-    scipy.io.mmwrite(str(out / "final_L.mtx"), traj.final.L, precision=17)
-    scipy.io.mmwrite(str(out / "final_D.mtx"), traj.final.D, precision=17)
+    _write_mm(out / "final_L.mtx", traj.final.L)
+    _write_mm(out / "final_D.mtx", traj.final.D)
     (out / "summary.txt").write_text(
         f"steps: {len(traj.records)}\nfinal rank: {traj.final.rank}\n"
         f"wallclock_s: {elapsed!r}\n"

@@ -17,6 +17,7 @@ both from one expm), while the single nodes an update adds are computed
 one at a time.
 """
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -133,6 +134,15 @@ class ProblemData:
     def n(self) -> int:
         return self.a.n
 
+    def _restarted(self, p0: LDLTFactor, horizon: float) -> "ProblemData":
+        """This problem from p0 over [0, horizon], sharing its other parts and
+        the cached source blocks.  For a p0 the library built: the input checks
+        are not run again, so a round-off negative core eigenvalue is legal."""
+        sub = copy.copy(self)
+        object.__setattr__(sub, "p0", p0)
+        object.__setattr__(sub, "horizon", horizon)
+        return sub
+
 
 def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFactor:
     """Exact flow of P' = -P S P over a step h: basis unchanged, core becomes
@@ -212,10 +222,7 @@ class QuadratureState:
         return float(np.abs(self.weights).sum() / self.h)
 
 
-def _assemble(problem: ProblemData, nodes, weights, blocks,
-              comp_opts: CompressionOptions) -> LDLTFactor:
-    if problem.q.rank == 0 or len(blocks) == 0:
-        return LDLTFactor.zero(problem.n)
+def _assemble(problem: ProblemData, weights, blocks, comp_opts: CompressionOptions) -> LDLTFactor:
     terms = [(w, LDLTFactor._trusted(blk, problem.q.D)) for w, blk in zip(weights, blocks)]
     return combine(terms, comp_opts)
 
@@ -235,7 +242,7 @@ def init_quadrature(
     nodes = np.linspace(0.0, h, degree + 1)
     blocks = problem.source_blocks.equidistant(h, degree, exp_opts)
     weights = quad_weights(nodes, h)
-    assembled = _assemble(problem, nodes, weights, blocks, comp_opts)
+    assembled = _assemble(problem, weights, blocks, comp_opts)
     return QuadratureState(degree, h, nodes, weights, blocks, assembled, degree + 1)
 
 
@@ -338,7 +345,7 @@ def update_quadrature(
 
     nodes_arr = np.asarray(nodes)
     weights = quad_weights(nodes_arr, h_new)
-    assembled = _assemble(problem, nodes_arr, weights, blocks, comp_opts)
+    assembled = _assemble(problem, weights, blocks, comp_opts)
     return QuadratureState(state.degree, h_new, nodes_arr, weights, tuple(blocks),
                            assembled, fresh)
 
@@ -358,9 +365,10 @@ def affine_flow(
     The basis [exp(h A^T) L | L_X] with core diag(D, D_X) is compressed
     directly: the sum ``combine`` forms for the two unit-weight terms, with
     the same bits, since the two bases never coincide.  A term of rank 0 or
-    with an all-zero core is left out, as ``combine`` does.  Raises
-    NonFiniteFactor naming the flow and h when the compressed core is not
-    finite.
+    with an all-zero core is left out, as ``combine`` does.  (Through
+    ``combine``, its merge step costs a few microseconds per call, which
+    desk-scale adaptive runs and studies measure.)  Raises NonFiniteFactor
+    naming the flow and h when the compressed core is not finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")

@@ -10,6 +10,7 @@ from dresplit import (
     ExpActionOptions,
     InvalidInput,
     LDLTFactor,
+    NonFiniteFactor,
     ProblemData,
     QuadraticTerm,
     SchemeSpec,
@@ -139,6 +140,25 @@ class TestFixedDriver:
         assert traj.records[0].fresh_quad_blocks > 0
         assert all(r.fresh_quad_blocks == 0 for r in traj.records[1:])
 
+    def test_blow_up_names_the_step(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=r"\(in the step from t=0\.75 with h=0\.25\)$"):
+            integrate_fixed(_blow_up_problem(), SchemeSpec("lie"), 4)
+
+
+def _blow_up_problem():
+    """A = 400 I: P grows like exp(800 t) until the affine flow's congruence
+    core overflows, while every exponential stays finite."""
+    n = 3
+    return ProblemData(
+        a=StiffOperator(400.0 * np.eye(n)),
+        q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
+        s=QuadraticTerm.from_dense(np.zeros((n, n))),
+        p0=LDLTFactor(np.ones((n, 1)), np.eye(1)),
+        horizon=1.0,
+    )
+
 
 class TestAdaptiveDriver:
     def test_requires_embedded(self):
@@ -235,6 +255,14 @@ class TestAdaptiveDriver:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params,
                                ExpActionOptions(max_dim=1))
         assert info.value.trajectory is not None
+
+    def test_blow_up_names_the_step(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=r"affine flow over h=0\.75: .*"
+                                    r"\(in the step from t=0\.25 with h=0\.75\)$"):
+            integrate_adaptive(_blow_up_problem(), SchemeSpec("sym", 2), 0.25,
+                               ControllerParams(tol=1e300))
 
     def test_rejection_bookkeeping(self):
         # Start with a huge h1 so the first trial must be rejected.

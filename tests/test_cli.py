@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +315,7 @@ class TestCommands:
         assert code == 3
         captured = capsys.readouterr()
         assert captured.err.startswith("solver error: affine flow over h=1: cannot compress")
+        assert "(in the step from t=0 with h=1)" in captured.err
         assert "Traceback" not in captured.out + captured.err
 
     def test_collapse_writes_partial_output(self, tmp_path, capsys):
@@ -330,3 +334,23 @@ class TestCommands:
         assert summary[0] == "steps: 0"
         assert summary[1].startswith("collapsed: step size")
         assert "fell below the floor" in summary[1]
+
+
+def test_dense_solve_loads_neither_sparse_lu_nor_matrix_market():
+    # Both stacks are loaded on first use; a sparse solve then loads the LU.
+    script = (
+        "import sys\n"
+        "from dresplit import SchemeSpec, generate_problem, integrate_fixed\n"
+        "loaded = lambda: [m for m in ('scipy.sparse.linalg', 'scipy.io') if m in sys.modules]\n"
+        "integrate_fixed(generate_problem('random_lowrank', 8), SchemeSpec('sym', 2), 2)\n"
+        "print(loaded())\n"
+        "integrate_fixed(generate_problem('laplacian_lqr', 20), SchemeSpec('sym', 2), 2)\n"
+        "print(loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "['scipy.sparse.linalg']"]

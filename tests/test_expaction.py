@@ -25,7 +25,7 @@ from dresplit import (
 )
 from dresplit import adaptive, expaction
 from dresplit.adaptive import QuadraturePool, default_quad_degree
-from dresplit.subflows import in_band
+from dresplit.subflows import in_band, init_quadrature, update_quadrature
 from dresplit.expaction import (
     _EXPM_CACHE,
     _LU_CACHE,
@@ -470,6 +470,28 @@ def test_fresh_problem_starts_with_no_spaces():
     assert _spaces(generate_problem("laplacian_lqr", n=60).source_blocks) == []
     copy = dataclasses.replace(problem, horizon=0.2)
     assert _spaces(copy.source_blocks) == []
+
+
+def test_one_exp_action_per_sparse_node(monkeypatch):
+    # Each sparse source block is one exp_action call on L_Q that resumes
+    # the block's cached Krylov spaces.
+    problem = generate_problem("laplacian_lqr", n=20)
+    calls = []
+    real = expaction.exp_action
+
+    def counting(op, t, v, opts=ExpActionOptions(), spaces=None):
+        calls.append((t, v is problem.q.L, spaces is not None))
+        return real(op, t, v, opts, spaces)
+
+    monkeypatch.setattr(expaction, "exp_action", counting)
+    state = init_quadrature(problem, 0.01, 5)
+    assert [t for t, _, _ in calls] == list(state.nodes)
+    assert all(source and cached for _, source, cached in calls)
+    calls.clear()
+    shrunk = update_quadrature(state, 0.009, problem)
+    # In band, the node at 0.01 moves into the middle of the largest gap.
+    assert shrunk.fresh_blocks == 1
+    assert [t for t, _, _ in calls] == [0.001]
 
 
 def test_dense_source_blocks_keep_the_dense_path():

@@ -17,7 +17,6 @@ from dresplit import (
     to_dense,
 )
 from dresplit import lowrank
-from dresplit.lowrank import _combine_and_norm
 
 from conftest import random_factor
 
@@ -111,8 +110,8 @@ class TestCombine:
         core = np.eye(2)
 
         def merged(a, b):
-            factors = [LDLTFactor._trusted(a, core), LDLTFactor._trusted(b, core)]
-            return lowrank._merge_bases(factors)[1] == [[0, 1]]
+            terms = [(1.0, LDLTFactor._trusted(a, core)), (1.0, LDLTFactor._trusted(b, core))]
+            return len(lowrank._merge(terms, None)[0]) == 1
 
         signed_zero, tail = basis.copy(), basis.copy()
         signed_zero[0, 0] = 0.0
@@ -256,7 +255,8 @@ class TestCompress:
 
 
 class TestCombineAndNorm:
-    """The additive step's shared QR against two separate combinations."""
+    """combine with estimate weights (the additive step's shared QR)
+    against two separate combinations."""
 
     def test_matches_combine_and_frob_norm(self, rng):
         shared = rng.standard_normal((12, 3))
@@ -265,7 +265,7 @@ class TestCombineAndNorm:
                    LDLTFactor.zero(12), random_factor(rng, 12, 2)]
         gamma = [0.5, -1.5, 2.0, 1.0, 0.25]
         alpha = [0.1, 0.3, -0.2, 7.0, -0.05]
-        nxt, est = _combine_and_norm(factors, gamma, alpha, CompressionOptions())
+        nxt, est = combine(zip(gamma, factors), CompressionOptions(), alpha)
         ref = combine(zip(gamma, factors))
         assert nxt.L.tobytes() == ref.L.tobytes() and nxt.D.tobytes() == ref.D.tobytes()
         expected = frob_norm(combine(zip(alpha, factors)))
@@ -278,7 +278,7 @@ class TestCombineAndNorm:
         g = LDLTFactor(f.L.copy(), f.D)
         h = random_factor(rng, 8, 3)
         factors, gamma, alpha = [f, g, h], [1.0, -1.0, 0.5], [1.0, 1.0, -0.25]
-        nxt, est = _combine_and_norm(factors, gamma, alpha, CompressionOptions())
+        nxt, est = combine(zip(gamma, factors), CompressionOptions(), alpha)
         ref = combine(zip(gamma, factors))
         assert nxt.rank == ref.rank == 3
         diff = np.linalg.norm(to_dense(nxt) - to_dense(ref))
@@ -290,7 +290,7 @@ class TestCombineAndNorm:
     def test_gamma_cancels_everywhere(self, rng):
         f = random_factor(rng, 8, 2)
         g = LDLTFactor(f.L.copy(), f.D)
-        nxt, est = _combine_and_norm([f, g], [1.0, -1.0], [1.0, 1.0], CompressionOptions())
+        nxt, est = combine([(1.0, f), (-1.0, g)], CompressionOptions(), [1.0, 1.0])
         assert nxt.rank == 0 and nxt.n == 8
         expected = frob_norm(combine([(1.0, f), (1.0, g)]))
         assert expected > 0.0
@@ -298,7 +298,7 @@ class TestCombineAndNorm:
 
     def test_all_cores_zero(self, rng):
         f = random_factor(rng, 8, 2)
-        nxt, est = _combine_and_norm([f, f], [1.0, -1.0], [2.0, -2.0], CompressionOptions())
+        nxt, est = combine([(1.0, f), (-1.0, f)], CompressionOptions(), [2.0, -2.0])
         assert nxt.rank == 0 and nxt.n == 8 and est == 0.0
 
     def test_nonfinite_alpha_core_rejected(self, rng):
@@ -306,8 +306,8 @@ class TestCombineAndNorm:
         big = np.finfo(np.float64).max
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteFactor, match="norm"):
-            _combine_and_norm([f, random_factor(rng, 8, 2)], [1.0, 1.0], [big, 1.0],
-                              CompressionOptions())
+            combine([(1.0, f), (1.0, random_factor(rng, 8, 2))], CompressionOptions(),
+                    [big, 1.0])
 
 
 class TestFrobNorm:

@@ -25,6 +25,7 @@ from dresplit import (
     multiplicative_step,
     to_dense,
 )
+from dresplit import schemes
 from dresplit.adaptive import default_quad_degree
 from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
@@ -315,3 +316,15 @@ class TestSharedQRStep:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteFactor, match="norm"):
             self._step_and_chains(problem, spec, 0.01, huge)
+
+    def test_one_combine_per_step(self, monkeypatch):
+        # The next factor and the estimate of a step come from one combine
+        # call over all six chains of sym3.
+        terms = []
+        real = schemes.combine
+        monkeypatch.setattr(schemes, "combine",
+                            lambda t, *rest: terms.append(len(t)) or real(t, *rest))
+        problem = generate_problem("random_lowrank", 10, rank=4)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 3)
+        assert terms == [6, 6, 6]
+        assert all(r.err_est > 0.0 for r in traj.records)

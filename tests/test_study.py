@@ -9,12 +9,15 @@ import scipy.sparse as sp
 from dresplit import (
     ExpActionOptions,
     InvalidInput,
+    LDLTFactor,
+    ProblemData,
     RunConfig,
     SchemeSpec,
     StepSizeCollapse,
     StiffOperator,
     StudySpec,
     generate_problem,
+    integrate_fixed,
     run_study,
     run_validation,
 )
@@ -155,6 +158,33 @@ class TestLadder:
         report = run_study(problem, study, config, "order", tmp_path)
         assert report.failures
         assert (tmp_path / "summary.txt").read_text().count("FAILED run") >= 1
+
+
+class TestRefinement:
+    def test_start_with_roundoff_negative_eigenvalue(self):
+        # A factor the solver built may carry a core eigenvalue just below
+        # zero.  The input check refuses it as an initial factor; the
+        # per-step refinement starts from it all the same.
+        problem = generate_problem("random_lowrank", 6, 2, seed=4)
+        basis = np.linalg.qr(np.random.default_rng(0).standard_normal((6, 2)))[0]
+        start = LDLTFactor(basis, np.diag([1e-3, -1e-9]))
+        with pytest.raises(InvalidInput, match="eigenvalue -1.000e-09"):
+            ProblemData(a=problem.a, q=problem.q, s=problem.s, p0=start, horizon=0.01)
+        config = RunConfig(scheme="sym", stages=2, tol=1e-4, h1=0.01)
+        err = study._refined_step_error(problem, config.spec, config, start, 0.01, start)
+        assert np.isfinite(err) and err > 0.0
+
+    def test_restart_matches_a_checked_problem(self):
+        problem = generate_problem("laplacian_lqr", 20)
+        start = generate_problem("random_lowrank", 20, 2, seed=1).p0
+        sub = problem._restarted(start, 0.02)
+        assert sub.source_blocks is problem.source_blocks
+        assert (sub.p0, sub.horizon) == (start, 0.02)
+        checked = ProblemData(a=problem.a, q=problem.q, s=problem.s, p0=start, horizon=0.02)
+        spec = SchemeSpec("sym", 2)
+        got = integrate_fixed(sub, spec, study.REFINE_SUBSTEPS).final
+        ref = integrate_fixed(checked, spec, study.REFINE_SUBSTEPS).final
+        assert got.L.tobytes() == ref.L.tobytes() and got.D.tobytes() == ref.D.tobytes()
 
 
 class TestValidation:
