@@ -40,9 +40,8 @@ resumable: the action at any t of its octave replays the stopping rule over
 the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
 yet.  exp_action builds a throwaway space per call, unless it is given
-the cache of spaces that a BlockActions keeps for its one fixed block V
-(the source factor of the quadrature blocks exp(s A^T) L_Q), one space per
-octave.  The space at a checkpoint is the same whichever t first built it,
+the BlockActions of its one fixed block V (the source factor of the
+quadrature blocks exp(s A^T) L_Q), which caches one space per octave.  The space at a checkpoint is the same whichever t first built it,
 so a cached sparse action has the same bits as a one-shot one.
 """
 
@@ -65,8 +64,6 @@ _EXPM_CACHE = 8
 # (sym2, 2 fixed steps) peaks 3.8% higher in RSS for the LUs and another
 # 2.0% for the spaces.
 _LU_CACHE = 4
-# Guards the LRU order of every BlockActions' spaces.
-_SPACES_LOCK = threading.Lock()
 # Default Krylov dimension cap, min(N, _MAX_DIM).
 _MAX_DIM = 512
 # Directions of a new block below this share of its norm are dropped.
@@ -360,36 +357,41 @@ def exp_action(
     t: float,
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
-    spaces: OrderedDict | None = None,
+    blocks: "BlockActions | None" = None,
 ) -> np.ndarray:
     """Approximate exp(t A^T) @ v.
 
     Dense operators: exact to round-off through the cached expm(t A^T).
     Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
-    a space built for the call or, given ``spaces`` (a ``BlockActions``
-    cache, whose block must be v), on the cached space of t's octave, with
-    the same bits.  Raises ToleranceNotMet (carrying the best iterate and
-    its estimate) if the Krylov dimension reaches ``opts.max_dim`` below N
-    first, NonFiniteFactor on a non-finite block or iterate, and
-    StepTooLarge if the shifted matrix I - gamma A^T is exactly singular.
+    a space built for the call or, given the ``BlockActions`` of op and v
+    (the same objects; InvalidInput otherwise), on its cached space of t's
+    octave, with the same bits.  Raises ToleranceNotMet (carrying the best
+    iterate and its estimate) if the Krylov dimension reaches
+    ``opts.max_dim`` below N first, NonFiniteFactor on a non-finite block or
+    iterate, and StepTooLarge if the shifted matrix I - gamma A^T is exactly
+    singular.
     """
+    if blocks is not None and (blocks.op is not op or blocks.v is not v):
+        raise InvalidInput("blocks caches the actions of another operator or block")
     v = _checked_block(op, t, v)
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
     if not op.is_sparse:
         return _finite_iterate(op.expm(t) @ v, t)
     key = (_octave_shift(t), _dim_cap(op, opts))
-    if spaces is None:
+    if blocks is None:
         return _KrylovSpace(op, v, *key, t).action(t, opts.rel_tol)
-    with _SPACES_LOCK:
+    spaces = blocks._spaces
+    with blocks._lock:
         space = spaces.get(key)
     if space is None:
         space = _KrylovSpace(op, v, *key, t)
-    with _SPACES_LOCK:
+    with blocks._lock:
+        # Evict before inserting, so the cache never holds more than its cap.
+        if key not in spaces and len(spaces) >= _LU_CACHE:
+            spaces.popitem(last=False)
         space = spaces.setdefault(key, space)
         spaces.move_to_end(key)
-        if len(spaces) > _LU_CACHE:
-            spaces.popitem(last=False)
     with space.lock:
         return space.action(t, opts.rel_tol)
 
@@ -397,24 +399,26 @@ def exp_action(
 class BlockActions:
     """t -> exp(t A^T) V for one operator and one fixed block V.
 
-    A call is ``exp_action(op, t, V, opts, spaces)`` with this block's
+    A call is ``exp_action(op, t, V, opts, self)``, which keeps this block's
     Krylov spaces: one per octave shift gamma and dimension cap, in an LRU
     of _LU_CACHE entries (each space pins its LU).  On a sparse operator a
     further t of a cached octave thus costs one small expm per checkpoint
     the stopping rule visits, plus blocks only past the dimension already
     built.  ``equidistant`` gives the blocks of a whole node grid; on a
     dense operator it steps from node to node (see there).  Safe to call
-    from several threads: a space is used under its own lock, and a
-    concurrent miss builds the same space twice and keeps one.
+    from several threads: the LRU order is kept under this object's lock, a
+    space is used under its own lock, and a concurrent miss builds the same
+    space twice and keeps one.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
         self.op = op
         self.v = v
         self._spaces = OrderedDict()
+        self._lock = threading.Lock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        return exp_action(self.op, t, self.v, opts, self._spaces)
+        return exp_action(self.op, t, self.v, opts, self)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

@@ -255,7 +255,7 @@ def combine(
     opts: CompressionOptions = CompressionOptions(),
     estimate_weights=None,
 ):
-    """Weighted sum sum_i w_i * L_i D_i L_i^T, compressed.
+    """Weighted sum sum_i w_i * L_i D_i L_i^T, compressed as in ``compress``.
 
     terms is a non-empty sequence of (weight, factor) pairs sharing the state
     dimension.  Concatenation happens in the given order; terms whose basis
@@ -265,37 +265,40 @@ def combine(
     takes the core as it is (1.0 * D has the bits of D), so distinct bases
     with unit weights are stacked without copying a core.
 
-    Given ``estimate_weights`` (one a_i per term), the result is the pair
-    (compressed sum, ||sum_i a_i L_i D_i L_i^T||_F), both from one thin QR
-    Q R of the stacked basis; the norm is that of R D_a R^T, symmetrized as
-    in ``compress``.  A merged basis is then left out only when both of its
-    cores are zero; where that keeps a basis whose sum core cancels, the
+    The return type follows ``estimate_weights``.  Without them it is the
+    compressed sum.  Given a sequence of one estimate weight a_i per term
+    (InvalidInput for any other length), it is the pair
+    (compressed sum, ||sum_i a_i L_i D_i L_i^T||_F), both from the one thin
+    QR Q R of the stacked basis; the norm is that of R D_a R^T, symmetrized
+    as in ``compress``.  A merged basis is then left out only when both of
+    its cores are zero; where that keeps a basis whose sum core cancels, the
     compressed sum agrees with the plain one to round-off, elsewhere it has
     its bits.  Raises NonFiniteFactor when a congruence core is not finite.
     """
     terms = list(terms)
     if not terms:
         raise InvalidInput("combine needs at least one (weight, factor) term")
+    if estimate_weights is not None and len(estimate_weights) != len(terms):
+        raise InvalidInput(
+            f"combine got {len(estimate_weights)} estimate weights for {len(terms)} terms"
+        )
     n = terms[0][1].n
     for _, f in terms:
         if f.n != n:
             raise InvalidInput(f"state dimensions differ: {f.n} vs {n}")
 
     bases, cores, est_cores = _merge(terms, estimate_weights)
-    if estimate_weights is None:
-        live = [i for i, c in enumerate(cores) if c.any()]
-    else:
-        live = [i for i, c in enumerate(cores) if c.any() or est_cores[i].any()]
+    estimating = estimate_weights is not None
+    live = [i for i, c in enumerate(cores) if c.any() or (estimating and est_cores[i].any())]
     if not live:
         zero = LDLTFactor.zero(n)
-        return zero if estimate_weights is None else (zero, 0.0)
-    stacked = _stack([bases[i] for i in live])
-    core = _block_diag([cores[i] for i in live])
-    if estimate_weights is None:
-        return compress(LDLTFactor._trusted(stacked, core), opts)
-    q, r = _thin_qr(stacked)
+        return (zero, 0.0) if estimating else zero
+    q, r = _thin_qr(_stack([bases[i] for i in live]))
+    nxt = _truncate(q, r, _block_diag([cores[i] for i in live]), n, opts)
+    if not estimating:
+        return nxt
     est_core = r @ _block_diag([est_cores[i] for i in live]) @ r.T
-    return _truncate(q, r, core, n, opts), _core_norm(0.5 * (est_core + est_core.T), n)
+    return nxt, _core_norm(0.5 * (est_core + est_core.T), n)
 
 
 def frob_norm(factor: LDLTFactor) -> float:

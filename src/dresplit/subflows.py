@@ -25,7 +25,7 @@ from scipy.linalg import lapack
 
 from .errors import InvalidInput, InvalidNodes, NonFiniteFactor, StepTooLarge
 from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
-from .lowrank import CompressionOptions, LDLTFactor, _block_diag, _stack, combine, compress
+from .lowrank import CompressionOptions, LDLTFactor, combine
 
 PSD_EIG_TOL = 1e-12
 RESET_SHRINK = 0.8
@@ -362,13 +362,9 @@ def affine_flow(
     exp(h A^T) L D L^T exp(h A) + X(h), compressed, where X(h) = L_X D_X L_X^T
     is the quadrature factor of ``state``.
 
-    The basis [exp(h A^T) L | L_X] with core diag(D, D_X) is compressed
-    directly: the sum ``combine`` forms for the two unit-weight terms, with
-    the same bits, since the two bases never coincide.  A term of rank 0 or
-    with an all-zero core is left out, as ``combine`` does.  (Through
-    ``combine``, its merge step costs a few microseconds per call, which
-    desk-scale adaptive runs and studies measure.)  Raises NonFiniteFactor
-    naming the flow and h when the compressed core is not finite.
+    The two terms are summed by ``combine``; a factor of rank 0 is passed
+    as it is, and ``combine`` leaves it out.  Raises NonFiniteFactor naming
+    the flow and h when the compressed core is not finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
@@ -376,18 +372,10 @@ def affine_flow(
         return factor
     if not abs(state.h - h) <= 1e-12 * abs(h):
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
-    bases, cores = [], []
+    propagated = factor
     if factor.rank > 0:
-        bases.append(exp_action(problem.a, h, factor.L, exp_opts))
-        cores.append(factor.D)
-    bases.append(state.assembled.L)
-    cores.append(state.assembled.D)
-    live = [i for i, core in enumerate(cores) if core.any()]
-    if not live:
-        return LDLTFactor.zero(problem.n)
-    stacked = LDLTFactor._trusted(_stack([bases[i] for i in live]),
-                                  _block_diag([cores[i] for i in live]))
+        propagated = LDLTFactor._trusted(exp_action(problem.a, h, factor.L, exp_opts), factor.D)
     try:
-        return compress(stacked, comp_opts)
+        return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts)
     except NonFiniteFactor as exc:
         raise NonFiniteFactor(f"affine flow over h={h:g}: {exc}") from exc

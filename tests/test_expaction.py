@@ -479,9 +479,9 @@ def test_one_exp_action_per_sparse_node(monkeypatch):
     calls = []
     real = expaction.exp_action
 
-    def counting(op, t, v, opts=ExpActionOptions(), spaces=None):
-        calls.append((t, v is problem.q.L, spaces is not None))
-        return real(op, t, v, opts, spaces)
+    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
+        calls.append((t, v is problem.q.L, blocks is problem.source_blocks))
+        return real(op, t, v, opts, blocks)
 
     monkeypatch.setattr(expaction, "exp_action", counting)
     state = init_quadrature(problem, 0.01, 5)
@@ -492,6 +492,24 @@ def test_one_exp_action_per_sparse_node(monkeypatch):
     # In band, the node at 0.01 moves into the middle of the largest gap.
     assert shrunk.fresh_blocks == 1
     assert [t for t, _, _ in calls] == [0.001]
+
+
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_exp_action_refuses_the_blocks_of_another_block(kind):
+    # A cache's spaces belong to its own operator and block; an equal copy
+    # of the block is refused too, since the cache keys only on t.
+    problem = generate_problem("laplacian_lqr" if kind == "sparse" else "random_lowrank",
+                               n=20, seed=1)
+    blocks = problem.source_blocks
+    other = generate_problem("laplacian_lqr" if kind == "sparse" else "random_lowrank",
+                             n=20, seed=1)
+    for op, v in ((problem.a, problem.q.L.copy()), (problem.a, problem.p0.L),
+                  (other.a, problem.q.L)):
+        with pytest.raises(InvalidInput, match="another operator or block"):
+            exp_action(op, 0.01, v, ExpActionOptions(), blocks)
+    assert _spaces(blocks) == []
+    assert exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks).tobytes() == (
+        exp_action(problem.a, 0.01, problem.q.L).tobytes())
 
 
 def test_dense_source_blocks_keep_the_dense_path():

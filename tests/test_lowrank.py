@@ -301,6 +301,12 @@ class TestCombineAndNorm:
         nxt, est = combine([(1.0, f), (-1.0, f)], CompressionOptions(), [2.0, -2.0])
         assert nxt.rank == 0 and nxt.n == 8 and est == 0.0
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_estimate_weights_one_per_term(self, rng, count):
+        terms = [(1.0, random_factor(rng, 8, 2)), (0.5, random_factor(rng, 8, 3))]
+        with pytest.raises(InvalidInput, match=f"{count} estimate weights for 2 terms"):
+            combine(terms, CompressionOptions(), [1.0] * count)
+
     def test_nonfinite_alpha_core_rejected(self, rng):
         f = random_factor(rng, 8, 3)
         big = np.finfo(np.float64).max

@@ -334,8 +334,8 @@ class TestAffineFlow:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("factor_rank, source_rank", [(3, 2), (0, 2), (3, 0), (0, 0)])
     def test_same_bits_as_combine(self, rng, kind, factor_rank, source_rank):
-        # The flow compresses [exp(h A^T) L | L_X] itself; it must give the
-        # bits of combine on the two unit-weight terms it replaces.
+        # The flow is combine on its two unit-weight terms, bit for bit,
+        # also where a term has rank 0 or an all-zero core.
         n, h = 12, 0.05
         if kind == "dense":
             a = StiffOperator(rng.standard_normal((n, n)))
