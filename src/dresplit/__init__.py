@@ -66,6 +66,7 @@ from .subflows import (
     ProblemData,
     QuadraticTerm,
     QuadratureState,
+    StepWork,
     affine_flow,
     init_quadrature,
     quad_weights,

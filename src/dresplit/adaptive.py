@@ -5,13 +5,16 @@ chains once, form the full-order combination and the estimate combination,
 compare the estimate against the tolerance (optionally per unit step), and
 steer the step size with a PI controller.  A first rejection triggers a full
 recomputation of the quadrature caches at the same step size; further
-rejections shrink the step, each by at most the growth cap.  A subflow that
+rejections shrink the step, each by at most the growth cap.  The
+propagations of the step's start factor are kept in one ``StepWork`` across
+its retries and dropped when the step is accepted.  A subflow that
 fails inside a step (a singular solve, StepTooLarge, or an exponential
 action short of its tolerance, ToleranceNotMet) also counts as a rejection:
 the step is halved and the quadrature caches are recomputed at the new size.
 The final step is clamped so the trajectory lands exactly on the horizon.
 """
 
+import functools
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +26,7 @@ from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarg
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
-from .subflows import ProblemData, in_band, init_quadrature, update_quadrature
+from .subflows import ProblemData, StepWork, in_band, init_quadrature, update_quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -197,10 +200,22 @@ def _blown_up(exc: NonFiniteFactor, t: float, h: float) -> NonFiniteFactor:
     return NonFiniteFactor(f"{exc} (in the step from t={t:g} with h={h:g})")
 
 
+# Every layer checks what it computes and raises NonFiniteFactor (or
+# StepTooLarge) on a non-finite value: exp_action's iterate, the congruence
+# core of compress and combine, quadratic_flow's condition estimate.  Those
+# checks are the guard, so numpy's overflow warnings are silenced for a
+# solve, once in the driver and once per chain thread rather than per call.
+_SILENCED = {"over": "ignore", "invalid": "ignore"}
+
+
 def _make_executor(threads: int):
-    return ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
+    if not (threads and threads > 1):
+        return None
+    return ThreadPoolExecutor(max_workers=threads,
+                              initializer=functools.partial(np.seterr, **_SILENCED))
 
 
+@np.errstate(**_SILENCED)
 def integrate_fixed(
     problem: ProblemData,
     spec: SchemeSpec,
@@ -257,6 +272,7 @@ def integrate_fixed(
     return trajectory
 
 
+@np.errstate(**_SILENCED)
 def integrate_adaptive(
     problem: ProblemData,
     spec: SchemeSpec,
@@ -303,6 +319,7 @@ def integrate_adaptive(
             rejections = 0
             fresh = 0
             reset = False
+            work = StepWork(current)
             while True:
                 try:
                     if reset:
@@ -311,7 +328,7 @@ def integrate_adaptive(
                     fresh += pool.prepare(h, divisors)
                     candidate, estimate = additive_step(
                         current, h, spec, coeffs, problem, pool.states,
-                        exp_opts, comp_opts, executor,
+                        exp_opts, comp_opts, executor, work,
                     )
                 except NonFiniteFactor as exc:
                     raise _blown_up(exc, t, h) from exc

@@ -64,6 +64,10 @@ _EXPM_CACHE = 8
 # (sym2, 2 fixed steps) peaks 3.8% higher in RSS for the LUs and another
 # 2.0% for the spaces.
 _LU_CACHE = 4
+# Node blocks kept per BlockActions on a sparse operator, keyed by t (and
+# the options): the 9 distinct node times of a sym2 step's two rules fit,
+# and each block is N x rank(Q), small beside a Krylov space.
+_BLOCK_CACHE = 16
 # Default Krylov dimension cap, min(N, _MAX_DIM).
 _MAX_DIM = 512
 # Directions of a new block below this share of its norm are dropped.
@@ -352,6 +356,18 @@ def _checked_block(op: StiffOperator, t: float, v) -> np.ndarray:
     return v
 
 
+def _lru_keep(cache: OrderedDict, key, value, cap: int):
+    """The value cached under key, after storing ``value`` there if none is;
+    key becomes the most recent.  The oldest entry is evicted before an
+    insert, so the cache never holds more than cap entries.  Callers hold
+    the cache's lock."""
+    if key not in cache and len(cache) >= cap:
+        cache.popitem(last=False)
+    value = cache.setdefault(key, value)
+    cache.move_to_end(key)
+    return value
+
+
 def exp_action(
     op: StiffOperator,
     t: float,
@@ -387,11 +403,7 @@ def exp_action(
     if space is None:
         space = _KrylovSpace(op, v, *key, t)
     with blocks._lock:
-        # Evict before inserting, so the cache never holds more than its cap.
-        if key not in spaces and len(spaces) >= _LU_CACHE:
-            spaces.popitem(last=False)
-        space = spaces.setdefault(key, space)
-        spaces.move_to_end(key)
+        space = _lru_keep(spaces, key, space, _LU_CACHE)
     with space.lock:
         return space.action(t, opts.rel_tol)
 
@@ -404,21 +416,41 @@ class BlockActions:
     of _LU_CACHE entries (each space pins its LU).  On a sparse operator a
     further t of a cached octave thus costs one small expm per checkpoint
     the stopping rule visits, plus blocks only past the dimension already
-    built.  ``equidistant`` gives the blocks of a whole node grid; on a
+    built.  A sparse operator also keeps the blocks themselves, read-only,
+    in an LRU of _BLOCK_CACHE entries keyed by t and the options, so a node
+    time that several rules share (t = 0, or h/5 of the rule over h and
+    2(h/2)/5 of the one over h/2, when they agree bit for bit) is computed
+    once; since a cached space gives the bits of a one-shot one, a kept
+    block has the bits a new call would give.  A dense operator's blocks
+    come from ``expm``, whose entries may be primed anew, so they are not
+    kept.  ``equidistant`` gives the blocks of a whole node grid; on a
     dense operator it steps from node to node (see there).  Safe to call
-    from several threads: the LRU order is kept under this object's lock, a
-    space is used under its own lock, and a concurrent miss builds the same
-    space twice and keeps one.
+    from several threads: both LRU orders are kept under this object's
+    lock, a space is used under its own lock, and a concurrent miss builds
+    the same space or block twice and keeps one.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
         self.op = op
         self.v = v
         self._spaces = OrderedDict()
+        self._blocks = OrderedDict()
         self._lock = threading.Lock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        return exp_action(self.op, t, self.v, opts, self)
+        if not self.op.is_sparse:
+            return exp_action(self.op, t, self.v, opts, self)
+        key = (t, opts)
+        blocks = self._blocks
+        with self._lock:
+            block = blocks.get(key)
+            if block is not None:
+                blocks.move_to_end(key)
+                return block
+        block = exp_action(self.op, t, self.v, opts, self)
+        block.flags.writeable = False
+        with self._lock:
+            return _lru_keep(blocks, key, block, _BLOCK_CACHE)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

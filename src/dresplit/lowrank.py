@@ -125,13 +125,14 @@ def _thin_qr(basis: np.ndarray):
 
 
 def _core_norm(core: np.ndarray, n: int) -> float:
-    """Frobenius norm of a square core, summed with its largest entry scaled
-    into [0.5, 1) by a power of two as in ``compress``.  Raises
-    NonFiniteFactor when the core is not finite."""
+    """Frobenius norm of the core of ``combine``'s estimate, summed with its
+    largest entry scaled into [0.5, 1) by a power of two as in ``compress``.
+    Raises NonFiniteFactor, naming the estimate, when the core is not
+    finite."""
     if not np.isfinite(core).all():
         raise NonFiniteFactor(
-            f"cannot take the norm of a rank-{core.shape[0]} factor of dimension {n}: "
-            "its core is not finite"
+            f"cannot take the norm of the estimate, a rank-{core.shape[0]} factor of "
+            f"dimension {n}: its core is not finite"
         )
     top = np.abs(core).max()
     if top == 0.0:
@@ -273,7 +274,8 @@ def combine(
     as in ``compress``.  A merged basis is then left out only when both of
     its cores are zero; where that keeps a basis whose sum core cancels, the
     compressed sum agrees with the plain one to round-off, elsewhere it has
-    its bits.  Raises NonFiniteFactor when a congruence core is not finite.
+    its bits.  Raises NonFiniteFactor when a congruence core is not finite,
+    the estimate's with a message that names it.
     """
     terms = list(terms)
     if not terms:

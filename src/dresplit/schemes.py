@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod
+from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod, NonFiniteFactor
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, combine
-from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
+from .subflows import ProblemData, QuadratureState, StepWork, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
 ADDITIVE_KINDS = ("asym", "sym")
@@ -172,11 +172,14 @@ def lie_chain(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
+    work: StepWork | None = None,
 ) -> LDLTFactor:
     """k repetitions of the Lie-type substep of size h/k.
 
     order QUADRATIC_FIRST applies the quadratic flow then the affine flow in
-    each repetition; AFFINE_FIRST is the reverse.
+    each repetition; AFFINE_FIRST is the reverse.  ``work`` is passed to
+    every affine flow, which takes the propagation of the step's basis from
+    it (see ``StepWork``).
     """
     if k < 1:
         raise InvalidInput(f"repetition count must be >= 1, got {k}")
@@ -185,9 +188,9 @@ def lie_chain(
     for _ in range(k):
         if order == QUADRATIC_FIRST:
             current = quadratic_flow(current, sub, problem.s)
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, work)
         else:
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, work)
             current = quadratic_flow(current, sub, problem.s)
     return current
 
@@ -228,6 +231,7 @@ def additive_step(
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
     executor: ThreadPoolExecutor | None = None,
+    work: StepWork | None = None,
 ):
     """One additive step: (next factor, error estimate or None).
 
@@ -239,26 +243,47 @@ def additive_step(
     alpha-weighted sum, comes from the same QR with alpha as the estimate
     weights.  It is None for single-stage schemes, which have no embedded
     companion.
+
+    Repeated factor work is done once, with the same bits.  ``work`` (a
+    ``StepWork`` of ``factor``; a fresh one when None) first gets
+    exp((h/k) A^T) L for every divisor k, which the chains of both
+    directions then take from it; a driver that keeps it across the retries
+    of a step propagates L once per substep size.  From a factor of rank 0,
+    on which ``quadratic_flow`` returns the factor itself, the AFFINE_FIRST
+    chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST chain k over
+    h/k, and is computed so.  A NonFiniteFactor from combining the chains
+    names the step, h, and whether the next factor (``cannot compress``) or
+    the estimate is not finite.
     """
     if not spec.is_additive:
         raise InvalidInput("additive_step requires an additive scheme spec")
-    s = spec.stages
+    if work is None:
+        work = StepWork(factor)
+    elif work.basis is not factor.L:
+        raise InvalidInput("work holds the propagations of another factor")
+    ks = range(1, spec.stages + 1)
     if spec.kind == "sym":
         directions = (QUADRATIC_FIRST, AFFINE_FIRST)
     else:
         directions = (QUADRATIC_FIRST,)
-    jobs = [(k, d) for k in range(1, s + 1) for d in directions]
+    jobs = [(k, d) for k in ks for d in directions]
+    shared_prefix = spec.kind == "sym" and factor.rank == 0
+    runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
+    work.prepare(problem.a, [h / k for k in ks], exp_opts, executor)
 
     def run(job):
         k, d = job
-        return lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts)
+        return lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, work)
 
-    if executor is None:
-        chains = [run(job) for job in jobs]
-    else:
-        chains = list(executor.map(run, jobs))
+    chains = list((map if executor is None else executor.map)(run, runs))
+    if shared_prefix:
+        chains = [c for k, chain in zip(ks, chains)
+                  for c in (chain, quadratic_flow(chain, h / k, problem.s))]
 
     terms = [(coeffs.gamma[k - 1], chain) for (k, _), chain in zip(jobs, chains)]
-    if coeffs.alpha is None:
-        return combine(terms, comp_opts), None
-    return combine(terms, comp_opts, [coeffs.alpha[k - 1] for k, _ in jobs])
+    alphas = None if coeffs.alpha is None else [coeffs.alpha[k - 1] for k, _ in jobs]
+    try:
+        combined = combine(terms, comp_opts, alphas)
+    except NonFiniteFactor as exc:
+        raise NonFiniteFactor(f"additive step over h={h:g}, combining its chains: {exc}") from exc
+    return (combined, None) if alphas is None else combined

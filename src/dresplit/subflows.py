@@ -350,6 +350,41 @@ def update_quadrature(
                            assembled, fresh)
 
 
+class StepWork:
+    """Factor work shared by the chains of one step and by its retries.
+
+    Every chain of an additive step starts from the step's factor, and
+    ``quadratic_flow`` keeps its basis L, so the first affine flow of each
+    chain of divisor k propagates that same L over h/k; a retry at the same
+    h (the first rejection's) does it again.  This store keeps L alive as
+    ``basis`` and holds ``propagated``, {t: exp(t A^T) L}, for the substeps
+    t of the step size last prepared.  ``prepare`` fills it; ``affine_flow``
+    reads it for a factor whose basis is this L.  Later bases of a chain are
+    fresh arrays that no other chain sees, so they are not stored.
+    """
+
+    __slots__ = ("basis", "propagated")
+
+    def __init__(self, factor: LDLTFactor):
+        self.basis = factor.L
+        self.propagated = {}
+
+    def prepare(self, op: StiffOperator, subs, exp_opts: ExpActionOptions,
+                executor=None) -> None:
+        """Hold exp(t A^T) L for each t of subs, computing only the missing
+        ones (on the executor when given, else in order); entries for other
+        t are dropped.  Each is exp_action's value, so a hit has the bits a
+        recomputation would have."""
+        kept = {t: self.propagated[t] for t in subs if t in self.propagated}
+        missing = [t for t in subs if t not in kept]
+        if missing and self.basis.shape[1] > 0:
+            basis = self.basis
+            run = (map if executor is None else executor.map)(
+                lambda t: exp_action(op, t, basis, exp_opts), missing)
+            kept.update(zip(missing, run))
+        self.propagated = kept
+
+
 def affine_flow(
     factor: LDLTFactor,
     h: float,
@@ -357,14 +392,17 @@ def affine_flow(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
+    work: StepWork | None = None,
 ) -> LDLTFactor:
     """Exact flow of P' = A^T P + P A + Q over a step h:
     exp(h A^T) L D L^T exp(h A) + X(h), compressed, where X(h) = L_X D_X L_X^T
     is the quadrature factor of ``state``.
 
-    The two terms are summed by ``combine``; a factor of rank 0 is passed
-    as it is, and ``combine`` leaves it out.  Raises NonFiniteFactor naming
-    the flow and h when the compressed core is not finite.
+    When the basis L is the one ``work`` holds, exp(h A^T) L is taken from
+    it if present (one dict lookup); otherwise it is one exp_action.  The
+    two terms are summed by ``combine``; a factor of rank 0 is passed as it
+    is, and ``combine`` leaves it out.  Raises NonFiniteFactor naming the
+    flow and h when the compressed core is not finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
@@ -374,7 +412,10 @@ def affine_flow(
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     propagated = factor
     if factor.rank > 0:
-        propagated = LDLTFactor._trusted(exp_action(problem.a, h, factor.L, exp_opts), factor.D)
+        basis = None if work is None or factor.L is not work.basis else work.propagated.get(h)
+        if basis is None:
+            basis = exp_action(problem.a, h, factor.L, exp_opts)
+        propagated = LDLTFactor._trusted(basis, factor.D)
     try:
         return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts)
     except NonFiniteFactor as exc:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dresplit import adaptive
+from dresplit import adaptive, subflows
 from dresplit import (
     CompressionOptions,
     ControllerParams,
@@ -307,3 +307,39 @@ def test_dense_factors_byte_identical_across_threads(spec, tol):
             assert sum(r.rejections for r in traj.records) > 0
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(traj.records)))
     assert finals[0] == finals[1]
+
+
+def test_sparse_factors_byte_identical_across_threads():
+    # From P0 = 0 the AFFINE_FIRST chains are quadratic flows of the
+    # QUADRATIC_FIRST ones; the second step shares the start propagations.
+    finals = []
+    for threads in (1, 4):
+        problem = generate_problem("laplacian_lqr", n=60)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2, threads=threads)
+        finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
+    assert finals[0] == finals[1]
+
+
+def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
+    # The start basis of a step is propagated once per substep size, also
+    # across the first rejection's retry at the same h, with or without
+    # threads; no (basis, t) pair is computed twice.
+    resets = []
+    real_reset = adaptive.QuadraturePool.reset
+    monkeypatch.setattr(adaptive.QuadraturePool, "reset",
+                        lambda pool, *args: resets.append(args) or real_reset(pool, *args))
+    real = subflows.exp_action
+    for threads in (1, 4):
+        calls = []
+
+        def counting(op, t, v, *rest):
+            calls.append((v, t))  # keeps v alive, so identities stay unique
+            return real(op, t, v, *rest)
+
+        monkeypatch.setattr(subflows, "exp_action", counting)
+        resets.clear()
+        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+        traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                                  ControllerParams(tol=1e-5, epus=True), threads=threads)
+        assert resets and sum(r.rejections for r in traj.records) > 0
+        assert len({(id(v), t) for v, t in calls}) == len(calls)

@@ -27,6 +27,7 @@ from dresplit import adaptive, expaction
 from dresplit.adaptive import QuadraturePool, default_quad_degree
 from dresplit.subflows import in_band, init_quadrature, update_quadrature
 from dresplit.expaction import (
+    _BLOCK_CACHE,
     _EXPM_CACHE,
     _LU_CACHE,
     BlockActions,
@@ -453,7 +454,9 @@ def test_source_blocks_under_thread_contention():
     def worker(offset):
         for i in range(12):
             t = ts[(offset + 5 * i) % len(ts)]
-            if blocks(t).tobytes() != serial[t]:
+            # exp_action with the cache, past the kept blocks of blocks(t).
+            got = exp_action(problem.a, t, problem.q.L, ExpActionOptions(), blocks)
+            if got.tobytes() != serial[t]:
                 wrong.append(t)
             sizes.append(len(blocks._spaces))
 
@@ -748,3 +751,76 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
         assert len(calls) == len(sizes) + sum(relocated)
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
     assert finals[0] == finals[1]
+
+
+# Sparse node blocks are kept by node time, so node times that several
+# rules share are computed once.
+
+def test_shared_node_times_take_one_exp_action(monkeypatch):
+    # sym2 over h = 0.05 builds rules on [0, 0.05] and [0, 0.025], degree
+    # 5; the nodes 0, 0.01 and 0.02 of the two agree bit for bit.
+    problem = generate_problem("laplacian_lqr", n=20)
+    calls = []
+    real = expaction.exp_action
+
+    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
+        if blocks is not None:
+            calls.append(t)
+        return real(op, t, v, opts, blocks)
+
+    monkeypatch.setattr(expaction, "exp_action", counting)
+    integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+    nodes = set(np.linspace(0.0, 0.05, 6)) | set(np.linspace(0.0, 0.025, 6))
+    assert len(nodes) == 9
+    assert sorted(calls) == sorted(nodes)
+
+
+def test_kept_blocks_are_read_only_and_keep_their_bits():
+    problem = generate_problem("laplacian_lqr", n=60)
+    blocks = problem.source_blocks
+    loose = ExpActionOptions(rel_tol=1e-6)
+    first = blocks(0.01)
+    assert blocks(0.01) is first and not first.flags.writeable
+    assert first.tobytes() == exp_action(problem.a, 0.01, problem.q.L).tobytes()
+    other = blocks(0.01, loose)
+    assert other is not first
+    assert other.tobytes() == exp_action(problem.a, 0.01, problem.q.L, loose).tobytes()
+    assert len(blocks._blocks) == 2
+
+
+def test_kept_blocks_stay_within_their_bound_over_an_adaptive_run(monkeypatch):
+    sizes = []
+    real = BlockActions.__call__
+
+    def recording(self, *args):
+        block = real(self, *args)
+        sizes.append(len(self._blocks))
+        return block
+
+    monkeypatch.setattr(BlockActions, "__call__", recording)
+    problem = generate_problem("laplacian_lqr", n=30)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01, ControllerParams(tol=1e-4))
+    assert len(traj.records) > 3
+    assert max(sizes) == _BLOCK_CACHE
+    for t, block in problem.source_blocks._blocks.items():
+        assert block.tobytes() == exp_action(problem.a, t[0], problem.q.L, t[1]).tobytes()
+
+
+def test_kept_blocks_under_thread_contention():
+    problem = generate_problem("laplacian_lqr", n=80)
+    ts = [0.05 / 2.0**k * f for k in range(8) for f in (1.0, 1.3, 1.7)]
+    serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
+    blocks = BlockActions(problem.a, problem.q.L)
+    wrong = []
+    sizes = []
+
+    def worker(offset):
+        for i in range(24):
+            t = ts[(offset + 7 * i) % len(ts)]
+            if blocks(t).tobytes() != serial[t]:
+                wrong.append(t)
+            sizes.append(len(blocks._blocks))
+
+    run_threads(worker, 4)
+    assert wrong == []
+    assert max(sizes) <= _BLOCK_CACHE

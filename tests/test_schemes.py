@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from dresplit import (
     QuadraticTerm,
     SchemeCoefficients,
     SchemeSpec,
+    StepWork,
     StiffOperator,
     additive_coeffs,
     additive_step,
@@ -23,9 +26,10 @@ from dresplit import (
     integrate_fixed,
     lie_chain,
     multiplicative_step,
+    quadratic_flow,
     to_dense,
 )
-from dresplit import schemes
+from dresplit import schemes, subflows
 from dresplit.adaptive import default_quad_degree
 from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
@@ -328,3 +332,136 @@ class TestSharedQRStep:
         traj = integrate_fixed(problem, SchemeSpec("sym", 3), 3)
         assert terms == [6, 6, 6]
         assert all(r.err_est > 0.0 for r in traj.records)
+
+
+class TestSharedFactorWork:
+    """An additive step propagates each basis once per substep size, builds
+    the AFFINE_FIRST chains from a zero start out of the QUADRATIC_FIRST
+    ones, and keeps the bits of the unshared evaluation."""
+
+    @staticmethod
+    def _count_propagations(monkeypatch):
+        calls = []
+        real = subflows.exp_action
+
+        def counting(op, t, v, *rest):
+            calls.append((v, t))  # keeps v alive, so identities stay unique
+            return real(op, t, v, *rest)
+
+        monkeypatch.setattr(subflows, "exp_action", counting)
+        return calls
+
+    def test_dense_sym3_step_propagates_nine_times(self, monkeypatch):
+        # Of the 12 affine flows of a sym3 step, the first of each chain
+        # pair k propagates the start basis over h/k: 3 shared, 6 not.
+        calls = self._count_propagations(monkeypatch)
+        problem = generate_problem("random_lowrank", 20, rank=4, seed=3, horizon=0.05)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2)
+        assert len(calls) == 18
+        for start, step in zip(traj.factors, (calls[:9], calls[9:])):
+            assert sum(v is start.L for v, _ in step) == 3
+            assert len({(id(v), t) for v, t in step}) == 9
+
+    def test_sparse_sym2_from_zero_propagates_five_times(self, monkeypatch):
+        # From P0 = 0 only the second substep of chain 2 propagates (the
+        # AFFINE_FIRST chains are quadratic flows of the QUADRATIC_FIRST
+        # ones); the second step makes 2 shared and 2 unshared propagations.
+        calls = self._count_propagations(monkeypatch)
+        problem = generate_problem("laplacian_lqr", 20)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+        assert traj.factors[0].rank == 0
+        assert len(calls) == 5
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_affine_first_chain_from_zero(self, k):
+        problem = generate_problem("laplacian_lqr", 20)
+        h = 0.02
+        states = _states_for(problem, h, (k,))
+        qf = lie_chain(problem.p0, h, k, QUADRATIC_FIRST, problem, states[k], EXP, COMP)
+        af = lie_chain(problem.p0, h, k, AFFINE_FIRST, problem, states[k], EXP, COMP)
+        via = quadratic_flow(qf, h / k, problem.s)
+        assert qf.rank > 0
+        assert af.L.tobytes() == via.L.tobytes()
+        assert af.D.tobytes() == via.D.tobytes()
+
+    @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
+    def test_retry_reuses_the_start_propagations(self, monkeypatch, kind):
+        # A retry at the same h with rebuilt quadrature states (what the
+        # adaptive driver does after a first rejection) propagates nothing
+        # of the start basis again, and has the bits of a fresh step.
+        problem = generate_problem(kind, 20, rank=4, seed=3)
+        start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
+        spec = SchemeSpec("sym", 3)
+        coeffs = SchemeCoefficients.for_spec(spec)
+        h = 0.01
+        fresh = additive_step(start, h, spec, coeffs, problem, _states_for(problem, h, (1, 2, 3)))
+        calls = self._count_propagations(monkeypatch)
+        work = StepWork(start)
+        first = additive_step(start, h, spec, coeffs, problem,
+                              _states_for(problem, h, (1, 2, 3)), work=work)
+        assert sum(v is start.L for v, _ in calls) == 3
+        calls.clear()
+        retry = additive_step(start, h, spec, coeffs, problem,
+                              _states_for(problem, h, (1, 2, 3)), work=work)
+        assert sum(v is start.L for v, _ in calls) == 0
+        assert len(calls) == 6
+        for got in (first, retry):
+            assert got[0].L.tobytes() == fresh[0].L.tobytes()
+            assert got[0].D.tobytes() == fresh[0].D.tobytes()
+            assert got[1] == fresh[1]
+
+    def test_halved_step_reuses_the_shared_substep(self, monkeypatch):
+        # After halving, the new h/1 is the old h/2 bit for bit; the store
+        # keeps only the substeps of the step size last prepared.
+        problem = generate_problem("random_lowrank", 10, rank=4, seed=3)
+        calls = self._count_propagations(monkeypatch)
+        work = StepWork(problem.p0)
+        work.prepare(problem.a, [0.02, 0.01, 0.02 / 3], EXP)
+        work.prepare(problem.a, [0.01, 0.005, 0.01 / 3], EXP)
+        assert [t for _, t in calls] == [0.02, 0.01, 0.02 / 3, 0.005, 0.01 / 3]
+        assert sorted(work.propagated) == sorted([0.01, 0.005, 0.01 / 3])
+
+    def test_work_of_another_factor_rejected(self):
+        problem = generate_problem("random_lowrank", 10, rank=4, seed=3)
+        spec = SchemeSpec("sym", 2)
+        with pytest.raises(InvalidInput, match="another factor"):
+            additive_step(problem.p0, 0.01, spec, SchemeCoefficients.for_spec(spec), problem,
+                          _states_for(problem, 0.01, (1, 2)),
+                          work=StepWork(LDLTFactor(problem.p0.L.copy(), problem.p0.D)))
+
+
+class TestAdditiveStepFailures:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_nonfinite_combination_names_the_chains_and_h(self, threads):
+        # A = 0 and S = 0 keep every chain at the P0 core 8e307; the two
+        # bitwise equal chains of k = 4 merge to 2 * 1.625 * 8e307, which
+        # overflows, while every subflow stays finite.  The driver silences
+        # numpy's overflow warnings, also in its chain threads.
+        n = 3
+        e1 = np.eye(n)[:, :1]
+        problem = ProblemData(
+            a=StiffOperator(np.zeros((n, n))),
+            q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
+            s=QuadraticTerm.from_dense(np.zeros((n, n))),
+            p0=LDLTFactor(e1, np.array([[8e307]])),
+            horizon=0.5,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteFactor,
+                               match=r"^additive step over h=0\.5, combining its chains: "
+                                     r"cannot compress .*\(in the step from t=0 with h=0\.5\)$"):
+                integrate_fixed(problem, SchemeSpec("sym", 4), 1, threads=threads)
+
+    def test_nonfinite_estimate_names_the_estimate_and_h(self):
+        problem = generate_problem("random_lowrank", 10, rank=4)
+        spec = SchemeSpec("sym", 2)
+        coeffs = SchemeCoefficients.for_spec(spec)
+        huge = SchemeCoefficients(coeffs.gamma, coeffs.beta,
+                                  np.full_like(coeffs.alpha, np.finfo(np.float64).max))
+        states = _states_for(problem, 0.01, (1, 2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=r"^additive step over h=0\.01, combining its chains: "
+                                    r"cannot take the norm of the estimate"):
+            additive_step(problem.p0, 0.01, spec, huge, problem, states, EXP, COMP)
