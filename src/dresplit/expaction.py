@@ -12,7 +12,9 @@ last node from the expm(h A^T) that the propagation over h caches.  The
 t of a set of grids and substeps are integer multiples m u of one u, so
 ``StiffOperator.prime_expm`` fills their cache entries with the powers
 expm(u A^T)^m, formed by products from one scipy expm: one N x N
-exponential per set instead of one per t.
+exponential per set instead of one per t.  A t asked for once (a node an
+in-band shrink relocates) is formed for the call and not cached, so it
+evicts no primed entry before it is read.
 
 Sparse operators use the block shift-and-invert (restricted-denominator)
 Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
@@ -374,10 +376,13 @@ def exp_action(
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
     blocks: "BlockActions | None" = None,
+    keep: bool = True,
 ) -> np.ndarray:
     """Approximate exp(t A^T) @ v.
 
-    Dense operators: exact to round-off through the cached expm(t A^T).
+    Dense operators: exact to round-off through the cached expm(t A^T);
+    with keep=False through an expm(t A^T) formed for the call and left out
+    of the cache (the bits of a cache miss that was not primed).
     Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
     a space built for the call or, given the ``BlockActions`` of op and v
     (the same objects; InvalidInput otherwise), on its cached space of t's
@@ -393,7 +398,8 @@ def exp_action(
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
     if not op.is_sparse:
-        return _finite_iterate(op.expm(t) @ v, t)
+        e = op.expm(t) if keep else _dense_expm(op._at, t)
+        return _finite_iterate(e @ v, t)
     key = (_octave_shift(t), _dim_cap(op, opts))
     if blocks is None:
         return _KrylovSpace(op, v, *key, t).action(t, opts.rel_tol)
@@ -451,6 +457,18 @@ class BlockActions:
         block.flags.writeable = False
         with self._lock:
             return _lru_keep(blocks, key, block, _BLOCK_CACHE)
+
+    def once(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
+        """self(t, opts) for a node time that no later call is expected to
+        ask for (a node ``update_quadrature`` relocates), kept in no
+        per-time cache.  On a dense operator it is ``exp_action`` with
+        keep=False, whose exponential thus evicts none of the ``expm``
+        entries primed for the step before the chains read them; on a
+        sparse operator the block, with the bits a call gives, does not
+        enter the kept blocks."""
+        if self.op.is_sparse:
+            return exp_action(self.op, t, self.v, opts, self)
+        return exp_action(self.op, t, self.v, opts, self, keep=False)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

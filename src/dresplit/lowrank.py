@@ -5,6 +5,14 @@ basis L (N x r) and a small symmetric core D (r x r).  The core may be
 indefinite; combinations with negative weights are therefore first-class
 citizens.  All operations are pure: inputs are never mutated and results are
 fresh factors, so values may be shared freely across threads.
+
+Compression has one rule (``_truncate``: eigendecompose the core in an
+orthonormal basis, drop the pairs of least energy) and two ways to get the
+basis.  Below N columns it is the thin QR of the basis, with the core
+R D R^T.  At N or more columns (``combine`` only; ``compress`` always takes
+the QR) the thin QR's Q is N x N, so the identity serves as well: the core
+is the N x N sum itself, formed term by term, and neither the stacked basis
+nor the QR is formed.
 """
 
 import functools
@@ -124,14 +132,15 @@ def _thin_qr(basis: np.ndarray):
     return q, r
 
 
-def _core_norm(core: np.ndarray, n: int) -> float:
-    """Frobenius norm of the core of ``combine``'s estimate, summed with its
-    largest entry scaled into [0.5, 1) by a power of two as in ``compress``.
-    Raises NonFiniteFactor, naming the estimate, when the core is not
-    finite."""
+def _core_norm(core: np.ndarray, width: int, n: int) -> float:
+    """Frobenius norm of the core of ``combine``'s estimate, symmetrized as
+    in ``_truncate`` and summed with its largest entry scaled into [0.5, 1)
+    by a power of two as in ``compress``.  Raises NonFiniteFactor, naming
+    the estimate as a rank-``width`` factor, when the core is not finite."""
+    core = 0.5 * (core + core.T)
     if not np.isfinite(core).all():
         raise NonFiniteFactor(
-            f"cannot take the norm of the estimate, a rank-{core.shape[0]} factor of "
+            f"cannot take the norm of the estimate, a rank-{width} factor of "
             f"dimension {n}: its core is not finite"
         )
     top = np.abs(core).max()
@@ -141,14 +150,17 @@ def _core_norm(core: np.ndarray, n: int) -> float:
     return float(np.ldexp(np.sqrt(np.sum(np.ldexp(core, -e) ** 2)), e))
 
 
-def _truncate(q: np.ndarray, r: np.ndarray, d: np.ndarray, n: int,
+def _truncate(q: np.ndarray | None, core: np.ndarray, width: int, n: int,
               opts: CompressionOptions) -> LDLTFactor:
-    """Compressed factor of (Q R) D (Q R)^T from a thin QR of its basis."""
-    core = r @ d @ r.T
+    """Compressed factor of Q C Q^T, from an orthonormal basis Q (N x k)
+    and its core C (k x k), as yet unsymmetrized.  q=None is the identity
+    basis: C is the N x N matrix itself and the kept eigenvectors are the
+    basis.  width, the number of columns the basis was stacked from, names
+    the factor in the NonFiniteFactor raised when C is not finite."""
     core = 0.5 * (core + core.T)
     if not np.isfinite(core).all():
         raise NonFiniteFactor(
-            f"cannot compress a rank-{d.shape[0]} factor of dimension {n}: "
+            f"cannot compress a rank-{width} factor of dimension {n}: "
             "its core is not finite"
         )
     eigvals, eigvecs, info = lapack.dsyevd(core, lower=1)
@@ -175,7 +187,8 @@ def _truncate(q: np.ndarray, r: np.ndarray, d: np.ndarray, n: int,
     keep = order[n_drop:][::-1]
     if keep.size == 0:
         return LDLTFactor.zero(n)
-    return LDLTFactor._trusted(q @ eigvecs[:, keep], np.diag(eigvals[keep]))
+    kept = eigvecs[:, keep]
+    return LDLTFactor._trusted(kept if q is None else q @ kept, np.diag(eigvals[keep]))
 
 
 def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()) -> LDLTFactor:
@@ -192,7 +205,7 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     if factor.rank == 0:
         return factor
     q, r = _thin_qr(factor.L)
-    return _truncate(q, r, factor.D, factor.n, opts)
+    return _truncate(q, r @ factor.D @ r.T, factor.rank, factor.n, opts)
 
 
 def _scaled(weight, core: np.ndarray) -> np.ndarray:
@@ -247,6 +260,15 @@ def _block_diag(cores) -> np.ndarray:
     return big_d
 
 
+def _dense_sum(bases, cores, index, n: int) -> np.ndarray:
+    """sum_i (B_i C_i) B_i^T over the given indices, in one N x N array."""
+    total = np.zeros((n, n))
+    for i in index:
+        basis = bases[i]
+        total += (basis @ cores[i]) @ basis.T
+    return total
+
+
 def _stack(bases) -> np.ndarray:
     return bases[0] if len(bases) == 1 else np.concatenate(bases, axis=1)
 
@@ -266,16 +288,25 @@ def combine(
     takes the core as it is (1.0 * D has the bits of D), so distinct bases
     with unit weights are stacked without copying a core.
 
+    The basis follows the width c of the merged bases that are kept.  Below
+    N columns they are stacked, with their cores in a block-diagonal core,
+    and compressed as in ``compress``, from a thin QR Q R of the stack.  At
+    c >= N there is no QR: the N x N sum sum_j (B_j C_j) B_j^T over the
+    merged bases B_j and cores C_j is eigendecomposed and truncated by the
+    same rule, its kept eigenvectors being the basis.  The two agree to
+    round-off and meet the same error bound.
+
     The return type follows ``estimate_weights``.  Without them it is the
     compressed sum.  Given a sequence of one estimate weight a_i per term
     (InvalidInput for any other length), it is the pair
-    (compressed sum, ||sum_i a_i L_i D_i L_i^T||_F), both from the one thin
-    QR Q R of the stacked basis; the norm is that of R D_a R^T, symmetrized
-    as in ``compress``.  A merged basis is then left out only when both of
-    its cores are zero; where that keeps a basis whose sum core cancels, the
-    compressed sum agrees with the plain one to round-off, elsewhere it has
-    its bits.  Raises NonFiniteFactor when a congruence core is not finite,
-    the estimate's with a message that names it.
+    (compressed sum, ||sum_i a_i L_i D_i L_i^T||_F), both from the one basis:
+    below N columns the norm is that of R D_a R^T, at N or more that of the
+    N x N estimate sum, each symmetrized as in ``compress``.  A merged basis
+    is then left out only when both of its cores are zero; where that keeps
+    a basis whose sum core cancels, the compressed sum agrees with the plain
+    one to round-off, elsewhere it has its bits.  Raises NonFiniteFactor
+    when a core is not finite, naming a rank-c factor of dimension N on
+    both branches, the estimate's with a message that names it.
     """
     terms = list(terms)
     if not terms:
@@ -295,12 +326,19 @@ def combine(
     if not live:
         zero = LDLTFactor.zero(n)
         return (zero, 0.0) if estimating else zero
+    width = sum(bases[i].shape[1] for i in live)
+    if width >= n:
+        # The thin QR's Q would be N x N orthogonal, and Q = I spans the
+        # same R^N: compress the N x N sum itself, with no QR.
+        nxt = _truncate(None, _dense_sum(bases, cores, live, n), width, n, opts)
+        if not estimating:
+            return nxt
+        return nxt, _core_norm(_dense_sum(bases, est_cores, live, n), width, n)
     q, r = _thin_qr(_stack([bases[i] for i in live]))
-    nxt = _truncate(q, r, _block_diag([cores[i] for i in live]), n, opts)
+    nxt = _truncate(q, r @ _block_diag([cores[i] for i in live]) @ r.T, width, n, opts)
     if not estimating:
         return nxt
-    est_core = r @ _block_diag([est_cores[i] for i in live]) @ r.T
-    return nxt, _core_norm(0.5 * (est_core + est_core.T), n)
+    return nxt, _core_norm(r @ _block_diag([est_cores[i] for i in live]) @ r.T, width, n)
 
 
 def frob_norm(factor: LDLTFactor) -> float:

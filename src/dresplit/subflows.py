@@ -303,7 +303,8 @@ def update_quadrature(
     recomputed.  Inside the band, growth appends a node at h_new and then
     drops the node that evens out the coverage best (at most one new block);
     shrinkage relocates the nodes beyond h_new one at a time into midpoints
-    of the largest remaining gaps.  Weights are recomputed from the moment
+    of the largest remaining gaps (their blocks from ``BlockActions.once``,
+    kept in no cache).  Weights are recomputed from the moment
     system and the assembled factor is rebuilt either way.
     """
     if not h_new > 0:
@@ -336,7 +337,7 @@ def update_quadrature(
                 if all(abs(cand - s) > NODE_CLASH_TOL * h_new for s in nodes):
                     pos = int(np.searchsorted(nodes, cand))
                     nodes.insert(pos, cand)
-                    blocks.insert(pos, problem.source_blocks(cand, exp_opts))
+                    blocks.insert(pos, problem.source_blocks.once(cand, exp_opts))
                     fresh += 1
                     placed = True
                     break

@@ -297,10 +297,12 @@ class TestCommands:
         assert code == 3
         assert "reference norm is zero" in capsys.readouterr().err
 
-    def test_blow_up_exits_3_without_traceback(self, tmp_path):
-        # A = 400 I: exp(400) = 5e173 keeps every exponential finite, but the
-        # affine flow's congruence core of P0 overflows.
-        n = 3
+    @staticmethod
+    def _blow_up(tmp_path, n):
+        """Run `solve` on A = 400 I in dimension n: exp(400) = 5e173 keeps
+        every exponential finite, but the affine flow's congruence core of
+        P0 overflows.  The flow sums two columns: at n = 3 the sum takes a
+        QR, at n = 2 it does not."""
         problem = ProblemData(
             a=StiffOperator(400.0 * np.eye(n)),
             q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
@@ -314,10 +316,19 @@ class TestCommands:
         done = _run_cli(["solve", "--problem", str(prob_dir), "--scheme", "lie",
                          "--steps", "1", "--out", str(tmp_path / "o")])
         assert done.returncode == 3
-        assert done.stderr.startswith("solver error: affine flow over h=1: cannot compress")
         assert "(in the step from t=0 with h=1)" in done.stderr
         assert "Traceback" not in done.stdout + done.stderr
         assert "RuntimeWarning" not in done.stderr
+        return done
+
+    def test_blow_up_exits_3_without_traceback(self, tmp_path):
+        done = self._blow_up(tmp_path, 3)
+        assert done.stderr.startswith("solver error: affine flow over h=1: cannot compress")
+
+    def test_blow_up_without_qr_exits_3_alike(self, tmp_path):
+        done = self._blow_up(tmp_path, 2)
+        assert done.stderr.startswith(
+            "solver error: affine flow over h=1: cannot compress a rank-2 factor of dimension 2")
 
     def test_collapse_writes_partial_output(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"

@@ -721,16 +721,26 @@ def test_in_band_step_primes_its_substeps(rng, monkeypatch):
         assert np.linalg.norm(op.expm(t) - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
+def _callers():
+    """Qualified names of the functions on the calling thread's stack."""
+    frame, names = sys._getframe(1), set()
+    while frame is not None:
+        names.add(frame.f_code.co_qualname)
+        frame = frame.f_back
+    return names
+
+
 def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     # Every tried step size primes its substep (and, for rules built afresh,
     # grid-step) exponentials from one scipy expm; the only others are the
-    # nodes an in-band shrink relocates to gap midpoints.  adaptive_n10 of
-    # the benchmark made 586 calls over 193 tried step sizes before priming
-    # reached in-band steps.
+    # nodes an in-band shrink relocates to gap midpoints, which are formed
+    # once and not cached, so they evict no primed entry before the step's
+    # work and chains read it.  adaptive_n10 of the benchmark made 586 calls
+    # over 193 tried step sizes before priming reached in-band steps.
     finals = []
     for threads in (1, 4):
         calls, sizes, relocated = [], set(), []
-        monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+        monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
         prepare = QuadraturePool.prepare
         monkeypatch.setattr(QuadraturePool, "prepare",
                             lambda pool, h, divisors: sizes.add(h) or prepare(pool, h, divisors))
@@ -749,8 +759,24 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
         monkeypatch.undo()
         assert sum(r.rejections for r in traj.records) > 0 and len(sizes) > 10
         assert len(calls) == len(sizes) + sum(relocated)
+        assert not any(names & {"StepWork.prepare", "lie_chain"} for names in calls)
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
     assert finals[0] == finals[1]
+
+
+@pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
+def test_one_off_blocks_are_kept_nowhere(kind):
+    problem = generate_problem(kind, n=20)
+    blocks, op = problem.source_blocks, problem.a
+    t = 0.0123
+    once = blocks.once(t)
+    assert len(blocks._blocks) == 0
+    if op.is_sparse:
+        assert once.tobytes() == exp_action(op, t, problem.q.L).tobytes()
+    else:
+        assert op.expm.cache_info().currsize == 0
+        assert once.tobytes() == (_dense_expm(op._at, t) @ problem.q.L).tobytes()
+    assert blocks(t).tobytes() == once.tobytes()
 
 
 # Sparse node blocks are kept by node time, so node times that several

@@ -316,6 +316,121 @@ class TestCombineAndNorm:
                     [big, 1.0])
 
 
+def _qr_reference(terms, opts=CompressionOptions()):
+    """The sum compressed through the thin QR of its stacked basis: distinct
+    bases with unit weights, so combine's QR branch would stack them as they
+    are."""
+    factor = LDLTFactor(np.hstack([f.L for _, f in terms]),
+                        scipy.linalg.block_diag(*[w * f.D for w, f in terms]))
+    return compress(factor, opts)
+
+
+def _count_qrs(monkeypatch):
+    calls = []
+    real = lowrank.lapack.dgeqrf
+    monkeypatch.setattr(lowrank.lapack, "dgeqrf",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
+class TestSaturatedCombine:
+    """At N or more stacked columns combine compresses the N x N sum itself
+    (Q = I) instead of taking a QR of the stacked basis."""
+
+    # Stacked widths c = N and c > N of N = 6.
+    WIDTHS = [(3, 3), (4, 3, 2)]
+
+    def terms(self, rng, widths, n=6):
+        weights = [0.5, -1.5, 2.0][: len(widths)]
+        return [(w, random_factor(rng, n, r)) for w, r in zip(weights, widths)]
+
+    @pytest.mark.parametrize("widths", WIDTHS)
+    def test_agrees_with_the_qr_branch(self, rng, widths):
+        terms = self.terms(rng, widths)
+        out = combine(terms)
+        ref = _qr_reference(terms)
+        assert out.rank == ref.rank == 6
+        p_ref = to_dense(ref)
+        assert np.linalg.norm(to_dense(out) - p_ref) <= 1e-14 * np.linalg.norm(p_ref)
+        gap = np.abs(np.diag(out.D) - np.diag(ref.D)).max()
+        assert gap <= 1e-13 * np.abs(ref.D).max()
+
+    @pytest.mark.parametrize("widths", WIDTHS)
+    @pytest.mark.parametrize("tol", [0.3, 1e-2, 1e-6, 0.0])
+    def test_compression_contract(self, rng, widths, tol):
+        terms = self.terms(rng, widths)
+        out = combine(terms, CompressionOptions(rel_tol=tol))
+        p_in = sum(w * to_dense(f) for w, f in terms)
+        w = np.linalg.eigvalsh(p_in)
+        err = np.linalg.norm(p_in - to_dense(out))
+        assert err <= tol * np.sqrt(np.sum(w**2)) + 1e-14 * np.linalg.norm(p_in)
+        assert out.rank <= 6 and out.L.shape == (6, out.rank)
+        assert np.count_nonzero(out.D - np.diag(np.diag(out.D))) == 0
+        assert np.allclose(out.L.T @ out.L, np.eye(out.rank), atol=1e-14)
+        if tol == 0.0:
+            assert out.rank == 6
+
+    def test_bitwise_cancellation_gives_rank_zero(self, rng):
+        # Weights 3 and -1 on D and 3 D: the merged core 3 D - 3 D is zero.
+        basis, core = rng.standard_normal((4, 5)), random_factor(rng, 5, 5).D
+        terms = [(3.0, LDLTFactor(basis, core)), (-1.0, LDLTFactor(basis.copy(), 3.0 * core))]
+        assert combine(terms).rank == 0
+        # An estimate that does not cancel keeps the basis: the sum is then
+        # taken over the saturated basis and is exactly zero.
+        nxt, est = combine(terms, CompressionOptions(), [1.0, 1.0])
+        assert nxt.rank == 0 and nxt.n == 4
+        expected = frob_norm(combine([(1.0, LDLTFactor(basis, 4.0 * core))]))
+        assert abs(est - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("widths", WIDTHS)
+    def test_estimate_weights(self, rng, widths):
+        terms = self.terms(rng, widths)
+        factors = [f for _, f in terms]
+        alpha = [0.1, 0.3, -0.2][: len(factors)]
+        nxt, est = combine(terms, CompressionOptions(), alpha)
+        ref = combine(terms)
+        assert nxt.L.tobytes() == ref.L.tobytes() and nxt.D.tobytes() == ref.D.tobytes()
+        expected = frob_norm(combine(zip(alpha, factors)))
+        assert abs(est - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("widths, qrs", [((2, 3), 1), ((3, 3), 0), ((4, 3, 2), 0)])
+    def test_qr_only_below_n_columns(self, rng, monkeypatch, widths, qrs):
+        terms = self.terms(rng, widths)
+        calls = _count_qrs(monkeypatch)
+        combine(terms)
+        assert len(calls) == qrs
+        combine(terms, CompressionOptions(), [1.0] * len(terms))
+        assert len(calls) == 2 * qrs
+
+    def test_below_n_columns_keeps_the_qr_bits(self, rng):
+        terms = self.terms(rng, (2, 3))
+        out, ref = combine(terms), _qr_reference(terms)
+        assert out.L.tobytes() == ref.L.tobytes() and out.D.tobytes() == ref.D.tobytes()
+
+    # The same messages on both branches: c < N takes the QR, c >= N not.
+    @pytest.mark.parametrize("widths", [(2, 3), (3, 3), (4, 3, 2)])
+    def test_nonfinite_sum_names_the_stacked_width(self, rng, widths):
+        terms = self.terms(rng, widths)
+        big = np.finfo(np.float64).max
+        terms[0] = (big, terms[0][1])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=rf"^cannot compress a rank-{sum(widths)} factor of "
+                                    r"dimension 6: its core is not finite$"):
+            combine(terms)
+
+    @pytest.mark.parametrize("widths", [(2, 3), (3, 3), (4, 3, 2)])
+    def test_nonfinite_estimate_names_the_estimate(self, rng, widths):
+        terms = self.terms(rng, widths)
+        alpha = [np.finfo(np.float64).max] + [1.0] * (len(terms) - 1)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=rf"^cannot take the norm of the estimate, a "
+                                    rf"rank-{sum(widths)} factor of dimension 6: "
+                                    r"its core is not finite$"):
+            combine(terms, CompressionOptions(), alpha)
+
+
 class TestFrobNorm:
     def test_diagonal(self):
         assert frob_norm(LDLTFactor(np.eye(2), np.diag([3.0, 4.0]))) == pytest.approx(5.0)

@@ -453,6 +453,40 @@ class TestAdditiveStepFailures:
                                      r"cannot compress .*\(in the step from t=0 with h=0\.5\)$"):
                 integrate_fixed(problem, SchemeSpec("sym", 4), 1, threads=threads)
 
+    # The chains of the problem above share one basis of width 1: below
+    # N = 3 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_combination_failure_reads_alike_on_both_branches(self, n):
+        e1 = np.eye(n)[:, :1]
+        problem = ProblemData(
+            a=StiffOperator(np.zeros((n, n))),
+            q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
+            s=QuadraticTerm.from_dense(np.zeros((n, n))),
+            p0=LDLTFactor(e1, np.array([[8e307]])),
+            horizon=0.5,
+        )
+        with pytest.raises(NonFiniteFactor,
+                           match=rf"^additive step over h=0\.5, combining its chains: "
+                                 rf"cannot compress a rank-1 factor of dimension {n}: "
+                                 r"its core is not finite \(in the step from t=0 with h=0\.5\)$"):
+            integrate_fixed(problem, SchemeSpec("sym", 4), 1)
+
+    # The step's chains stack 40 columns at N = 10 (no QR) and 80 at N = 100.
+    @pytest.mark.parametrize("n, width", [(10, 40), (100, 80)])
+    def test_estimate_failure_reads_alike_on_both_branches(self, n, width):
+        problem = generate_problem("random_lowrank", n, rank=4)
+        spec = SchemeSpec("sym", 2)
+        coeffs = SchemeCoefficients.for_spec(spec)
+        huge = SchemeCoefficients(coeffs.gamma, coeffs.beta,
+                                  np.full_like(coeffs.alpha, np.finfo(np.float64).max))
+        states = _states_for(problem, 0.01, (1, 2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=r"^additive step over h=0\.01, combining its chains: "
+                                    rf"cannot take the norm of the estimate, a rank-{width} "
+                                    rf"factor of dimension {n}: its core is not finite$"):
+            additive_step(problem.p0, 0.01, spec, huge, problem, states, EXP, COMP)
+
     def test_nonfinite_estimate_names_the_estimate_and_h(self):
         problem = generate_problem("random_lowrank", 10, rank=4)
         spec = SchemeSpec("sym", 2)
