@@ -376,6 +376,7 @@ def exp_action(
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
     blocks: "BlockActions | None" = None,
+    *,
     keep: bool = True,
 ) -> np.ndarray:
     """Approximate exp(t A^T) @ v.

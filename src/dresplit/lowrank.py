@@ -330,15 +330,19 @@ def combine(
     if width >= n:
         # The thin QR's Q would be N x N orthogonal, and Q = I spans the
         # same R^N: compress the N x N sum itself, with no QR.
-        nxt = _truncate(None, _dense_sum(bases, cores, live, n), width, n, opts)
-        if not estimating:
-            return nxt
-        return nxt, _core_norm(_dense_sum(bases, est_cores, live, n), width, n)
-    q, r = _thin_qr(_stack([bases[i] for i in live]))
-    nxt = _truncate(q, r @ _block_diag([cores[i] for i in live]) @ r.T, width, n, opts)
+        q = None
+
+        def core_of(merged):
+            return _dense_sum(bases, merged, live, n)
+    else:
+        q, r = _thin_qr(_stack([bases[i] for i in live]))
+
+        def core_of(merged):
+            return r @ _block_diag([merged[i] for i in live]) @ r.T
+    nxt = _truncate(q, core_of(cores), width, n, opts)
     if not estimating:
         return nxt
-    return nxt, _core_norm(r @ _block_diag([est_cores[i] for i in live]) @ r.T, width, n)
+    return nxt, _core_norm(core_of(est_cores), width, n)
 
 
 def frob_norm(factor: LDLTFactor) -> float:
