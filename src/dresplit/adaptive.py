@@ -3,15 +3,13 @@
 The adaptive driver follows the embedded-estimate protocol: evaluate the
 chains once, form the full-order combination and the estimate combination,
 compare the estimate against the tolerance (optionally per unit step), and
-steer the step size with a PI controller.  A first rejection triggers a full
-recomputation of the quadrature caches at the same step size; further
-rejections shrink the step, each by at most the growth cap.  The
-propagations of the step's start factor are kept in one ``StepWork`` across
-its retries and dropped when the step is accepted.  A subflow that
-fails inside a step (a singular solve, StepTooLarge, or an exponential
-action short of its tolerance, ToleranceNotMet) also counts as a rejection:
-the step is halved and the quadrature caches are recomputed at the new size.
-The final step is clamped so the trajectory lands exactly on the horizon.
+steer the step size with a PI controller.  Every rejection shrinks the
+step, by at most the growth cap, and rebuilds the quadrature rules at the
+new size.  A subflow that fails inside a step (a singular solve,
+StepTooLarge, or an exponential action short of its tolerance,
+ToleranceNotMet) also counts as a rejection: the step is halved.  Each
+tried step size gets the fresh equidistant rules of its substeps.  The
+final step is clamped so the trajectory lands exactly on the horizon.
 """
 
 import functools
@@ -26,7 +24,7 @@ from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarg
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
-from .subflows import ProblemData, StepWork, in_band, init_quadrature, update_quadrature
+from .subflows import ProblemData, init_quadrature, update_quadrature
 
 logger = logging.getLogger(__name__)
 
@@ -118,7 +116,7 @@ def pi_update(e_prev: float, e_new: float, h: float, params: ControllerParams,
 
 def reject_resize(e_new: float, h: float, params: ControllerParams,
                   est_order: int) -> float:
-    """Step size to retry with after a (repeated) rejection."""
+    """Step size to retry with after a rejection."""
     if e_new <= 0:
         raise InvalidInput("rejection requires a positive estimate")
     return h * (params.safety * params.tol / e_new) ** (1.0 / est_order)
@@ -130,19 +128,18 @@ def default_quad_degree(spec: SchemeSpec) -> int:
 
 
 class QuadraturePool:
-    """One quadrature state per substep divisor, evolved incrementally.
+    """One quadrature state per substep divisor.
 
-    The pool owns the states; prepare() moves every divisor's state to the
-    new step size via the incremental update, reset() forces a full
-    recomputation (the first-rejection rule).  Both return the number of
-    freshly computed blocks.
+    The pool owns the states.  prepare() moves every divisor's state to a
+    step size h, keeping a state whose substep h/k is unchanged and
+    building the fresh equidistant rule otherwise; reset() drops the states
+    first, so every rule is built afresh (the retry after a rejection).
+    Both return the number of freshly computed blocks.
 
-    On a dense operator, a step size h needs expm at h/k for every divisor
-    k (the substep's propagation, and the last node of its rule), and a
-    divisor whose rule is built afresh (new, or outside the update band)
-    also needs it at (h/k)/degree (its grid step).  All of these are
-    integer powers of E = expm(u A^T), with u = h / lcm(k) when every rule
-    is updated in band and u = h / (lcm(k) degree) otherwise, so prepare()
+    On a dense operator, a new step size h needs expm at h/k for every
+    divisor k (the substep's propagation, and the last node of its rule)
+    and at (h/k)/degree (its rule's grid step).  All of these are integer
+    powers of E = expm(u A^T) with u = h / (lcm(k) degree), so prepare()
     primes the missing ones from that one exponential, in the calling
     thread, before any rule is built or chain runs.
     """
@@ -156,13 +153,12 @@ class QuadraturePool:
         self.states: dict = {}
 
     def _prime(self, h: float, divisors) -> None:
-        fresh = [k for k in divisors
-                 if k not in self.states or not in_band(self.states[k].h, h / k)]
-        lcm = math.lcm(*divisors) * (self.degree if fresh else 1)
-        # The keys are the exact float expressions lie_chain,
-        # update_quadrature and BlockActions.equidistant ask the cache for.
-        powers = {h / k: lcm // k for k in divisors}
-        for k in fresh:
+        lcm = math.lcm(*divisors) * self.degree
+        # The keys are the exact float expressions lie_chain and
+        # BlockActions.equidistant ask the cache for.
+        powers = {}
+        for k in divisors:
+            powers[h / k] = lcm // k
             powers[(h / k) / self.degree] = lcm // (k * self.degree)
         self.problem.a.prime_expm(h / lcm, powers)
 
@@ -318,36 +314,29 @@ def integrate_adaptive(
         while True:
             rejections = 0
             fresh = 0
-            reset = False
-            work = StepWork(current)
             while True:
                 try:
-                    if reset:
-                        fresh += pool.reset(h, divisors)
-                        reset = False
-                    fresh += pool.prepare(h, divisors)
+                    # The first try of a step keeps the rules of an unchanged
+                    # h; a retry follows a shrink, so every rule is new.
+                    fresh += (pool.reset if rejections else pool.prepare)(h, divisors)
                     candidate, estimate = additive_step(
                         current, h, spec, coeffs, problem, pool.states,
-                        exp_opts, comp_opts, executor, work,
+                        exp_opts, comp_opts, executor,
                     )
                 except NonFiniteFactor as exc:
                     raise _blown_up(exc, t, h) from exc
                 except (StepTooLarge, ToleranceNotMet) as exc:
                     # A subflow that fails at this h is a rejection: halve
-                    # the step and rebuild the quadrature at the new size.
+                    # the step.
                     rejections += 1
                     cause = f"{type(exc).__name__}: {exc}"
                     h *= 0.5
-                    reset = True
                 else:
                     e_cmp = estimate / h if params.epus else estimate
                     if e_cmp <= params.tol:
                         break
                     rejections += 1
                     cause = f"error estimate {e_cmp:.3e} above tol {params.tol:g}"
-                    if rejections == 1:
-                        reset = True
-                        continue
                     # One rejection shrinks h by at most the growth cap, so
                     # an estimate spike far above tol cannot cut it by many
                     # orders of magnitude at once.

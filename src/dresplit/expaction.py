@@ -5,16 +5,14 @@ Higham, SIAM J. Matrix Anal. Appl. 31, 2009) and return E V.  E is kept in a
 bounded per-operator LRU cache keyed by t, so a repeated t costs a lookup;
 the cache lives and dies with its operator.  This path is exact to
 round-off, so ``rel_tol`` is not consulted there.  On an equidistant grid
-of t (the initial quadrature nodes k h / degree), BlockActions steps from
+of t (the quadrature nodes k h / degree), BlockActions steps from
 node to node with the one matrix expm((h/degree) A^T), as Al-Mohy & Higham
 (SIAM J. Sci. Comput. 33, 2011) do for the action on a grid, and takes the
 last node from the expm(h A^T) that the propagation over h caches.  The
 t of a set of grids and substeps are integer multiples m u of one u, so
 ``StiffOperator.prime_expm`` fills their cache entries with the powers
 expm(u A^T)^m, formed by products from one scipy expm: one N x N
-exponential per set instead of one per t.  A t asked for once (a node an
-in-band shrink relocates) is formed for the call and not cached, so it
-evicts no primed entry before it is read.
+exponential per set instead of one per t.
 
 Sparse operators use the block shift-and-invert (restricted-denominator)
 Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
@@ -43,8 +41,9 @@ the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
 yet.  exp_action builds a throwaway space per call, unless it is given
 the BlockActions of its one fixed block V (the source factor of the
-quadrature blocks exp(s A^T) L_Q), which caches one space per octave.  The space at a checkpoint is the same whichever t first built it,
-so a cached sparse action has the same bits as a one-shot one.
+quadrature blocks exp(s A^T) L_Q), which caches one space per octave.
+The space at a checkpoint is the same whichever t first built it, so a
+cached sparse action has the same bits as a one-shot one.
 """
 
 import functools
@@ -376,14 +375,10 @@ def exp_action(
     v: np.ndarray,
     opts: ExpActionOptions = ExpActionOptions(),
     blocks: "BlockActions | None" = None,
-    *,
-    keep: bool = True,
 ) -> np.ndarray:
     """Approximate exp(t A^T) @ v.
 
-    Dense operators: exact to round-off through the cached expm(t A^T);
-    with keep=False through an expm(t A^T) formed for the call and left out
-    of the cache (the bits of a cache miss that was not primed).
+    Dense operators: exact to round-off through the cached expm(t A^T).
     Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
     a space built for the call or, given the ``BlockActions`` of op and v
     (the same objects; InvalidInput otherwise), on its cached space of t's
@@ -399,8 +394,7 @@ def exp_action(
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
     if not op.is_sparse:
-        e = op.expm(t) if keep else _dense_expm(op._at, t)
-        return _finite_iterate(e @ v, t)
+        return _finite_iterate(op.expm(t) @ v, t)
     key = (_octave_shift(t), _dim_cap(op, opts))
     if blocks is None:
         return _KrylovSpace(op, v, *key, t).action(t, opts.rel_tol)
@@ -458,18 +452,6 @@ class BlockActions:
         block.flags.writeable = False
         with self._lock:
             return _lru_keep(blocks, key, block, _BLOCK_CACHE)
-
-    def once(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        """self(t, opts) for a node time that no later call is expected to
-        ask for (a node ``update_quadrature`` relocates), kept in no
-        per-time cache.  On a dense operator it is ``exp_action`` with
-        keep=False, whose exponential thus evicts none of the ``expm``
-        entries primed for the step before the chains read them; on a
-        sparse operator the block, with the bits a call gives, does not
-        enter the kept blocks."""
-        if self.op.is_sparse:
-            return exp_action(self.op, t, self.v, opts, self)
-        return exp_action(self.op, t, self.v, opts, self, keep=False)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

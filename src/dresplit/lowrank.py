@@ -11,8 +11,8 @@ orthonormal basis, drop the pairs of least energy) and two ways to get the
 basis.  Below N columns it is the thin QR of the basis, with the core
 R D R^T.  At N or more columns (``combine`` only; ``compress`` always takes
 the QR) the thin QR's Q is N x N, so the identity serves as well: the core
-is the N x N sum itself, formed term by term, and neither the stacked basis
-nor the QR is formed.
+is the N x N sum itself, formed as one product of the side-by-side blocks
+B_j C_j with the stacked basis, and no QR is taken.
 """
 
 import functools
@@ -260,15 +260,6 @@ def _block_diag(cores) -> np.ndarray:
     return big_d
 
 
-def _dense_sum(bases, cores, index, n: int) -> np.ndarray:
-    """sum_i (B_i C_i) B_i^T over the given indices, in one N x N array."""
-    total = np.zeros((n, n))
-    for i in index:
-        basis = bases[i]
-        total += (basis @ cores[i]) @ basis.T
-    return total
-
-
 def _stack(bases) -> np.ndarray:
     return bases[0] if len(bases) == 1 else np.concatenate(bases, axis=1)
 
@@ -292,8 +283,9 @@ def combine(
     N columns they are stacked, with their cores in a block-diagonal core,
     and compressed as in ``compress``, from a thin QR Q R of the stack.  At
     c >= N there is no QR: the N x N sum sum_j (B_j C_j) B_j^T over the
-    merged bases B_j and cores C_j is eigendecomposed and truncated by the
-    same rule, its kept eigenvectors being the basis.  The two agree to
+    merged bases B_j and cores C_j, formed as the one product
+    [B_1 C_1, B_2 C_2, ...] [B_1, B_2, ...]^T, is eigendecomposed and
+    truncated by the same rule, its kept eigenvectors being the basis.  The two agree to
     round-off and meet the same error bound.
 
     The return type follows ``estimate_weights``.  Without them it is the
@@ -326,16 +318,18 @@ def combine(
     if not live:
         zero = LDLTFactor.zero(n)
         return (zero, 0.0) if estimating else zero
-    width = sum(bases[i].shape[1] for i in live)
+    stacked = _stack([bases[i] for i in live])
+    width = stacked.shape[1]
     if width >= n:
         # The thin QR's Q would be N x N orthogonal, and Q = I spans the
-        # same R^N: compress the N x N sum itself, with no QR.
+        # same R^N: compress the N x N sum [B_j C_j] [B_j]^T itself, one
+        # product, with no QR.
         q = None
 
         def core_of(merged):
-            return _dense_sum(bases, merged, live, n)
+            return _stack([bases[i] @ merged[i] for i in live]) @ stacked.T
     else:
-        q, r = _thin_qr(_stack([bases[i] for i in live]))
+        q, r = _thin_qr(stacked)
 
         def core_of(merged):
             return r @ _block_diag([merged[i] for i in live]) @ r.T

@@ -231,7 +231,6 @@ def additive_step(
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
     executor: ThreadPoolExecutor | None = None,
-    work: StepWork | None = None,
 ):
     """One additive step: (next factor, error estimate or None).
 
@@ -244,23 +243,18 @@ def additive_step(
     weights.  It is None for single-stage schemes, which have no embedded
     companion.
 
-    Repeated factor work is done once, with the same bits.  ``work`` (a
-    ``StepWork`` of ``factor``; a fresh one when None) first gets
-    exp((h/k) A^T) L for every divisor k, which the chains of both
-    directions then take from it; a driver that keeps it across the retries
-    of a step propagates L once per substep size.  From a factor of rank 0,
-    on which ``quadratic_flow`` returns the factor itself, the AFFINE_FIRST
-    chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST chain k over
-    h/k, and is computed so.  A NonFiniteFactor from combining the chains
+    Repeated factor work is done once, with the same bits.  A ``StepWork``
+    of ``factor`` first gets exp((h/k) A^T) L for every divisor k, which the
+    chains of both directions then take from it, so L is propagated once
+    per substep size.  From a factor of rank 0, on which ``quadratic_flow``
+    returns the factor itself, the AFFINE_FIRST chain k equals
+    ``quadratic_flow`` of the QUADRATIC_FIRST chain k over h/k, and is
+    computed so.  A NonFiniteFactor from combining the chains
     names the step, h, and whether the next factor (``cannot compress``) or
     the estimate is not finite.
     """
     if not spec.is_additive:
         raise InvalidInput("additive_step requires an additive scheme spec")
-    if work is None:
-        work = StepWork(factor)
-    elif work.basis is not factor.L:
-        raise InvalidInput("work holds the propagations of another factor")
     ks = range(1, spec.stages + 1)
     if spec.kind == "sym":
         directions = (QUADRATIC_FIRST, AFFINE_FIRST)
@@ -269,7 +263,7 @@ def additive_step(
     jobs = [(k, d) for k in ks for d in directions]
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
-    work.prepare(problem.a, [h / k for k in ks], exp_opts, executor)
+    work = StepWork(factor, problem.a, [h / k for k in ks], exp_opts, executor)
 
     def run(job):
         k, d = job

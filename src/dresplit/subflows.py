@@ -6,15 +6,17 @@ inside the LDL^T format: the quadratic flow is a small Woodbury-style core
 update, and the affine flow conjugates the basis with exp(h A^T) and adds an
 interpolatory-quadrature approximation of the source integral
 
-    int_0^h exp(s A^T) Q exp(s A) ds,
+    int_0^h exp(s A^T) Q exp(s A) ds.
 
-whose per-node blocks exp(s_k A^T) L_Q are cached so that step-size changes
-recompute as few of them as possible.  A fresh rule has equidistant nodes
-k h / degree; on a dense operator its blocks are stepped with one
-exponential of (h/degree) A^T, plus the exp(h A^T) the propagation over h
-shares (``BlockActions.equidistant``; ``adaptive.QuadraturePool`` primes
-both from one expm), while the single nodes an update adds are computed
-one at a time.
+Every step size gets the fresh equidistant rule, with nodes k h / degree
+(``init_quadrature``); a rule is kept only while its h is unchanged bit for
+bit (``update_quadrature``), so its stability constant is always that of
+the equidistant rule.  On a dense operator the node blocks exp(s_k A^T) L_Q
+are stepped with one exponential of (h/degree) A^T, plus the exp(h A^T)
+the propagation over h shares (``BlockActions.equidistant``;
+``adaptive.QuadraturePool`` primes both from one expm); on a sparse one
+the blocks of recent node times are kept, so a node that two rules share is
+computed once.
 """
 
 import copy
@@ -28,8 +30,6 @@ from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
 from .lowrank import CompressionOptions, LDLTFactor, combine
 
 PSD_EIG_TOL = 1e-12
-RESET_SHRINK = 0.8
-RESET_GROW = 1.25
 NODE_CLASH_TOL = 1e-12
 
 
@@ -246,50 +246,6 @@ def init_quadrature(
     return QuadratureState(degree, h, nodes, weights, blocks, assembled, degree + 1)
 
 
-def _remove_index_grow(nodes: np.ndarray, h_new: float) -> int:
-    """Index to drop after appending h_new: the one whose removal leaves the
-    most even coverage (smallest gap measure; ties take the smallest index)."""
-    p = nodes.size - 2  # nodes = old 0..p plus appended
-    measures = np.empty(nodes.size)
-    measures[0] = nodes[1]
-    for k in range(1, p + 1):
-        measures[k] = nodes[k + 1] - nodes[k - 1]
-    measures[p + 1] = h_new - nodes[p]
-    return int(np.argmin(measures))
-
-
-def _midpoint_candidates(nodes: list, h_new: float) -> list:
-    """Gap midpoints of the current node sequence, largest gap first.
-
-    Gaps include [0, first node] and [last node, h_new]; ties keep the
-    smaller gap index first.
-    """
-    if not nodes:
-        return [h_new / 2.0]
-    m = len(nodes)
-    gaps = np.empty(m + 1)
-    gaps[0] = nodes[0]
-    for k in range(1, m):
-        gaps[k] = nodes[k] - nodes[k - 1]
-    gaps[m] = h_new - nodes[-1]
-    order = np.argsort(-gaps, kind="stable")
-    out = []
-    for i in order:
-        if i == 0:
-            out.append(nodes[0] / 2.0)
-        elif i == m:
-            out.append((h_new + nodes[-1]) / 2.0)
-        else:
-            out.append((nodes[i] + nodes[i - 1]) / 2.0)
-    return out
-
-
-def in_band(h_old: float, h_new: float) -> bool:
-    """Whether update_quadrature moves a rule from [0, h_old] to [0, h_new]
-    incrementally; outside the band (0.8, 1.25) * h_old it is rebuilt."""
-    return RESET_SHRINK * h_old < h_new < RESET_GROW * h_old
-
-
 def update_quadrature(
     state: QuadratureState,
     h_new: float,
@@ -297,93 +253,40 @@ def update_quadrature(
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
-    """Move the cached rule from [0, h_old] to [0, h_new], reusing blocks.
-
-    Outside the band (0.8, 1.25) * h_old everything is reset equidistant and
-    recomputed.  Inside the band, growth appends a node at h_new and then
-    drops the node that evens out the coverage best (at most one new block);
-    shrinkage relocates the nodes beyond h_new one at a time into midpoints
-    of the largest remaining gaps (their blocks from ``BlockActions.once``,
-    kept in no cache).  Weights are recomputed from the moment
-    system and the assembled factor is rebuilt either way.
-    """
+    """The rule of ``state`` moved to [0, h_new]: the state itself (with no
+    fresh blocks) when h_new equals its h bit for bit, else the fresh
+    equidistant rule of the same degree over h_new."""
     if not h_new > 0:
         raise InvalidInput(f"h must be positive, got {h_new}")
-    h_old = state.h
-    if not in_band(h_old, h_new):
-        return init_quadrature(problem, h_new, state.degree, exp_opts, comp_opts)
-    if h_new == h_old:
+    if h_new == state.h:
         return replace(state, fresh_blocks=0)
-
-    nodes = list(state.nodes)
-    blocks = list(state.blocks)
-    fresh = 0
-    if h_new > h_old:
-        drop = _remove_index_grow(np.append(state.nodes, h_new), h_new)
-        if drop != len(nodes):  # the appended node survives
-            new_block = problem.source_blocks(h_new, exp_opts)
-            fresh = 1
-            del nodes[drop], blocks[drop]
-            nodes.append(h_new)
-            blocks.append(new_block)
-    else:
-        keep = sum(1 for s in nodes if s <= h_new)
-        relocate = len(nodes) - keep
-        nodes = nodes[:keep]
-        blocks = blocks[:keep]
-        for _ in range(relocate):
-            placed = False
-            for cand in _midpoint_candidates(nodes, h_new):
-                if all(abs(cand - s) > NODE_CLASH_TOL * h_new for s in nodes):
-                    pos = int(np.searchsorted(nodes, cand))
-                    nodes.insert(pos, cand)
-                    blocks.insert(pos, problem.source_blocks.once(cand, exp_opts))
-                    fresh += 1
-                    placed = True
-                    break
-            if not placed:
-                raise InvalidNodes("could not place a relocated quadrature node")
-
-    nodes_arr = np.asarray(nodes)
-    weights = quad_weights(nodes_arr, h_new)
-    assembled = _assemble(problem, weights, blocks, comp_opts)
-    return QuadratureState(state.degree, h_new, nodes_arr, weights, tuple(blocks),
-                           assembled, fresh)
+    return init_quadrature(problem, h_new, state.degree, exp_opts, comp_opts)
 
 
 class StepWork:
-    """Factor work shared by the chains of one step and by its retries.
+    """Factor work shared by the chains of one additive step.
 
     Every chain of an additive step starts from the step's factor, and
     ``quadratic_flow`` keeps its basis L, so the first affine flow of each
-    chain of divisor k propagates that same L over h/k; a retry at the same
-    h (the first rejection's) does it again.  This store keeps L alive as
-    ``basis`` and holds ``propagated``, {t: exp(t A^T) L}, for the substeps
-    t of the step size last prepared.  ``prepare`` fills it; ``affine_flow``
-    reads it for a factor whose basis is this L.  Later bases of a chain are
-    fresh arrays that no other chain sees, so they are not stored.
+    chain of divisor k propagates that same L over h/k.  A StepWork keeps L
+    alive as ``basis`` and holds ``propagated``, {t: exp(t A^T) L} for the
+    given substeps t, computed when it is made (on the executor when given,
+    else in order); ``affine_flow`` reads it for a factor whose basis is
+    this L.  Each entry is exp_action's value, so a hit has the bits a
+    recomputation would have.  Later bases of a chain are fresh arrays that
+    no other chain sees, so they are not stored.
     """
 
     __slots__ = ("basis", "propagated")
 
-    def __init__(self, factor: LDLTFactor):
-        self.basis = factor.L
+    def __init__(self, factor: LDLTFactor, op: StiffOperator, subs,
+                 exp_opts: ExpActionOptions, executor=None):
+        basis = self.basis = factor.L
         self.propagated = {}
-
-    def prepare(self, op: StiffOperator, subs, exp_opts: ExpActionOptions,
-                executor=None) -> None:
-        """Hold exp(t A^T) L for each t of subs, computing only the missing
-        ones (on the executor when given, else in order); entries for other
-        t are dropped.  Each is exp_action's value, so a hit has the bits a
-        recomputation would have."""
-        kept = {t: self.propagated[t] for t in subs if t in self.propagated}
-        missing = [t for t in subs if t not in kept]
-        if missing and self.basis.shape[1] > 0:
-            basis = self.basis
+        if factor.rank > 0:
             run = (map if executor is None else executor.map)(
-                lambda t: exp_action(op, t, basis, exp_opts), missing)
-            kept.update(zip(missing, run))
-        self.propagated = kept
+                lambda t: exp_action(op, t, basis, exp_opts), subs)
+            self.propagated = dict(zip(subs, run))
 
 
 def affine_flow(

@@ -12,6 +12,7 @@ import pytest
 
 from dresplit import (
     CompressionOptions,
+    ControllerParams,
     ExpActionOptions,
     RunConfig,
     SchemeSpec,
@@ -19,13 +20,14 @@ from dresplit import (
     additive_coeffs,
     generate_problem,
     init_quadrature,
+    integrate_adaptive,
     integrate_fixed,
     quad_weights,
     relative_error,
     run_study,
     to_dense,
-    update_quadrature,
 )
+from dresplit.adaptive import QuadraturePool, default_quad_degree
 from dresplit.lowrank import LDLTFactor, compress, frob_norm
 from dresplit.oracle import dense_reference, dense_subflow
 from dresplit.problems import to_dense_problem
@@ -200,37 +202,41 @@ def test_criterion_5_adaptive_driver():
             time.perf_counter() - started)
 
 
-def test_criterion_6_quadrature_update_economy():
+def test_criterion_6_quadrature_rule_stability(monkeypatch):
+    # Every rule the pool holds during an adaptive run is the equidistant
+    # rule of its h: its stability constant is that of a fresh rule of the
+    # same degree (1 for degree 7), and its moments are exact.
     started = time.perf_counter()
     problem = study_problem()
-    exp_opts = ExpActionOptions(rel_tol=1e-10)
-    comp_opts = CompressionOptions()
-    degree = 5
-    h = 0.1
-    state = init_quadrature(problem, h, degree, exp_opts, comp_opts)
+    spec = SchemeSpec("sym", 3)
+    degree = default_quad_degree(spec)
+    fresh_lebesgue = init_quadrature(problem, 0.1, degree).lebesgue
+    worst = {"lebesgue": 0.0, "moment": 0.0, "nodes": 0.0}
+    held = []
+    prepare = QuadraturePool.prepare
 
-    def moments_ok(st, h_cur):
-        worst = 0.0
-        for j in range(degree + 1):
-            target = h_cur ** (j + 1) / (j + 1)
-            worst = max(worst, abs(float(st.weights @ st.nodes**j) - target) / target)
-        return worst <= 1e-12
+    def checked(pool, h, divisors):
+        fresh = prepare(pool, h, divisors)
+        for st in pool.states.values():
+            held.append(st.h)
+            worst["lebesgue"] = max(worst["lebesgue"], abs(st.lebesgue - fresh_lebesgue))
+            grid = np.linspace(0.0, st.h, degree + 1)
+            worst["nodes"] = max(worst["nodes"], float(np.abs(st.nodes - grid).max()))
+            for j in range(degree + 1):
+                target = st.h ** (j + 1) / (j + 1)
+                err = abs(float(st.weights @ st.nodes**j) - target) / target
+                worst["moment"] = max(worst["moment"], err)
+        return fresh
 
-    ok = moments_ok(state, h)
-    max_fresh = 0
-    for ratio in (1.1, 1.2, 0.9, 0.85, 1.15, 0.95, 1.05, 1.1, 0.82, 1.24, 0.9, 1.05):
-        h *= ratio
-        state = update_quadrature(state, h, problem, exp_opts, comp_opts)
-        max_fresh = max(max_fresh, state.fresh_blocks)
-        ok &= state.fresh_blocks <= 1 and moments_ok(state, h)
-
-    h *= 1.5
-    state = update_quadrature(state, h, problem, exp_opts, comp_opts)
-    reset_ok = state.fresh_blocks == degree + 1 and moments_ok(state, h)
-    ok &= reset_ok
-    detail = (f"in-band max fresh={max_fresh}, 1.5x reset fresh={state.fresh_blocks} "
-              f"(expected {degree + 1})")
-    _report(6, "quadrature update economy", ok, detail, 30.0,
+    monkeypatch.setattr(QuadraturePool, "prepare", checked)
+    traj = integrate_adaptive(problem, spec, 0.01, ControllerParams(tol=1e-6, epus=True))
+    rejections = sum(r.rejections for r in traj.records)
+    ok = (bool(held) and rejections > 0 and worst["nodes"] == 0.0
+          and worst["lebesgue"] <= 1e-14 and worst["moment"] <= 1e-12)
+    detail = (f"{len(traj.records)} steps, {rejections} rejections, {len(held)} rules held; "
+              f"max |Lambda - {fresh_lebesgue:.3g}|={worst['lebesgue']:.2e}, "
+              f"max node offset={worst['nodes']:.1e}, max moment error={worst['moment']:.1e}")
+    _report(6, "quadrature rule stability", ok, detail, 30.0,
             time.perf_counter() - started)
 
 

@@ -21,8 +21,11 @@ from dresplit import (
     integrate_fixed,
     pi_update,
     reject_resize,
+    relative_error,
     to_dense,
 )
+from dresplit.oracle import dense_reference
+from dresplit.problems import to_dense_problem
 
 from conftest import (
     make_sparse_linear_problem,
@@ -225,8 +228,7 @@ class TestAdaptiveDriver:
         with pytest.raises(StepSizeCollapse):
             integrate_adaptive(generate_problem("random_lowrank", n=10), SchemeSpec("sym", 2),
                                0.01, params)
-        assert trials[1] == trials[0]  # the first rejection recomputes at the same h
-        shrinks = list(zip(trials[1:], trials[2:]))
+        shrinks = list(zip(trials, trials[1:]))  # the first rejection shrinks too
         assert shrinks and all(new == old / params.growth_cap for old, new in shrinks)
         # The run collapses one shrink below the floor (horizon 1).
         assert trials[-1] / params.growth_cap < params.h_min_factor <= trials[-1]
@@ -288,6 +290,18 @@ def test_sparse_n400_matches_stored_answer():
     assert np.linalg.norm(to_dense(final) - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+def test_stiff_adaptive_run_meets_its_tolerance():
+    # laplacian_lqr N=50 (||A||_1 = 1e4), sym2, tol 1e-4 against the dense
+    # reference: 55 steps, 3 rejections, error 1.6e-4.  A rule moved in
+    # band to each new h gave estimates that passed steps far above tol:
+    # 60 steps, 11 rejections, error 1.6e-3.
+    problem = generate_problem("laplacian_lqr", n=50)
+    reference = dense_reference(to_dense_problem(problem))
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01, ControllerParams(tol=1e-4))
+    assert traj.times[-1] == problem.horizon
+    assert relative_error(to_dense(traj.final), reference) <= 5e-4
+
+
 @pytest.mark.parametrize("spec, tol", [(SchemeSpec("sym", 3), None),
                                        (SchemeSpec("sym", 3), 1e-5),
                                        (SchemeSpec("sym", 5), None)])
@@ -321,25 +335,35 @@ def test_sparse_factors_byte_identical_across_threads():
 
 
 def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
-    # The start basis of a step is propagated once per substep size, also
-    # across the first rejection's retry at the same h, with or without
-    # threads; no (basis, t) pair is computed twice.
+    # Within each tried step the start basis is propagated once per substep
+    # size, with or without threads, and no (basis, t) pair is computed
+    # twice; every retry follows one pool reset at the shrunk size.
     resets = []
     real_reset = adaptive.QuadraturePool.reset
     monkeypatch.setattr(adaptive.QuadraturePool, "reset",
                         lambda pool, *args: resets.append(args) or real_reset(pool, *args))
     real = subflows.exp_action
+    real_step = adaptive.additive_step
     for threads in (1, 4):
-        calls = []
+        steps = []
+
+        def stepping(current, h, *args):
+            steps.append((current.L, []))
+            return real_step(current, h, *args)
 
         def counting(op, t, v, *rest):
-            calls.append((v, t))  # keeps v alive, so identities stay unique
+            steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
             return real(op, t, v, *rest)
 
+        monkeypatch.setattr(adaptive, "additive_step", stepping)
         monkeypatch.setattr(subflows, "exp_action", counting)
         resets.clear()
         problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
         traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                                   ControllerParams(tol=1e-5, epus=True), threads=threads)
-        assert resets and sum(r.rejections for r in traj.records) > 0
-        assert len({(id(v), t) for v, t in calls}) == len(calls)
+        rejections = sum(r.rejections for r in traj.records)
+        assert rejections > 0 and len(resets) == rejections
+        assert len(steps) == len(traj.records) + rejections
+        for start, calls in steps:
+            assert sum(v is start for v, _ in calls) == (3 if start.shape[1] else 0)
+            assert len({(id(v), t) for v, t in calls}) == len(calls)

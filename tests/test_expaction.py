@@ -23,9 +23,9 @@ from dresplit import (
     integrate_adaptive,
     integrate_fixed,
 )
-from dresplit import adaptive, expaction
+from dresplit import expaction
 from dresplit.adaptive import QuadraturePool, default_quad_degree
-from dresplit.subflows import in_band, init_quadrature, update_quadrature
+from dresplit.subflows import init_quadrature
 from dresplit.expaction import (
     _BLOCK_CACHE,
     _EXPM_CACHE,
@@ -490,11 +490,6 @@ def test_one_exp_action_per_sparse_node(monkeypatch):
     state = init_quadrature(problem, 0.01, 5)
     assert [t for t, _, _ in calls] == list(state.nodes)
     assert all(source and cached for _, source, cached in calls)
-    calls.clear()
-    shrunk = update_quadrature(state, 0.009, problem)
-    # In band, the node at 0.01 moves into the middle of the largest gap.
-    assert shrunk.fresh_blocks == 1
-    assert [t for t, _, _ in calls] == [0.001]
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -697,30 +692,6 @@ def test_fixed_dense_run_takes_one_scipy_expm(monkeypatch):
     assert len(calls) == 1
 
 
-def test_in_band_step_primes_its_substeps(rng, monkeypatch):
-    # A step size whose rules are all updated in band needs expm at h/k
-    # only: powers 6, 3 and 2 of expm((h/6) A^T) for sym3.
-    problem = generate_problem("random_lowrank", n=20, rank=4, seed=0)
-    spec = SchemeSpec("sym", 3)
-    pool = QuadraturePool(problem, default_quad_degree(spec), ExpActionOptions(),
-                          CompressionOptions())
-    pool.prepare(0.1, spec.substep_divisors())
-    op = problem.a
-    primed = []
-    prime = op.prime_expm
-    op.prime_expm = lambda u, powers: primed.append((u, dict(powers))) or prime(u, powers)
-    calls = []
-    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
-    h = 0.11
-    pool.prepare(h, spec.substep_divisors())
-    monkeypatch.undo()
-    assert primed == [(h / 6, {h: 6, h / 2: 3, h / 3: 2})]
-    assert len(calls) == 1
-    for t in primed[0][1]:
-        direct = _dense_expm(op._at, t)
-        assert np.linalg.norm(op.expm(t) - direct) <= 1e-12 * np.linalg.norm(direct)
-
-
 def _callers():
     """Qualified names of the functions on the calling thread's stack."""
     frame, names = sys._getframe(1), set()
@@ -731,52 +702,26 @@ def _callers():
 
 
 def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
-    # Every tried step size primes its substep (and, for rules built afresh,
-    # grid-step) exponentials from one scipy expm; the only others are the
-    # nodes an in-band shrink relocates to gap midpoints, which are formed
-    # once and not cached, so they evict no primed entry before the step's
-    # work and chains read it.  adaptive_n10 of the benchmark made 586 calls
-    # over 193 tried step sizes before priming reached in-band steps.
+    # Every tried step size builds fresh rules, and primes their grid-step
+    # and substep exponentials from one scipy expm before the step's work
+    # and chains read them; nothing else takes one.  adaptive_n10 of the
+    # benchmark made 586 calls over 193 tried step sizes before priming.
     finals = []
     for threads in (1, 4):
-        calls, sizes, relocated = [], set(), []
+        calls, sizes = [], []
         monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
         prepare = QuadraturePool.prepare
         monkeypatch.setattr(QuadraturePool, "prepare",
-                            lambda pool, h, divisors: sizes.add(h) or prepare(pool, h, divisors))
-        update = adaptive.update_quadrature
-
-        def counted(state, h_new, *args):
-            out = update(state, h_new, *args)
-            if h_new < state.h and in_band(state.h, h_new):
-                relocated.append(out.fresh_blocks)
-            return out
-
-        monkeypatch.setattr(adaptive, "update_quadrature", counted)
+                            lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
         problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
         traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                                   ControllerParams(tol=1e-5, epus=True), threads=threads)
         monkeypatch.undo()
-        assert sum(r.rejections for r in traj.records) > 0 and len(sizes) > 10
-        assert len(calls) == len(sizes) + sum(relocated)
-        assert not any(names & {"StepWork.prepare", "lie_chain"} for names in calls)
+        assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
+        assert len(calls) == len(sizes) == len(set(sizes))
+        assert not any(names & {"StepWork.__init__", "lie_chain"} for names in calls)
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
     assert finals[0] == finals[1]
-
-
-@pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
-def test_one_off_blocks_are_kept_nowhere(kind):
-    problem = generate_problem(kind, n=20)
-    blocks, op = problem.source_blocks, problem.a
-    t = 0.0123
-    once = blocks.once(t)
-    assert len(blocks._blocks) == 0
-    if op.is_sparse:
-        assert once.tobytes() == exp_action(op, t, problem.q.L).tobytes()
-    else:
-        assert op.expm.cache_info().currsize == 0
-        assert once.tobytes() == (_dense_expm(op._at, t) @ problem.q.L).tobytes()
-    assert blocks(t).tobytes() == once.tobytes()
 
 
 # Sparse node blocks are kept by node time, so node times that several

@@ -15,7 +15,6 @@ from dresplit import (
     QuadraticTerm,
     SchemeCoefficients,
     SchemeSpec,
-    StepWork,
     StiffOperator,
     additive_coeffs,
     additive_step,
@@ -385,49 +384,26 @@ class TestSharedFactorWork:
         assert af.D.tobytes() == via.D.tobytes()
 
     @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
-    def test_retry_reuses_the_start_propagations(self, monkeypatch, kind):
-        # A retry at the same h with rebuilt quadrature states (what the
-        # adaptive driver does after a first rejection) propagates nothing
-        # of the start basis again, and has the bits of a fresh step.
+    def test_shared_propagations_keep_the_bits_of_unshared_chains(self, monkeypatch, kind):
+        # A step propagates its start basis once per substep size, and has
+        # the bits of its chains evaluated one by one without sharing.
         problem = generate_problem(kind, 20, rank=4, seed=3)
         start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
         spec = SchemeSpec("sym", 3)
         coeffs = SchemeCoefficients.for_spec(spec)
         h = 0.01
-        fresh = additive_step(start, h, spec, coeffs, problem, _states_for(problem, h, (1, 2, 3)))
+        states = _states_for(problem, h, (1, 2, 3))
+        jobs = [(k, d) for k in (1, 2, 3) for d in (QUADRATIC_FIRST, AFFINE_FIRST)]
+        chains = [lie_chain(start, h, k, d, problem, states[k]) for k, d in jobs]
+        unshared = combine([(coeffs.gamma[k - 1], c) for (k, _), c in zip(jobs, chains)],
+                           CompressionOptions(), [coeffs.alpha[k - 1] for k, _ in jobs])
         calls = self._count_propagations(monkeypatch)
-        work = StepWork(start)
-        first = additive_step(start, h, spec, coeffs, problem,
-                              _states_for(problem, h, (1, 2, 3)), work=work)
+        shared = additive_step(start, h, spec, coeffs, problem, states)
         assert sum(v is start.L for v, _ in calls) == 3
-        calls.clear()
-        retry = additive_step(start, h, spec, coeffs, problem,
-                              _states_for(problem, h, (1, 2, 3)), work=work)
-        assert sum(v is start.L for v, _ in calls) == 0
-        assert len(calls) == 6
-        for got in (first, retry):
-            assert got[0].L.tobytes() == fresh[0].L.tobytes()
-            assert got[0].D.tobytes() == fresh[0].D.tobytes()
-            assert got[1] == fresh[1]
-
-    def test_halved_step_reuses_the_shared_substep(self, monkeypatch):
-        # After halving, the new h/1 is the old h/2 bit for bit; the store
-        # keeps only the substeps of the step size last prepared.
-        problem = generate_problem("random_lowrank", 10, rank=4, seed=3)
-        calls = self._count_propagations(monkeypatch)
-        work = StepWork(problem.p0)
-        work.prepare(problem.a, [0.02, 0.01, 0.02 / 3], EXP)
-        work.prepare(problem.a, [0.01, 0.005, 0.01 / 3], EXP)
-        assert [t for _, t in calls] == [0.02, 0.01, 0.02 / 3, 0.005, 0.01 / 3]
-        assert sorted(work.propagated) == sorted([0.01, 0.005, 0.01 / 3])
-
-    def test_work_of_another_factor_rejected(self):
-        problem = generate_problem("random_lowrank", 10, rank=4, seed=3)
-        spec = SchemeSpec("sym", 2)
-        with pytest.raises(InvalidInput, match="another factor"):
-            additive_step(problem.p0, 0.01, spec, SchemeCoefficients.for_spec(spec), problem,
-                          _states_for(problem, 0.01, (1, 2)),
-                          work=StepWork(LDLTFactor(problem.p0.L.copy(), problem.p0.D)))
+        assert len(calls) == 9
+        assert shared[0].L.tobytes() == unshared[0].L.tobytes()
+        assert shared[0].D.tobytes() == unshared[0].D.tobytes()
+        assert shared[1] == unshared[1]
 
 
 class TestAdditiveStepFailures:
