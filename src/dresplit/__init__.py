@@ -21,7 +21,6 @@ from .errors import (
     DresplitError,
     IngestError,
     InvalidInput,
-    InvalidNodes,
     InvalidReference,
     NoEmbeddedMethod,
     NonFiniteFactor,
@@ -66,7 +65,6 @@ from .subflows import (
     ProblemData,
     QuadraticTerm,
     QuadratureState,
-    StepWork,
     affine_flow,
     init_quadrature,
     quad_weights,

@@ -34,10 +34,6 @@ class StepTooLarge(DresplitError):
     """A subflow solve became (numerically) singular for the requested step."""
 
 
-class InvalidNodes(DresplitError, ValueError):
-    """Quadrature nodes are duplicated or otherwise unusable."""
-
-
 class NoEmbeddedMethod(DresplitError):
     """The scheme has no lower-order embedded companion (single stage)."""
 

@@ -41,9 +41,9 @@ the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
 yet.  exp_action builds a throwaway space per call, unless it is given
 the BlockActions of its one fixed block V (the source factor of the
-quadrature blocks exp(s A^T) L_Q), which caches one space per octave.
-The space at a checkpoint is the same whichever t first built it, so a
-cached sparse action has the same bits as a one-shot one.
+quadrature blocks, or an additive step's start basis), which caches one
+space per octave.  The space at a checkpoint is the same whichever t first
+built it, so a cached sparse action has the same bits as a one-shot one.
 """
 
 import functools
@@ -65,9 +65,9 @@ _EXPM_CACHE = 8
 # (sym2, 2 fixed steps) peaks 3.8% higher in RSS for the LUs and another
 # 2.0% for the spaces.
 _LU_CACHE = 4
-# Node blocks kept per BlockActions on a sparse operator, keyed by t (and
-# the options): the 9 distinct node times of a sym2 step's two rules fit,
-# and each block is N x rank(Q), small beside a Krylov space.
+# Blocks kept per BlockActions, keyed by t (and the options): the 9
+# distinct node times of a sym2 step's two rules fit, and each block is
+# N x rank(V), small beside a Krylov space.
 _BLOCK_CACHE = 16
 # Default Krylov dimension cap, min(N, _MAX_DIM).
 _MAX_DIM = 512
@@ -410,25 +410,28 @@ def exp_action(
 
 
 class BlockActions:
-    """t -> exp(t A^T) V for one operator and one fixed block V.
+    """t -> exp(t A^T) V for one operator and one fixed block V: the source
+    factor L_Q (``ProblemData.source_blocks``), or an additive step's start
+    basis, which every chain of the step propagates over its substep.
 
     A call is ``exp_action(op, t, V, opts, self)``, which keeps this block's
     Krylov spaces: one per octave shift gamma and dimension cap, in an LRU
     of _LU_CACHE entries (each space pins its LU).  On a sparse operator a
     further t of a cached octave thus costs one small expm per checkpoint
     the stopping rule visits, plus blocks only past the dimension already
-    built.  A sparse operator also keeps the blocks themselves, read-only,
-    in an LRU of _BLOCK_CACHE entries keyed by t and the options, so a node
-    time that several rules share (t = 0, or h/5 of the rule over h and
-    2(h/2)/5 of the one over h/2, when they agree bit for bit) is computed
-    once; since a cached space gives the bits of a one-shot one, a kept
-    block has the bits a new call would give.  A dense operator's blocks
-    come from ``expm``, whose entries may be primed anew, so they are not
-    kept.  ``equidistant`` gives the blocks of a whole node grid; on a
-    dense operator it steps from node to node (see there).  Safe to call
-    from several threads: both LRU orders are kept under this object's
-    lock, a space is used under its own lock, and a concurrent miss builds
-    the same space or block twice and keeps one.
+    built.  The blocks themselves are kept, read-only, in an LRU of
+    _BLOCK_CACHE entries keyed by t and the options, so a t that several
+    callers share (a substep of both chain directions, or a node time of
+    two rules that agree bit for bit: t = 0, or h/5 of the rule over h and
+    2(h/2)/5 of the one over h/2) is computed once.  On a dense operator a
+    kept block is ``op.expm(t) @ V`` as of its first call; on a sparse one
+    it has the bits of a new call, as a cached space gives those of a
+    one-shot one.
+    ``equidistant`` gives the blocks of a whole node grid; on a dense
+    operator it steps from node to node (see there).  Safe to call from
+    several threads: both LRU orders are kept under this object's lock, a
+    space is used under its own lock, and a concurrent miss builds the same
+    space or block twice and keeps one.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
@@ -439,8 +442,6 @@ class BlockActions:
         self._lock = threading.Lock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        if not self.op.is_sparse:
-            return exp_action(self.op, t, self.v, opts, self)
         key = (t, opts)
         blocks = self._blocks
         with self._lock:

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod, NonFiniteFactor
-from .expaction import ExpActionOptions
+from .expaction import BlockActions, ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, combine
-from .subflows import ProblemData, QuadratureState, StepWork, affine_flow, quadratic_flow
+from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
 ADDITIVE_KINDS = ("asym", "sym")
@@ -172,14 +172,14 @@ def lie_chain(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    work: StepWork | None = None,
+    start: BlockActions | None = None,
 ) -> LDLTFactor:
     """k repetitions of the Lie-type substep of size h/k.
 
     order QUADRATIC_FIRST applies the quadratic flow then the affine flow in
-    each repetition; AFFINE_FIRST is the reverse.  ``work`` is passed to
+    each repetition; AFFINE_FIRST is the reverse.  ``start`` is passed to
     every affine flow, which takes the propagation of the step's basis from
-    it (see ``StepWork``).
+    it (see ``affine_flow``).
     """
     if k < 1:
         raise InvalidInput(f"repetition count must be >= 1, got {k}")
@@ -188,9 +188,9 @@ def lie_chain(
     for _ in range(k):
         if order == QUADRATIC_FIRST:
             current = quadratic_flow(current, sub, problem.s)
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, work)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, start)
         else:
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, work)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, start)
             current = quadratic_flow(current, sub, problem.s)
     return current
 
@@ -243,10 +243,11 @@ def additive_step(
     weights.  It is None for single-stage schemes, which have no embedded
     companion.
 
-    Repeated factor work is done once, with the same bits.  A ``StepWork``
-    of ``factor`` first gets exp((h/k) A^T) L for every divisor k, which the
-    chains of both directions then take from it, so L is propagated once
-    per substep size.  From a factor of rank 0, on which ``quadratic_flow``
+    Repeated factor work is done once, with the same bits.  ``start``, the
+    ``BlockActions`` of the step's basis L, first keeps exp((h/k) A^T) L for
+    every divisor k (on the executor when given); the chains of both
+    directions take it from there, so L is propagated once per substep
+    size.  From a factor of rank 0, on which ``quadratic_flow``
     returns the factor itself, the AFFINE_FIRST chain k equals
     ``quadratic_flow`` of the QUADRATIC_FIRST chain k over h/k, and is
     computed so.  A NonFiniteFactor from combining the chains
@@ -263,13 +264,16 @@ def additive_step(
     jobs = [(k, d) for k in ks for d in directions]
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
-    work = StepWork(factor, problem.a, [h / k for k in ks], exp_opts, executor)
+    each = map if executor is None else executor.map
+    start = BlockActions(problem.a, factor.L)
+    if factor.rank > 0:
+        list(each(lambda k: start(h / k, exp_opts), ks))
 
     def run(job):
         k, d = job
-        return lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, work)
+        return lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, start)
 
-    chains = list((map if executor is None else executor.map)(run, runs))
+    chains = list(each(run, runs))
     if shared_prefix:
         chains = [c for k, chain in zip(ks, chains)
                   for c in (chain, quadratic_flow(chain, h / k, problem.s))]

@@ -399,7 +399,7 @@ def run_validation(seed: int = 0, n_instances: int = 25) -> list:
     for degree in range(1, 10):
         h = float(rng.uniform(0.5, 2.0))
         nodes = np.linspace(0.0, h, degree + 1)
-        w = quad_weights(nodes, h)
+        w = quad_weights(degree, h)
         for j in range(degree + 1):
             target = h ** (j + 1) / (j + 1)
             worst = max(worst, abs(float(w @ nodes**j) - target) / target)

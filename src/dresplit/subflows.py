@@ -11,26 +11,27 @@ interpolatory-quadrature approximation of the source integral
 Every step size gets the fresh equidistant rule, with nodes k h / degree
 (``init_quadrature``); a rule is kept only while its h is unchanged bit for
 bit (``update_quadrature``), so its stability constant is always that of
-the equidistant rule.  On a dense operator the node blocks exp(s_k A^T) L_Q
-are stepped with one exponential of (h/degree) A^T, plus the exp(h A^T)
-the propagation over h shares (``BlockActions.equidistant``;
+the equidistant rule.  Its weights are h times the unit rule's, solved once
+per degree (``quad_weights``).  On a dense operator the node blocks
+exp(s_k A^T) L_Q are stepped with one exponential of (h/degree) A^T, plus
+the exp(h A^T) the propagation over h shares (``BlockActions.equidistant``;
 ``adaptive.QuadraturePool`` primes both from one expm); on a sparse one
 the blocks of recent node times are kept, so a node that two rules share is
 computed once.
 """
 
 import copy
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import InvalidInput, InvalidNodes, NonFiniteFactor, StepTooLarge
+from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
 from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
 from .lowrank import CompressionOptions, LDLTFactor, combine
 
 PSD_EIG_TOL = 1e-12
-NODE_CLASH_TOL = 1e-12
 
 
 def _require_finite(what: str, *arrays) -> None:
@@ -171,39 +172,36 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
     return LDLTFactor._trusted(factor.L, 0.5 * (core + core.T))
 
 
-def quad_weights(nodes, h: float) -> np.ndarray:
-    """Weights making the rule with the given nodes integrate every
-    polynomial of degree <= len(nodes)-1 exactly over [0, h].
-
-    Solved from the moment system sum_k w_k s_k^j = h^{j+1}/(j+1) on nodes
-    normalized by h for conditioning.
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    if h <= 0:
-        raise InvalidNodes(f"interval length must be positive, got {h}")
-    if nodes.ndim != 1 or nodes.size == 0:
-        raise InvalidInput("nodes must be a non-empty 1-D array")
-    gaps = np.diff(np.sort(nodes))
-    if nodes.size > 1 and (gaps.size == 0 or gaps.min() <= NODE_CLASH_TOL * h):
-        raise InvalidNodes("quadrature nodes are (numerically) duplicated")
-    x = nodes / h
-    degree = nodes.size - 1
-    vander = np.vander(x, N=degree + 1, increasing=True).T
+@functools.lru_cache(maxsize=None)
+def _unit_weights(degree: int) -> np.ndarray:
+    """Read-only weights of the equidistant rule of the given degree on
+    [0, 1], solved once per degree from the moment system
+    sum_k w_k x_k^j = 1/(j+1) on x = np.linspace(0, 1, degree + 1)."""
+    x = np.linspace(0.0, 1.0, degree + 1)
     moments = 1.0 / (np.arange(degree + 1) + 1.0)
-    try:
-        scaled = np.linalg.solve(vander, moments)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidNodes("moment system is singular; nodes too close") from exc
-    return h * scaled
+    weights = np.linalg.solve(np.vander(x, increasing=True).T, moments)
+    weights.flags.writeable = False
+    return weights
+
+
+def quad_weights(degree: int, h: float) -> np.ndarray:
+    """Weights of the equidistant rule with nodes k h / degree, which
+    integrates every polynomial of degree <= ``degree`` exactly over [0, h]:
+    h times the unit rule's weights, which are solved once per degree."""
+    if not h > 0:
+        raise InvalidInput(f"h must be positive, got {h}")
+    if degree < 1:
+        raise InvalidInput(f"degree must be >= 1, got {degree}")
+    return h * _unit_weights(degree)
 
 
 @dataclass(frozen=True)
 class QuadratureState:
-    """Nodes, weights and cached exponential-action blocks for the source
-    integral over [0, h].
+    """The equidistant rule over [0, h] and ``assembled``, the weighted sum
+    of its node blocks exp(s_k A^T) L_Q: the source integral's factor.
 
     Values are immutable; transitions (init/update) return new states.
-    fresh_blocks counts the node blocks (re)computed by the transition that
+    fresh_blocks counts the node blocks computed by the transition that
     produced this state.
     """
 
@@ -211,7 +209,6 @@ class QuadratureState:
     h: float
     nodes: np.ndarray
     weights: np.ndarray
-    blocks: tuple
     assembled: LDLTFactor
     fresh_blocks: int
 
@@ -235,15 +232,11 @@ def init_quadrature(
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
     """Equidistant nodes k*h/degree with all blocks freshly computed."""
-    if not h > 0:
-        raise InvalidInput(f"h must be positive, got {h}")
-    if degree < 1:
-        raise InvalidInput(f"degree must be >= 1, got {degree}")
-    nodes = np.linspace(0.0, h, degree + 1)
+    weights = quad_weights(degree, h)
     blocks = problem.source_blocks.equidistant(h, degree, exp_opts)
-    weights = quad_weights(nodes, h)
     assembled = _assemble(problem, weights, blocks, comp_opts)
-    return QuadratureState(degree, h, nodes, weights, blocks, assembled, degree + 1)
+    return QuadratureState(degree, h, np.linspace(0.0, h, degree + 1), weights, assembled,
+                           degree + 1)
 
 
 def update_quadrature(
@@ -256,37 +249,9 @@ def update_quadrature(
     """The rule of ``state`` moved to [0, h_new]: the state itself (with no
     fresh blocks) when h_new equals its h bit for bit, else the fresh
     equidistant rule of the same degree over h_new."""
-    if not h_new > 0:
-        raise InvalidInput(f"h must be positive, got {h_new}")
     if h_new == state.h:
         return replace(state, fresh_blocks=0)
     return init_quadrature(problem, h_new, state.degree, exp_opts, comp_opts)
-
-
-class StepWork:
-    """Factor work shared by the chains of one additive step.
-
-    Every chain of an additive step starts from the step's factor, and
-    ``quadratic_flow`` keeps its basis L, so the first affine flow of each
-    chain of divisor k propagates that same L over h/k.  A StepWork keeps L
-    alive as ``basis`` and holds ``propagated``, {t: exp(t A^T) L} for the
-    given substeps t, computed when it is made (on the executor when given,
-    else in order); ``affine_flow`` reads it for a factor whose basis is
-    this L.  Each entry is exp_action's value, so a hit has the bits a
-    recomputation would have.  Later bases of a chain are fresh arrays that
-    no other chain sees, so they are not stored.
-    """
-
-    __slots__ = ("basis", "propagated")
-
-    def __init__(self, factor: LDLTFactor, op: StiffOperator, subs,
-                 exp_opts: ExpActionOptions, executor=None):
-        basis = self.basis = factor.L
-        self.propagated = {}
-        if factor.rank > 0:
-            run = (map if executor is None else executor.map)(
-                lambda t: exp_action(op, t, basis, exp_opts), subs)
-            self.propagated = dict(zip(subs, run))
 
 
 def affine_flow(
@@ -296,15 +261,15 @@ def affine_flow(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    work: StepWork | None = None,
+    start: BlockActions | None = None,
 ) -> LDLTFactor:
     """Exact flow of P' = A^T P + P A + Q over a step h:
     exp(h A^T) L D L^T exp(h A) + X(h), compressed, where X(h) = L_X D_X L_X^T
     is the quadrature factor of ``state``.
 
-    When the basis L is the one ``work`` holds, exp(h A^T) L is taken from
-    it if present (one dict lookup); otherwise it is one exp_action.  The
-    two terms are summed by ``combine``; a factor of rank 0 is passed as it
+    When L is the block of ``start`` (the step's start basis), exp(h A^T) L
+    is ``start(h)``, kept there for the step's other chains; otherwise it is
+    one exp_action.  The two terms are summed by ``combine``; a factor of rank 0 is passed as it
     is, and ``combine`` leaves it out.  Raises NonFiniteFactor naming the
     flow and h when the compressed core is not finite.
     """
@@ -316,8 +281,9 @@ def affine_flow(
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     propagated = factor
     if factor.rank > 0:
-        basis = None if work is None or factor.L is not work.basis else work.propagated.get(h)
-        if basis is None:
+        if start is not None and factor.L is start.v:
+            basis = start(h, exp_opts)
+        else:
             basis = exp_action(problem.a, h, factor.L, exp_opts)
         propagated = LDLTFactor._trusted(basis, factor.D)
     try:

@@ -1,3 +1,12 @@
+import os
+
+# BLAS is pinned to one thread before numpy loads it (an existing setting
+# wins), as in perfbench/run.py: on a 2-vCPU box threaded BLAS
+# oversubscribes the dense N=50-100 work, and the suite runs about a third
+# slower.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 import scipy.sparse as sp

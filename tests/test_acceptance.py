@@ -112,7 +112,7 @@ def test_criterion_2_subflow_oracle_equivalence():
     for degree in range(1, 10):
         h = float(rng.uniform(0.5, 2.0))
         nodes = np.linspace(0.0, h, degree + 1)
-        w = quad_weights(nodes, h)
+        w = quad_weights(degree, h)
         for j in range(degree + 1):
             target = h ** (j + 1) / (j + 1)
             worst_moment = max(worst_moment, abs(float(w @ nodes**j) - target) / target)

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dresplit import adaptive, subflows
+from dresplit import adaptive, expaction, subflows
 from dresplit import (
     CompressionOptions,
     ControllerParams,
@@ -342,7 +342,7 @@ def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
     real_reset = adaptive.QuadraturePool.reset
     monkeypatch.setattr(adaptive.QuadraturePool, "reset",
                         lambda pool, *args: resets.append(args) or real_reset(pool, *args))
-    real = subflows.exp_action
+    real = expaction.exp_action
     real_step = adaptive.additive_step
     for threads in (1, 4):
         steps = []
@@ -351,14 +351,16 @@ def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
             steps.append((current.L, []))
             return real_step(current, h, *args)
 
-        def counting(op, t, v, *rest):
-            steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
-            return real(op, t, v, *rest)
+        def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
+            if blocks is not problem.source_blocks:
+                steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
+            return real(op, t, v, opts, blocks)
 
+        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
         monkeypatch.setattr(adaptive, "additive_step", stepping)
         monkeypatch.setattr(subflows, "exp_action", counting)
+        monkeypatch.setattr(expaction, "exp_action", counting)
         resets.clear()
-        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
         traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                                   ControllerParams(tol=1e-5, epus=True), threads=threads)
         rejections = sum(r.rejections for r in traj.records)

@@ -518,6 +518,17 @@ def test_dense_source_blocks_keep_the_dense_path():
     assert _spaces(problem.source_blocks) == []
 
 
+def test_dense_blocks_are_kept_read_only_with_the_bits_of_expm(rng):
+    op = StiffOperator(rng.standard_normal((8, 8)))
+    v = rng.standard_normal((8, 3))
+    blocks = BlockActions(op, v)
+    first = blocks(0.1)
+    assert blocks(0.1) is first and not first.flags.writeable
+    assert first.tobytes() == (op.expm(0.1) @ v).tobytes()
+    assert blocks(0.2).tobytes() == (op.expm(0.2) @ v).tobytes()
+    assert len(blocks._blocks) == 2 and _spaces(blocks) == []
+
+
 # Dense node grids are stepped with one exponential; sparse ones are not.
 
 def _stepped_operator(kind, n, rng):
@@ -706,20 +717,31 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     # and substep exponentials from one scipy expm before the step's work
     # and chains read them; nothing else takes one.  adaptive_n10 of the
     # benchmark made 586 calls over 193 tried step sizes before priming.
+    # The step's basis is propagated through BlockActions.__call__ from
+    # additive_step or its chains (in a worker thread, from the functions
+    # local to additive_step), which must be reached for the check to mean
+    # anything.
     finals = []
+    step_work = ("BlockActions.__call__", "additive_step", "lie_chain")
     for threads in (1, 4):
-        calls, sizes = [], []
+        calls, sizes, propagations = [], [], []
         monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
         prepare = QuadraturePool.prepare
         monkeypatch.setattr(QuadraturePool, "prepare",
                             lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
+        real_call = BlockActions.__call__
+        monkeypatch.setattr(BlockActions, "__call__",
+                            lambda self, *a: propagations.append(_callers())
+                            or real_call(self, *a))
         problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
         traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                                   ControllerParams(tol=1e-5, epus=True), threads=threads)
         monkeypatch.undo()
         assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
         assert len(calls) == len(sizes) == len(set(sizes))
-        assert not any(names & {"StepWork.__init__", "lie_chain"} for names in calls)
+        assert propagations
+        assert all(any(n.startswith("additive_step") for n in names) for names in propagations)
+        assert not any(n.startswith(step_work) for names in calls for n in names)
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
     assert finals[0] == finals[1]
 
@@ -735,7 +757,7 @@ def test_shared_node_times_take_one_exp_action(monkeypatch):
     real = expaction.exp_action
 
     def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-        if blocks is not None:
+        if blocks is problem.source_blocks:
             calls.append(t)
         return real(op, t, v, opts, blocks)
 

@@ -28,7 +28,7 @@ from dresplit import (
     quadratic_flow,
     to_dense,
 )
-from dresplit import schemes, subflows
+from dresplit import expaction, schemes, subflows
 from dresplit.adaptive import default_quad_degree
 from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
@@ -339,22 +339,27 @@ class TestSharedFactorWork:
     ones, and keeps the bits of the unshared evaluation."""
 
     @staticmethod
-    def _count_propagations(monkeypatch):
+    def _count_propagations(monkeypatch, problem):
+        """(v, t) of every exponential action but those of the source node
+        blocks: the affine flows' own, and those of the step basis, which
+        go through its BlockActions."""
         calls = []
-        real = subflows.exp_action
+        real = expaction.exp_action
 
-        def counting(op, t, v, *rest):
-            calls.append((v, t))  # keeps v alive, so identities stay unique
-            return real(op, t, v, *rest)
+        def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
+            if blocks is not problem.source_blocks:
+                calls.append((v, t))  # keeps v alive, so identities stay unique
+            return real(op, t, v, opts, blocks)
 
         monkeypatch.setattr(subflows, "exp_action", counting)
+        monkeypatch.setattr(expaction, "exp_action", counting)
         return calls
 
     def test_dense_sym3_step_propagates_nine_times(self, monkeypatch):
         # Of the 12 affine flows of a sym3 step, the first of each chain
         # pair k propagates the start basis over h/k: 3 shared, 6 not.
-        calls = self._count_propagations(monkeypatch)
         problem = generate_problem("random_lowrank", 20, rank=4, seed=3, horizon=0.05)
+        calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2)
         assert len(calls) == 18
         for start, step in zip(traj.factors, (calls[:9], calls[9:])):
@@ -365,8 +370,8 @@ class TestSharedFactorWork:
         # From P0 = 0 only the second substep of chain 2 propagates (the
         # AFFINE_FIRST chains are quadratic flows of the QUADRATIC_FIRST
         # ones); the second step makes 2 shared and 2 unshared propagations.
-        calls = self._count_propagations(monkeypatch)
         problem = generate_problem("laplacian_lqr", 20)
+        calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
         assert traj.factors[0].rank == 0
         assert len(calls) == 5
@@ -386,7 +391,9 @@ class TestSharedFactorWork:
     @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
     def test_shared_propagations_keep_the_bits_of_unshared_chains(self, monkeypatch, kind):
         # A step propagates its start basis once per substep size, and has
-        # the bits of its chains evaluated one by one without sharing.
+        # the bits of its chains evaluated one by one without sharing.  The
+        # start basis is L_Q itself, so the source node blocks are told
+        # apart by their BlockActions.
         problem = generate_problem(kind, 20, rank=4, seed=3)
         start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
         spec = SchemeSpec("sym", 3)
@@ -397,7 +404,7 @@ class TestSharedFactorWork:
         chains = [lie_chain(start, h, k, d, problem, states[k]) for k, d in jobs]
         unshared = combine([(coeffs.gamma[k - 1], c) for (k, _), c in zip(jobs, chains)],
                            CompressionOptions(), [coeffs.alpha[k - 1] for k, _ in jobs])
-        calls = self._count_propagations(monkeypatch)
+        calls = self._count_propagations(monkeypatch, problem)
         shared = additive_step(start, h, spec, coeffs, problem, states)
         assert sum(v is start.L for v, _ in calls) == 3
         assert len(calls) == 9

@@ -4,13 +4,14 @@ import scipy.sparse as sp
 
 from dresplit import (
     CompressionOptions,
+    ControllerParams,
     ExpActionOptions,
     InvalidInput,
-    InvalidNodes,
     LDLTFactor,
     NonFiniteFactor,
     ProblemData,
     QuadraticTerm,
+    SchemeSpec,
     StepTooLarge,
     StiffOperator,
     affine_flow,
@@ -18,11 +19,13 @@ from dresplit import (
     exp_action,
     generate_problem,
     init_quadrature,
+    integrate_adaptive,
     quad_weights,
     quadratic_flow,
     to_dense,
     update_quadrature,
 )
+from dresplit import subflows
 from dresplit.oracle import dense_subflow, relative_error
 from dresplit.problems import to_dense_problem
 from dresplit.study import _random_instance
@@ -105,38 +108,63 @@ class TestQuadraticFlow:
 
 class TestQuadWeights:
     def test_trapezoid(self):
-        w = quad_weights(np.array([0.0, 2.0]), 2.0)
+        w = quad_weights(1, 2.0)
         assert np.allclose(w, [1.0, 1.0])
 
     def test_simpson(self):
-        h = 2.0
-        w = quad_weights(np.array([0.0, 1.0, 2.0]), h)
+        w = quad_weights(2, 2.0)
         assert np.allclose(w, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
 
-    def test_moment_residuals_random_nodes(self, rng):
-        for _ in range(25):
-            d = int(rng.integers(1, 5))
-            h = float(rng.uniform(0.5, 2.0))
-            nodes = np.sort(rng.uniform(0, h, d + 1))
-            while np.diff(nodes).size and np.diff(nodes).min() < 0.05 * h:
-                nodes = np.sort(rng.uniform(0, h, d + 1))
-            w = quad_weights(nodes, h)
-            for j in range(d + 1):
-                target = h ** (j + 1) / (j + 1)
-                assert abs(float(w @ nodes**j) - target) <= 1e-12 * target
+    @pytest.mark.parametrize("degree, table", [
+        (3, np.array([1.0, 3.0, 3.0, 1.0]) / 8.0),
+        (4, np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0),
+    ])
+    def test_newton_cotes_tables(self, degree, table):
+        # Simpson's 3/8 rule and Boole's rule, scaled by h.  The solved unit
+        # table is within 1.25e-15 of Boole's (its middle weight).
+        for h in (0.37, 1.0, 2.5e-3):
+            assert np.abs(quad_weights(degree, h) - h * table).max() <= 2e-15 * h
+
+    def test_unit_table_is_read_only(self):
+        table = subflows._unit_weights(3)
+        assert subflows._unit_weights(3) is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        kept = table.copy()
+        w = quad_weights(3, 0.5)
+        w[:] = 0.0  # the caller's array is its own
+        assert np.array_equal(subflows._unit_weights(3), kept)
 
     def test_moment_residuals_high_degree(self):
         for d in range(1, 10):
             h = 0.37
             nodes = np.linspace(0.0, h, d + 1)
-            w = quad_weights(nodes, h)
+            w = quad_weights(d, h)
             for j in range(d + 1):
                 target = h ** (j + 1) / (j + 1)
                 assert abs(float(w @ nodes**j) - target) <= 1e-12 * target
 
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(InvalidNodes):
-            quad_weights(np.array([0.0, 0.5, 0.5 + 1e-16]), 1.0)
+    @pytest.mark.parametrize("degree, h", [(3, 0.0), (3, -1.0), (3, np.nan), (0, 1.0)])
+    def test_bad_arguments_rejected(self, degree, h):
+        with pytest.raises(InvalidInput):
+            quad_weights(degree, h)
+
+    def test_adaptive_run_solves_the_moment_system_once(self, monkeypatch):
+        # Every rule of an adaptive sym3 run (degree 7) scales one table;
+        # the general solver used to solve the moment system once per rule.
+        solves = []
+        real = np.vander
+        monkeypatch.setattr(np, "vander", lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        subflows._unit_weights.cache_clear()
+        rules = []
+        real_weights = subflows.quad_weights
+        monkeypatch.setattr(subflows, "quad_weights",
+                            lambda *a: rules.append(a) or real_weights(*a))
+        problem = generate_problem("random_lowrank", 10, 4, seed=0, horizon=1.0)
+        integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                           ControllerParams(tol=1e-6, epus=True))
+        assert len(rules) > 100 and {d for d, _ in rules} == {7}
+        assert len(solves) == 1
 
 
 class TestQuadratureState:
