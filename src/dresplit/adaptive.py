@@ -12,10 +12,8 @@ tried step size gets the fresh equidistant rules of its substeps.  The
 final step is clamped so the trajectory lands exactly on the horizon.
 """
 
-import functools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,7 +126,8 @@ def default_quad_degree(spec: SchemeSpec) -> int:
 
 
 class QuadraturePool:
-    """One quadrature state per substep divisor.
+    """One quadrature state per substep divisor, each of the given degree
+    (the drivers use ``default_quad_degree``).
 
     The pool owns the states.  prepare() moves every divisor's state to a
     step size h, keeping a state whose substep h/k is unchanged and
@@ -140,8 +139,8 @@ class QuadraturePool:
     divisor k (the substep's propagation, and the last node of its rule)
     and at (h/k)/degree (its rule's grid step).  All of these are integer
     powers of E = expm(u A^T) with u = h / (lcm(k) degree), so prepare()
-    primes the missing ones from that one exponential, in the calling
-    thread, before any rule is built or chain runs.
+    primes the missing ones from that one exponential before any rule is
+    built or chain runs.
     """
 
     def __init__(self, problem: ProblemData, degree: int,
@@ -199,16 +198,9 @@ def _blown_up(exc: NonFiniteFactor, t: float, h: float) -> NonFiniteFactor:
 # Every layer checks what it computes and raises NonFiniteFactor (or
 # StepTooLarge) on a non-finite value: exp_action's iterate, the congruence
 # core of compress and combine, quadratic_flow's condition estimate.  Those
-# checks are the guard, so numpy's overflow warnings are silenced for a
-# solve, once in the driver and once per chain thread rather than per call.
+# checks are the guard, so numpy's overflow warnings are silenced once per
+# solve, in the driver, rather than per call.
 _SILENCED = {"over": "ignore", "invalid": "ignore"}
-
-
-def _make_executor(threads: int):
-    if not (threads and threads > 1):
-        return None
-    return ThreadPoolExecutor(max_workers=threads,
-                              initializer=functools.partial(np.seterr, **_SILENCED))
 
 
 @np.errstate(**_SILENCED)
@@ -218,53 +210,47 @@ def integrate_fixed(
     n_steps: int,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    quad_degree: int | None = None,
-    threads: int = 1,
     store_factors: bool = True,
 ) -> Trajectory:
     """Integrate with n_steps equal steps of the chosen scheme.
 
-    Quadrature states are built once per substep size and reused for every
-    step; their initial cost is attributed to the first record.
+    Quadrature states of degree ``default_quad_degree(spec)`` are built
+    once per substep size and reused for every step; their initial cost is
+    attributed to the first record.  The chains of each step run one after
+    another.
     """
     if n_steps < 1:
         raise InvalidInput(f"n_steps must be >= 1, got {n_steps}")
     h = problem.horizon / n_steps
-    degree = quad_degree if quad_degree is not None else default_quad_degree(spec)
-    pool = QuadraturePool(problem, degree, exp_opts, comp_opts)
+    pool = QuadraturePool(problem, default_quad_degree(spec), exp_opts, comp_opts)
     divisors = spec.substep_divisors()
     init_fresh = pool.prepare(h, divisors)
     coeffs = SchemeCoefficients.for_spec(spec) if spec.is_additive else None
-    executor = _make_executor(threads)
 
     trajectory = Trajectory(store_factors=store_factors)
     current = compress(problem.p0, comp_opts)
     trajectory.factors.append(current)
-    try:
-        for i in range(1, n_steps + 1):
-            try:
-                if spec.is_additive:
-                    current, estimate = additive_step(
-                        current, h, spec, coeffs, problem, pool.states,
-                        exp_opts, comp_opts, executor,
-                    )
-                else:
-                    current = multiplicative_step(
-                        current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
-                    )
-                    estimate = None
-            except NonFiniteFactor as exc:
-                raise _blown_up(exc, (i - 1) * h, h) from exc
-            t = problem.horizon if i == n_steps else i * h
-            _log_core_floor(current, t)
-            trajectory.append(
-                StepRecord(t, h, estimate, 0, current.rank,
-                           init_fresh if i == 1 else 0),
-                current,
-            )
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for i in range(1, n_steps + 1):
+        try:
+            if spec.is_additive:
+                current, estimate = additive_step(
+                    current, h, spec, coeffs, problem, pool.states,
+                    exp_opts, comp_opts,
+                )
+            else:
+                current = multiplicative_step(
+                    current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
+                )
+                estimate = None
+        except NonFiniteFactor as exc:
+            raise _blown_up(exc, (i - 1) * h, h) from exc
+        t = problem.horizon if i == n_steps else i * h
+        _log_core_floor(current, t)
+        trajectory.append(
+            StepRecord(t, h, estimate, 0, current.rank,
+                       init_fresh if i == 1 else 0),
+            current,
+        )
     return trajectory
 
 
@@ -276,13 +262,13 @@ def integrate_adaptive(
     params: ControllerParams,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    quad_degree: int | None = None,
-    threads: int = 1,
     store_factors: bool = True,
 ) -> Trajectory:
     """Adaptive integration with the embedded estimate and a PI controller.
 
-    Requires an additive scheme with at least two stages.  Raises
+    Requires an additive scheme with at least two stages.  Each tried step
+    size gets quadrature rules of degree ``default_quad_degree(spec)``, and
+    the chains of each try run one after another.  Raises
     StepSizeCollapse (carrying the partial trajectory, its message naming
     the last rejection's cause) if the controller drives the step below
     h_min_factor * horizon.
@@ -293,10 +279,8 @@ def integrate_adaptive(
         raise InvalidInput(f"h1 must be positive, got {h1}")
     p_est = spec.embedded_order
     coeffs = SchemeCoefficients.for_spec(spec)
-    degree = quad_degree if quad_degree is not None else default_quad_degree(spec)
-    pool = QuadraturePool(problem, degree, exp_opts, comp_opts)
+    pool = QuadraturePool(problem, default_quad_degree(spec), exp_opts, comp_opts)
     divisors = spec.substep_divisors()
-    executor = _make_executor(threads)
     h_min = params.h_min_factor * problem.horizon
 
     trajectory = Trajectory(store_factors=store_factors)
@@ -310,62 +294,58 @@ def integrate_adaptive(
         clamped = True
     e_prev = params.safety * params.tol
 
-    try:
+    while True:
+        rejections = 0
+        fresh = 0
         while True:
-            rejections = 0
-            fresh = 0
-            while True:
-                try:
-                    # The first try of a step keeps the rules of an unchanged
-                    # h; a retry follows a shrink, so every rule is new.
-                    fresh += (pool.reset if rejections else pool.prepare)(h, divisors)
-                    candidate, estimate = additive_step(
-                        current, h, spec, coeffs, problem, pool.states,
-                        exp_opts, comp_opts, executor,
-                    )
-                except NonFiniteFactor as exc:
-                    raise _blown_up(exc, t, h) from exc
-                except (StepTooLarge, ToleranceNotMet) as exc:
-                    # A subflow that fails at this h is a rejection: halve
-                    # the step.
-                    rejections += 1
-                    cause = f"{type(exc).__name__}: {exc}"
-                    h *= 0.5
-                else:
-                    e_cmp = estimate / h if params.epus else estimate
-                    if e_cmp <= params.tol:
-                        break
-                    rejections += 1
-                    cause = f"error estimate {e_cmp:.3e} above tol {params.tol:g}"
-                    # One rejection shrinks h by at most the growth cap, so
-                    # an estimate spike far above tol cannot cut it by many
-                    # orders of magnitude at once.
-                    h = max(reject_resize(e_cmp, h, params, p_est), h / params.growth_cap)
-                clamped = False
-                if h < h_min:
-                    raise StepSizeCollapse(
-                        f"step size {h:.3e} fell below the floor {h_min:.3e} at t={t:g} "
-                        f"(last rejection: {cause})",
-                        trajectory=trajectory,
-                    )
-            current = candidate
-            t = problem.horizon if clamped else t + h
-            _log_core_floor(current, t)
-            trajectory.append(
-                StepRecord(t, h, e_cmp, rejections, current.rank, fresh, clamped),
-                current,
-            )
-            if t >= problem.horizon:
-                break
-            h_next = pi_update(e_prev, e_cmp, h, params, p_est)
-            e_prev = e_cmp
-            h = h_next
+            try:
+                # The first try of a step keeps the rules of an unchanged h;
+                # a retry follows a shrink, so every rule is new.
+                fresh += (pool.reset if rejections else pool.prepare)(h, divisors)
+                candidate, estimate = additive_step(
+                    current, h, spec, coeffs, problem, pool.states,
+                    exp_opts, comp_opts,
+                )
+            except NonFiniteFactor as exc:
+                raise _blown_up(exc, t, h) from exc
+            except (StepTooLarge, ToleranceNotMet) as exc:
+                # A subflow that fails at this h is a rejection: halve the
+                # step.
+                rejections += 1
+                cause = f"{type(exc).__name__}: {exc}"
+                h *= 0.5
+            else:
+                e_cmp = estimate / h if params.epus else estimate
+                if e_cmp <= params.tol:
+                    break
+                rejections += 1
+                cause = f"error estimate {e_cmp:.3e} above tol {params.tol:g}"
+                # One rejection shrinks h by at most the growth cap, so an
+                # estimate spike far above tol cannot cut it by many orders
+                # of magnitude at once.
+                h = max(reject_resize(e_cmp, h, params, p_est), h / params.growth_cap)
             clamped = False
-            if t + h > problem.horizon:
-                h = problem.horizon - t
-                clamped = True
-    finally:
-        if executor is not None:
-            executor.shutdown()
+            if h < h_min:
+                raise StepSizeCollapse(
+                    f"step size {h:.3e} fell below the floor {h_min:.3e} at t={t:g} "
+                    f"(last rejection: {cause})",
+                    trajectory=trajectory,
+                )
+        current = candidate
+        t = problem.horizon if clamped else t + h
+        _log_core_floor(current, t)
+        trajectory.append(
+            StepRecord(t, h, e_cmp, rejections, current.rank, fresh, clamped),
+            current,
+        )
+        if t >= problem.horizon:
+            break
+        h_next = pi_update(e_prev, e_cmp, h, params, p_est)
+        e_prev = e_cmp
+        h = h_next
+        clamped = False
+        if t + h > problem.horizon:
+            h = problem.horizon - t
+            clamped = True
     return trajectory
 

@@ -2,7 +2,8 @@
 
 Commands: generate, solve, study {order,efficiency,adaptivity}, validate.
 Exit codes: 0 success, 2 ingestion error, 3 solver failure, 4 validation
-failure.
+failure.  argparse also exits with 2 on a usage error (an unknown flag, say);
+the message on stderr tells it from an ingestion error.
 """
 
 import argparse
@@ -37,10 +38,6 @@ def _add_run_flags(parser):
                         "action (successive iterates); dense actions are exact")
     parser.add_argument("--comp-tol", type=float, default=None,
                         help="column compression tolerance (default N*eps)")
-    parser.add_argument("--quad-degree", type=int, default=None,
-                        help="quadrature exactness degree (default scheme order + 1)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for independent chains")
     parser.add_argument("--out", required=True, help="output directory")
 
 
@@ -48,8 +45,7 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         scheme=args.scheme, stages=args.stages, n_steps=args.steps,
         tol=args.tol, h1=args.h1, epus=args.epus, exp_tol=args.exp_tol,
-        comp_tol=args.comp_tol, quad_degree=args.quad_degree,
-        threads=args.threads,
+        comp_tol=args.comp_tol,
     )
 
 

@@ -10,7 +10,6 @@ full combination is a cheap local error estimate.
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,27 +229,23 @@ def additive_step(
     states: dict,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    executor: ThreadPoolExecutor | None = None,
 ):
     """One additive step: (next factor, error estimate or None).
 
-    The chains are data-independent and may be evaluated on the given
-    executor; the weighted combinations are always formed in fixed
-    (k, direction) order, so results do not depend on scheduling.  Both
-    come from one ``combine`` call over the chains: the next factor is their
-    gamma-weighted sum, and the estimate, the Frobenius norm of their
-    alpha-weighted sum, comes from the same QR with alpha as the estimate
-    weights.  It is None for single-stage schemes, which have no embedded
-    companion.
+    The chains are evaluated one after another in fixed (k, direction)
+    order.  Both results come from one ``combine`` call over the chains:
+    the next factor is their gamma-weighted sum, and the estimate, the
+    Frobenius norm of their alpha-weighted sum, comes from the same QR with
+    alpha as the estimate weights.  It is None for single-stage schemes,
+    which have no embedded companion.
 
     Repeated factor work is done once, with the same bits.  ``start``, the
     ``BlockActions`` of the step's basis L, first keeps exp((h/k) A^T) L for
-    every divisor k (on the executor when given); the chains of both
-    directions take it from there, so L is propagated once per substep
-    size.  From a factor of rank 0, on which ``quadratic_flow``
-    returns the factor itself, the AFFINE_FIRST chain k equals
-    ``quadratic_flow`` of the QUADRATIC_FIRST chain k over h/k, and is
-    computed so.  A NonFiniteFactor from combining the chains
+    every divisor k; the chains of both directions take it from there, so
+    L is propagated once per substep size.  From a factor of rank 0, on
+    which ``quadratic_flow`` returns the factor itself, the AFFINE_FIRST
+    chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST chain k over
+    h/k, and is computed so.  A NonFiniteFactor from combining the chains
     names the step, h, and whether the next factor (``cannot compress``) or
     the estimate is not finite.
     """
@@ -264,16 +259,12 @@ def additive_step(
     jobs = [(k, d) for k in ks for d in directions]
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
-    each = map if executor is None else executor.map
     start = BlockActions(problem.a, factor.L)
     if factor.rank > 0:
-        list(each(lambda k: start(h / k, exp_opts), ks))
-
-    def run(job):
-        k, d = job
-        return lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, start)
-
-    chains = list(each(run, runs))
+        for k in ks:
+            start(h / k, exp_opts)
+    chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, start)
+              for k, d in runs]
     if shared_prefix:
         chains = [c for k, chain in zip(ks, chains)
                   for c in (chain, quadratic_flow(chain, h / k, problem.s))]

@@ -8,7 +8,7 @@ dedicated columns so reports can be compared byte-wise without them.
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ from .subflows import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One solver run: scheme, stepping mode, tolerances, resources.
+    """One solver run: scheme, stepping mode and tolerances.
 
     Exactly one of n_steps (fixed) and tol (adaptive) must be set; adaptive
     runs also need h1.
@@ -46,8 +46,6 @@ class RunConfig:
     epus: bool = False
     exp_tol: float = 1e-10
     comp_tol: float | None = None
-    quad_degree: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if (self.n_steps is None) == (self.tol is None):
@@ -61,8 +59,6 @@ class RunConfig:
                 raise InvalidInput(f"{name} must be positive, got {val}")
         if self.comp_tol is not None and not self.comp_tol >= 0:
             raise InvalidInput(f"comp_tol must be nonnegative, got {self.comp_tol}")
-        if self.threads < 1:
-            raise InvalidInput(f"threads must be >= 1, got {self.threads}")
 
     @property
     def spec(self) -> SchemeSpec:
@@ -79,7 +75,15 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        return cls(**json.loads(text))
+        """The config of a JSON object of field values; InvalidInput on any
+        other JSON value and on unknown keys, which it names."""
+        values = json.loads(text)
+        if not isinstance(values, dict):
+            raise InvalidInput(f"a run config is a JSON object, got {type(values).__name__}")
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidInput(f"unknown run config keys: {', '.join(unknown)}")
+        return cls(**values)
 
 
 FIT_WINDOW = (1e-10, 1e-3)
@@ -173,11 +177,8 @@ def _build_reference(problem: ProblemData, study: StudySpec, config: RunConfig):
         return dense_reference(to_dense_problem(problem)), None
     best = max(study.schemes, key=lambda s: s.order)
     n_ref = 2 * max(study.ladder)
-    traj = integrate_fixed(
-        problem, best, n_ref, config.exp_opts(), config.comp_opts(),
-        config.quad_degree, config.threads,
-        store_factors=False,
-    )
+    traj = integrate_fixed(problem, best, n_ref, config.exp_opts(), config.comp_opts(),
+                           store_factors=False)
     return None, traj.final
 
 
@@ -192,10 +193,8 @@ def run_fixed_ladder(problem: ProblemData, study: StudySpec, config: RunConfig):
         for n in study.ladder:
             started = time.perf_counter()
             try:
-                traj = integrate_fixed(
-                    problem, spec, n, config.exp_opts(), config.comp_opts(),
-                    config.quad_degree, config.threads, store_factors=False,
-                )
+                traj = integrate_fixed(problem, spec, n, config.exp_opts(),
+                                       config.comp_opts(), store_factors=False)
             except DresplitError as exc:
                 failures.append((scheme_label(spec), n, str(exc)))
                 continue
@@ -222,8 +221,7 @@ def _refined_step_error(problem: ProblemData, spec: SchemeSpec, config: RunConfi
     (the solver's own, so its core may have a round-off negative eigenvalue)."""
     refined = integrate_fixed(
         problem._restarted(start, h), spec, REFINE_SUBSTEPS, config.exp_opts(),
-        config.comp_opts(),
-        config.quad_degree, threads=1, store_factors=False,
+        config.comp_opts(), store_factors=False,
     )
     diff = combine([(1.0, accepted), (-1.0, refined.final)],
                    CompressionOptions(rel_tol=0.0))
@@ -245,8 +243,7 @@ def run_adaptive_sweep(problem: ProblemData, study: StudySpec, config: RunConfig
         try:
             traj = integrate_adaptive(
                 problem, spec, config.h1, params, config.exp_opts(),
-                config.comp_opts(), config.quad_degree, config.threads,
-                store_factors=True,
+                config.comp_opts(), store_factors=True,
             )
         except DresplitError as exc:
             failures.append((scheme_label(spec), tol, str(exc)))
@@ -349,13 +346,13 @@ def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
         if config.n_steps is not None:
             traj = integrate_fixed(
                 problem, config.spec, config.n_steps, config.exp_opts(),
-                config.comp_opts(), config.quad_degree, config.threads,
+                config.comp_opts(),
             )
         else:
             params = ControllerParams(tol=config.tol, epus=config.epus)
             traj = integrate_adaptive(
                 problem, config.spec, config.h1, params, config.exp_opts(),
-                config.comp_opts(), config.quad_degree, config.threads,
+                config.comp_opts(),
             )
     except StepSizeCollapse as exc:
         records = exc.trajectory.records if exc.trajectory is not None else []

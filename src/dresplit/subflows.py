@@ -11,8 +11,8 @@ interpolatory-quadrature approximation of the source integral
 Every step size gets the fresh equidistant rule, with nodes k h / degree
 (``init_quadrature``); a rule is kept only while its h is unchanged bit for
 bit (``update_quadrature``), so its stability constant is always that of
-the equidistant rule.  Its weights are h times the unit rule's, solved once
-per degree (``quad_weights``).  On a dense operator the node blocks
+the equidistant rule.  Its weights are h times the unit rule's, computed
+exactly once per degree (``quad_weights``).  On a dense operator the node blocks
 exp(s_k A^T) L_Q are stepped with one exponential of (h/degree) A^T, plus
 the exp(h A^T) the propagation over h shares (``BlockActions.equidistant``;
 ``adaptive.QuadraturePool`` primes both from one expm); on a sparse one
@@ -22,6 +22,7 @@ computed once.
 
 import copy
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -174,12 +175,20 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
 
 @functools.lru_cache(maxsize=None)
 def _unit_weights(degree: int) -> np.ndarray:
-    """Read-only weights of the equidistant rule of the given degree on
-    [0, 1], solved once per degree from the moment system
-    sum_k w_k x_k^j = 1/(j+1) on x = np.linspace(0, 1, degree + 1)."""
-    x = np.linspace(0.0, 1.0, degree + 1)
-    moments = 1.0 / (np.arange(degree + 1) + 1.0)
-    weights = np.linalg.solve(np.vander(x, increasing=True).T, moments)
+    """Read-only weights of the closed Newton-Cotes rule of degree d on
+    [0, 1]: weight k is the integral of prod_{j != k} (u - j) / (k - j) over
+    u = d x in [0, d], divided by d, as exact integers divided once, so each
+    weight is correctly rounded (as in ``additive_coeffs``)."""
+    scale = math.lcm(*range(1, degree + 2))  # clears the 1/(i+1) of u^i's integral
+    weights = np.empty(degree + 1)
+    for k in range(degree + 1):
+        coeffs, denom = [1], 1
+        for j in range(degree + 1):
+            if j != k:
+                coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                denom *= k - j
+        num = sum(c * degree**i * (scale // (i + 1)) for i, c in enumerate(coeffs))
+        weights[k] = num / (denom * scale)
     weights.flags.writeable = False
     return weights
 
@@ -187,7 +196,8 @@ def _unit_weights(degree: int) -> np.ndarray:
 def quad_weights(degree: int, h: float) -> np.ndarray:
     """Weights of the equidistant rule with nodes k h / degree, which
     integrates every polynomial of degree <= ``degree`` exactly over [0, h]:
-    h times the unit rule's weights, which are solved once per degree."""
+    h times the unit rule's correctly rounded weights, computed once per
+    degree."""
     if not h > 0:
         raise InvalidInput(f"h must be positive, got {h}")
     if degree < 1:

@@ -309,15 +309,16 @@ def test_dense_factors_byte_identical_across_threads(spec, tol):
     # sym3 primes its exponentials from one expm per fresh rule set, and
     # the adaptive run its substeps from one expm per step size; a fresh
     # sym5 set needs 10 keys, more than the cache holds, and keeps one expm
-    # per key.
+    # per key.  The second run finds the first one's exponentials cached
+    # and must give the same bits.  (The name is from when the check
+    # compared chain thread counts.)
+    problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
     finals = []
-    for threads in (1, 4):
-        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+    for _ in range(2):
         if tol is None:
-            traj = integrate_fixed(problem, spec, 2, threads=threads)
+            traj = integrate_fixed(problem, spec, 2)
         else:
-            traj = integrate_adaptive(problem, spec, 0.01, ControllerParams(tol=tol, epus=True),
-                                      threads=threads)
+            traj = integrate_adaptive(problem, spec, 0.01, ControllerParams(tol=tol, epus=True))
             assert sum(r.rejections for r in traj.records) > 0
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(traj.records)))
     assert finals[0] == finals[1]
@@ -326,46 +327,46 @@ def test_dense_factors_byte_identical_across_threads(spec, tol):
 def test_sparse_factors_byte_identical_across_threads():
     # From P0 = 0 the AFFINE_FIRST chains are quadratic flows of the
     # QUADRATIC_FIRST ones; the second step shares the start propagations.
+    # The second run finds the first one's source blocks, Krylov spaces and
+    # LU factors cached and must give the same bits.
+    problem = generate_problem("laplacian_lqr", n=60)
     finals = []
-    for threads in (1, 4):
-        problem = generate_problem("laplacian_lqr", n=60)
-        traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2, threads=threads)
+    for _ in range(2):
+        traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
         finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
     assert finals[0] == finals[1]
 
 
 def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
     # Within each tried step the start basis is propagated once per substep
-    # size, with or without threads, and no (basis, t) pair is computed
-    # twice; every retry follows one pool reset at the shrunk size.
+    # size, and no (basis, t) pair is computed twice; every retry follows
+    # one pool reset at the shrunk size.
     resets = []
     real_reset = adaptive.QuadraturePool.reset
     monkeypatch.setattr(adaptive.QuadraturePool, "reset",
                         lambda pool, *args: resets.append(args) or real_reset(pool, *args))
     real = expaction.exp_action
     real_step = adaptive.additive_step
-    for threads in (1, 4):
-        steps = []
+    steps = []
 
-        def stepping(current, h, *args):
-            steps.append((current.L, []))
-            return real_step(current, h, *args)
+    def stepping(current, h, *args):
+        steps.append((current.L, []))
+        return real_step(current, h, *args)
 
-        def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-            if blocks is not problem.source_blocks:
-                steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
-            return real(op, t, v, opts, blocks)
+    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
+        if blocks is not problem.source_blocks:
+            steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
+        return real(op, t, v, opts, blocks)
 
-        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
-        monkeypatch.setattr(adaptive, "additive_step", stepping)
-        monkeypatch.setattr(subflows, "exp_action", counting)
-        monkeypatch.setattr(expaction, "exp_action", counting)
-        resets.clear()
-        traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
-                                  ControllerParams(tol=1e-5, epus=True), threads=threads)
-        rejections = sum(r.rejections for r in traj.records)
-        assert rejections > 0 and len(resets) == rejections
-        assert len(steps) == len(traj.records) + rejections
-        for start, calls in steps:
-            assert sum(v is start for v, _ in calls) == (3 if start.shape[1] else 0)
-            assert len({(id(v), t) for v, t in calls}) == len(calls)
+    problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+    monkeypatch.setattr(adaptive, "additive_step", stepping)
+    monkeypatch.setattr(subflows, "exp_action", counting)
+    monkeypatch.setattr(expaction, "exp_action", counting)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                              ControllerParams(tol=1e-5, epus=True))
+    rejections = sum(r.rejections for r in traj.records)
+    assert rejections > 0 and len(resets) == rejections
+    assert len(steps) == len(traj.records) + rejections
+    for start, calls in steps:
+        assert sum(v is start for v, _ in calls) == (3 if start.shape[1] else 0)
+        assert len({(id(v), t) for v, t in calls}) == len(calls)

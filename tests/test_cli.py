@@ -1,6 +1,8 @@
+import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +22,7 @@ from dresplit import (
     ingest_problem,
     to_dense,
 )
-from dresplit.cli import main
+from dresplit.cli import _add_run_flags, main
 from dresplit.problems import export_problem
 
 
@@ -255,13 +257,17 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and flag in err and entry in err
 
-    def test_nonpositive_threads_exit_code(self, tmp_path, capsys):
+    # argparse exits with 2 on a usage error, the code of an ingestion
+    # error; its message tells the two apart.
+    @pytest.mark.parametrize("flag, value", [("--threads", "2"), ("--quad-degree", "4")])
+    def test_unknown_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
         prob_dir = tmp_path / "prob"
         main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
-        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
-                     "--threads", "-3", "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "threads must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["solve", "--problem", str(prob_dir), "--steps", "2",
+                  flag, value, "--out", str(tmp_path / "o")])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     # A NaN compression tolerance truncated every factor to rank 0; a NaN
     # adaptive tolerance ran and failed inside the driver with exit 0.
@@ -356,6 +362,17 @@ def _run_cli(args):
     script = "import sys\nfrom dresplit.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def test_readme_names_every_run_flag():
+    # The README's "Shared flags" paragraph lists the options of
+    # _add_run_flags, no more and no fewer.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Shared flags:"):].split("\n\n", 1)[0]
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_run_flags(parser)
+    options = {o for action in parser._actions for o in action.option_strings}
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", paragraph)) == options
 
 
 def test_dense_solve_loads_neither_sparse_lu_nor_matrix_market():

@@ -210,17 +210,6 @@ def test_operators_keep_their_own_propagators(rng):
     assert op2.expm.cache_info().currsize == 1
 
 
-def test_thread_pool_factors_byte_identical():
-    # Each run gets a fresh operator, so both start from an empty cache and
-    # the two-thread run fills it from concurrent chains.
-    finals = []
-    for threads in (1, 2):
-        problem = generate_problem("random_lowrank", n=16, seed=5, horizon=0.2)
-        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 3, threads=threads)
-        finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
-    assert finals[0] == finals[1]
-
-
 def test_large_finite_block_scale_invariant(rng):
     # Entries near 1e160 overflow an unscaled Frobenius norm of the block;
     # scaling by a power of two must not change the refinement decisions.
@@ -369,15 +358,6 @@ def test_lu_cache_under_thread_contention(rng):
     run_threads(worker, 4)
     assert wrong == []
     assert op.shift_lu.cache_info().currsize <= _LU_CACHE
-
-
-def test_sparse_thread_pool_factors_byte_identical():
-    finals = []
-    for threads in (1, 2):
-        problem = generate_problem("laplacian_lqr", n=100)
-        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2, threads=threads)
-        finals.append([(f.L.tobytes(), f.D.tobytes()) for f in traj.factors])
-    assert finals[0] == finals[1]
 
 
 # Cached source blocks: every result must carry the bits of a one-shot action.
@@ -718,32 +698,26 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     # and chains read them; nothing else takes one.  adaptive_n10 of the
     # benchmark made 586 calls over 193 tried step sizes before priming.
     # The step's basis is propagated through BlockActions.__call__ from
-    # additive_step or its chains (in a worker thread, from the functions
-    # local to additive_step), which must be reached for the check to mean
-    # anything.
-    finals = []
+    # additive_step or its chains, which must be reached for the check to
+    # mean anything.
     step_work = ("BlockActions.__call__", "additive_step", "lie_chain")
-    for threads in (1, 4):
-        calls, sizes, propagations = [], [], []
-        monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
-        prepare = QuadraturePool.prepare
-        monkeypatch.setattr(QuadraturePool, "prepare",
-                            lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
-        real_call = BlockActions.__call__
-        monkeypatch.setattr(BlockActions, "__call__",
-                            lambda self, *a: propagations.append(_callers())
-                            or real_call(self, *a))
-        problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
-        traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
-                                  ControllerParams(tol=1e-5, epus=True), threads=threads)
-        monkeypatch.undo()
-        assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
-        assert len(calls) == len(sizes) == len(set(sizes))
-        assert propagations
-        assert all(any(n.startswith("additive_step") for n in names) for names in propagations)
-        assert not any(n.startswith(step_work) for names in calls for n in names)
-        finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(calls)))
-    assert finals[0] == finals[1]
+    calls, sizes, propagations = [], [], []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
+    prepare = QuadraturePool.prepare
+    monkeypatch.setattr(QuadraturePool, "prepare",
+                        lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
+    real_call = BlockActions.__call__
+    monkeypatch.setattr(BlockActions, "__call__",
+                        lambda self, *a: propagations.append(_callers())
+                        or real_call(self, *a))
+    problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                              ControllerParams(tol=1e-5, epus=True))
+    assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
+    assert len(calls) == len(sizes) == len(set(sizes))
+    assert propagations
+    assert all(any(n.startswith("additive_step") for n in names) for names in propagations)
+    assert not any(n.startswith(step_work) for names in calls for n in names)
 
 
 # Sparse node blocks are kept by node time, so node times that several

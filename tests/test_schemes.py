@@ -255,23 +255,6 @@ class TestChainsAndSteps:
         assert np.array_equal(x, x.T)
         assert est is not None and est >= 0.0
 
-    def test_threaded_step_bitwise_equal(self, rng):
-        from concurrent.futures import ThreadPoolExecutor
-
-        problem = make_tanh_problem(p0=0.3)
-        h = 0.2
-        spec = SchemeSpec("sym", 3)
-        coeffs = SchemeCoefficients.for_spec(spec)
-        states = _states_for(problem, h, (1, 2, 3))
-        serial, est_s = additive_step(problem.p0, h, spec, coeffs, problem, states, EXP, COMP)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded, est_t = additive_step(
-                problem.p0, h, spec, coeffs, problem, states, EXP, COMP, executor=pool
-            )
-        assert np.array_equal(serial.L, threaded.L)
-        assert np.array_equal(serial.D, threaded.D)
-        assert est_s == est_t
-
 
 class TestSharedQRStep:
     """additive_step forms the next factor and the estimate from one QR of
@@ -414,12 +397,11 @@ class TestSharedFactorWork:
 
 
 class TestAdditiveStepFailures:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_nonfinite_combination_names_the_chains_and_h(self, threads):
+    def test_nonfinite_combination_names_the_chains_and_h(self):
         # A = 0 and S = 0 keep every chain at the P0 core 8e307; the two
         # bitwise equal chains of k = 4 merge to 2 * 1.625 * 8e307, which
         # overflows, while every subflow stays finite.  The driver silences
-        # numpy's overflow warnings, also in its chain threads.
+        # numpy's overflow warnings.
         n = 3
         e1 = np.eye(n)[:, :1]
         problem = ProblemData(
@@ -434,7 +416,7 @@ class TestAdditiveStepFailures:
             with pytest.raises(NonFiniteFactor,
                                match=r"^additive step over h=0\.5, combining its chains: "
                                      r"cannot compress .*\(in the step from t=0 with h=0\.5\)$"):
-                integrate_fixed(problem, SchemeSpec("sym", 4), 1, threads=threads)
+                integrate_fixed(problem, SchemeSpec("sym", 4), 1)
 
     # The chains of the problem above share one basis of width 1: below
     # N = 3 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.

@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -39,9 +40,22 @@ class TestConfig:
 
     def test_json_roundtrip(self):
         config = RunConfig(scheme="asym", stages=3, n_steps=16, exp_tol=1e-9,
-                           comp_tol=1e-12, threads=2)
+                           comp_tol=1e-12)
         back = RunConfig.from_json(config.to_json())
         assert back == config
+
+    # A config.json of an older version may hold the keys threads and
+    # quad_degree, which no run reads any more.
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_steps": 4, "threads": 1, "quad_degree": null}',
+         "unknown run config keys: quad_degree, threads"),
+        ('{"bogus": 1}', "unknown run config keys: bogus"),
+        ("[1]", "a run config is a JSON object, got list"),
+        ("3", "a run config is a JSON object, got int"),
+    ])
+    def test_from_json_rejects_what_is_not_a_config(self, text, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            RunConfig.from_json(text)
 
     def test_positive_tolerances(self):
         with pytest.raises(InvalidInput):
