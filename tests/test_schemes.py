@@ -397,7 +397,10 @@ class TestSharedFactorWork:
 
 
 class TestAdditiveStepFailures:
-    def test_nonfinite_combination_names_the_chains_and_h(self):
+    # The run fails in its first step whatever the number of steps, and
+    # names that step's t and h.
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_nonfinite_combination_names_the_chains_and_h(self, steps):
         # A = 0 and S = 0 keep every chain at the P0 core 8e307; the two
         # bitwise equal chains of k = 4 merge to 2 * 1.625 * 8e307, which
         # overflows, while every subflow stays finite.  The driver silences
@@ -409,14 +412,14 @@ class TestAdditiveStepFailures:
             q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
             s=QuadraticTerm.from_dense(np.zeros((n, n))),
             p0=LDLTFactor(e1, np.array([[8e307]])),
-            horizon=0.5,
+            horizon=0.5 * steps,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NonFiniteFactor,
                                match=r"^additive step over h=0\.5, combining its chains: "
                                      r"cannot compress .*\(in the step from t=0 with h=0\.5\)$"):
-                integrate_fixed(problem, SchemeSpec("sym", 4), 1)
+                integrate_fixed(problem, SchemeSpec("sym", 4), steps)
 
     # The chains of the problem above share one basis of width 1: below
     # N = 3 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.
