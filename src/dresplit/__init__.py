@@ -60,7 +60,7 @@ from .schemes import (
     lie_chain,
     multiplicative_step,
 )
-from .study import RunConfig, StudySpec, run_solve, run_study, run_validation
+from .study import RunConfig, StudySpec, run_solve, run_study
 from .subflows import (
     ProblemData,
     QuadraticTerm,

@@ -27,31 +27,30 @@ from .subflows import ProblemData, init_quadrature, update_quadrature
 logger = logging.getLogger(__name__)
 
 
+# The controller aims at SAFETY * tol.  Estimates are floored at
+# EST_FLOOR_FACTOR * SAFETY * tol, and one step grows, or one rejection
+# shrinks, by at most GROWTH_CAP.  A step below H_MIN_FACTOR * horizon
+# collapses.
+SAFETY = 0.9
+EST_FLOOR_FACTOR = 1e-4
+GROWTH_CAP = 5.0
+H_MIN_FACTOR = 1e-12
+
+
 @dataclass(frozen=True)
 class ControllerParams:
     """PI step-size controller settings.
 
     Both PI gains are 0.2 / p, where p is the order of the error estimate.
     epus divides estimates by the step size before comparing against tol.
-    The estimate floor and growth cap keep the controller defined when an
-    estimate (nearly) vanishes; the adaptive driver also bounds the shrink
-    of one rejection by the growth cap.
     """
 
     tol: float
-    safety: float = 0.9
     epus: bool = False
-    est_floor_factor: float = 1e-4
-    growth_cap: float = 5.0
-    h_min_factor: float = 1e-12
 
     def __post_init__(self):
         if not self.tol > 0:
             raise InvalidInput(f"tol must be positive, got {self.tol}")
-        if not 0.0 < self.safety < 1.0:
-            raise InvalidInput(f"safety must lie in (0, 1), got {self.safety}")
-        if not self.growth_cap > 1.0:
-            raise InvalidInput(f"growth_cap must exceed 1, got {self.growth_cap}")
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,11 @@ def pi_update(e_prev: float, e_new: float, h: float, params: ControllerParams,
     the tolerance by a common factor leaves the result unchanged.
     """
     k_i = k_p = 0.2 / p_est
-    floor = params.est_floor_factor * params.safety * params.tol
+    floor = EST_FLOOR_FACTOR * SAFETY * params.tol
     e_new = max(e_new, floor)
     e_prev = max(e_prev, floor)
-    factor = (params.safety * params.tol / e_new) ** k_i * (e_prev / e_new) ** k_p
-    return h * min(factor, params.growth_cap)
+    factor = (SAFETY * params.tol / e_new) ** k_i * (e_prev / e_new) ** k_p
+    return h * min(factor, GROWTH_CAP)
 
 
 def reject_resize(e_new: float, h: float, params: ControllerParams,
@@ -117,7 +116,7 @@ def reject_resize(e_new: float, h: float, params: ControllerParams,
     """Step size to retry with after a rejection."""
     if e_new <= 0:
         raise InvalidInput("rejection requires a positive estimate")
-    return h * (params.safety * params.tol / e_new) ** (1.0 / est_order)
+    return h * (SAFETY * params.tol / e_new) ** (1.0 / est_order)
 
 
 def default_quad_degree(spec: SchemeSpec) -> int:
@@ -271,7 +270,7 @@ def integrate_adaptive(
     the chains of each try run one after another.  Raises
     StepSizeCollapse (carrying the partial trajectory, its message naming
     the last rejection's cause) if the controller drives the step below
-    h_min_factor * horizon.
+    H_MIN_FACTOR * horizon.
     """
     if not spec.is_additive or spec.stages < 2:
         raise InvalidInput("adaptive integration needs an additive scheme with >= 2 stages")
@@ -281,7 +280,7 @@ def integrate_adaptive(
     coeffs = SchemeCoefficients.for_spec(spec)
     pool = QuadraturePool(problem, default_quad_degree(spec), exp_opts, comp_opts)
     divisors = spec.substep_divisors()
-    h_min = params.h_min_factor * problem.horizon
+    h_min = H_MIN_FACTOR * problem.horizon
 
     trajectory = Trajectory(store_factors=store_factors)
     current = compress(problem.p0, comp_opts)
@@ -292,7 +291,7 @@ def integrate_adaptive(
     if t + h > problem.horizon:
         h = problem.horizon - t
         clamped = True
-    e_prev = params.safety * params.tol
+    e_prev = SAFETY * params.tol
 
     while True:
         rejections = 0
@@ -323,7 +322,7 @@ def integrate_adaptive(
                 # One rejection shrinks h by at most the growth cap, so an
                 # estimate spike far above tol cannot cut it by many orders
                 # of magnitude at once.
-                h = max(reject_resize(e_cmp, h, params, p_est), h / params.growth_cap)
+                h = max(reject_resize(e_cmp, h, params, p_est), h / GROWTH_CAP)
             clamped = False
             if h < h_min:
                 raise StepSizeCollapse(

@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Commands: generate, solve, study {order,efficiency,adaptivity}, validate.
-Exit codes: 0 success, 2 ingestion error, 3 solver failure, 4 validation
-failure.  argparse also exits with 2 on a usage error (an unknown flag, say);
-the message on stderr tells it from an ingestion error.
+Commands: generate, solve, study {order,efficiency,adaptivity}.
+Exit codes: 0 success, 2 ingestion error, 3 solver failure.  argparse also
+exits with 2 on a usage error (an unknown flag, say); the message on stderr
+tells it from an ingestion error.
 """
 
 import argparse
@@ -12,12 +12,11 @@ import sys
 from .errors import DresplitError, IngestError, InvalidInput
 from .problems import export_problem, generate_problem, ingest_problem
 from .schemes import SchemeSpec
-from .study import RunConfig, StudySpec, run_solve, run_study, run_validation
+from .study import RunConfig, StudySpec, run_solve, run_study
 
 EXIT_OK = 0
 EXIT_INGEST = 2
 EXIT_SOLVER = 3
-EXIT_VALIDATE = 4
 
 
 def _add_run_flags(parser):
@@ -104,10 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of adaptive tolerances")
     study.add_argument("--reference", choices=["oracle", "finest"], default="oracle")
     _add_run_flags(study)
-
-    val = sub.add_parser("validate", help="run oracle cross-checks")
-    val.add_argument("--seed", type=int, default=0)
-    val.add_argument("--instances", type=int, default=25)
     return parser
 
 
@@ -159,15 +154,6 @@ def _cmd_study(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    results = run_validation(args.seed, args.instances)
-    failed = False
-    for name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-        failed |= not ok
-    return EXIT_VALIDATE if failed else EXIT_OK
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -175,7 +161,6 @@ def main(argv=None) -> int:
         "generate": _cmd_generate,
         "solve": _cmd_solve,
         "study": _cmd_study,
-        "validate": _cmd_validate,
     }
     try:
         return handlers[args.command](args)

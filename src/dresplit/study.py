@@ -1,4 +1,4 @@
-"""Study execution: order/efficiency ladders, adaptivity sweeps, validation.
+"""Study execution: single solves, order/efficiency ladders, adaptivity sweeps.
 
 Every emitted number is traceable to a step record or a measured timing;
 wall-clock columns are the only nondeterministic ones, and they sit in
@@ -15,18 +15,24 @@ import numpy as np
 
 from .adaptive import ControllerParams, Trajectory, integrate_adaptive, integrate_fixed
 from .errors import DresplitError, InvalidInput, InvalidReference, StepSizeCollapse
-from .expaction import ExpActionOptions, StiffOperator
-from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm, to_dense
-from .oracle import dense_reference, dense_subflow, relative_error
+from .expaction import ExpActionOptions
+from .lowrank import CompressionOptions, LDLTFactor, combine, frob_norm, to_dense
+from .oracle import dense_reference, relative_error
 from .problems import _write_mm, to_dense_problem
-from .schemes import SchemeSpec, additive_coeffs, coefficient_residual
-from .subflows import (
-    ProblemData,
-    QuadraticTerm,
-    affine_flow,
-    init_quadrature,
-    quad_weights,
-    quadratic_flow,
+from .schemes import SchemeSpec
+from .subflows import ProblemData
+
+
+_NUMBER = (int, float, type(None))
+_FIELD_KINDS = (
+    ("scheme", str, "a string"),
+    ("stages", int, "an integer"),
+    ("n_steps", (int, type(None)), "an integer"),
+    ("tol", _NUMBER, "a number"),
+    ("h1", _NUMBER, "a number"),
+    ("epus", bool, "true or false"),
+    ("exp_tol", (int, float), "a number"),
+    ("comp_tol", _NUMBER, "a number"),
 )
 
 
@@ -48,6 +54,11 @@ class RunConfig:
     comp_tol: float | None = None
 
     def __post_init__(self):
+        for name, kinds, what in _FIELD_KINDS:
+            val = getattr(self, name)
+            # bool is an int subclass: it passes only as epus.
+            if not isinstance(val, kinds) or (isinstance(val, bool) and name != "epus"):
+                raise InvalidInput(f"{name} must be {what}, got {val!r}")
         if (self.n_steps is None) == (self.tol is None):
             raise InvalidInput("exactly one of n_steps and tol must be set")
         if self.tol is not None and self.h1 is None:
@@ -75,9 +86,13 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        """The config of a JSON object of field values; InvalidInput on any
-        other JSON value and on unknown keys, which it names."""
-        values = json.loads(text)
+        """The config of a JSON object of field values; InvalidInput on text
+        that is not JSON, on any other JSON value, on unknown keys, which it
+        names, and on a value of the wrong type."""
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidInput(f"a run config is not JSON: {exc}") from None
         if not isinstance(values, dict):
             raise InvalidInput(f"a run config is a JSON object, got {type(values).__name__}")
         unknown = sorted(set(values) - {f.name for f in fields(cls)})
@@ -372,90 +387,3 @@ def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
         f"wallclock_s: {elapsed!r}\n"
     )
     return traj
-
-
-def run_validation(seed: int = 0, n_instances: int = 25) -> list:
-    """Oracle cross-checks used by the `validate` command.
-
-    Returns (name, passed, detail) triples: coefficient order conditions,
-    quadrature moment residuals, factored-vs-dense subflow agreement, and
-    the compression contract.
-    """
-    rng = np.random.default_rng(seed)
-    results = []
-
-    worst = 0.0
-    for s in range(1, 9):
-        for symmetric in (False, True):
-            gamma = additive_coeffs(s, symmetric)
-            worst = max(worst, coefficient_residual(gamma, s, symmetric))
-    results.append(("coefficient order conditions (s<=8)", worst <= 1e-12,
-                    f"max residual {worst:.2e}"))
-
-    worst = 0.0
-    for degree in range(1, 10):
-        h = float(rng.uniform(0.5, 2.0))
-        nodes = np.linspace(0.0, h, degree + 1)
-        w = quad_weights(degree, h)
-        for j in range(degree + 1):
-            target = h ** (j + 1) / (j + 1)
-            worst = max(worst, abs(float(w @ nodes**j) - target) / target)
-    results.append(("quadrature moment residuals (degree<=9)", worst <= 1e-12,
-                    f"max relative residual {worst:.2e}"))
-
-    worst_g, worst_f = 0.0, 0.0
-    for _ in range(n_instances):
-        n = int(rng.integers(2, 9))
-        inst = _random_instance(rng, n)
-        problem, dense, factor, h = inst
-        exp_opts = ExpActionOptions(rel_tol=1e-12)
-        comp_opts = CompressionOptions(rel_tol=1e-15)
-        p_dense = to_dense(factor)
-        g_fac = to_dense(quadratic_flow(factor, h, problem.s))
-        g_ref = dense_subflow("quadratic", p_dense, h, dense)
-        worst_g = max(worst_g, relative_error(g_fac, g_ref))
-        state = init_quadrature(problem, h, 9, exp_opts, comp_opts)
-        f_fac = to_dense(affine_flow(factor, h, problem, state, exp_opts, comp_opts))
-        f_ref = dense_subflow("affine", p_dense, h, dense)
-        worst_f = max(worst_f, relative_error(f_fac, f_ref))
-    results.append(("subflow equivalence vs dense oracle",
-                    worst_g <= 1e-10 and worst_f <= 1e-10,
-                    f"quadratic {worst_g:.2e}, affine {worst_f:.2e}"))
-
-    ok = True
-    detail = ""
-    for _ in range(20):
-        n = int(rng.integers(4, 33))
-        r = int(rng.integers(1, min(n, 12) + 1))
-        l_mat = rng.standard_normal((n, r))
-        core = rng.standard_normal((r, r))
-        factor = LDLTFactor(l_mat, core + core.T)
-        tol = float(rng.choice([1e-4, 1e-6, 1e-8]))
-        compressed = compress(factor, CompressionOptions(rel_tol=tol))
-        p_in = to_dense(factor)
-        err = np.linalg.norm(p_in - to_dense(compressed)) / np.linalg.norm(p_in)
-        if err > tol or compressed.rank > factor.rank:
-            ok = False
-            detail = f"error {err:.2e} above {tol:g}"
-            break
-    results.append(("compression contract", ok, detail or "bound held"))
-    return results
-
-
-def _random_instance(rng, n):
-    """Random desk-scale instance (problem, dense mirror, state factor, h)."""
-    a = rng.standard_normal((n, n)) / np.sqrt(n)
-    r = int(rng.integers(1, min(n, 4) + 1))
-    q_l = rng.standard_normal((n, r))
-    s_l = rng.standard_normal((n, r))
-    p_l = rng.standard_normal((n, r))
-    problem = ProblemData(
-        a=StiffOperator(a),
-        q=LDLTFactor(q_l, np.eye(r)),
-        s=QuadraticTerm.from_dense(s_l @ s_l.T),
-        p0=LDLTFactor(p_l, np.eye(r)),
-        horizon=1.0,
-    )
-    dense = to_dense_problem(problem)
-    h = float(rng.uniform(0.02, 0.12))
-    return problem, dense, problem.p0, h

@@ -16,6 +16,7 @@ from dresplit import (
     ProblemData,
     QuadraticTerm,
     StiffOperator,
+    to_dense_problem,
 )
 
 
@@ -29,6 +30,25 @@ def random_factor(rng, n, r, definite=False):
         g = rng.standard_normal((r, r))
         core = g + g.T
     return LDLTFactor(l_mat, core)
+
+
+def _random_instance(rng, n):
+    """Random desk-scale instance (problem, dense mirror, state factor, h)."""
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    r = int(rng.integers(1, min(n, 4) + 1))
+    q_l = rng.standard_normal((n, r))
+    s_l = rng.standard_normal((n, r))
+    p_l = rng.standard_normal((n, r))
+    problem = ProblemData(
+        a=StiffOperator(a),
+        q=LDLTFactor(q_l, np.eye(r)),
+        s=QuadraticTerm.from_dense(s_l @ s_l.T),
+        p0=LDLTFactor(p_l, np.eye(r)),
+        horizon=1.0,
+    )
+    dense = to_dense_problem(problem)
+    h = float(rng.uniform(0.02, 0.12))
+    return problem, dense, problem.p0, h
 
 
 def make_tanh_problem(horizon=1.0, p0=0.0):

@@ -32,10 +32,10 @@ from dresplit.lowrank import LDLTFactor, compress, frob_norm
 from dresplit.oracle import dense_reference, dense_subflow
 from dresplit.problems import to_dense_problem
 from dresplit.schemes import coefficient_residual
-from dresplit.study import _random_instance, fit_order, run_adaptive_sweep
+from dresplit.study import fit_order, run_adaptive_sweep
 from dresplit.subflows import affine_flow, quadratic_flow
 
-from conftest import make_tanh_problem
+from conftest import _random_instance, make_tanh_problem
 
 SEED = 0
 EXP_TIGHT = ExpActionOptions(rel_tol=1e-13)

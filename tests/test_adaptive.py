@@ -50,13 +50,13 @@ class TestController:
         out = pi_update(e, e, 1.0, params, p)
         assert out == pytest.approx(2.0**-0.2, rel=1e-12)
 
-    def test_zero_estimate_capped_growth(self):
+    def test_zero_estimate_capped_growth(self, monkeypatch):
         params = ControllerParams(tol=1e-3)
         out = pi_update(0.0, 0.0, 0.5, params, 2)
-        assert 0.5 < out <= 0.5 * params.growth_cap
+        assert 0.5 < out <= 0.5 * adaptive.GROWTH_CAP
         # A deep floor would hit the cap without it.
-        deep = ControllerParams(tol=1e-3, est_floor_factor=1e-12)
-        assert pi_update(0.0, 0.0, 0.5, deep, 2) == pytest.approx(0.5 * deep.growth_cap)
+        monkeypatch.setattr(adaptive, "EST_FLOOR_FACTOR", 1e-12)
+        assert pi_update(0.0, 0.0, 0.5, params, 2) == pytest.approx(0.5 * adaptive.GROWTH_CAP)
 
     def test_scale_invariance(self):
         params_a = ControllerParams(tol=1e-3)
@@ -81,10 +81,6 @@ class TestController:
             ControllerParams(tol=-1.0)
         with pytest.raises(InvalidInput, match="tol"):
             ControllerParams(tol=np.nan)
-        with pytest.raises(InvalidInput):
-            ControllerParams(tol=1.0, growth_cap=1.0)
-        with pytest.raises(InvalidInput):
-            ControllerParams(tol=1.0, safety=1.5)
 
 
 class TestFixedDriver:
@@ -206,9 +202,10 @@ class TestAdaptiveDriver:
         assert all(r.err_est <= tol for r in traj.records)
         assert traj.times[-1] == 1.0
 
-    def test_step_size_collapse_carries_partial(self):
+    def test_step_size_collapse_carries_partial(self, monkeypatch):
         problem = make_tanh_problem()
-        params = ControllerParams(tol=1e-30, h_min_factor=1e-6)
+        monkeypatch.setattr(adaptive, "H_MIN_FACTOR", 1e-6)
+        params = ControllerParams(tol=1e-30)
         with pytest.raises(StepSizeCollapse) as info:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1, params, EXP, COMP)
         assert info.value.trajectory is not None
@@ -229,9 +226,10 @@ class TestAdaptiveDriver:
             integrate_adaptive(generate_problem("random_lowrank", n=10), SchemeSpec("sym", 2),
                                0.01, params)
         shrinks = list(zip(trials, trials[1:]))  # the first rejection shrinks too
-        assert shrinks and all(new == old / params.growth_cap for old, new in shrinks)
+        cap = adaptive.GROWTH_CAP
+        assert shrinks and all(new == old / cap for old, new in shrinks)
         # The run collapses one shrink below the floor (horizon 1).
-        assert trials[-1] / params.growth_cap < params.h_min_factor <= trials[-1]
+        assert trials[-1] / cap < adaptive.H_MIN_FACTOR <= trials[-1]
 
     def test_failed_subflow_counts_as_rejection(self, rng):
         # A Krylov dimension cap of 13 cannot reach the exp-action tolerance
@@ -249,10 +247,11 @@ class TestAdaptiveDriver:
         assert traj.records[0].h < 0.1
         assert traj.times[-1] == 0.1
 
-    def test_collapse_names_failure_cause(self, rng):
+    def test_collapse_names_failure_cause(self, rng, monkeypatch):
         # A one-dimensional Krylov space can never confirm convergence.
         problem = make_sparse_linear_problem(rng, 0.2)
-        params = ControllerParams(tol=1e-6, h_min_factor=0.3)
+        monkeypatch.setattr(adaptive, "H_MIN_FACTOR", 0.3)
+        params = ControllerParams(tol=1e-6)
         with pytest.raises(StepSizeCollapse, match="last rejection: ToleranceNotMet") as info:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params,
                                ExpActionOptions(max_dim=1))

@@ -22,7 +22,7 @@ from dresplit import (
     ingest_problem,
     to_dense,
 )
-from dresplit.cli import _add_run_flags, main
+from dresplit.cli import _add_run_flags, build_parser, main
 from dresplit.problems import export_problem
 
 
@@ -211,11 +211,6 @@ class TestCommands:
         step_files = list(out_dir.glob("adaptive_steps_tol*.csv"))
         assert len(step_files) == 2
 
-    def test_validate_passes(self, capsys):
-        assert main(["validate", "--seed", "0", "--instances", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
-
     def test_ingest_error_exit_code(self, tmp_path):
         assert main(["solve", "--problem", str(tmp_path / "nope"), "--steps", "4",
                      "--out", str(tmp_path / "out")]) == 2
@@ -268,6 +263,12 @@ class TestCommands:
                   flag, value, "--out", str(tmp_path / "o")])
         assert exited.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_removed_validate_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["validate"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'validate'" in capsys.readouterr().err
 
     # A NaN compression tolerance truncated every factor to rank 0; a NaN
     # adaptive tolerance ran and failed inside the driver with exit 0.
@@ -373,6 +374,18 @@ def test_readme_names_every_run_flag():
     _add_run_flags(parser)
     options = {o for action in parser._actions for o in action.option_strings}
     assert set(re.findall(r"--[a-z][a-z0-9-]*", paragraph)) == options
+
+
+def test_readme_names_every_command():
+    # The README's CLI block runs each subcommand of build_parser, no more
+    # and no fewer.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("## CLI"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = {choice for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)
+                for choice in action.choices}
+    assert commands == {"generate", "solve", "study"}
+    assert set(re.findall(r"^dresplit ([a-z]+)", block, re.MULTILINE)) == commands
 
 
 def test_dense_solve_loads_neither_sparse_lu_nor_matrix_market():

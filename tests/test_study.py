@@ -20,7 +20,6 @@ from dresplit import (
     generate_problem,
     integrate_fixed,
     run_study,
-    run_validation,
 )
 from dresplit import study
 from dresplit.adaptive import StepRecord, Trajectory
@@ -52,6 +51,15 @@ class TestConfig:
         ('{"bogus": 1}', "unknown run config keys: bogus"),
         ("[1]", "a run config is a JSON object, got list"),
         ("3", "a run config is a JSON object, got int"),
+        ("not json", "a run config is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"tol": "x", "h1": 1}', "tol must be a number, got 'x'"),
+        ('{"n_steps": 4, "stages": "x"}', "stages must be an integer, got 'x'"),
+        ('{"n_steps": 4.5}', "n_steps must be an integer, got 4.5"),
+        ('{"n_steps": true}', "n_steps must be an integer, got True"),
+        ('{"n_steps": 4, "exp_tol": false}', "exp_tol must be a number, got False"),
+        ('{"n_steps": 4, "comp_tol": "1e-8"}', "comp_tol must be a number, got '1e-8'"),
+        ('{"n_steps": 4, "epus": 1}', "epus must be true or false, got 1"),
+        ('{"n_steps": 4, "scheme": 2}', "scheme must be a string, got 2"),
     ])
     def test_from_json_rejects_what_is_not_a_config(self, text, message):
         with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
@@ -199,11 +207,3 @@ class TestRefinement:
         got = integrate_fixed(sub, spec, study.REFINE_SUBSTEPS).final
         ref = integrate_fixed(checked, spec, study.REFINE_SUBSTEPS).final
         assert got.L.tobytes() == ref.L.tobytes() and got.D.tobytes() == ref.D.tobytes()
-
-
-class TestValidation:
-    def test_all_checks_pass(self):
-        results = run_validation(seed=1, n_instances=8)
-        assert len(results) == 4
-        for name, ok, detail in results:
-            assert ok, f"{name}: {detail}"

@@ -28,9 +28,8 @@ from dresplit import (
 from dresplit import subflows
 from dresplit.oracle import dense_subflow, relative_error
 from dresplit.problems import to_dense_problem
-from dresplit.study import _random_instance
 
-from conftest import random_factor
+from conftest import _random_instance, random_factor
 
 EXP = ExpActionOptions(rel_tol=1e-12)
 COMP = CompressionOptions(rel_tol=1e-15)
