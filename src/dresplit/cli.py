@@ -122,14 +122,23 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+# Flags a study kind has no use for: passing one is an error, not a no-op.
+_UNUSED_STUDY_FLAGS = {
+    "order": ("tols",),
+    "efficiency": ("tols",),
+    "adaptivity": ("schemes", "ladder", "tol", "steps"),
+}
+
+
 def _cmd_study(args) -> int:
+    for name in _UNUSED_STUDY_FLAGS[args.kind]:
+        if getattr(args, name) is not None:
+            raise InvalidInput(f"study {args.kind} does not use --{name}")
     problem = ingest_problem(args.problem)
     if args.kind == "adaptivity":
-        if args.tol is None:
-            args.tol = 1e-2
+        args.tol = 1e-2  # placeholder; the --tols list drives the sweep
         if args.h1 is None:
             args.h1 = problem.horizon / 20.0
-        args.steps = None
     elif args.steps is None and args.tol is None:
         args.steps = 10  # placeholder; the ladder drives fixed-step studies
     config = _config_from_args(args)

@@ -1,5 +1,10 @@
 """Study execution: single solves, order/efficiency ladders, adaptivity sweeps.
 
+The adaptivity sweep measures each accepted step's actual local error
+against the same scheme re-run over that step with refine_substeps(spec)
+equal substeps, enough to make the reference REFINE_GAIN times more
+accurate than the step.
+
 Every emitted number is traceable to a step record or a measured timing;
 wall-clock columns are the only nondeterministic ones, and they sit in
 dedicated columns so reports can be compared byte-wise without them.
@@ -102,7 +107,20 @@ class RunConfig:
 
 
 FIT_WINDOW = (1e-10, 1e-3)
-REFINE_SUBSTEPS = 10
+REFINE_GAIN = 1000
+
+
+def refine_substeps(spec: SchemeSpec) -> int:
+    """The smallest m >= 2 with m**order >= REFINE_GAIN.
+
+    m equal substeps of an order-p scheme leave about m**-p of one step's
+    local error, so the refined reference is REFINE_GAIN times more accurate
+    than the step it checks.  Integer arithmetic: no rounding at m**p.
+    """
+    m = 2
+    while m**spec.order < REFINE_GAIN:
+        m += 1
+    return m
 
 
 @dataclass(frozen=True)
@@ -110,7 +128,8 @@ class StudySpec:
     """What a study sweeps over and how errors are referenced.
 
     Order slopes are fitted to the errors inside FIT_WINDOW only; the
-    adaptivity study measures each step against REFINE_SUBSTEPS substeps.
+    adaptivity study measures each step against refine_substeps(spec)
+    substeps of the same scheme.
     """
 
     schemes: tuple = (
@@ -232,10 +251,12 @@ def run_fixed_ladder(problem: ProblemData, study: StudySpec, config: RunConfig):
 def _refined_step_error(problem: ProblemData, spec: SchemeSpec, config: RunConfig,
                         start: LDLTFactor, h: float, accepted: LDLTFactor) -> float:
     """Local error of one accepted step, measured against a fixed-step
-    refinement with REFINE_SUBSTEPS equal substeps from the same start factor
-    (the solver's own, so its core may have a round-off negative eigenvalue)."""
+    refinement with refine_substeps(spec) equal substeps from the same start
+    factor (the solver's own, so its core may have a round-off negative
+    eigenvalue).  The reference is about REFINE_GAIN times more accurate
+    than the step; below round-off the two errors cannot be told apart."""
     refined = integrate_fixed(
-        problem._restarted(start, h), spec, REFINE_SUBSTEPS, config.exp_opts(),
+        problem._restarted(start, h), spec, refine_substeps(spec), config.exp_opts(),
         config.comp_opts(), store_factors=False,
     )
     diff = combine([(1.0, accepted), (-1.0, refined.final)],
@@ -306,7 +327,16 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
     kind "order" and "efficiency" run the fixed-step ladder (order also fits
     slopes); "adaptivity" sweeps the tolerances with per-step records.
     Per-run failures are logged in the report and do not abort the study.
+    An unknown kind, or an adaptivity study of a scheme without an embedded
+    estimate, raises InvalidInput before anything is written.
     """
+    if kind not in ("order", "efficiency", "adaptivity"):
+        raise InvalidInput(f"unknown study kind {kind!r}")
+    if kind == "adaptivity" and config.spec.embedded_order is None:
+        raise InvalidInput(
+            f"an adaptivity study needs an additive scheme with >= 2 stages, "
+            f"got {scheme_label(config.spec)}"
+        )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(config.to_json())
@@ -318,7 +348,7 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
             slope_rows = [[name, s, npts] for name, (s, npts) in slopes.items()]
             paths.append(_write_csv(out / "slopes.csv", SLOPE_HEADER, slope_rows))
         report = StudyReport(kind, rows, slopes, paths, failures)
-    elif kind == "adaptivity":
+    else:
         summary, per_tol, failures = run_adaptive_sweep(problem, study, config)
         paths.append(_write_csv(out / "adaptive_summary.csv",
                                 ADAPTIVE_SUMMARY_HEADER, summary))
@@ -326,8 +356,6 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
             name = f"adaptive_steps_tol{tol:g}.csv"
             paths.append(_write_csv(out / name, ADAPTIVE_STEP_HEADER, step_rows))
         report = StudyReport(kind, summary, {}, paths, failures)
-    else:
-        raise InvalidInput(f"unknown study kind {kind!r}")
 
     lines = [f"study: {kind}", f"rows: {len(report.rows)}"]
     for name, (slope, npts) in report.slopes.items():

@@ -252,6 +252,43 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("solver error:") and flag in err and entry in err
 
+    # A flag its study kind ignores must fail: running the defaults in its
+    # place would hide the mistake.
+    @pytest.mark.parametrize("kind, flag, value", [
+        ("adaptivity", "--schemes", "asym:3,sym:2"),
+        ("adaptivity", "--ladder", "4,8,16"),
+        ("adaptivity", "--tol", "1e-6"),
+        ("adaptivity", "--steps", "4"),
+        ("order", "--tols", "1e-3"),
+        ("efficiency", "--tols", "1e-3"),
+    ])
+    def test_unused_study_flag_exit_code(self, tmp_path, capsys, kind, flag, value):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["study", kind, "--problem", str(prob_dir), "--scheme", "sym",
+                     "--stages", "3", flag, value, "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and f"does not use {flag}" in err
+        assert not (tmp_path / "o").exists()
+
+    # The adaptive driver refuses these schemes at every tolerance, so the
+    # study refuses them once, up front.
+    @pytest.mark.parametrize("scheme, stages", [
+        ("lie", "1"), ("strang", "1"), ("asym", "1"), ("sym", "1"),
+    ])
+    def test_adaptivity_scheme_without_estimate_exit_code(self, tmp_path, capsys,
+                                                          scheme, stages):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["study", "adaptivity", "--problem", str(prob_dir),
+                     "--scheme", scheme, "--stages", stages, "--tols", "1e-2",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:") and ">= 2 stages" in err
+        assert not (tmp_path / "o").exists()
+
     # argparse exits with 2 on a usage error, the code of an ingestion
     # error; its message tells the two apart.
     @pytest.mark.parametrize("flag, value", [("--threads", "2"), ("--quad-degree", "4")])

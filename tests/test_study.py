@@ -1,6 +1,7 @@
 from dataclasses import replace
 
 import csv
+import math
 import re
 
 import numpy as np
@@ -20,9 +21,12 @@ from dresplit import (
     generate_problem,
     integrate_fixed,
     run_study,
+    to_dense,
 )
 from dresplit import study
 from dresplit.adaptive import StepRecord, Trajectory
+from dresplit.oracle import _davison_maki
+from dresplit.problems import to_dense_problem
 from dresplit.study import fit_order, run_fixed_ladder, run_solve, scheme_label
 
 
@@ -204,6 +208,56 @@ class TestRefinement:
         assert (sub.p0, sub.horizon) == (start, 0.02)
         checked = ProblemData(a=problem.a, q=problem.q, s=problem.s, p0=start, horizon=0.02)
         spec = SchemeSpec("sym", 2)
-        got = integrate_fixed(sub, spec, study.REFINE_SUBSTEPS).final
-        ref = integrate_fixed(checked, spec, study.REFINE_SUBSTEPS).final
+        got = integrate_fixed(sub, spec, study.refine_substeps(spec)).final
+        ref = integrate_fixed(checked, spec, study.refine_substeps(spec)).final
         assert got.L.tobytes() == ref.L.tobytes() and got.D.tobytes() == ref.D.tobytes()
+
+    @pytest.mark.parametrize("spec, m", [
+        (SchemeSpec("strang"), 32), (SchemeSpec("asym", 3), 10), (SchemeSpec("sym", 2), 6),
+        (SchemeSpec("sym", 3), 4), (SchemeSpec("sym", 4), 3), (SchemeSpec("sym", 5), 2),
+    ])
+    def test_substeps_by_order(self, spec, m):
+        assert study.refine_substeps(spec) == m
+
+    def test_substeps_are_the_fewest_that_reach_the_gain(self):
+        for p in range(1, 13):
+            m = study.refine_substeps(SchemeSpec("asym", p))
+            assert m >= 2 and m**p >= study.REFINE_GAIN
+            if m > 2:
+                assert (m - 1)**p < study.REFINE_GAIN
+
+    def test_sweep_refines_each_accepted_step_once(self, monkeypatch):
+        problem = generate_problem("random_lowrank", 6, 2, seed=4, horizon=0.4)
+        config = RunConfig(scheme="sym", stages=2, tol=1e-3, h1=0.05, epus=True)
+        calls = []
+        inner = study.integrate_fixed
+
+        def counting(sub, spec, n_steps, *args, **kwargs):
+            calls.append((spec, n_steps))
+            return inner(sub, spec, n_steps, *args, **kwargs)
+
+        monkeypatch.setattr(study, "integrate_fixed", counting)
+        _, per_tol, failures = study.run_adaptive_sweep(
+            problem, StudySpec(tolerances=(1e-1, 1e-2)), config)
+        assert not failures
+        accepted = sum(len(rows) for rows in per_tol.values())
+        assert accepted > 0
+        assert calls == [(config.spec, study.refine_substeps(config.spec))] * accepted
+
+    # The refinement runs the scheme under test; the Davison-Maki solve of
+    # the step is exact in time and shares no code with it.
+    @pytest.mark.parametrize("stages", [3, 2])
+    def test_reference_matches_davison_maki(self, stages):
+        problem = generate_problem("random_lowrank", 10)
+        h = 0.05
+        spec = SchemeSpec("sym", stages)
+        config = RunConfig(scheme="sym", stages=stages, tol=1e-4, h1=h)
+        step = problem._restarted(problem.p0, h)
+        accepted = integrate_fixed(step, spec, 1).final
+        dense = to_dense_problem(step)
+        hamiltonian = np.block([[-dense.a, dense.s], [dense.q, dense.a.T]])
+        intervals = max(1, math.ceil(h * np.linalg.norm(hamiltonian, 1)))
+        exact = _davison_maki(hamiltonian, dense.p0, h, intervals)
+        e_exact = np.linalg.norm(to_dense(accepted) - exact)
+        e_refined = study._refined_step_error(problem, spec, config, problem.p0, h, accepted)
+        assert e_refined == pytest.approx(e_exact, rel=1e-2)
