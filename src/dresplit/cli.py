@@ -21,8 +21,8 @@ EXIT_SOLVER = 3
 
 def _add_run_flags(parser):
     parser.add_argument("--scheme", choices=["lie", "strang", "asym", "sym"],
-                        default="sym", help="splitting scheme")
-    parser.add_argument("--stages", type=int, default=2,
+                        help="splitting scheme")
+    parser.add_argument("--stages", type=int,
                         help="stage count for the additive schemes")
     parser.add_argument("--steps", type=int, default=None,
                         help="fixed number of equal steps")
@@ -30,7 +30,7 @@ def _add_run_flags(parser):
                         help="adaptive tolerance")
     parser.add_argument("--h1", type=float, default=None,
                         help="initial adaptive step size")
-    parser.add_argument("--epus", action="store_true",
+    parser.add_argument("--epus", action="store_true", default=None,
                         help="compare error per unit step against the tolerance")
     parser.add_argument("--exp-tol", type=float, default=1e-10,
                         help="stopping tolerance of the sparse Krylov exponential "
@@ -41,11 +41,14 @@ def _add_run_flags(parser):
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
+    """The config of the run flags passed.  A flag left out is None, so a
+    study can tell it from one passed, and takes RunConfig's default."""
+    values = dict(
         scheme=args.scheme, stages=args.stages, n_steps=args.steps,
         tol=args.tol, h1=args.h1, epus=args.epus, exp_tol=args.exp_tol,
         comp_tol=args.comp_tol,
     )
+    return RunConfig(**{name: val for name, val in values.items() if val is not None})
 
 
 def _scheme_entry(token: str) -> SchemeSpec:
@@ -101,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list of step counts, e.g. '10,20,40'")
     study.add_argument("--tols", default=None,
                        help="comma list of adaptive tolerances")
-    study.add_argument("--reference", choices=["oracle", "finest"], default="oracle")
+    study.add_argument("--reference", choices=["oracle", "finest"])
     _add_run_flags(study)
     return parser
 
@@ -123,23 +126,27 @@ def _cmd_solve(args) -> int:
 
 
 # Flags a study kind has no use for: passing one is an error, not a no-op.
+# The ladder studies take their schemes from --schemes and their steps from
+# --ladder, so the run flags of one scheme and one stepping mode go unused.
+_LADDER_UNUSED = ("tols", "steps", "tol", "h1", "epus", "scheme", "stages")
 _UNUSED_STUDY_FLAGS = {
-    "order": ("tols",),
-    "efficiency": ("tols",),
-    "adaptivity": ("schemes", "ladder", "tol", "steps"),
+    "order": _LADDER_UNUSED,
+    "efficiency": _LADDER_UNUSED,
+    "adaptivity": ("schemes", "ladder", "tol", "steps", "reference"),
 }
 
 
 def _cmd_study(args) -> int:
-    for name in _UNUSED_STUDY_FLAGS[args.kind]:
-        if getattr(args, name) is not None:
-            raise InvalidInput(f"study {args.kind} does not use --{name}")
+    unused = [name for name in _UNUSED_STUDY_FLAGS[args.kind] if getattr(args, name) is not None]
+    if unused:
+        raise InvalidInput("; ".join(f"study {args.kind} does not use --{name}"
+                                     for name in unused))
     problem = ingest_problem(args.problem)
     if args.kind == "adaptivity":
         args.tol = 1e-2  # placeholder; the --tols list drives the sweep
         if args.h1 is None:
             args.h1 = problem.horizon / 20.0
-    elif args.steps is None and args.tol is None:
+    else:
         args.steps = 10  # placeholder; the ladder drives fixed-step studies
     config = _config_from_args(args)
     overrides = {}
@@ -151,7 +158,8 @@ def _cmd_study(args) -> int:
         overrides["ladder"] = _parse_list("--ladder", args.ladder, int)
     if args.tols:
         overrides["tolerances"] = _parse_list("--tols", args.tols, float)
-    overrides["reference"] = args.reference
+    if args.reference:
+        overrides["reference"] = args.reference
     study = StudySpec(**overrides)
     report = run_study(problem, study, config, args.kind, args.out)
     for p in report.paths:

@@ -31,11 +31,12 @@ below _DEFLATE_TOL of the block's norm before orthogonalization (rank loss,
 or an exhausted space), and the kept ones are orthogonalized once more.
 The iteration stops when two successive iterates agree to ``rel_tol``.  An
 exhausted (invariant) space, or dimension N, is exact and returns the
-iterate; reaching ``max_dim`` below N first raises ToleranceNotMet.
+iterate; reaching the cap min(N, _MAX_DIM) below N first raises
+ToleranceNotMet.
 
 The basis, H_m, R_0 and the checkpoints (the dimensions at which the
 stopping rule evaluates an iterate, and whether each is exact) depend on
-gamma, V and the dimension cap only, not on t.  A Krylov space is therefore
+gamma, V and the cap only, not on t.  A Krylov space is therefore
 resumable: the action at any t of its octave replays the stopping rule over
 the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
@@ -59,17 +60,17 @@ from .errors import InvalidInput, NonFiniteFactor, StepTooLarge, ToleranceNotMet
 
 # Exponentials kept per dense operator, keyed by t.
 _EXPM_CACHE = 8
-# Sparse LUs kept per operator, keyed by gamma, and Krylov spaces kept per
-# BlockActions, keyed by gamma and cap; each space pins its LU.  Cached
-# factors and bases stay resident: with 4 entries each, laplacian_lqr N=400
-# (sym2, 2 fixed steps) peaks 3.8% higher in RSS for the LUs and another
-# 2.0% for the spaces.
+# Sparse LUs kept per operator, and Krylov spaces kept per BlockActions,
+# both keyed by gamma; each space pins its LU.  Cached factors and bases
+# stay resident: with 4 entries each, laplacian_lqr N=400 (sym2, 2 fixed
+# steps) peaks 3.8% higher in RSS for the LUs and another 2.0% for the
+# spaces.
 _LU_CACHE = 4
 # Blocks kept per BlockActions, keyed by t (and the options): the 9
 # distinct node times of a sym2 step's two rules fit, and each block is
 # N x rank(V), small beside a Krylov space.
 _BLOCK_CACHE = 16
-# Default Krylov dimension cap, min(N, _MAX_DIM).
+# Krylov dimension cap, min(N, _MAX_DIM), fixed when a space is built.
 _MAX_DIM = 512
 # Directions of a new block below this share of its norm are dropped.
 _DEFLATE_TOL = 1e-13
@@ -173,17 +174,13 @@ class StiffOperator:
 
 @dataclass(frozen=True)
 class ExpActionOptions:
-    """rel_tol: stop of the sparse Krylov iteration (the dense path is exact).
-    max_dim: Krylov dimension cap; None means min(N, 512)."""
+    """rel_tol: stop of the sparse Krylov iteration (the dense path is exact)."""
 
     rel_tol: float = 1e-10
-    max_dim: int | None = None
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise InvalidInput(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_dim is not None and self.max_dim < 1:
-            raise InvalidInput(f"max_dim must be >= 1, got {self.max_dim}")
 
 
 def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
@@ -222,21 +219,18 @@ def _octave_shift(t: float) -> float:
     return float(np.ldexp(1.0, np.frexp(t)[1] - 2))
 
 
-def _dim_cap(op: StiffOperator, opts: ExpActionOptions) -> int:
-    return min(op.n, _MAX_DIM if opts.max_dim is None else opts.max_dim)
-
-
 class _KrylovSpace:
     """Resumable block Krylov space of M = (I - gamma A^T)^{-1} on V, up to
-    dimension cap (see the module docstring).
+    dimension ``cap`` = min(N, _MAX_DIM) as of its construction (see the
+    module docstring).
 
     ``checkpoints`` lists (m, exact) for the dimensions built so far at
-    which the stopping rule evaluates an iterate.  Not thread-safe: callers
-    that share a space hold its lock.  ``t`` only names the action in error
-    messages.
+    which the stopping rule evaluates an iterate.  Not thread-safe: a
+    shared space is used under the lock of the BlockActions that keeps it.
+    ``t`` only names the action in error messages.
     """
 
-    def __init__(self, op: StiffOperator, v: np.ndarray, gamma: float, cap: int, t: float):
+    def __init__(self, op: StiffOperator, v: np.ndarray, gamma: float, t: float):
         try:
             self._lu = op.shift_lu(gamma)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -245,8 +239,7 @@ class _KrylovSpace:
                 f"t={t:g} (gamma={gamma:g})"
             ) from exc
         self.gamma = gamma
-        self.cap = cap
-        self.lock = threading.Lock()
+        self.cap = min(op.n, _MAX_DIM)
         self._n = op.n
         self.basis, self._r0 = _rank_revealing(v)
         self._h = np.zeros((self.basis.shape[1], 0))
@@ -357,15 +350,18 @@ def _checked_block(op: StiffOperator, t: float, v) -> np.ndarray:
     return v
 
 
-def _lru_keep(cache: OrderedDict, key, value, cap: int):
-    """The value cached under key, after storing ``value`` there if none is;
+def _lru_get(cache: OrderedDict, key, make, cap: int):
+    """The value cached under key, after storing make() there if none is;
     key becomes the most recent.  The oldest entry is evicted before an
     insert, so the cache never holds more than cap entries.  Callers hold
     the cache's lock."""
-    if key not in cache and len(cache) >= cap:
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = make()
+    if len(cache) >= cap:
         cache.popitem(last=False)
-    value = cache.setdefault(key, value)
-    cache.move_to_end(key)
+    cache[key] = value
     return value
 
 
@@ -382,11 +378,11 @@ def exp_action(
     Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
     a space built for the call or, given the ``BlockActions`` of op and v
     (the same objects; InvalidInput otherwise), on its cached space of t's
-    octave, with the same bits.  Raises ToleranceNotMet (carrying the best
-    iterate and its estimate) if the Krylov dimension reaches
-    ``opts.max_dim`` below N first, NonFiniteFactor on a non-finite block or
-    iterate, and StepTooLarge if the shifted matrix I - gamma A^T is exactly
-    singular.
+    octave, with the same bits, under the lock of ``blocks``.  Raises
+    ToleranceNotMet (carrying the best iterate and its estimate) if the
+    Krylov dimension reaches its cap min(N, _MAX_DIM) below N first,
+    NonFiniteFactor on a non-finite block or iterate, and StepTooLarge if
+    the shifted matrix I - gamma A^T is exactly singular.
     """
     if blocks is not None and (blocks.op is not op or blocks.v is not v):
         raise InvalidInput("blocks caches the actions of another operator or block")
@@ -395,17 +391,12 @@ def exp_action(
         return v.copy()
     if not op.is_sparse:
         return _finite_iterate(op.expm(t) @ v, t)
-    key = (_octave_shift(t), _dim_cap(op, opts))
+    gamma = _octave_shift(t)
     if blocks is None:
-        return _KrylovSpace(op, v, *key, t).action(t, opts.rel_tol)
-    spaces = blocks._spaces
+        return _KrylovSpace(op, v, gamma, t).action(t, opts.rel_tol)
     with blocks._lock:
-        space = spaces.get(key)
-    if space is None:
-        space = _KrylovSpace(op, v, *key, t)
-    with blocks._lock:
-        space = _lru_keep(spaces, key, space, _LU_CACHE)
-    with space.lock:
+        space = _lru_get(blocks._spaces, gamma,
+                         lambda: _KrylovSpace(op, v, gamma, t), _LU_CACHE)
         return space.action(t, opts.rel_tol)
 
 
@@ -415,8 +406,8 @@ class BlockActions:
     basis, which every chain of the step propagates over its substep.
 
     A call is ``exp_action(op, t, V, opts, self)``, which keeps this block's
-    Krylov spaces: one per octave shift gamma and dimension cap, in an LRU
-    of _LU_CACHE entries (each space pins its LU).  On a sparse operator a
+    Krylov spaces: one per octave shift gamma, in an LRU of _LU_CACHE
+    entries (each space pins its LU).  On a sparse operator a
     further t of a cached octave thus costs one small expm per checkpoint
     the stopping rule visits, plus blocks only past the dimension already
     built.  The blocks themselves are kept, read-only, in an LRU of
@@ -429,9 +420,9 @@ class BlockActions:
     one-shot one.
     ``equidistant`` gives the blocks of a whole node grid; on a dense
     operator it steps from node to node (see there).  Safe to call from
-    several threads: both LRU orders are kept under this object's lock, a
-    space is used under its own lock, and a concurrent miss builds the same
-    space or block twice and keeps one.
+    several threads: one reentrant lock is held across a whole call, from
+    the lookup through the exp_action it makes and the use of a cached
+    space, so each space and block is built once.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
@@ -439,20 +430,16 @@ class BlockActions:
         self.v = v
         self._spaces = OrderedDict()
         self._blocks = OrderedDict()
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        key = (t, opts)
-        blocks = self._blocks
+        def make():
+            block = exp_action(self.op, t, self.v, opts, self)
+            block.flags.writeable = False
+            return block
+
         with self._lock:
-            block = blocks.get(key)
-            if block is not None:
-                blocks.move_to_end(key)
-                return block
-        block = exp_action(self.op, t, self.v, opts, self)
-        block.flags.writeable = False
-        with self._lock:
-            return _lru_keep(blocks, key, block, _BLOCK_CACHE)
+            return _lru_get(self._blocks, (t, opts), make, _BLOCK_CACHE)
 
     def equidistant(self, h: float, degree: int,
                     opts: ExpActionOptions = ExpActionOptions()) -> tuple:

@@ -240,14 +240,14 @@ def additive_step(
     which have no embedded companion.
 
     Repeated factor work is done once, with the same bits.  ``start``, the
-    ``BlockActions`` of the step's basis L, first keeps exp((h/k) A^T) L for
-    every divisor k; the chains of both directions take it from there, so
-    L is propagated once per substep size.  From a factor of rank 0, on
-    which ``quadratic_flow`` returns the factor itself, the AFFINE_FIRST
-    chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST chain k over
-    h/k, and is computed so.  A NonFiniteFactor from combining the chains
-    names the step, h, and whether the next factor (``cannot compress``) or
-    the estimate is not finite.
+    ``BlockActions`` of the step's basis L, keeps exp((h/k) A^T) L from the
+    first chain of divisor k that needs it; the other direction takes it
+    from there, so L is propagated once per substep size.  From a factor
+    of rank 0, on which ``quadratic_flow`` returns the factor itself, the
+    AFFINE_FIRST chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST
+    chain k over h/k, and is computed so.  A NonFiniteFactor from combining
+    the chains names the step, h, and whether the next factor (``cannot
+    compress``) or the estimate is not finite.
     """
     if not spec.is_additive:
         raise InvalidInput("additive_step requires an additive scheme spec")
@@ -260,9 +260,6 @@ def additive_step(
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
     start = BlockActions(problem.a, factor.L)
-    if factor.rank > 0:
-        for k in ks:
-            start(h / k, exp_opts)
     chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, start)
               for k, d in runs]
     if shared_prefix:

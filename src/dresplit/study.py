@@ -148,6 +148,9 @@ class StudySpec:
             raise InvalidInput("the step ladder needs at least 3 rungs for slope fits")
         if any(n < 1 for n in self.ladder):
             raise InvalidInput(f"ladder rungs must be >= 1, got {self.ladder}")
+        # Written so that NaN fails the check.
+        if not all(0 < tol < np.inf for tol in self.tolerances):
+            raise InvalidInput(f"every tol must be positive and finite, got {self.tolerances}")
         if self.reference not in ("oracle", "finest"):
             raise InvalidInput(f"unknown reference policy {self.reference!r}")
 

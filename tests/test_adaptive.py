@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ class TestAdaptiveDriver:
         # The run collapses one shrink below the floor (horizon 1).
         assert trials[-1] / cap < adaptive.H_MIN_FACTOR <= trials[-1]
 
-    def test_failed_subflow_counts_as_rejection(self, rng):
+    def test_failed_subflow_counts_as_rejection(self, rng, monkeypatch):
         # A Krylov dimension cap of 13 cannot reach the exp-action tolerance
         # at t = 0.1 but can at t <= 0.05, so the first trial raises
         # ToleranceNotMet; it must shrink the step instead of aborting the
@@ -240,21 +241,21 @@ class TestAdaptiveDriver:
         uncapped = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
                                       ControllerParams(tol=1e-6))
         assert [r.rejections for r in uncapped.records] == [0]
-        traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
-                                  ControllerParams(tol=1e-6),
-                                  ExpActionOptions(max_dim=13))
+        monkeypatch.setattr(expaction, "_MAX_DIM", 13)
+        traj = integrate_adaptive(dataclasses.replace(problem), SchemeSpec("sym", 2), 0.1,
+                                  ControllerParams(tol=1e-6))
         assert traj.records[0].rejections >= 1
         assert traj.records[0].h < 0.1
         assert traj.times[-1] == 0.1
 
     def test_collapse_names_failure_cause(self, rng, monkeypatch):
         # A one-dimensional Krylov space can never confirm convergence.
+        monkeypatch.setattr(expaction, "_MAX_DIM", 1)
         problem = make_sparse_linear_problem(rng, 0.2)
         monkeypatch.setattr(adaptive, "H_MIN_FACTOR", 0.3)
         params = ControllerParams(tol=1e-6)
         with pytest.raises(StepSizeCollapse, match="last rejection: ToleranceNotMet") as info:
-            integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params,
-                               ExpActionOptions(max_dim=1))
+            integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params)
         assert info.value.trajectory is not None
 
     def test_blow_up_names_the_step(self):

@@ -261,6 +261,15 @@ class TestCommands:
         ("adaptivity", "--steps", "4"),
         ("order", "--tols", "1e-3"),
         ("efficiency", "--tols", "1e-3"),
+        ("adaptivity", "--reference", "finest"),
+        ("order", "--steps", "4"),
+        ("order", "--tol", "1e-3"),
+        ("order", "--h1", "0.3"),
+        # --epus takes no value; its slot carries a flag the study does use.
+        ("order", "--epus", "--exp-tol=1e-10"),
+        ("efficiency", "--scheme", "lie"),
+        ("efficiency", "--stages", "2"),
+        ("efficiency", "--steps", "4"),
     ])
     def test_unused_study_flag_exit_code(self, tmp_path, capsys, kind, flag, value):
         prob_dir = tmp_path / "prob"
@@ -319,6 +328,16 @@ class TestCommands:
         code = main(args + ["--problem", str(prob_dir), "--out", str(tmp_path / "o")])
         assert code == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tols", ["-1", "nan", "inf", "1e-2,0"])
+    def test_bad_tolerance_exit_code(self, tmp_path, capsys, tols):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["study", "adaptivity", "--problem", str(prob_dir), "--tols", tols,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_ladder_rung_below_one_exit_code(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"

@@ -132,19 +132,15 @@ def test_sparse_path_matches_dense_path(rng):
     assert np.linalg.norm(w_sp - w_de) <= 1e-8 * np.linalg.norm(w_de)
 
 
-def test_tolerance_not_met_carries_best(rng):
+def test_tolerance_not_met_carries_best(rng, monkeypatch):
     # A dimension cap far below N stops the Krylov iteration unconverged.
+    monkeypatch.setattr(expaction, "_MAX_DIM", 4)
     op = StiffOperator(laplacian(200))
     v = rng.standard_normal((200, 1))
     with pytest.raises(ToleranceNotMet) as info:
-        exp_action(op, 1e-4, v, ExpActionOptions(rel_tol=1e-14, max_dim=4))
+        exp_action(op, 1e-4, v, ExpActionOptions(rel_tol=1e-14))
     assert info.value.best is not None
     assert info.value.estimate > 0
-
-
-def test_max_dim_validated():
-    with pytest.raises(InvalidInput, match="max_dim"):
-        ExpActionOptions(max_dim=0)
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0])
@@ -404,9 +400,10 @@ def test_source_blocks_on_an_exhausted_space():
     assert space.checkpoints[-1][1]
 
 
-def test_source_blocks_tolerance_not_met_matches_one_shot():
+def test_source_blocks_tolerance_not_met_matches_one_shot(monkeypatch):
+    monkeypatch.setattr(expaction, "_MAX_DIM", 12)
     problem = generate_problem("laplacian_lqr", n=200)
-    opts = ExpActionOptions(rel_tol=1e-15, max_dim=12)
+    opts = ExpActionOptions(rel_tol=1e-15)
     with pytest.raises(ToleranceNotMet) as direct:
         exp_action(problem.a, 0.05, problem.q.L, opts)
     for t in (0.05, 0.05, 0.04):
@@ -415,10 +412,12 @@ def test_source_blocks_tolerance_not_met_matches_one_shot():
         if t == 0.05:
             assert cached.value.best.tobytes() == direct.value.best.tobytes()
             assert cached.value.estimate == direct.value.estimate
-    # A larger cap is a different space; both stay cached.
+    # A space keeps the cap it was built with, so the default cap gets its
+    # own problem.
+    monkeypatch.undo()
+    problem = generate_problem("laplacian_lqr", n=200)
     ok = problem.source_blocks(0.05)
     assert ok.tobytes() == exp_action(problem.a, 0.05, problem.q.L).tobytes()
-    assert len(_spaces(problem.source_blocks)) == 2
 
 
 def test_source_blocks_under_thread_contention():

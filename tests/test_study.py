@@ -9,7 +9,6 @@ import pytest
 import scipy.sparse as sp
 
 from dresplit import (
-    ExpActionOptions,
     InvalidInput,
     LDLTFactor,
     ProblemData,
@@ -23,7 +22,7 @@ from dresplit import (
     run_study,
     to_dense,
 )
-from dresplit import study
+from dresplit import expaction, study
 from dresplit.adaptive import StepRecord, Trajectory
 from dresplit.oracle import _davison_maki
 from dresplit.problems import to_dense_problem
@@ -173,10 +172,7 @@ class TestLadder:
         # An unreachable exponential tolerance fails each run but the study
         # must complete and record the failures.  Sparse actions are capped
         # at Krylov dimension 2, where no two iterates can be compared.
-        monkeypatch.setattr(
-            RunConfig, "exp_opts",
-            lambda self: ExpActionOptions(rel_tol=self.exp_tol, max_dim=2),
-        )
+        monkeypatch.setattr(expaction, "_MAX_DIM", 2)
         config = RunConfig(
             scheme="strang", stages=1, n_steps=4,
             exp_tol=5e-16, comp_tol=1e-14,
