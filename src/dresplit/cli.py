@@ -116,7 +116,16 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _reject_unused(args, command: str, names) -> None:
+    """InvalidInput naming each flag of names that was passed, if any."""
+    unused = [name for name in names if getattr(args, name) is not None]
+    if unused:
+        raise InvalidInput("; ".join(f"{command} does not use --{name}" for name in unused))
+
+
 def _cmd_solve(args) -> int:
+    if args.steps is not None:
+        _reject_unused(args, "solve --steps", ("h1", "epus"))
     problem = ingest_problem(args.problem)
     config = _config_from_args(args)
     traj = run_solve(problem, config, args.out)
@@ -137,10 +146,7 @@ _UNUSED_STUDY_FLAGS = {
 
 
 def _cmd_study(args) -> int:
-    unused = [name for name in _UNUSED_STUDY_FLAGS[args.kind] if getattr(args, name) is not None]
-    if unused:
-        raise InvalidInput("; ".join(f"study {args.kind} does not use --{name}"
-                                     for name in unused))
+    _reject_unused(args, f"study {args.kind}", _UNUSED_STUDY_FLAGS[args.kind])
     problem = ingest_problem(args.problem)
     if args.kind == "adaptivity":
         args.tol = 1e-2  # placeholder; the --tols list drives the sweep
@@ -152,8 +158,6 @@ def _cmd_study(args) -> int:
     overrides = {}
     if args.schemes:
         overrides["schemes"] = _parse_list("--schemes", args.schemes, _scheme_entry)
-    elif args.kind == "adaptivity":
-        overrides["schemes"] = (config.spec,)
     if args.ladder:
         overrides["ladder"] = _parse_list("--ladder", args.ladder, int)
     if args.tols:

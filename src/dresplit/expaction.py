@@ -82,12 +82,6 @@ def _dense_expm(at: np.ndarray, t: float) -> np.ndarray:
     return e
 
 
-def _expm_or_primed(at: np.ndarray, primed: dict, t: float) -> np.ndarray:
-    """The primed power pending for t, if any, else expm(t A^T)."""
-    fill = primed.pop(t, None)
-    return _dense_expm(at, t) if fill is None else fill()
-
-
 def _shift_lu(at_csc, gamma: float):
     """SuperLU factorization of I - gamma A^T."""
     import scipy.sparse.linalg  # loaded on first use: dense runs never need it
@@ -102,9 +96,10 @@ class StiffOperator:
     ``expm(t)``, the read-only matrix exp(t A^T), and ``prime_expm``, which
     fills a set of its cache entries from one exponential; a sparse one
     exposes ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both
-    are memoized in bounded LRU caches (safe to call from several threads;
-    a concurrent miss computes the same value twice).  Cached values are
-    shared and must not be modified.
+    are memoized in the operator's one bounded LRU cache, keyed by t or
+    gamma.  Safe to call from several threads: the operator's one lock is
+    held across a lookup and the build it makes, so each entry is built
+    once.  Cached values are shared and must not be modified.
     """
 
     def __init__(self, a):
@@ -112,22 +107,25 @@ class StiffOperator:
             self.matrix = a.tocsr()
             self._at = self.matrix.T.tocsr()
             self.is_sparse = True
-            self.shift_lu = functools.lru_cache(maxsize=_LU_CACHE)(
-                functools.partial(_shift_lu, self._at.tocsc())
-            )
         else:
             self.matrix = np.asarray(a, dtype=np.float64)
             self._at = self.matrix.T.copy()
             self.is_sparse = False
-            self._primed = {}
-            self._prime_lock = threading.Lock()
-            self.expm = functools.lru_cache(maxsize=_EXPM_CACHE)(
-                functools.partial(_expm_or_primed, self._at, self._primed)
-            )
+        self._cache = OrderedDict()
+        self._lock = threading.Lock()
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise InvalidInput(f"operator must be square, got shape {self.matrix.shape}")
         if not np.isfinite(self.matrix.data if self.is_sparse else self.matrix).all():
             raise InvalidInput("operator has non-finite entries")
+
+    def expm(self, t: float) -> np.ndarray:
+        with self._lock:
+            return _lru_get(self._cache, t, lambda: _dense_expm(self._at, t), _EXPM_CACHE)
+
+    def shift_lu(self, gamma: float):
+        with self._lock:
+            return _lru_get(self._cache, gamma, lambda: _shift_lu(self._at.tocsc(), gamma),
+                            _LU_CACHE)
 
     def prime_expm(self, u: float, powers: dict) -> None:
         """Fill the ``expm`` cache entries t of ``powers`` = {t: m} that are
@@ -138,9 +136,10 @@ class StiffOperator:
         from the memo, else m // 2 + (m - m // 2)), and the memo's other
         powers are freed on return.  E^m agrees with expm(m u A^T) to
         round-off, not bit for bit.  Dense operators only; does nothing
-        unless every t fits in the cache at once.  Priming before the threads
-        that share the operator use it keeps a key's bits independent of
-        thread scheduling.
+        unless every t fits in the cache at once.  Under the operator's lock,
+        the keys are looked up in ascending order of m, as by ``expm``.
+        Priming before the threads that share the operator use it keeps a
+        key's bits independent of thread scheduling.
         """
         if len(powers) > _EXPM_CACHE:
             return
@@ -156,13 +155,9 @@ class StiffOperator:
                     memo[m].flags.writeable = False
             return memo[m]
 
-        with self._prime_lock:
-            self._primed.update((t, functools.partial(power, m)) for t, m in powers.items())
-            try:
-                for t in sorted(powers, key=powers.get):
-                    self.expm(t)
-            finally:
-                self._primed.clear()
+        with self._lock:
+            for t in sorted(powers, key=powers.get):
+                _lru_get(self._cache, t, functools.partial(power, powers[t]), _EXPM_CACHE)
 
     @property
     def n(self) -> int:
@@ -420,9 +415,10 @@ class BlockActions:
     one-shot one.
     ``equidistant`` gives the blocks of a whole node grid; on a dense
     operator it steps from node to node (see there).  Safe to call from
-    several threads: one reentrant lock is held across a whole call, from
-    the lookup through the exp_action it makes and the use of a cached
-    space, so each space and block is built once.
+    several threads: its one reentrant lock is held across a whole call,
+    from the lookup through the exp_action it makes and the use of a cached
+    space, so each space and block is built once.  The operator's lock is
+    taken inside it, never the other way round.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):

@@ -322,6 +322,14 @@ ADAPTIVE_SUMMARY_HEADER = ["scheme", "tol", "n_steps", "rejections",
 ADAPTIVE_STEP_HEADER = ["step", "t", "h", "e_est", "e_actual", "rank",
                         "rejections", "fresh_quad_blocks", "clamped"]
 
+# The settings each study kind reads, from its RunConfig and StudySpec.
+_LADDER_SETTINGS = ("exp_tol", "comp_tol", "schemes", "ladder", "reference")
+_STUDY_SETTINGS = {
+    "order": _LADDER_SETTINGS,
+    "efficiency": _LADDER_SETTINGS,
+    "adaptivity": ("scheme", "stages", "h1", "epus", "exp_tol", "comp_tol", "tolerances"),
+}
+
 
 def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
               kind: str, out_dir) -> StudyReport:
@@ -329,6 +337,7 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
 
     kind "order" and "efficiency" run the fixed-step ladder (order also fits
     slopes); "adaptivity" sweeps the tolerances with per-step records.
+    config.json holds the settings the kind reads, from config and study.
     Per-run failures are logged in the report and do not abort the study.
     An unknown kind, or an adaptivity study of a scheme without an embedded
     estimate, raises InvalidInput before anything is written.
@@ -342,7 +351,9 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
         )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(config.to_json())
+    settings = asdict(config) | asdict(study)
+    (out / "config.json").write_text(
+        json.dumps({name: settings[name] for name in _STUDY_SETTINGS[kind]}, indent=2) + "\n")
     paths = []
     if kind in ("order", "efficiency"):
         rows, slopes, failures = run_fixed_ladder(problem, study, config)

@@ -305,13 +305,12 @@ def test_stiff_adaptive_run_meets_its_tolerance():
 @pytest.mark.parametrize("spec, tol", [(SchemeSpec("sym", 3), None),
                                        (SchemeSpec("sym", 3), 1e-5),
                                        (SchemeSpec("sym", 5), None)])
-def test_dense_factors_byte_identical_across_threads(spec, tol):
+def test_dense_warm_cache_rerun_gives_identical_bits(spec, tol):
     # sym3 primes its exponentials from one expm per fresh rule set, and
     # the adaptive run its substeps from one expm per step size; a fresh
     # sym5 set needs 10 keys, more than the cache holds, and keeps one expm
     # per key.  The second run finds the first one's exponentials cached
-    # and must give the same bits.  (The name is from when the check
-    # compared chain thread counts.)
+    # and must give the same bits.
     problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
     finals = []
     for _ in range(2):
@@ -324,7 +323,7 @@ def test_dense_factors_byte_identical_across_threads(spec, tol):
     assert finals[0] == finals[1]
 
 
-def test_sparse_factors_byte_identical_across_threads():
+def test_sparse_warm_cache_rerun_gives_identical_bits():
     # From P0 = 0 the AFFINE_FIRST chains are quadratic flows of the
     # QUADRATIC_FIRST ones; the second step shares the start propagations.
     # The second run finds the first one's source blocks, Krylov spaces and

@@ -1,9 +1,11 @@
-"""The benchmark's tracer must still see every layer it names.
+"""The benchmark's tracer must still see every layer it names, and its
+output checks must still pass.
 
 A traced benchmark run fails when a layer records no calls on one of its
 home workloads: a wrapper was bypassed, or the layer stopped running there.
-This runs the small instance of each workload under the tracer, so such a
-change fails here first.  It reads perfbench/ and changes nothing there.
+An untraced run fails when its output misses the workload's check.  These
+tests run the small instance of each workload, so such a change fails here
+first.  They read perfbench/ and change nothing there.
 """
 
 import sys
@@ -30,3 +32,13 @@ def test_every_home_layer_records_calls(name, tmp_path):
     finally:
         tracer.uninstall()
     assert tracing.missing_layers(name, stats) == []
+
+
+# sparse_fixed_n400 is left out: its stored reference exists only at N=400,
+# not for the N=20 small instance.
+@pytest.mark.parametrize("name", sorted(set(workloads.WORKLOADS) - {"sparse_fixed_n400"}))
+def test_small_instance_passes_its_check(name, tmp_path):
+    wl = workloads.WORKLOADS[name]
+    inst = wl.build(0, small=True)
+    passed, _, message = wl.check(wl.solve(inst, tmp_path), wl.reference(inst)[0])
+    assert passed, message

@@ -281,6 +281,48 @@ class TestCommands:
         assert err.startswith("solver error:") and f"does not use {flag}" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("extra, named", [
+        (["--h1", "0.1"], ["--h1"]),
+        (["--epus"], ["--epus"]),
+        (["--epus", "--h1", "0.1"], ["--h1", "--epus"]),
+    ])
+    def test_unused_fixed_solve_flag_exit_code(self, tmp_path, capsys, extra, named):
+        # A fixed-step solve has no initial step and no error per unit step.
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--out", str(prob_dir)])
+        code = main(["solve", "--problem", str(prob_dir), "--steps", "2", *extra,
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error:")
+        assert all(f"solve --steps does not use {flag}" in err for flag in named)
+        assert not (tmp_path / "o").exists()
+
+    # config.json records what the study ran, and only the settings its
+    # kind reads: no placeholder step count, scheme or tolerance.
+    @pytest.mark.parametrize("kind, flags, config", [
+        ("adaptivity",
+         ["--scheme", "sym", "--stages", "3", "--tols", "1e-1,1e-2", "--h1", "0.05", "--epus"],
+         {"scheme": "sym", "stages": 3, "h1": 0.05, "epus": True, "exp_tol": 1e-10,
+          "comp_tol": None, "tolerances": [0.1, 0.01]}),
+        ("order",
+         ["--schemes", "strang,sym:2", "--ladder", "2,4,8", "--reference", "finest"],
+         {"exp_tol": 1e-10, "comp_tol": None,
+          "schemes": [{"kind": "strang", "stages": 1}, {"kind": "sym", "stages": 2}],
+          "ladder": [2, 4, 8], "reference": "finest"}),
+        ("efficiency",
+         ["--schemes", "lie", "--ladder", "2,3,4", "--comp-tol", "1e-12", "--exp-tol", "1e-9"],
+         {"exp_tol": 1e-9, "comp_tol": 1e-12, "schemes": [{"kind": "lie", "stages": 1}],
+          "ladder": [2, 3, 4], "reference": "oracle"}),
+    ])
+    def test_study_config_records_what_ran(self, tmp_path, kind, flags, config):
+        prob_dir = tmp_path / "prob"
+        main(["generate", "--n", "4", "--rank", "2", "--horizon", "0.2",
+              "--out", str(prob_dir)])
+        assert main(["study", kind, "--problem", str(prob_dir), *flags,
+                     "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "config.json").read_text()) == config
+
     # The adaptive driver refuses these schemes at every tolerance, so the
     # study refuses them once, up front.
     @pytest.mark.parametrize("scheme, stages", [

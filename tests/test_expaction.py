@@ -155,15 +155,35 @@ def test_negative_time_rejected(rng):
         exp_action(op, -0.1, np.ones((3, 1)))
 
 
+def count_scipy_expm(monkeypatch):
+    """The list to which each scipy expm call of expaction appends."""
+    calls = []
+    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    return calls
+
+
+def count_shift_lu(monkeypatch):
+    """The list to which each sparse LU factorization appends its gamma."""
+    calls = []
+    factor = expaction._shift_lu
+    monkeypatch.setattr(expaction, "_shift_lu",
+                        lambda at, gamma: calls.append(gamma) or factor(at, gamma))
+    return calls
+
+
 # The dense propagator is exp(t A^T), cached per operator and keyed by t.
-def test_cached_propagator_matches_direct(rng):
+def test_cached_propagator_matches_direct(rng, monkeypatch):
     op = StiffOperator(rng.standard_normal((9, 9)))
-    for t in (0.3, 0.3 / 7, 1e-3):
+    ts = (0.3, 0.3 / 7, 1e-3)
+    direct = {t: _dense_expm(op._at, t) for t in ts}
+    calls = count_scipy_expm(monkeypatch)
+    for t in ts:
         e = op.expm(t)
-        assert np.array_equal(e, _dense_expm(op._at, t))
+        assert np.array_equal(e, direct[t])
         assert op.expm(t) is e
         assert not e.flags.writeable
-    assert op.expm.cache_info().hits == 3
+    # One scipy expm per t: each second lookup hits.
+    assert len(calls) == 3
 
 
 def test_propagator_cache_under_thread_contention(rng):
@@ -183,16 +203,42 @@ def test_propagator_cache_under_thread_contention(rng):
 
     run_threads(worker, 6)
     assert wrong == []
-    assert op.expm.cache_info().currsize <= _EXPM_CACHE
+    assert len(op._cache) <= _EXPM_CACHE
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_concurrent_misses_build_each_entry_once(rng, monkeypatch, sparse):
+    # Threads that miss on the same key at once wait for the one build.
+    if sparse:
+        op, calls = StiffOperator(laplacian(200)), count_shift_lu(monkeypatch)
+        lookup, keys = op.shift_lu, [2.0**-k for k in range(8, 8 + _LU_CACHE)]
+    else:
+        op, calls = StiffOperator(rng.standard_normal((60, 60))), count_scipy_expm(monkeypatch)
+        lookup, keys = op.expm, [0.1 / k for k in range(1, 1 + _EXPM_CACHE)]
+    got = {key: [] for key in keys}
+
+    def worker(k):
+        for key in keys:
+            got[key].append(lookup(key))
+
+    run_threads(worker, 6)
+    assert len(calls) == len(keys)
+    assert all(len(values) == 6 and all(v is values[0] for v in values)
+               for values in got.values())
 
 
 def test_propagator_cache_bounded_after_fixed_run():
     problem = generate_problem("random_lowrank", n=12, seed=3, horizon=0.2)
+    op = problem.a
+    lookup = op.expm
+    returned = []
+    op.expm = lambda t: returned.append((t, lookup(t))) or returned[-1][1]
     integrate_fixed(problem, SchemeSpec("sym", 3), 4)
-    info = problem.a.expm.cache_info()
-    assert info.maxsize == _EXPM_CACHE
-    assert 0 < info.currsize <= _EXPM_CACHE
-    assert info.hits > 0
+    assert 0 < len(op._cache) <= _EXPM_CACHE
+    # Hits: a repeated t gets the array its first lookup got.
+    first = {}
+    assert all(first.setdefault(t, e) is e for t, e in returned)
+    assert len(returned) > len(first)
 
 
 def test_operators_keep_their_own_propagators(rng):
@@ -202,8 +248,8 @@ def test_operators_keep_their_own_propagators(rng):
     assert np.array_equal(e1, _dense_expm(op1._at, 0.1))
     assert np.array_equal(e2, _dense_expm(op2._at, 0.1))
     assert not np.array_equal(e1, e2)
-    assert op1.expm.cache_info().currsize == 1
-    assert op2.expm.cache_info().currsize == 1
+    assert len(op1._cache) == 1
+    assert len(op2._cache) == 1
 
 
 def test_large_finite_block_scale_invariant(rng):
@@ -327,13 +373,18 @@ def test_unreachable_tolerance_is_bounded(rng):
     assert min(times) < 1.0
 
 
-def test_shift_lu_shared_within_an_octave(rng):
+def test_shift_lu_shared_within_an_octave(rng, monkeypatch):
     op = StiffOperator(laplacian(60))
     v = rng.standard_normal((60, 2))
+    factored = count_shift_lu(monkeypatch)
+    lookup = op.shift_lu
+    lus = []
+    op.shift_lu = lambda gamma: lus.append(lookup(gamma)) or lus[-1]
     for t in (0.016, 0.02, 0.031):  # all in [2^-6, 2^-5), on gamma = 2^-7
         exp_action(op, t, v)
-    info = op.shift_lu.cache_info()
-    assert (info.misses, info.hits, info.maxsize) == (1, 2, _LU_CACHE)
+    assert factored == [2.0**-7]
+    assert len(lus) == 3 and lus[1] is lus[0] and lus[2] is lus[0]
+    assert len(op._cache) == 1
 
 
 def test_lu_cache_under_thread_contention(rng):
@@ -353,7 +404,7 @@ def test_lu_cache_under_thread_contention(rng):
 
     run_threads(worker, 4)
     assert wrong == []
-    assert op.shift_lu.cache_info().currsize <= _LU_CACHE
+    assert len(op._cache) <= _LU_CACHE
 
 
 # Cached source blocks: every result must carry the bits of a one-shot action.
@@ -442,7 +493,7 @@ def test_source_blocks_under_thread_contention():
     run_threads(worker, 4)
     assert wrong == []
     assert max(sizes) <= _LU_CACHE
-    assert problem.a.shift_lu.cache_info().currsize <= _LU_CACHE
+    assert len(problem.a._cache) <= _LU_CACHE
 
 
 def test_fresh_problem_starts_with_no_spaces():
@@ -578,7 +629,8 @@ def test_fixed_run_takes_two_exponentials_per_node_grid():
     # scipy expm, see test_fixed_dense_run_takes_one_scipy_expm).
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
     integrate_fixed(problem, SchemeSpec("sym", 3), 2)
-    assert problem.a.expm.cache_info().misses == 6
+    # Below the cap nothing was evicted, so 6 entries mean 6 keys filled.
+    assert len(problem.a._cache) == 6 < _EXPM_CACHE
 
 
 # A fresh set of quadrature rules on a dense operator takes one scipy expm:
@@ -611,8 +663,7 @@ def test_primed_powers_match_direct_exponentials(rng, monkeypatch, kind, h, spec
     primed = []
     prime = op.prime_expm
     op.prime_expm = lambda u, powers: primed.append(dict(powers)) or prime(u, powers)
-    calls = []
-    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    calls = count_scipy_expm(monkeypatch)
     degree = default_quad_degree(spec)
     QuadraturePool(problem, degree, ExpActionOptions(), CompressionOptions()).prepare(
         h, spec.substep_divisors())
@@ -621,40 +672,38 @@ def test_primed_powers_match_direct_exponentials(rng, monkeypatch, kind, h, spec
     keys = primed[0]
     divisors = spec.substep_divisors()
     assert set(keys) == {h / k for k in divisors} | {(h / k) / degree for k in divisors}
-    before = op.expm.cache_info()
+    if kind == "laplacian" and h > 0.5:
+        direct = {t: _symmetric_expm(op.matrix, t) for t in keys}
+    else:
+        direct = {t: _dense_expm(op._at, t) for t in keys}
+    calls = count_scipy_expm(monkeypatch)
     for t in keys:
-        if kind == "laplacian" and h > 0.5:
-            direct = _symmetric_expm(op.matrix, t)
-        else:
-            direct = _dense_expm(op._at, t)
-        assert np.linalg.norm(op.expm(t) - direct) <= 1e-12 * np.linalg.norm(direct)
+        assert np.linalg.norm(op.expm(t) - direct[t]) <= 1e-12 * np.linalg.norm(direct[t])
         assert not op.expm(t).flags.writeable
     # Every key was filled by the priming, so the lookups above all hit.
-    assert op.expm.cache_info().misses == before.misses
+    assert calls == []
 
 
 def test_priming_fills_only_missing_keys(rng, monkeypatch):
     op = StiffOperator(rng.standard_normal((10, 10)))
     cached = op.expm(0.3)
-    calls = []
-    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    calls = count_scipy_expm(monkeypatch)
     op.prime_expm(0.1, {0.3: 3})
     assert calls == [] and op.expm(0.3) is cached
     op.prime_expm(0.1, {0.3: 3, 0.2: 2, 0.4: 4})
     assert len(calls) == 1 and op.expm(0.3) is cached
-    assert op.expm.cache_info().currsize == 3
+    assert len(op._cache) == 3
 
 
 def test_priming_skips_key_sets_beyond_the_cache(rng):
     op = StiffOperator(rng.standard_normal((6, 6)))
     op.prime_expm(0.01, {0.01 * m: m for m in range(1, _EXPM_CACHE + 2)})
-    assert op.expm.cache_info().currsize == 0
+    assert len(op._cache) == 0
 
 
 def test_priming_under_thread_contention(rng):
     # Threads prime overlapping key sets and look keys up while others prime;
-    # every lookup must return its own t's exponential, and no pending power
-    # may outlive its priming call.
+    # every lookup must return its own t's exponential.
     op = StiffOperator(_stepped_operator("random", 12, rng) * 0.1)
     u = 0.01
     sets = [{u * m: m for m in range(1 + k, 1 + k + _EXPM_CACHE // 2)} for k in range(6)]
@@ -670,13 +719,11 @@ def test_priming_under_thread_contention(rng):
 
     run_threads(worker, 6)
     assert wrong == []
-    assert op._primed == {}
-    assert op.expm.cache_info().currsize <= _EXPM_CACHE
+    assert len(op._cache) <= _EXPM_CACHE
 
 
 def test_fixed_dense_run_takes_one_scipy_expm(monkeypatch):
-    calls = []
-    monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
+    calls = count_scipy_expm(monkeypatch)
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
     integrate_fixed(problem, SchemeSpec("sym", 3), 2)
     assert len(calls) == 1
