@@ -12,7 +12,6 @@ tried step size gets the fresh equidistant rules of its substeps.  The
 final step is clamped so the trajectory lands exactly on the horizon.
 """
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -23,9 +22,6 @@ from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
 from .subflows import ProblemData, init_quadrature, update_quadrature
-
-logger = logging.getLogger(__name__)
-
 
 # The controller aims at SAFETY * tol.  Estimates are floored at
 # EST_FLOOR_FACTOR * SAFETY * tol, and one step grows, or one rejection
@@ -55,7 +51,12 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Outcome of one accepted step (plus how hard it was to get there)."""
+    """Outcome of one accepted step (plus how hard it was to get there).
+
+    min_core_eig is the smallest eigenvalue of the step's core (None at
+    rank 0): the format does not keep P semidefinite, and a negative value
+    shows by how much it was lost.
+    """
 
     t: float
     h: float
@@ -64,6 +65,7 @@ class StepRecord:
     rank: int
     fresh_quad_blocks: int
     clamped: bool = False
+    min_core_eig: float | None = None
 
 
 @dataclass
@@ -182,11 +184,16 @@ class QuadraturePool:
         return self.prepare(h, divisors)
 
 
-def _log_core_floor(factor: LDLTFactor, t: float) -> None:
-    # Positivity is not guaranteed by the format; observe it instead.
-    if factor.rank and logger.isEnabledFor(logging.DEBUG):
-        logger.debug("t=%.6g min core eigenvalue %.3e", t,
-                     float(np.linalg.eigvalsh(factor.D)[0]))
+def _min_core_eig(factor: LDLTFactor) -> float | None:
+    """Smallest eigenvalue of the core, None at rank 0.  A compressed core
+    is diagonal, so that is its smallest entry; a Strang step ends in the
+    quadratic flow, whose core is not, and takes an eigvalsh."""
+    if not factor.rank:
+        return None
+    diagonal = np.diagonal(factor.D)
+    if np.array_equal(factor.D, np.diag(diagonal)):
+        return float(diagonal.min())
+    return float(np.linalg.eigvalsh(factor.D)[0])
 
 
 def _blown_up(exc: NonFiniteFactor, t: float, h: float) -> NonFiniteFactor:
@@ -244,10 +251,9 @@ def integrate_fixed(
         except NonFiniteFactor as exc:
             raise _blown_up(exc, (i - 1) * h, h) from exc
         t = problem.horizon if i == n_steps else i * h
-        _log_core_floor(current, t)
         trajectory.append(
-            StepRecord(t, h, estimate, 0, current.rank,
-                       init_fresh if i == 1 else 0),
+            StepRecord(t, h, estimate, 0, current.rank, init_fresh if i == 1 else 0,
+                       min_core_eig=_min_core_eig(current)),
             current,
         )
     return trajectory
@@ -332,9 +338,9 @@ def integrate_adaptive(
                 )
         current = candidate
         t = problem.horizon if clamped else t + h
-        _log_core_floor(current, t)
         trajectory.append(
-            StepRecord(t, h, e_cmp, rejections, current.rank, fresh, clamped),
+            StepRecord(t, h, e_cmp, rejections, current.rank, fresh, clamped,
+                       _min_core_eig(current)),
             current,
         )
         if t >= problem.horizon:

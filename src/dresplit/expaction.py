@@ -42,8 +42,8 @@ the checkpoints already built, one small expm each with H_m^{-1} kept per
 checkpoint, and adds blocks only when the rule needs a dimension not built
 yet.  exp_action builds a throwaway space per call, unless it is given
 the BlockActions of its one fixed block V (the source factor of the
-quadrature blocks, or an additive step's start basis), which caches one
-space per octave.  The space at a checkpoint is the same whichever t first
+quadrature blocks, or a basis an additive step propagates more than
+once), which caches one space per octave.  The space at a checkpoint is the same whichever t first
 built it, so a cached sparse action has the same bits as a one-shot one.
 """
 
@@ -397,8 +397,9 @@ def exp_action(
 
 class BlockActions:
     """t -> exp(t A^T) V for one operator and one fixed block V: the source
-    factor L_Q (``ProblemData.source_blocks``), or an additive step's start
-    basis, which every chain of the step propagates over its substep.
+    factor L_Q (``ProblemData.source_blocks``), or one of the bases every
+    chain of an additive step propagates over its substep: the step's start
+    basis and the identity basis of its full-width flows.
 
     A call is ``exp_action(op, t, V, opts, self)``, which keeps this block's
     Krylov spaces: one per octave shift gamma, in an LRU of _LU_CACHE

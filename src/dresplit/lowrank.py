@@ -9,10 +9,16 @@ fresh factors, so values may be shared freely across threads.
 Compression has one rule (``_truncate``: eigendecompose the core in an
 orthonormal basis, drop the pairs of least energy) and two ways to get the
 basis.  Below N columns it is the thin QR of the basis, with the core
-R D R^T.  At N or more columns (``combine`` only; ``compress`` always takes
-the QR) the thin QR's Q is N x N, so the identity serves as well: the core
-is the N x N sum itself, formed as one product of the side-by-side blocks
-B_j C_j with the stacked basis, and no QR is taken.
+R D R^T.  At N or more columns the thin QR's Q is N x N, so the identity
+serves as well: the core is the N x N sum itself, formed as one product of
+the side-by-side blocks B_j C_j with the stacked basis, and no QR is taken.
+
+Compression only saves work below N columns.  A full-width sum that feeds
+further flows (the affine flow's two terms, the quadrature rule's X(h))
+is therefore not compressed at all: ``combine(..., truncate=False)``
+returns it as its N x N core on the shared, read-only identity basis
+``identity_basis(N)``, and the step that ends on it compresses once
+(``compress`` takes an identity basis as it is, with no QR).
 """
 
 import functools
@@ -132,6 +138,42 @@ def _thin_qr(basis: np.ndarray):
     return q, r
 
 
+# The one identity basis per dimension, made only where a sum can reach N
+# columns (an N x N core exists then anyway).  Never evicted: a factor on
+# an evicted identity would no longer read as uncompressed.
+_IDENTITIES = {}
+
+
+def identity_basis(n: int) -> np.ndarray:
+    """The read-only N x N identity that every full-width sum of dimension
+    N shares as its basis, so that ``combine`` merges such terms by
+    identity and ``on_identity`` tells an uncompressed factor apart."""
+    basis = _IDENTITIES.get(n)
+    if basis is None:
+        basis = np.eye(n)
+        basis.flags.writeable = False
+        basis = _IDENTITIES.setdefault(n, basis)  # one object per n, across threads
+    return basis
+
+
+def on_identity(factor: LDLTFactor) -> bool:
+    """Whether factor is an uncompressed sum on ``identity_basis``; makes
+    no identity where none was made."""
+    return factor.L is _IDENTITIES.get(factor.n)
+
+
+def _symmetric_core(core: np.ndarray, width: int, n: int) -> np.ndarray:
+    """(C + C^T) / 2, after checking it finite; NonFiniteFactor otherwise,
+    naming the rank-``width`` factor of dimension n it would compress."""
+    core = 0.5 * (core + core.T)
+    if not np.isfinite(core).all():
+        raise NonFiniteFactor(
+            f"cannot compress a rank-{width} factor of dimension {n}: "
+            "its core is not finite"
+        )
+    return core
+
+
 def _core_norm(core: np.ndarray, width: int, n: int) -> float:
     """Frobenius norm of the core of ``combine``'s estimate, symmetrized as
     in ``_truncate`` and summed with its largest entry scaled into [0.5, 1)
@@ -157,12 +199,7 @@ def _truncate(q: np.ndarray | None, core: np.ndarray, width: int, n: int,
     basis: C is the N x N matrix itself and the kept eigenvectors are the
     basis.  width, the number of columns the basis was stacked from, names
     the factor in the NonFiniteFactor raised when C is not finite."""
-    core = 0.5 * (core + core.T)
-    if not np.isfinite(core).all():
-        raise NonFiniteFactor(
-            f"cannot compress a rank-{width} factor of dimension {n}: "
-            "its core is not finite"
-        )
+    core = _symmetric_core(core, width, n)
     eigvals, eigvecs, info = lapack.dsyevd(core, lower=1)
     _lapack_check(info, "dsyevd")
 
@@ -199,11 +236,15 @@ def compress(factor: LDLTFactor, opts: CompressionOptions = CompressionOptions()
     magnitude are discarded as long as their cumulative energy stays within
     rel_tol times the total.  The discarded-energy criterion guarantees
     ||P_in - P_out||_F <= rel_tol * ||P_in||_F; the output core is diagonal.
-    Rank never increases.  Raises NonFiniteFactor when the congruence core
-    is not finite.
+    Rank never increases.  A factor on ``identity_basis`` is orthonormal
+    already: its core is truncated as it is, with the bits the QR path
+    would give.  Raises NonFiniteFactor when the congruence core is not
+    finite.
     """
     if factor.rank == 0:
         return factor
+    if on_identity(factor):
+        return _truncate(None, factor.D, factor.rank, factor.n, opts)
     q, r = _thin_qr(factor.L)
     return _truncate(q, r @ factor.D @ r.T, factor.rank, factor.n, opts)
 
@@ -268,6 +309,7 @@ def combine(
     terms,
     opts: CompressionOptions = CompressionOptions(),
     estimate_weights=None,
+    truncate: bool = True,
 ):
     """Weighted sum sum_i w_i * L_i D_i L_i^T, compressed as in ``compress``.
 
@@ -285,8 +327,12 @@ def combine(
     c >= N there is no QR: the N x N sum sum_j (B_j C_j) B_j^T over the
     merged bases B_j and cores C_j, formed as the one product
     [B_1 C_1, B_2 C_2, ...] [B_1, B_2, ...]^T, is eigendecomposed and
-    truncated by the same rule, its kept eigenvectors being the basis.  The two agree to
-    round-off and meet the same error bound.
+    truncated by the same rule, its kept eigenvectors being the basis.  The
+    two agree to round-off and meet the same error bound.  With
+    ``truncate=False`` (for a sum that feeds further flows) that N x N sum
+    is returned as it is, symmetrized, on ``identity_basis(N)``: rank N, not
+    eigendecomposed.  Terms on that shared identity merge as any shared
+    basis does; below N columns the flag changes nothing.
 
     The return type follows ``estimate_weights``.  Without them it is the
     compressed sum.  Given a sequence of one estimate weight a_i per term
@@ -322,7 +368,7 @@ def combine(
     width = stacked.shape[1]
     if width >= n:
         # The thin QR's Q would be N x N orthogonal, and Q = I spans the
-        # same R^N: compress the N x N sum [B_j C_j] [B_j]^T itself, one
+        # same R^N: the core is the N x N sum [B_j C_j] [B_j]^T itself, one
         # product, with no QR.
         q = None
 
@@ -333,7 +379,10 @@ def combine(
 
         def core_of(merged):
             return r @ _block_diag([merged[i] for i in live]) @ r.T
-    nxt = _truncate(q, core_of(cores), width, n, opts)
+    if q is None and not truncate:
+        nxt = LDLTFactor._trusted(identity_basis(n), _symmetric_core(core_of(cores), width, n))
+    else:
+        nxt = _truncate(q, core_of(cores), width, n, opts)
     if not estimating:
         return nxt
     return nxt, _core_norm(core_of(est_cores), width, n)

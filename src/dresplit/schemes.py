@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod, NonFiniteFactor
 from .expaction import BlockActions, ExpActionOptions
-from .lowrank import CompressionOptions, LDLTFactor, combine
+from .lowrank import (CompressionOptions, LDLTFactor, combine, compress, identity_basis,
+                      on_identity)
 from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
@@ -171,14 +172,15 @@ def lie_chain(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    start: BlockActions | None = None,
+    starts: tuple = (),
 ) -> LDLTFactor:
     """k repetitions of the Lie-type substep of size h/k.
 
     order QUADRATIC_FIRST applies the quadratic flow then the affine flow in
-    each repetition; AFFINE_FIRST is the reverse.  ``start`` is passed to
-    every affine flow, which takes the propagation of the step's basis from
-    it (see ``affine_flow``).
+    each repetition; AFFINE_FIRST is the reverse.  ``starts`` is passed to
+    every affine flow, which takes the propagation of the step's bases from
+    it (see ``affine_flow``).  At N or more columns the chain ends on its
+    uncompressed N x N core on the identity basis.
     """
     if k < 1:
         raise InvalidInput(f"repetition count must be >= 1, got {k}")
@@ -187,11 +189,16 @@ def lie_chain(
     for _ in range(k):
         if order == QUADRATIC_FIRST:
             current = quadratic_flow(current, sub, problem.s)
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, start)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, starts)
         else:
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, start)
+            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, starts)
             current = quadratic_flow(current, sub, problem.s)
     return current
+
+
+def _compressed(factor: LDLTFactor, comp_opts: CompressionOptions) -> LDLTFactor:
+    """factor, compressed if it is an uncompressed sum on the identity basis."""
+    return compress(factor, comp_opts) if on_identity(factor) else factor
 
 
 def multiplicative_step(
@@ -208,15 +215,17 @@ def multiplicative_step(
     Lie applies the quadratic flow over h, then the affine flow over h;
     Strang applies half a quadratic step on each side of a full affine step.
     states maps substep divisors to prepared quadrature states; both kinds
-    use divisor 1.
+    use divisor 1.  Each kind has one affine flow; where it leaves the
+    uncompressed N x N core of a full-width sum, the step compresses that
+    result once, where the flow itself would have.
     """
     if kind == "lie":
-        return lie_chain(factor, h, 1, QUADRATIC_FIRST, problem, states[1],
-                         exp_opts, comp_opts)
+        return _compressed(lie_chain(factor, h, 1, QUADRATIC_FIRST, problem, states[1],
+                                     exp_opts, comp_opts), comp_opts)
     if kind != "strang":
         raise InvalidInput(f"unknown multiplicative kind {kind!r}")
     mid = quadratic_flow(factor, h / 2, problem.s)
-    mid = affine_flow(mid, h, problem, states[1], exp_opts, comp_opts)
+    mid = _compressed(affine_flow(mid, h, problem, states[1], exp_opts, comp_opts), comp_opts)
     return quadratic_flow(mid, h / 2, problem.s)
 
 
@@ -235,14 +244,19 @@ def additive_step(
     The chains are evaluated one after another in fixed (k, direction)
     order.  Both results come from one ``combine`` call over the chains:
     the next factor is their gamma-weighted sum, and the estimate, the
-    Frobenius norm of their alpha-weighted sum, comes from the same QR with
-    alpha as the estimate weights.  It is None for single-stage schemes,
-    which have no embedded companion.
+    Frobenius norm of their alpha-weighted sum, comes from the same basis
+    with alpha as the estimate weights.  It is None for single-stage
+    schemes, which have no embedded companion.  At N or more columns the
+    chains end on the shared identity basis, uncompressed; that combine
+    merges them into one N x N core and compresses it, the step's one
+    eigendecomposition.
 
-    Repeated factor work is done once, with the same bits.  ``start``, the
-    ``BlockActions`` of the step's basis L, keeps exp((h/k) A^T) L from the
+    Repeated factor work is done once, with the same bits.  The
+    ``BlockActions`` of the step's basis L keeps exp((h/k) A^T) L from the
     first chain of divisor k that needs it; the other direction takes it
-    from there, so L is propagated once per substep size.  From a factor
+    from there, so L is propagated once per substep size.  So is the
+    identity basis, through a ``BlockActions`` of its own, for the flows
+    after a chain's first full-width one.  From a factor
     of rank 0, on which ``quadratic_flow`` returns the factor itself, the
     AFFINE_FIRST chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST
     chain k over h/k, and is computed so.  A NonFiniteFactor from combining
@@ -259,8 +273,13 @@ def additive_step(
     jobs = [(k, d) for k in ks for d in directions]
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
-    start = BlockActions(problem.a, factor.L)
-    chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, start)
+    starts = (BlockActions(problem.a, factor.L),)
+    # A chain of divisor k sums at most rank(L) + k rank(X(h/k)) columns;
+    # where that reaches N its flows end on the identity basis, which the
+    # step then propagates once per substep size as well.
+    if any(factor.rank + k * states[k].assembled.rank >= problem.n for k in ks):
+        starts += (BlockActions(problem.a, identity_basis(problem.n)),)
+    chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, starts)
               for k, d in runs]
     if shared_prefix:
         chains = [c for k, chain in zip(ks, chains)

@@ -300,7 +300,7 @@ def run_adaptive_sweep(problem: ProblemData, study: StudySpec, config: RunConfig
                 n_below += 1
             step_rows.append([i + 1, rec.t, rec.h, rec.err_est, e_actual,
                               rec.rank, rec.rejections, rec.fresh_quad_blocks,
-                              rec.clamped])
+                              rec.clamped, rec.min_core_eig])
         per_tol[tol] = step_rows
         n_steps = len(traj.records)
         summary.append([
@@ -320,7 +320,7 @@ ADAPTIVE_SUMMARY_HEADER = ["scheme", "tol", "n_steps", "rejections",
                            "fresh_quad_blocks", "frac_actual_below_est",
                            "wallclock_s"]
 ADAPTIVE_STEP_HEADER = ["step", "t", "h", "e_est", "e_actual", "rank",
-                        "rejections", "fresh_quad_blocks", "clamped"]
+                        "rejections", "fresh_quad_blocks", "clamped", "min_core_eig"]
 
 # The settings each study kind reads, from its RunConfig and StudySpec.
 _LADDER_SETTINGS = ("exp_tol", "comp_tol", "schemes", "ladder", "reference")
@@ -382,10 +382,10 @@ def run_study(problem: ProblemData, study: StudySpec, config: RunConfig,
 
 def _write_trajectory(out: Path, records) -> None:
     rows = [[i + 1, r.t, r.h, r.err_est, r.rank, r.rejections,
-             r.fresh_quad_blocks, r.clamped] for i, r in enumerate(records)]
+             r.fresh_quad_blocks, r.clamped, r.min_core_eig] for i, r in enumerate(records)]
     _write_csv(out / "trajectory.csv",
                ["step", "t", "h", "err_est", "rank", "rejections",
-                "fresh_quad_blocks", "clamped"], rows)
+                "fresh_quad_blocks", "clamped", "min_core_eig"], rows)
 
 
 def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:

@@ -18,6 +18,11 @@ the exp(h A^T) the propagation over h shares (``BlockActions.equidistant``;
 ``adaptive.QuadraturePool`` primes both from one expm); on a sparse one
 the blocks of recent node times are kept, so a node that two rules share is
 computed once.
+
+Both flows work on a factor of any rank, so the affine flow and the rule
+keep a sum of N or more columns uncompressed, as its N x N core on the
+identity basis (``combine(..., truncate=False)``); the step that ends on
+it compresses once.
 """
 
 import copy
@@ -230,8 +235,12 @@ class QuadratureState:
 
 
 def _assemble(problem: ProblemData, weights, blocks, comp_opts: CompressionOptions) -> LDLTFactor:
+    """X(h) = sum_k w_k B_k D_Q B_k^T over the node blocks B_k.  Every
+    affine flow over h adds it to a further term, so a sum of N or more
+    columns is kept as its N x N core on the identity basis, not
+    eigendecomposed; below N it is compressed."""
     terms = [(w, LDLTFactor._trusted(blk, problem.q.D)) for w, blk in zip(weights, blocks)]
-    return combine(terms, comp_opts)
+    return combine(terms, comp_opts, truncate=False)
 
 
 def init_quadrature(
@@ -271,17 +280,22 @@ def affine_flow(
     state: QuadratureState,
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    start: BlockActions | None = None,
+    starts: tuple = (),
 ) -> LDLTFactor:
     """Exact flow of P' = A^T P + P A + Q over a step h:
-    exp(h A^T) L D L^T exp(h A) + X(h), compressed, where X(h) = L_X D_X L_X^T
-    is the quadrature factor of ``state``.
+    exp(h A^T) L D L^T exp(h A) + X(h), where X(h) = L_X D_X L_X^T is the
+    quadrature factor of ``state``.
 
-    When L is the block of ``start`` (the step's start basis), exp(h A^T) L
-    is ``start(h)``, kept there for the step's other chains; otherwise it is
-    one exp_action.  The two terms are summed by ``combine``; a factor of rank 0 is passed as it
-    is, and ``combine`` leaves it out.  Raises NonFiniteFactor naming the
-    flow and h when the compressed core is not finite.
+    ``starts`` holds the ``BlockActions`` of the bases that a step
+    propagates more than once (its start basis and the identity).  When L
+    is the block of one of them, exp(h A^T) L is taken from it, kept there
+    for the step's other flows; otherwise it is one exp_action.  The two
+    terms are summed by ``combine`` with ``truncate=False``: below N
+    columns the sum is compressed, at N or more it is the N x N core on
+    the identity basis, left for the step to compress once.  A factor of
+    rank 0 is passed as it is, and ``combine`` leaves it out.  Raises
+    NonFiniteFactor naming the flow and h when the core of the sum is not
+    finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
@@ -291,12 +305,13 @@ def affine_flow(
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     propagated = factor
     if factor.rank > 0:
-        if start is not None and factor.L is start.v:
-            basis = start(h, exp_opts)
+        actions = next((b for b in starts if factor.L is b.v), None)
+        if actions is not None:
+            basis = actions(h, exp_opts)
         else:
             basis = exp_action(problem.a, h, factor.L, exp_opts)
         propagated = LDLTFactor._trusted(basis, factor.D)
     try:
-        return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts)
+        return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts, truncate=False)
     except NonFiniteFactor as exc:
         raise NonFiniteFactor(f"affine flow over h={h:g}: {exc}") from exc

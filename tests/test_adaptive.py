@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dresplit import adaptive, expaction, subflows
+from dresplit import adaptive, expaction, lowrank, subflows
 from dresplit import (
     CompressionOptions,
     ControllerParams,
@@ -96,16 +96,26 @@ class TestFixedDriver:
         ratio = errs[16] / errs[32]
         assert 8.0 <= ratio <= 32.0
 
-    def test_core_floor_log_is_eigenvalue(self, caplog):
-        # A Strang step ends in the quadratic flow, whose core is not diagonal.
-        # Here its smallest diagonal entry exceeds its smallest eigenvalue by 6-9%.
+    def test_core_floor_log_is_eigenvalue(self):
+        # Each step record logs its core's smallest eigenvalue.  A Strang
+        # step ends in the quadratic flow, whose core is not diagonal: here
+        # its smallest diagonal entry exceeds its smallest eigenvalue by 6-9%.
         problem = generate_problem("random_lowrank", 8, 3, seed=2, horizon=1.0)
-        caplog.set_level("DEBUG", logger=adaptive.__name__)
         traj = integrate_fixed(problem, SchemeSpec("strang"), 2, EXP, COMP)
-        logged = [float(r.getMessage().split()[-1]) for r in caplog.records
-                  if "min core eigenvalue" in r.getMessage()]
+        logged = [r.min_core_eig for r in traj.records]
         expected = [np.linalg.eigvalsh(f.D)[0] for f in traj.factors[1:]]
-        assert logged == pytest.approx(expected, rel=1e-3)
+        assert logged == pytest.approx(expected, rel=1e-12)
+        assert all(np.diagonal(f.D).min() > 1.05 * e for f, e in zip(traj.factors[1:], expected))
+
+    def test_core_floor_of_a_compressed_core_is_its_smallest_entry(self):
+        # An additive step ends in combine's compression, whose core is
+        # diagonal; the record holds its smallest entry, bit for bit.
+        problem = generate_problem("random_lowrank", 10, rank=4, seed=0, horizon=0.1)
+        traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                                  ControllerParams(tol=1e-6, epus=True))
+        for record, factor in zip(traj.records, traj.factors[1:]):
+            assert np.count_nonzero(factor.D - np.diag(np.diagonal(factor.D))) == 0
+            assert record.min_core_eig == np.diagonal(factor.D).min()
 
     def test_pure_conjugation(self, rng):
         n = 5
@@ -369,3 +379,31 @@ def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
     for start, calls in steps:
         assert sum(v is start for v, _ in calls) == (3 if start.shape[1] else 0)
         assert len({(id(v), t) for v, t in calls}) == len(calls)
+
+
+def test_strang_ranks_follow_one_compression_per_step():
+    # A Strang step compresses its affine flow's full-width sum before the
+    # last half quadratic flow, where a compressing flow would; compressing
+    # after it instead records rank 30 at step 6.
+    problem = generate_problem("random_lowrank", 30, rank=4, seed=2, horizon=0.5)
+    traj = integrate_fixed(problem, SchemeSpec("strang"), 8)
+    assert [r.rank for r in traj.records] == [20, 26, 28, 29, 29, 29, 30, 30]
+
+
+def test_full_rank_adaptive_run_eigendecomposes_once_per_tried_step(monkeypatch):
+    # The benchmark's adaptive_n10 problem: at N = 10 every sum of a step
+    # reaches N columns, so each tried step eigendecomposes once, in the
+    # combine of its chains, and the run once more, compressing P0.
+    calls = []
+    real = lowrank.lapack.dsyevd
+    monkeypatch.setattr(lowrank.lapack, "dsyevd",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    problem = generate_problem("random_lowrank", 10, rank=4, seed=0, horizon=1.0)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                              ControllerParams(tol=1e-6, epus=True))
+    monkeypatch.undo()
+    rejections = sum(r.rejections for r in traj.records)
+    assert (len(traj.records), rejections) == (189, 3)
+    assert len(calls) == len(traj.records) + rejections + 1
+    reference = dense_reference(to_dense_problem(problem))
+    assert relative_error(to_dense(traj.final), reference) <= 1e-12

@@ -406,8 +406,10 @@ class TestCommands:
     def _blow_up(tmp_path, n):
         """Run `solve` on A = 400 I in dimension n: exp(400) = 5e173 keeps
         every exponential finite, but the affine flow's congruence core of
-        P0 overflows.  The flow sums two columns: at n = 3 the sum takes a
-        QR, at n = 2 it does not."""
+        P0 overflows.  The rule's three blocks of rank 1 and P0 sum to two
+        columns at n = 4, which take a QR; at n = 2 the rule alone has N
+        columns, so the flow sums P0's column and the identity basis's two,
+        with no QR."""
         problem = ProblemData(
             a=StiffOperator(400.0 * np.eye(n)),
             q=LDLTFactor(np.ones((n, 1)), np.array([[1e-300]])),
@@ -427,13 +429,13 @@ class TestCommands:
         return done
 
     def test_blow_up_exits_3_without_traceback(self, tmp_path):
-        done = self._blow_up(tmp_path, 3)
+        done = self._blow_up(tmp_path, 4)
         assert done.stderr.startswith("solver error: affine flow over h=1: cannot compress")
 
     def test_blow_up_without_qr_exits_3_alike(self, tmp_path):
         done = self._blow_up(tmp_path, 2)
         assert done.stderr.startswith(
-            "solver error: affine flow over h=1: cannot compress a rank-2 factor of dimension 2")
+            "solver error: affine flow over h=1: cannot compress a rank-3 factor of dimension 2")
 
     def test_collapse_writes_partial_output(self, tmp_path, capsys):
         prob_dir = tmp_path / "prob"
@@ -446,7 +448,7 @@ class TestCommands:
         assert err.startswith("solver error: step size")
         rows = list(csv.reader(open(out_dir / "trajectory.csv")))
         assert rows == [["step", "t", "h", "err_est", "rank", "rejections",
-                         "fresh_quad_blocks", "clamped"]]
+                         "fresh_quad_blocks", "clamped", "min_core_eig"]]
         summary = (out_dir / "summary.txt").read_text().splitlines()
         assert summary[0] == "steps: 0"
         assert summary[1].startswith("collapsed: step size")

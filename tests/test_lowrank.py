@@ -431,6 +431,60 @@ class TestSaturatedCombine:
             combine(terms, CompressionOptions(), alpha)
 
 
+class TestUncompressedSum:
+    """combine(..., truncate=False) returns a sum of N or more columns as its
+    symmetrized N x N core on the shared identity basis, and compresses a
+    narrower one as usual; compress takes that identity basis with no QR."""
+
+    terms = TestSaturatedCombine.terms
+
+    @pytest.mark.parametrize("widths", TestSaturatedCombine.WIDTHS)
+    def test_full_width_sum_is_its_core_on_the_identity(self, rng, widths, monkeypatch):
+        terms = self.terms(rng, widths)
+        calls = _count_qrs(monkeypatch)
+        out = combine(terms, truncate=False)
+        assert out.L is lowrank.identity_basis(6) and not out.L.flags.writeable
+        p_in = sum(w * to_dense(f) for w, f in terms)
+        assert np.linalg.norm(out.D - p_in) <= 1e-14 * np.linalg.norm(p_in)
+        assert out.D.tobytes() == out.D.T.tobytes()
+        assert calls == []
+
+    def test_narrow_sum_keeps_the_compressed_bits(self, rng):
+        terms = self.terms(rng, (2, 3))
+        out, ref = combine(terms, truncate=False), combine(terms)
+        assert out.L.tobytes() == ref.L.tobytes() and out.D.tobytes() == ref.D.tobytes()
+
+    @pytest.mark.parametrize("widths", TestSaturatedCombine.WIDTHS)
+    def test_compressing_the_core_gives_the_compressed_sum(self, rng, widths, monkeypatch):
+        # compress on the identity truncates the core as it is: the bits of
+        # combine's own compression and of a QR of an equal basis.
+        terms = self.terms(rng, widths)
+        dense = combine(terms, truncate=False)
+        calls = _count_qrs(monkeypatch)
+        out = compress(dense)
+        assert calls == []
+        via_qr = compress(LDLTFactor(np.eye(6), dense.D))
+        for ref in (combine(terms), via_qr):
+            assert out.L.tobytes() == ref.L.tobytes() and out.D.tobytes() == ref.D.tobytes()
+
+    def test_identity_terms_merge(self, rng):
+        core = random_factor(rng, 6, 6).D
+        ident = LDLTFactor._trusted(lowrank.identity_basis(6), core)
+        out = combine([(2.0, ident), (-0.5, ident)])
+        ref = compress(LDLTFactor._trusted(lowrank.identity_basis(6), 1.5 * core))
+        assert out.L.tobytes() == ref.L.tobytes() and out.D.tobytes() == ref.D.tobytes()
+
+    @pytest.mark.parametrize("widths", TestSaturatedCombine.WIDTHS)
+    def test_nonfinite_sum_reads_as_a_compressed_one(self, rng, widths):
+        terms = self.terms(rng, widths)
+        terms[0] = (np.finfo(np.float64).max, terms[0][1])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteFactor,
+                              match=rf"^cannot compress a rank-{sum(widths)} factor of "
+                                    r"dimension 6: its core is not finite$"):
+            combine(terms, truncate=False)
+
+
 class TestFrobNorm:
     def test_diagonal(self):
         assert frob_norm(LDLTFactor(np.eye(2), np.diag([3.0, 4.0]))) == pytest.approx(5.0)

@@ -30,6 +30,7 @@ from dresplit import (
 )
 from dresplit import expaction, schemes, subflows
 from dresplit.adaptive import default_quad_degree
+from dresplit.lowrank import identity_basis
 from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
 from dresplit.subflows import init_quadrature
@@ -340,8 +341,9 @@ class TestSharedFactorWork:
 
     def test_dense_sym3_step_propagates_nine_times(self, monkeypatch):
         # Of the 12 affine flows of a sym3 step, the first of each chain
-        # pair k propagates the start basis over h/k: 3 shared, 6 not.
-        problem = generate_problem("random_lowrank", 20, rank=4, seed=3, horizon=0.05)
+        # pair k propagates the start basis over h/k: 3 shared, 6 not.  At
+        # N = 40 every sum stays below N columns, so each flow compresses.
+        problem = generate_problem("random_lowrank", 40, rank=4, seed=3, horizon=0.05)
         calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2)
         assert len(calls) == 18
@@ -349,15 +351,47 @@ class TestSharedFactorWork:
             assert sum(v is start.L for v, _ in step) == 3
             assert len({(id(v), t) for v, t in step}) == 9
 
+    def test_dense_full_width_sym3_step_propagates_the_identity_once_per_substep(
+            self, monkeypatch):
+        # At N = 20 the rule's 8 blocks of rank 4 reach N columns, so every
+        # affine flow ends on the identity basis.  A sym3 step propagates
+        # its start basis over h, h/2 and h/3 and the identity over h/2
+        # and h/3, each once: 5 propagations, no (basis, t) pair twice.
+        problem = generate_problem("random_lowrank", 20, rank=4, seed=3, horizon=0.05)
+        calls = self._count_propagations(monkeypatch, problem)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2)
+        assert len(calls) == 10
+        h = problem.horizon / 2
+        for start, step in zip(traj.factors, (calls[:5], calls[5:])):
+            assert sum(v is start.L for v, _ in step) == 3
+            assert [t for v, t in step if v is identity_basis(20)] == [h / 2, h / 3]
+            assert len({(id(v), t) for v, t in step}) == 5
+
     def test_sparse_sym2_from_zero_propagates_five_times(self, monkeypatch):
         # From P0 = 0 only the second substep of chain 2 propagates (the
         # AFFINE_FIRST chains are quadratic flows of the QUADRATIC_FIRST
         # ones); the second step makes 2 shared and 2 unshared propagations.
-        problem = generate_problem("laplacian_lqr", 20)
+        # At N = 40 every sum stays below N columns.
+        problem = generate_problem("laplacian_lqr", 40)
         calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
         assert traj.factors[0].rank == 0
         assert len(calls) == 5
+
+    def test_sparse_full_width_sym2_from_zero_propagates_four_times(self, monkeypatch):
+        # At N = 20 the rule's sum reaches N columns, so the chains run on
+        # the identity basis.  The first step propagates the identity over
+        # h/2 once; the second the start basis over h and h/2 and the
+        # identity over h/2, which both chains of divisor 2 need.
+        problem = generate_problem("laplacian_lqr", 20)
+        calls = self._count_propagations(monkeypatch, problem)
+        traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+        assert traj.factors[0].rank == 0
+        h = problem.horizon / 2
+        assert [(v is identity_basis(20), t) for v, t in calls[:1]] == [(True, h / 2)]
+        assert sum(v is traj.factors[1].L for v, _ in calls[1:]) == 2
+        assert [t for v, t in calls[1:] if v is identity_basis(20)] == [h / 2]
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_affine_first_chain_from_zero(self, k):
@@ -373,10 +407,11 @@ class TestSharedFactorWork:
 
     @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
     def test_shared_propagations_keep_the_bits_of_unshared_chains(self, monkeypatch, kind):
-        # A step propagates its start basis once per substep size, and has
-        # the bits of its chains evaluated one by one without sharing.  The
-        # start basis is L_Q itself, so the source node blocks are told
-        # apart by their BlockActions.
+        # A step propagates its start basis, and the identity basis its
+        # full-width flows end on (8 blocks of rank 4 at N = 20), once per
+        # substep size, and has the bits of its chains evaluated one by one
+        # without sharing.  The start basis is L_Q itself, so the source
+        # node blocks are told apart by their BlockActions.
         problem = generate_problem(kind, 20, rank=4, seed=3)
         start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
         spec = SchemeSpec("sym", 3)
@@ -390,7 +425,8 @@ class TestSharedFactorWork:
         calls = self._count_propagations(monkeypatch, problem)
         shared = additive_step(start, h, spec, coeffs, problem, states)
         assert sum(v is start.L for v, _ in calls) == 3
-        assert len(calls) == 9
+        assert sum(v is identity_basis(20) for v, _ in calls) == 2
+        assert len(calls) == 5
         assert shared[0].L.tobytes() == unshared[0].L.tobytes()
         assert shared[0].D.tobytes() == unshared[0].D.tobytes()
         assert shared[1] == unshared[1]
@@ -439,8 +475,9 @@ class TestAdditiveStepFailures:
                                  r"its core is not finite \(in the step from t=0 with h=0\.5\)$"):
             integrate_fixed(problem, SchemeSpec("sym", 4), 1)
 
-    # The step's chains stack 40 columns at N = 10 (no QR) and 80 at N = 100.
-    @pytest.mark.parametrize("n, width", [(10, 40), (100, 80)])
+    # At N = 10 the step's chains end on the shared identity basis, which
+    # merges to 10 columns (no QR); at N = 100 they stack 80 (a QR).
+    @pytest.mark.parametrize("n, width", [(10, 10), (100, 80)])
     def test_estimate_failure_reads_alike_on_both_branches(self, n, width):
         problem = generate_problem("random_lowrank", n, rank=4)
         spec = SchemeSpec("sym", 2)

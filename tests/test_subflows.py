@@ -26,6 +26,7 @@ from dresplit import (
     update_quadrature,
 )
 from dresplit import subflows
+from dresplit.lowrank import identity_basis
 from dresplit.oracle import dense_subflow, relative_error
 from dresplit.problems import to_dense_problem
 
@@ -357,8 +358,11 @@ class TestAffineFlow:
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("factor_rank, source_rank", [(3, 2), (0, 2), (3, 0), (0, 0)])
     def test_same_bits_as_combine(self, rng, kind, factor_rank, source_rank):
-        # The flow is combine on its two unit-weight terms, bit for bit,
-        # also where a term has rank 0 or an all-zero core.
+        # The flow is combine on its two unit-weight terms with
+        # truncate=False, bit for bit, also where a term has rank 0 or an
+        # all-zero core.  Below N = 12 columns that sum is compressed; the
+        # rank-3 factor and the rule's rank-10 X(h) reach 13, so the flow
+        # returns the uncompressed 12 x 12 sum on the identity basis.
         n, h = 12, 0.05
         if kind == "dense":
             a = StiffOperator(rng.standard_normal((n, n)))
@@ -369,6 +373,7 @@ class TestAffineFlow:
         problem = ProblemData(a=a, q=q, s=QuadraticTerm.from_dense(np.eye(n)),
                               p0=LDLTFactor.zero(n), horizon=1.0)
         state = init_quadrature(problem, h, 4, EXP, COMP)
+        full = []
         for factor in (random_factor(rng, n, factor_rank) if factor_rank else LDLTFactor.zero(n),
                        LDLTFactor(rng.standard_normal((n, 2)), np.zeros((2, 2)))):
             terms = []
@@ -376,11 +381,18 @@ class TestAffineFlow:
                 propagated = exp_action(problem.a, h, factor.L, EXP)
                 terms.append((1.0, LDLTFactor._trusted(propagated, factor.D)))
             terms.append((1.0, state.assembled))
-            want = combine(terms, COMP)
+            want = combine(terms, COMP, truncate=False)
             got = affine_flow(factor, h, problem, state, EXP, COMP)
             assert got.L.tobytes() == want.L.tobytes()
             assert got.D.tobytes() == want.D.tobytes()
             assert got.L.shape == want.L.shape
+            width = sum(f.rank for _, f in terms if f.D.any())
+            assert (got.L is identity_basis(n)) == (width >= n)
+            full.append(width >= n)
+            if width >= n:
+                dense = sum(to_dense(f) for _, f in terms)
+                assert np.linalg.norm(got.D - dense) <= 1e-14 * np.linalg.norm(dense)
+        assert full == [(factor_rank, source_rank) == (3, 2), False]
 
     def test_nonfinite_core_names_the_flow(self):
         # exp(400 h) = 5e173 keeps the propagated basis finite, but its
