@@ -4,11 +4,12 @@ The adaptive driver follows the embedded-estimate protocol: evaluate the
 chains once, form the full-order combination and the estimate combination,
 compare the estimate against the tolerance (optionally per unit step), and
 steer the step size with a PI controller.  Every rejection shrinks the
-step, by at most the growth cap, and rebuilds the quadrature rules at the
+step, by at most the growth cap, and rebuilds the source integrals at the
 new size.  A subflow that fails inside a step (a singular solve,
 StepTooLarge, or an exponential action short of its tolerance,
 ToleranceNotMet) also counts as a rejection: the step is halved.  Each
-tried step size gets the fresh equidistant rules of its substeps.  The
+tried step size gets fresh source integrals for its substeps: exact at full
+width, else the equidistant rules (``subflows.full_width``).  The
 final step is clamped so the trajectory lands exactly on the horizon.
 """
 
@@ -21,7 +22,7 @@ from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarg
 from .expaction import ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, compress
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
-from .subflows import ProblemData, init_quadrature, update_quadrature
+from .subflows import ProblemData, full_width, init_quadrature, update_quadrature
 
 # The controller aims at SAFETY * tol.  Estimates are floored at
 # EST_FLOOR_FACTOR * SAFETY * tol, and one step grows, or one rejection
@@ -132,16 +133,21 @@ class QuadraturePool:
 
     The pool owns the states.  prepare() moves every divisor's state to a
     step size h, keeping a state whose substep h/k is unchanged and
-    building the fresh equidistant rule otherwise; reset() drops the states
-    first, so every rule is built afresh (the retry after a rejection).
-    Both return the number of freshly computed blocks.
+    building a fresh one otherwise; reset() drops the states first, so
+    every state is built afresh (the retry after a rejection).  Both
+    return the number of freshly computed blocks.
 
-    On a dense operator, a new step size h needs expm at h/k for every
-    divisor k (the substep's propagation, and the last node of its rule)
-    and at (h/k)/degree (its rule's grid step).  All of these are integer
-    powers of E = expm(u A^T) with u = h / (lcm(k) degree), so prepare()
-    primes the missing ones from that one exponential before any rule is
-    built or chain runs.
+    At full width (``subflows.full_width``) a new step size h needs
+    exp((h/k) A^T) and X(h/k) for every divisor k.  Both are sums of
+    lcm(k) / k steps u = h / lcm(k), so prepare() fills the missing ones
+    from one Van Loan exponential at u (``SourceIntegral.prime``) before
+    any state is built or chain runs.
+
+    In the low-rank regime, on a dense operator, it needs expm at h/k (the
+    substep's propagation, and the last node of its rule) and at
+    (h/k)/degree (its rule's grid step).  All of these are integer powers
+    of E = expm(u A^T) with u = h / (lcm(k) degree), so prepare() primes
+    the missing ones from that one exponential.
     """
 
     def __init__(self, problem: ProblemData, degree: int,
@@ -163,7 +169,10 @@ class QuadraturePool:
         self.problem.a.prime_expm(h / lcm, powers)
 
     def prepare(self, h: float, divisors) -> int:
-        if not self.problem.a.is_sparse:
+        if full_width(self.problem, self.degree):
+            lcm = math.lcm(*divisors)
+            self.problem.source_integral.prime(h / lcm, {h / k: lcm // k for k in divisors})
+        elif not self.problem.a.is_sparse:
             self._prime(h, divisors)
         fresh = 0
         for k in divisors:

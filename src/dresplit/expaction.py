@@ -14,6 +14,14 @@ t of a set of grids and substeps are integer multiples m u of one u, so
 expm(u A^T)^m, formed by products from one scipy expm: one N x N
 exponential per set instead of one per t.
 
+The affine flow's source integral X(t) = int_0^t exp(s A^T) Q exp(s A) ds
+has a closed form in the 2N x 2N exponential of Van Loan's block matrix
+[[-A^T, Q], [0, A]] (``SourceIntegral``).  One such exponential at u, with
+the doubling a stiff A needs, gives both X(m u) and exp(m u A^T) for a
+set of integers m by one addition chain of products, as ``prime_expm``
+does for powers.  It serves problems of small N only, where X(t) is an
+N x N matrix anyway; a sparse A is made dense for it.
+
 Sparse operators use the block shift-and-invert (restricted-denominator)
 Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
 SIAM J. Sci. Comput. 27, 2006).  With M = (I - gamma A^T)^{-1}, block Arnoldi
@@ -48,6 +56,7 @@ built it, so a cached sparse action has the same bits as a one-shot one.
 """
 
 import functools
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -80,6 +89,34 @@ def _dense_expm(at: np.ndarray, t: float) -> np.ndarray:
     e = expm(t * at)
     e.flags.writeable = False
     return e
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    xy = x @ y
+    xy.flags.writeable = False
+    return xy
+
+
+def _addition_chain(first, compose):
+    """m -> the m-th power of first() under compose, for integers m >= 1.
+
+    first() is called once, when a power first needs it.  Each further
+    power is compose(power(a), power(m - a)) of two powers already formed:
+    the largest a of the memo whose m - a is there too, else a = m // 2.
+    The memo lives as long as the returned function.
+    """
+    memo = {}
+
+    def power(m):
+        if m not in memo:
+            if m == 1:
+                memo[1] = first()
+            else:
+                a = next((a for a in sorted(memo, reverse=True) if m - a in memo), m // 2)
+                memo[m] = compose(power(a), power(m - a))
+        return memo[m]
+
+    return power
 
 
 def _shift_lu(at_csc, gamma: float):
@@ -143,18 +180,11 @@ class StiffOperator:
         """
         if len(powers) > _EXPM_CACHE:
             return
-        memo = {}
+        self._fill_expm(powers, _addition_chain(lambda: _dense_expm(self._at, u), _product))
 
-        def power(m):
-            if m not in memo:
-                if m == 1:
-                    memo[1] = _dense_expm(self._at, u)
-                else:
-                    a = next((a for a in sorted(memo, reverse=True) if m - a in memo), m // 2)
-                    memo[m] = power(a) @ power(m - a)
-                    memo[m].flags.writeable = False
-            return memo[m]
-
+    def _fill_expm(self, powers: dict, power) -> None:
+        """Store power(m) under each missing key t of ``powers`` = {t: m},
+        looked up in ascending order of m under the operator's lock."""
         with self._lock:
             for t in sorted(powers, key=powers.get):
                 _lru_get(self._cache, t, functools.partial(power, powers[t]), _EXPM_CACHE)
@@ -165,6 +195,101 @@ class StiffOperator:
 
     def as_dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix
+
+
+def _van_loan_pair(first: tuple, second: tuple) -> tuple:
+    """(exp((s + t) A^T), X(s + t)) from the pairs (exp(s A^T), X(s)) and
+    (exp(t A^T), X(t)): exp(s A^T) exp(t A^T) and
+    X(s) + exp(s A^T) X(t) exp(s A), symmetrized; both read-only."""
+    e_s, x_s = first
+    e_t, x_t = second
+    x = x_s + e_s @ x_t @ e_s.T
+    x = 0.5 * (x + x.T)
+    x.flags.writeable = False
+    return _product(e_s, e_t), x
+
+
+class SourceIntegral:
+    """t -> X(t) = int_0^t exp(s A^T) Q exp(s A) ds, the affine flow's
+    source integral, as a read-only N x N matrix, for one operator and one
+    source factor Q = L_Q D_Q L_Q^T.
+
+    X comes from Van Loan's block exponential (IEEE Trans. Automat.
+    Control 23, 1978): F = expm(v [[-A^T, Q], [0, A]]) has exp(v A) as its
+    lower right block and exp(-v A^T) X(v) as its upper right one, so
+    X(v) = F_22^T F_12.  v is u / 2^k, the largest such step with
+    ||v A||_1 <= 1, so that the block exp(-v A^T) stays bounded on a stiff
+    A (Behr, Benner & Heiland, Calcolo 56, 2019; ``oracle.dense_subflow``
+    does the same with its own code).  A sparse A is made dense for this,
+    once, on first use.
+
+    ``prime(u, powers)`` fills X(t) for every t = m u of ``powers`` = {t: m}
+    (integers m >= 1) from one such exponential, by one addition chain over
+    the pairs (exp(s A^T), X(s)), as ``StiffOperator.prime_expm`` does for
+    powers:
+
+        exp((s + t) A^T) = exp(s A^T) exp(t A^T),
+        X(s + t) = X(s) + exp(s A^T) X(t) exp(s A).
+
+    On a dense operator each exp(t A^T) goes into the operator's ``expm``
+    cache as well; a sparse one keeps its Krylov actions.  Only missing
+    entries are computed, and nothing unless every t fits in the cache at
+    once.  ``__call__(t)`` is X(t) from the cache, after ``prime(t, {t: 1})``.
+    X(m u) agrees with a direct Van Loan exponential at m u to round-off,
+    not bit for bit.  The X are kept in an LRU of _EXPM_CACHE entries keyed
+    by t.  Safe to call from several threads: its one reentrant lock is held
+    across a fill, and the operator's lock is taken inside it.
+    """
+
+    def __init__(self, op: StiffOperator, l_q: np.ndarray, d_q: np.ndarray):
+        self.op = op
+        self._l_q = l_q
+        self._d_q = d_q
+        self._block = None  # [[-A^T, Q], [0, A]], made on first use
+        self._norm = 0.0  # ||A||_1
+        self._cache = OrderedDict()
+        self._lock = threading.RLock()
+
+    def _generator(self) -> np.ndarray:
+        if self._block is None:
+            a = self.op.as_dense()
+            q = self._l_q @ self._d_q @ self._l_q.T
+            self._block = np.block([[-a.T, 0.5 * (q + q.T)], [np.zeros_like(a), a]])
+            self._norm = float(np.linalg.norm(a, 1))
+        return self._block
+
+    def prime(self, u: float, powers: dict) -> None:
+        if len(powers) > _EXPM_CACHE:
+            return
+        with self._lock:
+            block = self._generator()
+            n = self.op.n
+            scaled = u * self._norm
+            k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
+
+            def first():
+                f = expm(np.ldexp(u, -k) * block)
+                e = f[n:, n:].T.copy()
+                e.flags.writeable = False
+                x = e @ f[:n, n:]
+                x = 0.5 * (x + x.T)
+                x.flags.writeable = False
+                return e, x
+
+            chain = _addition_chain(first, _van_loan_pair)
+
+            def power(m):
+                return chain(m << k)
+
+            if not self.op.is_sparse:
+                self.op._fill_expm(powers, lambda m: power(m)[0])
+            for t in sorted(powers, key=powers.get):
+                _lru_get(self._cache, t, lambda m=powers[t]: power(m)[1], _EXPM_CACHE)
+
+    def __call__(self, t: float) -> np.ndarray:
+        with self._lock:
+            self.prime(t, {t: 1})
+            return self._cache[t]
 
 
 @dataclass(frozen=True)
@@ -330,19 +455,19 @@ class _KrylovSpace:
             k += 1
 
 
-def _checked_block(op: StiffOperator, t: float, v) -> np.ndarray:
-    """v as a float64 N x k block, after checking t; v must be finite
-    unless the action is trivial (t = 0 or no columns)."""
+def _check_time(t: float) -> None:
     if not (np.isfinite(t) and t >= 0):
         raise InvalidInput(f"t must be finite and nonnegative, got {t}")
+
+
+def _checked_block(op: StiffOperator, v) -> tuple:
+    """(v as a float64 N x k block, whether it is finite)."""
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
     if v.shape[0] != op.n:
         raise InvalidInput(f"block has {v.shape[0]} rows, operator dimension is {op.n}")
-    if v.shape[1] > 0 and t != 0.0 and not np.isfinite(v).all():
-        raise _nonfinite(t, "input block")
-    return v
+    return v, bool(np.isfinite(v).all())
 
 
 def _lru_get(cache: OrderedDict, key, make, cap: int):
@@ -376,14 +501,19 @@ def exp_action(
     octave, with the same bits, under the lock of ``blocks``.  Raises
     ToleranceNotMet (carrying the best iterate and its estimate) if the
     Krylov dimension reaches its cap min(N, _MAX_DIM) below N first,
-    NonFiniteFactor on a non-finite block or iterate, and StepTooLarge if
-    the shifted matrix I - gamma A^T is exactly singular.
+    NonFiniteFactor on a non-finite block (unless the action is trivial:
+    t = 0 or no columns) or iterate, and StepTooLarge if the shifted matrix
+    I - gamma A^T is exactly singular.  The block of ``blocks`` was checked
+    when it was made.
     """
     if blocks is not None and (blocks.op is not op or blocks.v is not v):
         raise InvalidInput("blocks caches the actions of another operator or block")
-    v = _checked_block(op, t, v)
+    _check_time(t)
+    v, finite = (v, blocks._finite) if blocks is not None else _checked_block(op, v)
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
+    if not finite:
+        raise _nonfinite(t, "input block")
     if not op.is_sparse:
         return _finite_iterate(op.expm(t) @ v, t)
     gamma = _octave_shift(t)
@@ -420,11 +550,16 @@ class BlockActions:
     from the lookup through the exp_action it makes and the use of a cached
     space, so each space and block is built once.  The operator's lock is
     taken inside it, never the other way round.
+
+    V is checked once, when the ``BlockActions`` is made: its shape
+    (InvalidInput) and whether it is finite, which a nontrivial action
+    then reports as exp_action does.  Every block an action returns is
+    still checked finite.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray):
         self.op = op
-        self.v = v
+        self.v, self._finite = _checked_block(op, v)
         self._spaces = OrderedDict()
         self._blocks = OrderedDict()
         self._lock = threading.RLock()
@@ -457,9 +592,12 @@ class BlockActions:
         nodes = np.linspace(0.0, h, degree + 1)
         if self.op.is_sparse:
             return tuple(self(s, opts) for s in nodes)
-        v = _checked_block(self.op, h, self.v)
+        _check_time(h)
+        v = self.v
         if v.shape[1] == 0 or h == 0.0:
             return tuple(v.copy() for _ in nodes)
+        if not self._finite:
+            raise _nonfinite(h, "input block")
         blocks = [v.copy()]
         if degree > 1:
             step = self.op.expm(h / degree)

@@ -388,6 +388,20 @@ def combine(
     return nxt, _core_norm(core_of(est_cores), width, n)
 
 
+def add_to_identity_sum(term: LDLTFactor, total: LDLTFactor) -> LDLTFactor:
+    """term + total for a ``total`` on ``identity_basis`` and a term of
+    nonzero rank: combine([(1.0, term), (1.0, total)], truncate=False)
+    without the merge.  The core is the one product [B C, X] [B, I]^T of
+    term = (B, C) and total = (I, X), symmetrized and checked finite as
+    there, so it has combine's bits and NonFiniteFactor wording wherever
+    combine stacks both terms: unless a core is zero (combine leaves it
+    out) or B equals I entry by entry (combine merges the two)."""
+    n = total.n
+    core = (np.concatenate([term.L @ term.D, total.D], axis=1)
+            @ np.concatenate([term.L, total.L], axis=1).T)
+    return LDLTFactor._trusted(total.L, _symmetric_core(core, term.rank + n, n))
+
+
 def frob_norm(factor: LDLTFactor) -> float:
     """Frobenius norm of the represented product, without forming it.
 

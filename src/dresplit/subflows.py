@@ -3,26 +3,37 @@
 The Riccati right-hand side splits into an affine part A^T P + P A + Q and a
 quadratic part -P S P.  Both subproblems have closed-form solutions that stay
 inside the LDL^T format: the quadratic flow is a small Woodbury-style core
-update, and the affine flow conjugates the basis with exp(h A^T) and adds an
-interpolatory-quadrature approximation of the source integral
+update, and the affine flow conjugates the basis with exp(h A^T) and adds
+the source integral
 
-    int_0^h exp(s A^T) Q exp(s A) ds.
+    X(h) = int_0^h exp(s A^T) Q exp(s A) ds.
 
-Every step size gets the fresh equidistant rule, with nodes k h / degree
-(``init_quadrature``); a rule is kept only while its h is unchanged bit for
-bit (``update_quadrature``), so its stability constant is always that of
-the equidistant rule.  Its weights are h times the unit rule's, computed
-exactly once per degree (``quad_weights``).  On a dense operator the node blocks
-exp(s_k A^T) L_Q are stepped with one exponential of (h/degree) A^T, plus
-the exp(h A^T) the propagation over h shares (``BlockActions.equidistant``;
-``adaptive.QuadraturePool`` primes both from one expm); on a sparse one
-the blocks of recent node times are kept, so a node that two rules share is
-computed once.
+Every step size gets a fresh X(h) per substep size (``init_quadrature``),
+kept only while its h is unchanged bit for bit (``update_quadrature``).
+How X(h) is formed depends on the width of the rule of the scheme's degree,
+(degree + 1) rank(Q) columns (``full_width``):
+
+- At N or more columns X(h) would be an N x N core anyway.  There it is
+  exact: ``ProblemData.source_integral``, from Van Loan's block exponential
+  (``expaction.SourceIntegral``), as an N x N core on the identity basis.
+  This holds for a dense or a sparse A alike.
+- Below N columns (the low-rank regime) it is the equidistant rule with
+  nodes k h / degree, whose stability constant is always that of the
+  equidistant rule.  Its weights are h times the unit rule's, computed
+  exactly once per degree (``quad_weights``).  On a dense operator the
+  node blocks exp(s_k A^T) L_Q are stepped with one exponential of
+  (h/degree) A^T, plus the exp(h A^T) the propagation over h shares
+  (``BlockActions.equidistant``; ``adaptive.QuadraturePool`` primes both
+  from one expm); on a sparse one the blocks of recent node times are
+  kept, so a node that two rules share is computed once.
 
 Both flows work on a factor of any rank, so the affine flow and the rule
 keep a sum of N or more columns uncompressed, as its N x N core on the
 identity basis (``combine(..., truncate=False)``); the step that ends on
-it compresses once.
+it compresses once.  On that basis both flows work in N x N arithmetic:
+the quadratic flow takes the cross term S(I) its quadratic term keeps, and
+the affine flow adds onto an exact X(h) with one product
+(``lowrank.add_to_identity_sum``).
 """
 
 import copy
@@ -34,8 +45,10 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
-from .expaction import BlockActions, ExpActionOptions, StiffOperator, exp_action
-from .lowrank import CompressionOptions, LDLTFactor, combine
+from .expaction import (BlockActions, ExpActionOptions, SourceIntegral, StiffOperator,
+                        exp_action)
+from .lowrank import (CompressionOptions, LDLTFactor, add_to_identity_sum, combine,
+                      identity_basis, on_identity)
 
 PSD_EIG_TOL = 1e-12
 
@@ -56,6 +69,7 @@ class QuadraticTerm:
         self._apply = apply_fn
         self.n = n
         self._dense = dense_fn
+        self._identity_cross = None
 
     @classmethod
     def from_dense(cls, s) -> "QuadraticTerm":
@@ -92,6 +106,16 @@ class QuadraticTerm:
     def as_dense(self) -> np.ndarray:
         return self._dense()
 
+    def identity_cross(self) -> np.ndarray:
+        """I^T S(I) = S(I), read-only: the cross term of a factor on
+        ``identity_basis``, formed once, with the bits of
+        ``I.T @ apply(I)``."""
+        if self._identity_cross is None:
+            cross = self._apply(identity_basis(self.n))
+            cross.flags.writeable = False
+            self._identity_cross = cross
+        return self._identity_cross
+
 
 def _check_psd_core(core: np.ndarray, name: str) -> None:
     if core.size == 0:
@@ -123,6 +147,7 @@ class ProblemData:
     p0: LDLTFactor
     horizon: float
     source_blocks: BlockActions = field(init=False, repr=False, compare=False)
+    source_integral: SourceIntegral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.a.n
@@ -136,6 +161,7 @@ class ProblemData:
             _require_finite(f"{name} factor", factor.L, factor.D)
             _check_psd_core(factor.D, name)
         object.__setattr__(self, "source_blocks", BlockActions(self.a, self.q.L))
+        object.__setattr__(self, "source_integral", SourceIntegral(self.a, self.q.L, self.q.D))
 
     @property
     def n(self) -> int:
@@ -164,7 +190,10 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
         raise InvalidInput(f"h must be nonnegative, got {h}")
     if factor.rank == 0 or h == 0.0:
         return factor
-    cross = factor.L.T @ s_op.apply(factor.L)
+    if on_identity(factor):
+        cross = s_op.identity_cross()
+    else:
+        cross = factor.L.T @ s_op.apply(factor.L)
     system = h * (factor.D @ cross)
     system.flat[:: factor.rank + 1] += 1.0
     lu, piv, info = lapack.dgetrf(system)
@@ -212,12 +241,17 @@ def quad_weights(degree: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureState:
-    """The equidistant rule over [0, h] and ``assembled``, the weighted sum
-    of its node blocks exp(s_k A^T) L_Q: the source integral's factor.
+    """The source integral over [0, h] as the factor ``assembled``.
+
+    In the low-rank regime that is the weighted sum of the equidistant
+    rule's node blocks exp(s_k A^T) L_Q, with the rule's nodes and
+    weights.  At full width (``full_width``) it is the exact X(h) as an
+    N x N core on the identity basis, with no node and the single weight h
+    (stability constant 1).
 
     Values are immutable; transitions (init/update) return new states.
     fresh_blocks counts the node blocks computed by the transition that
-    produced this state.
+    produced this state (0 for an exact X(h)).
     """
 
     degree: int
@@ -235,12 +269,20 @@ class QuadratureState:
 
 
 def _assemble(problem: ProblemData, weights, blocks, comp_opts: CompressionOptions) -> LDLTFactor:
-    """X(h) = sum_k w_k B_k D_Q B_k^T over the node blocks B_k.  Every
-    affine flow over h adds it to a further term, so a sum of N or more
-    columns is kept as its N x N core on the identity basis, not
-    eigendecomposed; below N it is compressed."""
+    """The rule's X(h) = sum_k w_k B_k D_Q B_k^T over the node blocks B_k,
+    compressed.  ``init_quadrature`` calls it in the low-rank regime only,
+    where the sum stays below N columns; a wider one would be kept as its
+    N x N core on the identity basis (``combine(..., truncate=False)``)."""
     terms = [(w, LDLTFactor._trusted(blk, problem.q.D)) for w, blk in zip(weights, blocks)]
     return combine(terms, comp_opts, truncate=False)
+
+
+def full_width(problem: ProblemData, degree: int) -> bool:
+    """Whether the rule of this degree stacks N or more columns,
+    (degree + 1) rank(Q) >= N, so that its X(h) is an N x N core on the
+    identity basis anyway.  There the exact integral takes its place.
+    How A is stored does not enter."""
+    return (degree + 1) * problem.q.rank >= problem.n
 
 
 def init_quadrature(
@@ -250,8 +292,15 @@ def init_quadrature(
     exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
-    """Equidistant nodes k*h/degree with all blocks freshly computed."""
-    weights = quad_weights(degree, h)
+    """The source integral over [0, h] for the rule of this degree.  At
+    full width (``full_width``) it is the exact X(h) of
+    ``problem.source_integral`` on the identity basis, with no node, the
+    single weight h and no fresh block.  Below, it is the rule with
+    equidistant nodes k*h/degree and all blocks freshly computed."""
+    weights = quad_weights(degree, h)  # checks h and degree
+    if full_width(problem, degree):
+        assembled = LDLTFactor._trusted(identity_basis(problem.n), problem.source_integral(h))
+        return QuadratureState(degree, h, np.empty(0), np.array([h]), assembled, 0)
     blocks = problem.source_blocks.equidistant(h, degree, exp_opts)
     assembled = _assemble(problem, weights, blocks, comp_opts)
     return QuadratureState(degree, h, np.linspace(0.0, h, degree + 1), weights, assembled,
@@ -292,8 +341,11 @@ def affine_flow(
     for the step's other flows; otherwise it is one exp_action.  The two
     terms are summed by ``combine`` with ``truncate=False``: below N
     columns the sum is compressed, at N or more it is the N x N core on
-    the identity basis, left for the step to compress once.  A factor of
-    rank 0 is passed as it is, and ``combine`` leaves it out.  Raises
+    the identity basis, left for the step to compress once.  An exact X(h)
+    is on that basis already, and the propagated factor is added onto it
+    by ``add_to_identity_sum``, the same one product with the same bits.
+    A factor of rank 0 is passed as it is, and ``combine`` leaves it out.
+    Raises
     NonFiniteFactor naming the flow and h when the core of the sum is not
     finite.
     """
@@ -312,6 +364,8 @@ def affine_flow(
             basis = exp_action(problem.a, h, factor.L, exp_opts)
         propagated = LDLTFactor._trusted(basis, factor.D)
     try:
+        if factor.rank > 0 and on_identity(state.assembled):
+            return add_to_identity_sum(propagated, state.assembled)
         return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts, truncate=False)
     except NonFiniteFactor as exc:
         raise NonFiniteFactor(f"affine flow over h={h:g}: {exc}") from exc

@@ -5,6 +5,7 @@ lines and measured values.
 """
 
 import csv
+import dataclasses
 import time
 
 import numpy as np
@@ -14,8 +15,11 @@ from dresplit import (
     CompressionOptions,
     ControllerParams,
     ExpActionOptions,
+    ProblemData,
+    QuadraticTerm,
     RunConfig,
     SchemeSpec,
+    StiffOperator,
     StudySpec,
     additive_coeffs,
     generate_problem,
@@ -108,6 +112,34 @@ def test_criterion_2_subflow_oracle_equivalence():
         ref_f = dense_subflow("affine", p_dense, h, dense)
         worst_affine = max(worst_affine, relative_error(got_f, ref_f))
 
+    # Full-width instances, where the rule's 10 rank(Q) columns reach N and
+    # init_quadrature gives the exact integral: the N = 10 study problem, a
+    # stiff one (laplacian_lqr N = 30, ||h A||_1 = 192, dense and sparse),
+    # and a non-normal one (-I + 8 shift, N = 12, ||h A||_1 = 4.5).
+    laplacian = generate_problem("laplacian_lqr", 30)
+    nonnormal = ProblemData(
+        a=StiffOperator(-np.eye(12) + 8.0 * np.diag(np.ones(11), 1)),
+        q=LDLTFactor(rng.standard_normal((12, 2)), np.eye(2)),
+        s=QuadraticTerm.from_dense(np.eye(12)),
+        p0=LDLTFactor.zero(12),
+        horizon=1.0,
+    )
+    named = {
+        "full width": (study_problem(), 0.1),
+        "stiff dense": (dataclasses.replace(
+            laplacian, a=StiffOperator(laplacian.a.matrix.toarray())), 0.05),
+        "stiff sparse": (laplacian, 0.05),
+        "non-normal": (nonnormal, 0.5),
+    }
+    worst_named = {}
+    for name, (problem, h) in named.items():
+        factor = LDLTFactor(rng.standard_normal((problem.n, 2)), np.eye(2))
+        state = init_quadrature(problem, h, 9, exp_opts, comp_opts)
+        got_f = to_dense(affine_flow(factor, h, problem, state, exp_opts, comp_opts))
+        ref_f = dense_subflow("affine", to_dense(factor), h, to_dense_problem(problem))
+        worst_named[name] = relative_error(got_f, ref_f)
+    worst_affine = max(worst_affine, *worst_named.values())
+
     worst_moment = 0.0
     for degree in range(1, 10):
         h = float(rng.uniform(0.5, 2.0))
@@ -119,7 +151,9 @@ def test_criterion_2_subflow_oracle_equivalence():
 
     passed = worst_quadratic <= 1e-10 and worst_affine <= 1e-10 and worst_moment <= 1e-12
     detail = (f"{n_instances} instances, quadratic {worst_quadratic:.1e}, "
-              f"affine {worst_affine:.1e}, moments {worst_moment:.1e}")
+              f"affine {worst_affine:.1e} ("
+              + ", ".join(f"{k} {v:.1e}" for k, v in worst_named.items())
+              + f"), moments {worst_moment:.1e}")
     _report(2, "subflow oracle equivalence", passed, detail, 60.0,
             time.perf_counter() - started)
 
@@ -205,9 +239,11 @@ def test_criterion_5_adaptive_driver():
 def test_criterion_6_quadrature_rule_stability(monkeypatch):
     # Every rule the pool holds during an adaptive run is the equidistant
     # rule of its h: its stability constant is that of a fresh rule of the
-    # same degree (1 for degree 7), and its moments are exact.
+    # same degree (1 for degree 7), and its moments are exact.  The rule of
+    # sym3 with a rank-4 Q stacks (7 + 1) 4 = 32 columns, so N = 40 keeps it
+    # below N; on the N = 10 study problem the exact integral replaces it.
     started = time.perf_counter()
-    problem = study_problem()
+    problem = generate_problem("random_lowrank", 40, 4, seed=SEED, horizon=0.5)
     spec = SchemeSpec("sym", 3)
     degree = default_quad_degree(spec)
     fresh_lebesgue = init_quadrature(problem, 0.1, degree).lebesgue

@@ -144,7 +144,9 @@ class TestFixedDriver:
         assert np.all(np.diff(times) > 0)
 
     def test_records_have_ranks(self):
-        problem = make_tanh_problem()
+        # asym2's rules (degree 3) stack 16 < 20 columns, so the first step
+        # builds node blocks.
+        problem = generate_problem("random_lowrank", n=20, rank=4, seed=0)
         traj = integrate_fixed(problem, SchemeSpec("asym", 2), 5, EXP, COMP)
         assert all(r.rank >= 1 for r in traj.records)
         assert traj.records[0].fresh_quad_blocks > 0

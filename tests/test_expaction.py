@@ -13,7 +13,10 @@ from dresplit import (
     ControllerParams,
     ExpActionOptions,
     InvalidInput,
+    LDLTFactor,
     NonFiniteFactor,
+    ProblemData,
+    QuadraticTerm,
     SchemeSpec,
     StepTooLarge,
     StiffOperator,
@@ -507,8 +510,9 @@ def test_fresh_problem_starts_with_no_spaces():
 
 def test_one_exp_action_per_sparse_node(monkeypatch):
     # Each sparse source block is one exp_action call on L_Q that resumes
-    # the block's cached Krylov spaces.
-    problem = generate_problem("laplacian_lqr", n=20)
+    # the block's cached Krylov spaces.  The degree-5 rule stacks 24 < 30
+    # columns, so it is built from node blocks.
+    problem = generate_problem("laplacian_lqr", n=30)
     calls = []
     real = expaction.exp_action
 
@@ -647,18 +651,21 @@ def _symmetric_expm(a, t):
     return (vec * np.exp(t * lam)) @ vec.T
 
 
-# laplacian_lqr at N=40 has ||A||_1 = 6724, so h = 0.6 reaches ||h A||_1 = 4e3.
-# There scipy's expm itself is off by 9e-13 from the eigendecomposition of
-# the symmetric A (the primed powers by 5e-13), so that case is checked
-# against the eigendecomposition.
+# N = 41 keeps every rule below N columns (sym4: (9 + 1) 4 = 40), so the
+# pool primes the rules' exponentials rather than taking the exact
+# integral.  laplacian_lqr at N=41 has ||A||_1 = 7056, so h = 0.6 reaches
+# ||h A||_1 = 4.2e3.  There scipy's expm itself is off by 1.4e-13 from the
+# eigendecomposition of the symmetric A (the primed powers by 2.5e-13; at
+# N=40, 9e-13 and 5e-13), so that case is checked against the
+# eigendecomposition.
 @pytest.mark.parametrize("kind, h", [("random", 1.0), ("nonnormal", 1.0),
                                      ("laplacian", 0.05), ("laplacian", 0.6)])
 @pytest.mark.parametrize("spec", [SchemeSpec("strang"), SchemeSpec("sym", 2),
                                   SchemeSpec("sym", 3), SchemeSpec("sym", 4),
                                   SchemeSpec("asym", 3)])
 def test_primed_powers_match_direct_exponentials(rng, monkeypatch, kind, h, spec):
-    base = generate_problem("random_lowrank", n=40, rank=4, seed=0)
-    problem = dataclasses.replace(base, a=StiffOperator(_dense_operator(kind, 40, rng)))
+    base = generate_problem("random_lowrank", n=41, rank=4, seed=0)
+    problem = dataclasses.replace(base, a=StiffOperator(_dense_operator(kind, 41, rng)))
     op = problem.a
     primed = []
     prime = op.prime_expm
@@ -722,6 +729,41 @@ def test_priming_under_thread_contention(rng):
     assert len(op._cache) <= _EXPM_CACHE
 
 
+def test_source_integral_under_thread_contention(rng):
+    # Threads prime overlapping key sets of one problem's source integral and
+    # look keys up while others prime; every lookup must return its own t's
+    # integral, and the operator's cache its own t's exponential.
+    a = _stepped_operator("random", 12, rng) * 0.1
+    q_l = rng.standard_normal((12, 2))
+
+    def make():
+        return ProblemData(a=StiffOperator(a), q=LDLTFactor(q_l, np.eye(2)),
+                           s=QuadraticTerm.from_dense(np.eye(12)), p0=LDLTFactor.zero(12),
+                           horizon=1.0)
+
+    problem = make()
+    u = 0.01
+    sets = [{u * m: m for m in range(1 + k, 1 + k + _EXPM_CACHE // 2)} for k in range(6)]
+    keys = {t for keys in sets for t in keys}
+    direct = {t: make().source_integral(t) for t in keys}
+    direct_e = {t: _dense_expm(problem.a._at, t) for t in keys}
+    wrong = []
+
+    def worker(k):
+        for i in range(30):
+            problem.source_integral.prime(u, sets[(k + i) % len(sets)])
+            for t in sets[(k + 2 * i + 1) % len(sets)]:
+                x, e = problem.source_integral(t), problem.a.expm(t)
+                if not (np.linalg.norm(x - direct[t]) <= 1e-13 * np.linalg.norm(direct[t])
+                        and np.linalg.norm(e - direct_e[t]) <= 1e-13 * np.linalg.norm(e)):
+                    wrong.append(t)
+
+    run_threads(worker, 6)
+    assert wrong == []
+    assert len(problem.source_integral._cache) <= _EXPM_CACHE
+    assert len(problem.a._cache) <= _EXPM_CACHE
+
+
 def test_fixed_dense_run_takes_one_scipy_expm(monkeypatch):
     calls = count_scipy_expm(monkeypatch)
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=0, horizon=0.05)
@@ -739,10 +781,11 @@ def _callers():
 
 
 def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
-    # Every tried step size builds fresh rules, and primes their grid-step
-    # and substep exponentials from one scipy expm before the step's work
-    # and chains read them; nothing else takes one.  adaptive_n10 of the
-    # benchmark made 586 calls over 193 tried step sizes before priming.
+    # Every tried step size builds fresh rules (32 < 40 columns), and
+    # primes their grid-step and substep exponentials from one scipy expm
+    # before the step's work and chains read them; nothing else takes one.
+    # adaptive_n10 of the benchmark made 586 calls over 193 tried step
+    # sizes before priming.
     # The step's basis is propagated through BlockActions.__call__ from
     # additive_step or its chains, which must be reached for the check to
     # mean anything.
@@ -756,7 +799,7 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     monkeypatch.setattr(BlockActions, "__call__",
                         lambda self, *a: propagations.append(_callers())
                         or real_call(self, *a))
-    problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+    problem = generate_problem("random_lowrank", n=40, rank=4, seed=2, horizon=0.05)
     traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                               ControllerParams(tol=1e-5, epus=True))
     assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
@@ -766,13 +809,70 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     assert not any(n.startswith(step_work) for names in calls for n in names)
 
 
+
+def test_adaptive_full_width_run_takes_one_van_loan_expm_per_step_size(monkeypatch):
+    # At N = 30 the sym3 rule would stack 32 >= N columns, so each tried
+    # step size takes the exact integral instead: one scipy expm of the
+    # 2N x 2N Van Loan block, which gives every substep's propagator and
+    # integral.  Nothing else takes one.
+    calls, sizes = [], []
+    monkeypatch.setattr(expaction, "expm",
+                        lambda m: calls.append((m.shape, _callers())) or expm(m))
+    prepare = QuadraturePool.prepare
+    monkeypatch.setattr(QuadraturePool, "prepare",
+                        lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
+    problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
+                              ControllerParams(tol=1e-5, epus=True))
+    assert sum(r.rejections for r in traj.records) > 0 and len(set(sizes)) > 10
+    assert len(calls) == len(sizes) == len(set(sizes))
+    assert all(shape == (60, 60) and "SourceIntegral.prime" in names
+               for shape, names in calls)
+
+
+def test_block_is_checked_once_when_its_actions_are_made(rng, monkeypatch):
+    op = StiffOperator(rng.standard_normal((6, 6)))
+    v = rng.standard_normal((6, 2))
+    checks = []
+    real = expaction._checked_block
+    monkeypatch.setattr(expaction, "_checked_block",
+                        lambda op, v: checks.append(1) or real(op, v))
+    blocks = BlockActions(op, v)
+    got = [blocks(t) for t in (0.1, 0.2, 0.3)]
+    assert len(checks) == 1
+    for t, block in zip((0.1, 0.2, 0.3), got):
+        assert block.tobytes() == (op.expm(t) @ v).tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_nonfinite_block_of_block_actions_raises_at_its_first_nontrivial_action(sparse):
+    # As exp_action would: a trivial action (t = 0) returns the block, any
+    # other raises naming t, for one call and for a node grid alike.
+    a = laplacian(5)
+    op = StiffOperator(a if sparse else a.toarray())
+    v = np.ones((5, 2))
+    v[1, 1] = np.nan
+    blocks = BlockActions(op, v)
+    assert np.isnan(blocks(0.0)[1, 1])
+    with pytest.raises(NonFiniteFactor, match=r"t=0\.1 produced a non-finite input block"):
+        blocks(0.1)
+    with pytest.raises(NonFiniteFactor, match=r"t=0\.2 produced a non-finite input block"):
+        exp_action(op, 0.2, v)
+    if not sparse:
+        with pytest.raises(NonFiniteFactor, match=r"t=2 produced a non-finite input block"):
+            blocks.equidistant(2.0, 3)
+    with pytest.raises(InvalidInput, match="4 rows"):
+        BlockActions(op, np.ones((4, 1)))
+
+
 # Sparse node blocks are kept by node time, so node times that several
 # rules share are computed once.
 
 def test_shared_node_times_take_one_exp_action(monkeypatch):
     # sym2 over h = 0.05 builds rules on [0, 0.05] and [0, 0.025], degree
-    # 5; the nodes 0, 0.01 and 0.02 of the two agree bit for bit.
-    problem = generate_problem("laplacian_lqr", n=20)
+    # 5 (24 < 30 columns); the nodes 0, 0.01 and 0.02 of the two agree bit
+    # for bit.
+    problem = generate_problem("laplacian_lqr", n=30)
     calls = []
     real = expaction.exp_action
 

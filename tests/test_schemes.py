@@ -458,8 +458,11 @@ class TestAdditiveStepFailures:
                 integrate_fixed(problem, SchemeSpec("sym", 4), steps)
 
     # The chains of the problem above share one basis of width 1: below
-    # N = 3 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.
-    @pytest.mark.parametrize("n", [3, 1])
+    # N = 11 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.
+    # At N = 11 the rule (degree 9, rank-1 Q) stacks 10 < N columns; at
+    # N = 3 it would be full width, and the chains would end on the
+    # identity basis.
+    @pytest.mark.parametrize("n", [11, 1])
     def test_combination_failure_reads_alike_on_both_branches(self, n):
         e1 = np.eye(n)[:, :1]
         problem = ProblemData(

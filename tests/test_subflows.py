@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import expm
 
 from dresplit import (
     CompressionOptions,
@@ -20,6 +23,7 @@ from dresplit import (
     generate_problem,
     init_quadrature,
     integrate_adaptive,
+    integrate_fixed,
     quad_weights,
     quadratic_flow,
     to_dense,
@@ -27,7 +31,7 @@ from dresplit import (
 )
 from dresplit import subflows
 from dresplit.lowrank import identity_basis
-from dresplit.oracle import dense_subflow, relative_error
+from dresplit.oracle import dense_reference, dense_subflow, relative_error
 from dresplit.problems import to_dense_problem
 
 from conftest import _random_instance, random_factor
@@ -106,6 +110,26 @@ class TestQuadraticFlow:
             quadratic_flow(f, np.nan, QuadraticTerm.from_dense(np.eye(4)))
 
 
+    @pytest.mark.parametrize("form", ["dense", "sparse", "lowrank"])
+    def test_identity_basis_takes_s_of_the_identity_once(self, rng, form):
+        # On the shared identity basis the cross term L^T S L is S(I), kept
+        # by the quadratic term: the bits of the general formula.
+        n = 6
+        b = rng.standard_normal((n, 2))
+        s_op = {"dense": lambda: QuadraticTerm.from_dense(b @ b.T),
+                "sparse": lambda: QuadraticTerm.from_sparse(sp.csr_matrix(b @ b.T)),
+                "lowrank": lambda: QuadraticTerm.from_lowrank(b)}[form]()
+        core = random_factor(rng, n, n).D
+        on_identity = LDLTFactor._trusted(identity_basis(n), core)
+        general = LDLTFactor._trusted(np.eye(n), core)
+        for h in (0.1, 0.2):
+            out = quadratic_flow(on_identity, h, s_op)
+            ref = quadratic_flow(general, h, s_op)
+            assert out.L is on_identity.L and out.D.tobytes() == ref.D.tobytes()
+        assert s_op.identity_cross() is s_op.identity_cross()
+        assert not s_op.identity_cross().flags.writeable
+
+
 class TestQuadWeights:
     def test_trapezoid(self):
         w = quad_weights(1, 2.0)
@@ -165,16 +189,23 @@ class TestQuadWeights:
         assert subflows._unit_weights.cache_info().misses == 1
 
 
+def _narrow_instance(rng):
+    """A random instance on which every rule up to degree 8 stays below N
+    columns ((8 + 1) rank(Q) <= 36 < 40), so init_quadrature builds the
+    rule rather than the exact integral of the full-width regime."""
+    return _random_instance(rng, 40)[0]
+
+
 class TestQuadratureState:
     def test_init_trapezoid(self, rng):
-        problem = _random_instance(rng, 4)[0]
+        problem = _narrow_instance(rng)
         state = init_quadrature(problem, 1.0, 1, EXP, COMP)
         assert np.allclose(state.nodes, [0.0, 1.0])
         assert np.allclose(state.weights, [0.5, 0.5])
         assert state.fresh_blocks == 2
 
     def test_init_simpson(self, rng):
-        problem = _random_instance(rng, 4)[0]
+        problem = _narrow_instance(rng)
         state = init_quadrature(problem, 2.0, 2, EXP, COMP)
         assert np.allclose(state.nodes, [0.0, 1.0, 2.0])
         assert np.allclose(state.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
@@ -217,7 +248,7 @@ class TestQuadratureState:
     def test_update_to_a_new_h_is_the_fresh_rule(self, rng):
         # However close the new h, the rule is rebuilt equidistant, with the
         # bits of init_quadrature and its stability constant 1.
-        problem = _random_instance(rng, 5)[0]
+        problem = _narrow_instance(rng)
         state = init_quadrature(problem, 0.2, 4, EXP, COMP)
         for h_new in (0.2 * (1 + 1e-15), 0.22, 0.19):
             out = update_quadrature(state, h_new, problem, EXP, COMP)
@@ -230,7 +261,7 @@ class TestQuadratureState:
             assert abs(out.lebesgue - 1.0) <= 1e-14
 
     def test_update_reset_on_large_growth(self, rng):
-        problem = _random_instance(rng, 5)[0]
+        problem = _narrow_instance(rng)
         d = 4
         state = init_quadrature(problem, 0.2, d, EXP, COMP)
         out = update_quadrature(state, 0.3, problem, EXP, COMP)
@@ -238,14 +269,14 @@ class TestQuadratureState:
         assert np.allclose(out.nodes, np.linspace(0, 0.3, d + 1))
 
     def test_update_reset_on_large_shrink(self, rng):
-        problem = _random_instance(rng, 5)[0]
+        problem = _narrow_instance(rng)
         d = 3
         state = init_quadrature(problem, 0.2, d, EXP, COMP)
         out = update_quadrature(state, 0.2 * 0.8, problem, EXP, COMP)
         assert out.fresh_blocks == d + 1
 
     def test_update_preserves_exactness_and_order(self, rng):
-        problem = _random_instance(rng, 5)[0]
+        problem = _narrow_instance(rng)
         d = 5
         h = 0.1
         state = init_quadrature(problem, h, d, EXP, COMP)
@@ -262,7 +293,7 @@ class TestQuadratureState:
     def test_lebesgue_of_equidistant_rules(self, rng, degree):
         # Up to degree 7 the weights are positive; the 9-point Newton-Cotes
         # rule (degree 8) has negative ones.
-        problem = _random_instance(rng, 4)[0]
+        problem = _narrow_instance(rng)
         state = init_quadrature(problem, 0.3, degree, EXP, COMP)
         if degree <= 7:
             assert abs(state.lebesgue - 1.0) <= 1e-14
@@ -410,6 +441,97 @@ class TestAffineFlow:
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteFactor, match="affine flow over h=1: cannot compress"):
             affine_flow(problem.p0, 1.0, problem, state, EXP, COMP)
+
+
+def _operator(kind, n, rng):
+    """A random operator with ||A||_1 = 4, a strongly non-normal one
+    (-I + 8 shift) or a stiff one (laplacian_lqr's, stored dense)."""
+    if kind == "random":
+        a = rng.standard_normal((n, n))
+        return a * (4.0 / np.linalg.norm(a, 1))
+    if kind == "nonnormal":
+        return -np.eye(n) + 8.0 * np.diag(np.ones(n - 1), 1)
+    return generate_problem("laplacian_lqr", n).a.matrix.toarray()
+
+
+def _source_problem(a, q_l):
+    n = a.shape[0]
+    return ProblemData(a=StiffOperator(a), q=LDLTFactor(q_l, np.eye(q_l.shape[1])),
+                       s=QuadraticTerm.from_dense(np.eye(n)), p0=LDLTFactor.zero(n),
+                       horizon=1.0)
+
+
+class TestExactSourceIntegral:
+    # Where the rule's (degree + 1) rank(Q) columns reach N, init_quadrature
+    # gives X(h) = int_0^h exp(sA^T) Q exp(sA) ds in closed form, from one
+    # Van Loan exponential per step size.
+
+    @pytest.mark.parametrize("kind", ["random", "nonnormal", "stiff"])
+    def test_chain_matches_direct_van_loan_and_lyapunov(self, rng, kind):
+        # The sym3 pool's chain from u = h/6 gives X(h/k) for k = 1, 2, 3;
+        # each agrees with a Van Loan exponential taken at h/k itself (on a
+        # fresh problem, and the oracle's own code), and satisfies the
+        # Lyapunov identity A^T X + X A = exp(hA^T) Q exp(hA) - Q.
+        n = 12
+        a = _operator(kind, n, rng)
+        q_l = rng.standard_normal((n, 2))
+        h = 100.0 / np.linalg.norm(a, 1) if kind == "stiff" else 1.0
+        problem = _source_problem(a, q_l)
+        problem.source_integral.prime(h / 6, {h / k: 6 // k for k in (1, 2, 3)})
+        q = q_l @ q_l.T
+        for k in (1, 2, 3):
+            t = h / k
+            x = problem.source_integral(t)
+            assert not x.flags.writeable and np.array_equal(x, x.T)
+            direct = _source_problem(a, q_l).source_integral(t)
+            oracle = dense_subflow("affine", np.zeros((n, n)), t, to_dense_problem(problem))
+            for other in (direct, oracle):
+                assert np.linalg.norm(x - other) <= 1e-13 * np.linalg.norm(other)
+            e = expm(t * a)
+            rhs = e.T @ q @ e - q
+            residual = np.linalg.norm(a.T @ x + x @ a - rhs)
+            assert residual <= 1e-14 * (np.linalg.norm(a, 1) * np.linalg.norm(x)
+                                        + np.linalg.norm(rhs))
+            # The chain's propagators went into the operator's expm cache.
+            direct_e = expm(t * a.T)
+            assert np.linalg.norm(problem.a.expm(t) - direct_e) <= 1e-13 * np.linalg.norm(direct_e)
+
+    def test_full_width_reads_the_width_not_the_storage(self):
+        # sym2's degree-5 rule stacks 6 * 4 = 24 columns of laplacian_lqr's Q.
+        for n, wide in ((20, True), (24, True), (25, False)):
+            sparse = generate_problem("laplacian_lqr", n)
+            dense = _source_problem(sparse.a.matrix.toarray(), sparse.q.L)
+            assert subflows.full_width(sparse, 5) is wide
+            assert subflows.full_width(dense, 5) is wide
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_state_is_the_exact_integral_on_the_identity(self, storage):
+        problem = generate_problem("laplacian_lqr", 20)
+        if storage == "dense":
+            problem = _source_problem(problem.a.matrix.toarray(), problem.q.L)
+        h = 0.01
+        state = init_quadrature(problem, h, 5, EXP, COMP)
+        assert state.assembled.L is identity_basis(20)
+        assert state.fresh_blocks == 0 and state.h == h
+        assert state.nodes.size == 0 and state.lebesgue == 1.0
+        ref = dense_subflow("affine", np.zeros((20, 20)), h, to_dense_problem(problem))
+        assert np.linalg.norm(state.assembled.D - ref) <= 1e-13 * np.linalg.norm(ref)
+        same = update_quadrature(state, h, problem, EXP, COMP)
+        assert same.assembled is state.assembled and same.fresh_blocks == 0
+        moved = update_quadrature(state, 2 * h, problem, EXP, COMP)
+        assert moved.assembled.D.tobytes() == problem.source_integral(2 * h).tobytes()
+
+    def test_stiff_laplacian_dense_and_sparse_meet_the_reference(self):
+        # laplacian_lqr N = 20, sym2, 2 fixed steps: the rule read 1.51e-1
+        # here; the exact integral gives 3.1e-6, whichever way A is stored.
+        sparse = generate_problem("laplacian_lqr", 20)
+        dense = dataclasses.replace(sparse, a=StiffOperator(sparse.a.matrix.toarray()))
+        ref = dense_reference(to_dense_problem(sparse))
+        finals = {}
+        for name, problem in (("sparse", sparse), ("dense", dense)):
+            finals[name] = to_dense(integrate_fixed(problem, SchemeSpec("sym", 2), 2).final)
+            assert relative_error(finals[name], ref) <= 1e-5
+        assert relative_error(finals["dense"], finals["sparse"]) <= 1e-13
 
 
 class TestProblemData:
