@@ -457,13 +457,13 @@ class TestAdditiveStepFailures:
                                      r"cannot compress .*\(in the step from t=0 with h=0\.5\)$"):
                 integrate_fixed(problem, SchemeSpec("sym", 4), steps)
 
-    # The chains of the problem above share one basis of width 1: below
-    # N = 11 columns combine takes a QR, at N = 1 it sums the 1 x 1 matrix.
-    # At N = 11 the rule (degree 9, rank-1 Q) stacks 10 < N columns; at
-    # N = 3 it would be full width, and the chains would end on the
-    # identity basis.
-    @pytest.mark.parametrize("n", [11, 1])
-    def test_combination_failure_reads_alike_on_both_branches(self, n):
+    # The chains of the problem above share one basis of width 1.  At
+    # N = 11 the rule (degree 9, rank-1 Q) stacks 10 < N columns and
+    # combine takes a QR; at N = 3 it is full width, the chains end on the
+    # identity basis and their sum is rank N; at N = 1 combine sums the
+    # 1 x 1 matrix.  The three read alike but for the rank.
+    @pytest.mark.parametrize("n, rank", [(3, 3), (11, 1), (1, 1)], ids=["3", "11", "1"])
+    def test_combination_failure_reads_alike_on_both_branches(self, n, rank):
         e1 = np.eye(n)[:, :1]
         problem = ProblemData(
             a=StiffOperator(np.zeros((n, n))),
@@ -474,7 +474,7 @@ class TestAdditiveStepFailures:
         )
         with pytest.raises(NonFiniteFactor,
                            match=rf"^additive step over h=0\.5, combining its chains: "
-                                 rf"cannot compress a rank-1 factor of dimension {n}: "
+                                 rf"cannot compress a rank-{rank} factor of dimension {n}: "
                                  r"its core is not finite \(in the step from t=0 with h=0\.5\)$"):
             integrate_fixed(problem, SchemeSpec("sym", 4), 1)
 
