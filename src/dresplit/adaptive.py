@@ -6,11 +6,22 @@ compare the estimate against the tolerance (optionally per unit step), and
 steer the step size with a PI controller.  Every rejection shrinks the
 step, by at most the growth cap, and rebuilds the source integrals at the
 new size.  A subflow that fails inside a step (a singular solve,
-StepTooLarge, or an exponential action short of its tolerance,
-ToleranceNotMet) also counts as a rejection: the step is halved.  Each
-tried step size gets fresh source integrals for its substeps: exact at full
-width, else the equidistant rules (``subflows.full_width``).  The
-final step is clamped so the trajectory lands exactly on the horizon.
+StepTooLarge) also counts as a rejection: the step is halved.  Each tried
+step size gets fresh source integrals for its substeps: exact at full
+width, else the equidistant rules (``subflows.full_width``).  A step that
+would end within STRETCH times its size of the horizon is stretched to end
+on it, the rule of Hairer & Wanner's DOPRI5 and RADAU5 codes, so a run
+lands exactly on the horizon and never ends on a sliver step, whose
+per-unit-step estimate would be round-off over a tiny h.
+
+Both drivers solve a problem with a sparse operator on one Galerkin space
+(``expaction.KrylovSpace``, ``ProblemData.projected``): the same run on
+the dense m x m projected problem, its factors lifted as L = U L_Y.  The
+space grows, from GALERKIN_FIRST_DIM columns by GALERKIN_GROWTH each time,
+until the lifted final factors of two successive dimensions agree to
+``exp_opts.rel_tol`` in relative Frobenius norm, or the space is exact;
+the records are those of the last run.  A dense problem is solved as it
+is, the case U = I.
 """
 
 import math
@@ -19,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarge, ToleranceNotMet
-from .expaction import ExpActionOptions
-from .lowrank import CompressionOptions, LDLTFactor, compress
+from .expaction import ExpActionOptions, KrylovSpace
+from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
 from .subflows import ProblemData, full_width, init_quadrature, update_quadrature
 
@@ -32,6 +43,14 @@ SAFETY = 0.9
 EST_FLOOR_FACTOR = 1e-4
 GROWTH_CAP = 5.0
 H_MIN_FACTOR = 1e-12
+# A step with t + STRETCH * h >= horizon becomes horizon - t.
+STRETCH = 1.01
+# The Galerkin spaces of a sparse problem: the shift gamma of their Krylov
+# space is GALERKIN_SHIFT * horizon; the first has at least
+# GALERKIN_FIRST_DIM columns, each next one GALERKIN_GROWTH times the last.
+GALERKIN_SHIFT = 1e-2
+GALERKIN_FIRST_DIM = 48
+GALERKIN_GROWTH = 1.5
 
 
 @dataclass(frozen=True)
@@ -143,7 +162,7 @@ class QuadraturePool:
     from one Van Loan exponential at u (``SourceIntegral.prime``) before
     any state is built or chain runs.
 
-    In the low-rank regime, on a dense operator, it needs expm at h/k (the
+    In the low-rank regime it needs expm at h/k (the
     substep's propagation, and the last node of its rule) and at
     (h/k)/degree (its rule's grid step).  All of these are integer powers
     of E = expm(u A^T) with u = h / (lcm(k) degree), so prepare() primes
@@ -172,7 +191,7 @@ class QuadraturePool:
         if full_width(self.problem, self.degree):
             lcm = math.lcm(*divisors)
             self.problem.source_integral.prime(h / lcm, {h / k: lcm // k for k in divisors})
-        elif not self.problem.a.is_sparse:
+        else:
             self._prime(h, divisors)
         fresh = 0
         for k in divisors:
@@ -218,6 +237,51 @@ def _blown_up(exc: NonFiniteFactor, t: float, h: float) -> NonFiniteFactor:
 _SILENCED = {"over": "ignore", "invalid": "ignore"}
 
 
+def _lift(factor: LDLTFactor, u: np.ndarray) -> LDLTFactor:
+    """factor lifted from the Galerkin space of basis U: L = U L_Y."""
+    return LDLTFactor._trusted(u @ factor.L, factor.D)
+
+
+def _lifted(trajectory: Trajectory, u: np.ndarray) -> Trajectory:
+    """trajectory with every factor lifted from the Galerkin space."""
+    return Trajectory(trajectory.records, [_lift(f, u) for f in trajectory.factors],
+                      trajectory.store_factors)
+
+
+def _on_galerkin_spaces(problem: ProblemData, exp_opts: ExpActionOptions, solve) -> Trajectory:
+    """solve(problem), a Trajectory; on a sparse problem, solve on its
+    Galerkin spaces of growing dimension, as the module docstring says.
+    Raises ToleranceNotMet when the space reaches its cap below N first,
+    and lifts the partial trajectory of a StepSizeCollapse."""
+    if not problem.a.is_sparse:
+        return solve(problem)
+    space = KrylovSpace(problem.a, np.concatenate([problem.q.L, problem.p0.L], axis=1),
+                        GALERKIN_SHIFT * problem.horizon)
+    size, previous = GALERKIN_FIRST_DIM, None
+    while True:
+        exact = space.grow(size)
+        u = space.basis
+        try:
+            trajectory = solve(problem.projected(u))
+        except StepSizeCollapse as exc:
+            exc.trajectory = _lifted(exc.trajectory, u)
+            raise
+        if exact:
+            return _lifted(trajectory, u)
+        final = _lift(trajectory.final, u)
+        if previous is not None:
+            diff = combine([(1.0, final), (-1.0, previous)], CompressionOptions(rel_tol=0.0))
+            if frob_norm(diff) <= exp_opts.rel_tol * frob_norm(final):
+                return _lifted(trajectory, u)
+        m = u.shape[1]
+        if m >= space.cap:
+            raise ToleranceNotMet(
+                f"the Galerkin space reached its cap, dimension {m} of N={problem.n}, "
+                f"before two successive answers agreed to rel_tol={exp_opts.rel_tol:g}"
+            )
+        previous, size = final, math.ceil(GALERKIN_GROWTH * m)
+
+
 @np.errstate(**_SILENCED)
 def integrate_fixed(
     problem: ProblemData,
@@ -232,8 +296,14 @@ def integrate_fixed(
     Quadrature states of degree ``default_quad_degree(spec)`` are built
     once per substep size and reused for every step; their initial cost is
     attributed to the first record.  The chains of each step run one after
-    another.
+    another.  A sparse problem is solved on its Galerkin space (see the
+    module docstring).
     """
+    return _on_galerkin_spaces(problem, exp_opts, lambda p: _integrate_fixed(
+        p, spec, n_steps, exp_opts, comp_opts, store_factors))
+
+
+def _integrate_fixed(problem, spec, n_steps, exp_opts, comp_opts, store_factors) -> Trajectory:
     if n_steps < 1:
         raise InvalidInput(f"n_steps must be >= 1, got {n_steps}")
     h = problem.horizon / n_steps
@@ -285,8 +355,15 @@ def integrate_adaptive(
     the chains of each try run one after another.  Raises
     StepSizeCollapse (carrying the partial trajectory, its message naming
     the last rejection's cause) if the controller drives the step below
-    H_MIN_FACTOR * horizon.
+    H_MIN_FACTOR * horizon.  A sparse problem is solved on its Galerkin
+    space (see the module docstring).
     """
+    return _on_galerkin_spaces(problem, exp_opts, lambda p: _integrate_adaptive(
+        p, spec, h1, params, exp_opts, comp_opts, store_factors))
+
+
+def _integrate_adaptive(problem, spec, h1, params, exp_opts, comp_opts,
+                        store_factors) -> Trajectory:
     if not spec.is_additive or spec.stages < 2:
         raise InvalidInput("adaptive integration needs an additive scheme with >= 2 stages")
     if not h1 > 0:
@@ -303,7 +380,7 @@ def integrate_adaptive(
     t = 0.0
     h = h1
     clamped = False
-    if t + h > problem.horizon:
+    if t + STRETCH * h >= problem.horizon:
         h = problem.horizon - t
         clamped = True
     e_prev = SAFETY * params.tol
@@ -322,7 +399,7 @@ def integrate_adaptive(
                 )
             except NonFiniteFactor as exc:
                 raise _blown_up(exc, t, h) from exc
-            except (StepTooLarge, ToleranceNotMet) as exc:
+            except StepTooLarge as exc:
                 # A subflow that fails at this h is a rejection: halve the
                 # step.
                 rejections += 1
@@ -358,7 +435,7 @@ def integrate_adaptive(
         e_prev = e_cmp
         h = h_next
         clamped = False
-        if t + h > problem.horizon:
+        if t + STRETCH * h >= problem.horizon:
             h = problem.horizon - t
             clamped = True
     return trajectory

@@ -12,7 +12,7 @@ import sys
 from .errors import DresplitError, IngestError, InvalidInput
 from .problems import export_problem, generate_problem, ingest_problem
 from .schemes import SchemeSpec
-from .study import RunConfig, StudySpec, run_solve, run_study
+from .study import _STUDY_SETTINGS, RunConfig, StudySpec, run_solve, run_study
 
 EXIT_OK = 0
 EXIT_INGEST = 2
@@ -33,8 +33,9 @@ def _add_run_flags(parser):
     parser.add_argument("--epus", action="store_true", default=None,
                         help="compare error per unit step against the tolerance")
     parser.add_argument("--exp-tol", type=float, default=1e-10,
-                        help="stopping tolerance of the sparse Krylov exponential "
-                        "action (successive iterates); dense actions are exact")
+                        help="stopping tolerance of a sparse problem's Galerkin space "
+                        "(the answers of two successive sizes agree); a dense problem "
+                        "is solved as it is")
     parser.add_argument("--comp-tol", type=float, default=None,
                         help="column compression tolerance (default N*eps)")
     parser.add_argument("--out", required=True, help="output directory")
@@ -134,19 +135,20 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# Flags a study kind has no use for: passing one is an error, not a no-op.
-# The ladder studies take their schemes from --schemes and their steps from
-# --ladder, so the run flags of one scheme and one stepping mode go unused.
-_LADDER_UNUSED = ("tols", "steps", "tol", "h1", "epus", "scheme", "stages")
-_UNUSED_STUDY_FLAGS = {
-    "order": _LADDER_UNUSED,
-    "efficiency": _LADDER_UNUSED,
-    "adaptivity": ("schemes", "ladder", "tol", "steps", "reference"),
+# The RunConfig or StudySpec setting each study flag sets.  A flag whose
+# setting its study kind does not read (study._STUDY_SETTINGS) is an error,
+# not a no-op.
+_FLAG_SETTINGS = {
+    "tols": "tolerances", "schemes": "schemes", "ladder": "ladder", "steps": "n_steps",
+    "tol": "tol", "h1": "h1", "epus": "epus", "scheme": "scheme", "stages": "stages",
+    "reference": "reference", "exp_tol": "exp_tol", "comp_tol": "comp_tol",
 }
 
 
 def _cmd_study(args) -> int:
-    _reject_unused(args, f"study {args.kind}", _UNUSED_STUDY_FLAGS[args.kind])
+    _reject_unused(args, f"study {args.kind}",
+                   [flag for flag, setting in _FLAG_SETTINGS.items()
+                    if setting not in _STUDY_SETTINGS[args.kind]])
     problem = ingest_problem(args.problem)
     if args.kind == "adaptivity":
         args.tol = 1e-2  # placeholder; the --tols list drives the sweep

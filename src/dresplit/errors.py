@@ -14,16 +14,8 @@ class RefusedDense(DresplitError):
 
 
 class ToleranceNotMet(DresplitError):
-    """An iterative approximation ran out of refinement budget.
-
-    Carries the best iterate computed so far and its error estimate so a
-    caller may decide to proceed with degraded accuracy.
-    """
-
-    def __init__(self, message, best=None, estimate=None):
-        super().__init__(message)
-        self.best = best
-        self.estimate = estimate
+    """A sparse problem's Galerkin space reached its dimension cap before
+    two successive answers agreed to the tolerance."""
 
 
 class NonFiniteFactor(DresplitError):

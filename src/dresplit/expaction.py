@@ -1,4 +1,5 @@
-"""Action of the matrix exponential, W = exp(t A^T) V, for tall blocks.
+"""Action of the matrix exponential, W = exp(t A^T) V, for tall blocks of a
+dense A, and the Galerkin space on which a sparse A's problem is solved.
 
 Dense operators form E = expm(t A^T) by scaling and squaring (Al-Mohy &
 Higham, SIAM J. Matrix Anal. Appl. 31, 2009) and return E V.  E is kept in a
@@ -20,39 +21,25 @@ has a closed form in the 2N x 2N exponential of Van Loan's block matrix
 the doubling a stiff A needs, gives both X(m u) and exp(m u A^T) for a
 set of integers m by one addition chain of products, as ``prime_expm``
 does for powers.  It serves problems of small N only, where X(t) is an
-N x N matrix anyway; a sparse A is made dense for it.
+N x N matrix anyway.
 
-Sparse operators use the block shift-and-invert (restricted-denominator)
-Krylov method (Moret & Novati, BIT 44, 2004; van den Eshof & Hochbruck,
-SIAM J. Sci. Comput. 27, 2006).  With M = (I - gamma A^T)^{-1}, block Arnoldi
-on V = Q_0 R_0 builds an orthonormal basis U_m of the block Krylov space of
-M and the projection H_m = U_m^T M U_m.  Since A^T = (I - M^{-1}) / gamma,
-
-    exp(t A^T) V ~ U_m exp((t/gamma) (I - H_m^{-1})) E_1 R_0.
-
-The shift sits on a power-of-two grid, gamma = 2^floor(log2 t) / 2, so that
-t/gamma lies in [2, 4): the dimension needed does not grow as t shrinks,
-and one sparse LU of I - gamma A^T, kept in a small per-operator LRU cache
-keyed by gamma, serves every t of its octave.  Each new block is
+A sparse operator has no exponential here: exp_action, the flows and the
+source integral raise InvalidInput on it.  Its problem is solved on one
+Galerkin space instead (Behr, Benner & Heiland, Appl. Math. Comput. 2021).
+The factored solution stays in the smallest A^T-invariant space that holds
+range(L_Q) and range(L_P0), so projecting the problem onto an orthonormal
+basis U of a space that (nearly) holds that one gives a dense m x m problem
+(``ProblemData.projected``) whose solution, lifted as L = U L_Y, is exact up
+to the space.  U is the block shift-and-invert Krylov space of A^T on
+[L_Q, L_P0] (``KrylovSpace``; Moret & Novati, BIT 44, 2004), with
+M = (I - gamma A^T)^{-1} from one sparse LU.  Each new block is
 orthogonalized twice against the basis; its SVD then drops the directions
 below _DEFLATE_TOL of the block's norm before orthogonalization (rank loss,
 or an exhausted space), and the kept ones are orthogonalized once more.
-The iteration stops when two successive iterates agree to ``rel_tol``.  An
-exhausted (invariant) space, or dimension N, is exact and returns the
-iterate; reaching the cap min(N, _MAX_DIM) below N first raises
+An exhausted (A^T-invariant) space, or dimension N, is exact.  The drivers
+in ``adaptive`` grow the space until two successive lifted answers agree to
+``rel_tol``; reaching the cap min(N, _MAX_DIM) below N first raises
 ToleranceNotMet.
-
-The basis, H_m, R_0 and the checkpoints (the dimensions at which the
-stopping rule evaluates an iterate, and whether each is exact) depend on
-gamma, V and the cap only, not on t.  A Krylov space is therefore
-resumable: the action at any t of its octave replays the stopping rule over
-the checkpoints already built, one small expm each with H_m^{-1} kept per
-checkpoint, and adds blocks only when the rule needs a dimension not built
-yet.  exp_action builds a throwaway space per call, unless it is given
-the BlockActions of its one fixed block V (the source factor of the
-quadrature blocks, or a basis an additive step propagates more than
-once), which caches one space per octave.  The space at a checkpoint is the same whichever t first
-built it, so a cached sparse action has the same bits as a one-shot one.
 """
 
 import functools
@@ -65,21 +52,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import expm
 
-from .errors import InvalidInput, NonFiniteFactor, StepTooLarge, ToleranceNotMet
+from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
 
 # Exponentials kept per dense operator, keyed by t.
 _EXPM_CACHE = 8
-# Sparse LUs kept per operator, and Krylov spaces kept per BlockActions,
-# both keyed by gamma; each space pins its LU.  Cached factors and bases
-# stay resident: with 4 entries each, laplacian_lqr N=400 (sym2, 2 fixed
-# steps) peaks 3.8% higher in RSS for the LUs and another 2.0% for the
-# spaces.
-_LU_CACHE = 4
-# Blocks kept per BlockActions, keyed by t (and the options): the 9
-# distinct node times of a sym2 step's two rules fit, and each block is
-# N x rank(V), small beside a Krylov space.
+# Blocks kept per BlockActions, keyed by t (and the options); each block is
+# N x rank(V).
 _BLOCK_CACHE = 16
-# Krylov dimension cap, min(N, _MAX_DIM), fixed when a space is built.
+# Galerkin space dimension cap, min(N, _MAX_DIM), fixed when a space is
+# built.
 _MAX_DIM = 512
 # Directions of a new block below this share of its norm are dropped.
 _DEFLATE_TOL = 1e-13
@@ -119,22 +100,15 @@ def _addition_chain(first, compose):
     return power
 
 
-def _shift_lu(at_csc, gamma: float):
-    """SuperLU factorization of I - gamma A^T."""
-    import scipy.sparse.linalg  # loaded on first use: dense runs never need it
-    shifted = (sp.identity(at_csc.shape[0], format="csc") - gamma * at_csc).tocsc()
-    return scipy.sparse.linalg.splu(shifted)
-
-
 class StiffOperator:
     """Sparse or dense wrapper around the state matrix A.
 
     The wrapped matrix is treated as read-only.  A dense operator exposes
     ``expm(t)``, the read-only matrix exp(t A^T), and ``prime_expm``, which
-    fills a set of its cache entries from one exponential; a sparse one
-    exposes ``shift_lu(gamma)``, the SuperLU factors of I - gamma A^T.  Both
-    are memoized in the operator's one bounded LRU cache, keyed by t or
-    gamma.  Safe to call from several threads: the operator's one lock is
+    fills a set of its cache entries from one exponential; both are
+    memoized in the operator's one bounded LRU cache, keyed by t.  A sparse
+    one has neither (``require_dense``): its problem is solved on a Galerkin
+    space.  Safe to call from several threads: the operator's one lock is
     held across a lookup and the build it makes, so each entry is built
     once.  Cached values are shared and must not be modified.
     """
@@ -142,7 +116,6 @@ class StiffOperator:
     def __init__(self, a):
         if sp.issparse(a):
             self.matrix = a.tocsr()
-            self._at = self.matrix.T.tocsr()
             self.is_sparse = True
         else:
             self.matrix = np.asarray(a, dtype=np.float64)
@@ -155,14 +128,19 @@ class StiffOperator:
         if not np.isfinite(self.matrix.data if self.is_sparse else self.matrix).all():
             raise InvalidInput("operator has non-finite entries")
 
+    def require_dense(self) -> None:
+        """InvalidInput on a sparse operator, which has no exponential."""
+        if self.is_sparse:
+            raise InvalidInput(
+                "a sparse operator has no exponential: its problem is solved on a "
+                "Galerkin space, projected by ProblemData.projected (as integrate_fixed "
+                "and integrate_adaptive do)"
+            )
+
     def expm(self, t: float) -> np.ndarray:
+        self.require_dense()
         with self._lock:
             return _lru_get(self._cache, t, lambda: _dense_expm(self._at, t), _EXPM_CACHE)
-
-    def shift_lu(self, gamma: float):
-        with self._lock:
-            return _lru_get(self._cache, gamma, lambda: _shift_lu(self._at.tocsc(), gamma),
-                            _LU_CACHE)
 
     def prime_expm(self, u: float, powers: dict) -> None:
         """Fill the ``expm`` cache entries t of ``powers`` = {t: m} that are
@@ -178,6 +156,7 @@ class StiffOperator:
         Priming before the threads that share the operator use it keeps a
         key's bits independent of thread scheduling.
         """
+        self.require_dense()
         if len(powers) > _EXPM_CACHE:
             return
         self._fill_expm(powers, _addition_chain(lambda: _dense_expm(self._at, u), _product))
@@ -195,6 +174,67 @@ class StiffOperator:
 
     def as_dense(self) -> np.ndarray:
         return self.matrix.toarray() if self.is_sparse else self.matrix
+
+
+def _rank_revealing(block: np.ndarray, norm: float | None = None) -> np.ndarray:
+    """Orthonormal columns spanning block, without the directions whose
+    singular value is at most _DEFLATE_TOL * norm (default: the largest)."""
+    u, s, _ = np.linalg.svd(block, full_matrices=False)
+    if norm is None:
+        norm = s[0] if s.size else 0.0
+    return u[:, : np.count_nonzero(s > _DEFLATE_TOL * norm)]
+
+
+class KrylovSpace:
+    """Orthonormal basis of the block Krylov space span{V, M V, M^2 V, ...}
+    of M = (I - gamma A^T)^{-1}, for a sparse A and a block V, grown on
+    demand (see the module docstring).
+
+    One sparse LU of I - gamma A^T serves the whole build.  ``basis`` holds
+    the columns built so far.  ``grow(size)`` adds whole blocks until there
+    are at least min(size, ``cap``) columns, cap = min(N, _MAX_DIM) as of
+    construction, or until the space is ``exact``: exhausted (a new block
+    deflates to nothing, so the space is A^T-invariant) or of dimension N.
+    Raises StepTooLarge if I - gamma A^T is exactly singular, and
+    NonFiniteFactor on a non-finite block.
+    """
+
+    def __init__(self, op: StiffOperator, v: np.ndarray, gamma: float):
+        import scipy.sparse.linalg  # loaded on first use: dense runs never need it
+        shifted = (sp.identity(op.n, format="csc") - gamma * op.matrix.T).tocsc()
+        try:
+            self._lu = scipy.sparse.linalg.splu(shifted)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise StepTooLarge(
+                f"shifted matrix I - gamma A^T of the Galerkin space is singular "
+                f"(gamma={gamma:g})"
+            ) from exc
+        self.cap = min(op.n, _MAX_DIM)
+        self._n = op.n
+        self.basis = _rank_revealing(v)
+        self._done = 0  # leading basis columns whose image under M is spanned
+        self._exhausted = self.basis.shape[1] == 0
+
+    @property
+    def exact(self) -> bool:
+        return self._exhausted or self.basis.shape[1] >= self._n
+
+    def grow(self, size: int) -> bool:
+        """Add blocks up to min(size, cap) columns; whether the space is exact."""
+        while not self.exact and self.basis.shape[1] < min(size, self.cap):
+            basis = self.basis
+            w = self._lu.solve(basis[:, self._done:])
+            norm = float(np.linalg.norm(w))
+            if not np.isfinite(norm):
+                raise NonFiniteFactor("the Galerkin space produced a non-finite Krylov block")
+            w -= basis @ (basis.T @ w)
+            w -= basis @ (basis.T @ w)
+            q = _rank_revealing(w, norm)
+            q = np.linalg.qr(q - basis @ (basis.T @ q))[0]
+            self._done = basis.shape[1]
+            self.basis = np.hstack([basis, q])
+            self._exhausted = q.shape[1] == 0
+        return self.exact
 
 
 def _van_loan_pair(first: tuple, second: tuple) -> tuple:
@@ -220,8 +260,7 @@ class SourceIntegral:
     X(v) = F_22^T F_12.  v is u / 2^k, the largest such step with
     ||v A||_1 <= 1, so that the block exp(-v A^T) stays bounded on a stiff
     A (Behr, Benner & Heiland, Calcolo 56, 2019; ``oracle.dense_subflow``
-    does the same with its own code).  A sparse A is made dense for this,
-    once, on first use.
+    does the same with its own code).  Dense operators only.
 
     ``prime(u, powers)`` fills X(t) for every t = m u of ``powers`` = {t: m}
     (integers m >= 1) from one such exponential, by one addition chain over
@@ -231,9 +270,8 @@ class SourceIntegral:
         exp((s + t) A^T) = exp(s A^T) exp(t A^T),
         X(s + t) = X(s) + exp(s A^T) X(t) exp(s A).
 
-    On a dense operator each exp(t A^T) goes into the operator's ``expm``
-    cache as well; a sparse one keeps its Krylov actions.  Only missing
-    entries are computed, and nothing unless every t fits in the cache at
+    Each exp(t A^T) goes into the operator's ``expm`` cache as well.  Only
+    missing entries are computed, and nothing unless every t fits in the cache at
     once.  ``__call__(t)`` is X(t) from the cache, after ``prime(t, {t: 1})``.
     X(m u) agrees with a direct Van Loan exponential at m u to round-off,
     not bit for bit.  The X are kept in an LRU of _EXPM_CACHE entries keyed
@@ -252,13 +290,14 @@ class SourceIntegral:
 
     def _generator(self) -> np.ndarray:
         if self._block is None:
-            a = self.op.as_dense()
+            a = self.op.matrix
             q = self._l_q @ self._d_q @ self._l_q.T
             self._block = np.block([[-a.T, 0.5 * (q + q.T)], [np.zeros_like(a), a]])
             self._norm = float(np.linalg.norm(a, 1))
         return self._block
 
     def prime(self, u: float, powers: dict) -> None:
+        self.op.require_dense()
         if len(powers) > _EXPM_CACHE:
             return
         with self._lock:
@@ -281,8 +320,7 @@ class SourceIntegral:
             def power(m):
                 return chain(m << k)
 
-            if not self.op.is_sparse:
-                self.op._fill_expm(powers, lambda m: power(m)[0])
+            self.op._fill_expm(powers, lambda m: power(m)[0])
             for t in sorted(powers, key=powers.get):
                 _lru_get(self._cache, t, lambda m=powers[t]: power(m)[1], _EXPM_CACHE)
 
@@ -294,26 +332,15 @@ class SourceIntegral:
 
 @dataclass(frozen=True)
 class ExpActionOptions:
-    """rel_tol: stop of the sparse Krylov iteration (the dense path is exact)."""
+    """rel_tol: stop of a sparse problem's Galerkin space, where two
+    successive lifted answers agree to it (``adaptive``).  Dense actions
+    are exact and do not consult it."""
 
     rel_tol: float = 1e-10
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise InvalidInput(f"rel_tol must be positive, got {self.rel_tol}")
-
-
-def _relative_change(w: np.ndarray, w_prev: np.ndarray) -> float:
-    """||w - w_prev||_F / ||w||_F, or the absolute change when w = 0.
-
-    Both norms are taken with the largest entry of w scaled into [0.5, 1) by
-    a power of two, so blocks beyond ~1e154 do not overflow them; the
-    scaling is exact and leaves the ratio in the normal range unchanged.
-    """
-    e = np.frexp(np.abs(w).max())[1]
-    scale = float(np.linalg.norm(np.ldexp(w, -e)))
-    diff = float(np.linalg.norm(np.ldexp(w - w_prev, -e)))
-    return diff / scale if scale > 0.0 else diff
 
 
 def _nonfinite(t: float, what: str) -> NonFiniteFactor:
@@ -324,135 +351,6 @@ def _finite_iterate(w: np.ndarray, t: float) -> np.ndarray:
     if not np.isfinite(w).all():
         raise _nonfinite(t, "iterate")
     return w
-
-
-def _rank_revealing(block: np.ndarray, norm: float | None = None):
-    """(Q, R) with block ~ Q R, Q orthonormal, dropping directions whose
-    singular value is at most _DEFLATE_TOL * norm (default: the largest)."""
-    u, s, zt = np.linalg.svd(block, full_matrices=False)
-    keep = int(np.count_nonzero(s > _DEFLATE_TOL * (s[0] if norm is None else norm)))
-    return u[:, :keep], s[:keep, None] * zt[:keep]
-
-
-def _octave_shift(t: float) -> float:
-    """gamma = 2^floor(log2 t) / 2, so t/gamma lies in [2, 4)."""
-    return float(np.ldexp(1.0, np.frexp(t)[1] - 2))
-
-
-class _KrylovSpace:
-    """Resumable block Krylov space of M = (I - gamma A^T)^{-1} on V, up to
-    dimension ``cap`` = min(N, _MAX_DIM) as of its construction (see the
-    module docstring).
-
-    ``checkpoints`` lists (m, exact) for the dimensions built so far at
-    which the stopping rule evaluates an iterate.  Not thread-safe: a
-    shared space is used under the lock of the BlockActions that keeps it.
-    ``t`` only names the action in error messages.
-    """
-
-    def __init__(self, op: StiffOperator, v: np.ndarray, gamma: float, t: float):
-        try:
-            self._lu = op.shift_lu(gamma)
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise StepTooLarge(
-                f"shifted matrix I - gamma A^T is singular for the exp action at "
-                f"t={t:g} (gamma={gamma:g})"
-            ) from exc
-        self.gamma = gamma
-        self.cap = min(op.n, _MAX_DIM)
-        self._n = op.n
-        self.basis, self._r0 = _rank_revealing(v)
-        self._h = np.zeros((self.basis.shape[1], 0))
-        self._done = 0  # leading basis columns whose image under M is projected
-        self._check_at = 0
-        self.checkpoints = []  # (m, exact)
-        self._inverses = []  # H_m^{-1} per checkpoint, None where singular
-
-    def _grow(self, t: float) -> None:
-        """Add blocks until the next checkpoint is reached."""
-        basis, h, done, n = self.basis, self._h, self._done, self._n
-        while True:
-            w = self._lu.solve(basis[:, done:])
-            norm = float(np.linalg.norm(w))
-            if not np.isfinite(norm):
-                raise _nonfinite(t, "Krylov block")
-            coeff = basis.T @ w
-            w -= basis @ coeff
-            again = basis.T @ w
-            w -= basis @ again
-            coeff += again
-            q, sub = _rank_revealing(w, norm)
-            again = basis.T @ q
-            q, r = np.linalg.qr(q - basis @ again)
-            coeff += again @ sub
-            m = basis.shape[1]
-            grown = np.zeros((m + q.shape[1], m))
-            grown[: h.shape[0], :done] = h
-            grown[:m, done:] = coeff
-            grown[m:, done:] = r @ sub
-            h, basis, done = grown, np.hstack([basis, q]), m
-            self.basis, self._h, self._done = basis, h, done
-
-            exact = q.shape[1] == 0 or m >= n
-            if exact or m >= self._check_at or m >= self.cap:
-                # Successive iterates are compared on a geometric dimension
-                # grid, so the projected exponentials cost a bounded multiple
-                # of the last one.  Past N/4 the space nears exhaustion, where
-                # the action is exact, and each O(m^3) check outweighs the
-                # block steps; the grid coarsens.
-                self._check_at = m + max(1, m // 8 if 4 * m < n else m // 2)
-                self.checkpoints.append((m, exact))
-                return
-
-    def _iterate(self, k: int, ratio: float, t: float) -> np.ndarray:
-        """Coefficients exp(ratio (I - H_m^{-1})) E_1 R_0 at checkpoint k."""
-        m = self.checkpoints[k][0]
-        if k == len(self._inverses):
-            try:
-                self._inverses.append(np.linalg.inv(self._h[:m, :m]))
-            except np.linalg.LinAlgError:
-                self._inverses.append(None)
-        if self._inverses[k] is None:
-            raise _nonfinite(t, "projected matrix")
-        f = -ratio * self._inverses[k]
-        f.flat[:: m + 1] += ratio
-        if not np.isfinite(f).all():
-            raise _nonfinite(t, "projected matrix")
-        y = expm(f)[:, : self._r0.shape[0]] @ self._r0
-        if not np.isfinite(y).all():
-            raise _nonfinite(t, "iterate")
-        return y
-
-    def action(self, t: float, rel_tol: float) -> np.ndarray:
-        """exp(t A^T) V for a t of this space's octave, to ``rel_tol``."""
-        if self.basis.shape[1] == 0:
-            return np.zeros((self._n, self._r0.shape[1]))
-        ratio = t / self.gamma
-        y_prev = None
-        estimate = np.inf
-        k = 0
-        while True:
-            if k == len(self.checkpoints):
-                self._grow(t)
-            m, exact = self.checkpoints[k]
-            y = self._iterate(k, ratio, t)
-            if exact:
-                return self.basis[:, :m] @ y
-            if y_prev is not None:
-                padded = np.zeros_like(y)
-                padded[: y_prev.shape[0]] = y_prev
-                estimate = _relative_change(y, padded)
-                if estimate <= rel_tol:
-                    return self.basis[:, :m] @ y
-            if m >= self.cap:
-                raise ToleranceNotMet(
-                    f"exp action did not reach rel_tol={rel_tol:g} within "
-                    f"Krylov dimension {m} (estimate {estimate:.3e})",
-                    best=self.basis[:, :m] @ y,
-                    estimate=estimate,
-                )
-            y_prev = y
-            k += 1
 
 
 def _check_time(t: float) -> None:
@@ -492,64 +390,42 @@ def exp_action(
     opts: ExpActionOptions = ExpActionOptions(),
     blocks: "BlockActions | None" = None,
 ) -> np.ndarray:
-    """Approximate exp(t A^T) @ v.
+    """exp(t A^T) @ v, exact to round-off through the cached expm(t A^T);
+    ``opts`` is not consulted.
 
-    Dense operators: exact to round-off through the cached expm(t A^T).
-    Sparse operators: block shift-and-invert Krylov to ``opts.rel_tol``, on
-    a space built for the call or, given the ``BlockActions`` of op and v
-    (the same objects; InvalidInput otherwise), on its cached space of t's
-    octave, with the same bits, under the lock of ``blocks``.  Raises
-    ToleranceNotMet (carrying the best iterate and its estimate) if the
-    Krylov dimension reaches its cap min(N, _MAX_DIM) below N first,
-    NonFiniteFactor on a non-finite block (unless the action is trivial:
-    t = 0 or no columns) or iterate, and StepTooLarge if the shifted matrix
-    I - gamma A^T is exactly singular.  The block of ``blocks`` was checked
-    when it was made.
+    Given the ``BlockActions`` of op and v (the same objects; InvalidInput
+    otherwise), the block is the one checked when it was made.  Raises
+    InvalidInput on a sparse operator (``StiffOperator.require_dense``),
+    and NonFiniteFactor on a non-finite block (unless the action is
+    trivial: t = 0 or no columns) or result.
     """
     if blocks is not None and (blocks.op is not op or blocks.v is not v):
         raise InvalidInput("blocks caches the actions of another operator or block")
     _check_time(t)
+    op.require_dense()
     v, finite = (v, blocks._finite) if blocks is not None else _checked_block(op, v)
     if v.shape[1] == 0 or t == 0.0:
         return v.copy()
     if not finite:
         raise _nonfinite(t, "input block")
-    if not op.is_sparse:
-        return _finite_iterate(op.expm(t) @ v, t)
-    gamma = _octave_shift(t)
-    if blocks is None:
-        return _KrylovSpace(op, v, gamma, t).action(t, opts.rel_tol)
-    with blocks._lock:
-        space = _lru_get(blocks._spaces, gamma,
-                         lambda: _KrylovSpace(op, v, gamma, t), _LU_CACHE)
-        return space.action(t, opts.rel_tol)
+    return _finite_iterate(op.expm(t) @ v, t)
 
 
 class BlockActions:
-    """t -> exp(t A^T) V for one operator and one fixed block V: the source
-    factor L_Q (``ProblemData.source_blocks``), or one of the bases every
-    chain of an additive step propagates over its substep: the step's start
-    basis and the identity basis of its full-width flows.
+    """t -> exp(t A^T) V for one dense operator and one fixed block V: the
+    source factor L_Q (``ProblemData.source_blocks``), or one of the bases
+    every chain of an additive step propagates over its substep: the step's
+    start basis and the identity basis of its full-width flows.
 
-    A call is ``exp_action(op, t, V, opts, self)``, which keeps this block's
-    Krylov spaces: one per octave shift gamma, in an LRU of _LU_CACHE
-    entries (each space pins its LU).  On a sparse operator a
-    further t of a cached octave thus costs one small expm per checkpoint
-    the stopping rule visits, plus blocks only past the dimension already
-    built.  The blocks themselves are kept, read-only, in an LRU of
-    _BLOCK_CACHE entries keyed by t and the options, so a t that several
-    callers share (a substep of both chain directions, or a node time of
-    two rules that agree bit for bit: t = 0, or h/5 of the rule over h and
-    2(h/2)/5 of the one over h/2) is computed once.  On a dense operator a
-    kept block is ``op.expm(t) @ V`` as of its first call; on a sparse one
-    it has the bits of a new call, as a cached space gives those of a
-    one-shot one.
-    ``equidistant`` gives the blocks of a whole node grid; on a dense
-    operator it steps from node to node (see there).  Safe to call from
-    several threads: its one reentrant lock is held across a whole call,
-    from the lookup through the exp_action it makes and the use of a cached
-    space, so each space and block is built once.  The operator's lock is
-    taken inside it, never the other way round.
+    A call is ``exp_action(op, t, V, opts, self)``.  The blocks are kept,
+    read-only, in an LRU of _BLOCK_CACHE entries keyed by t and the
+    options, so a t that several callers share (a substep of both chain
+    directions) is computed once; a kept block is ``op.expm(t) @ V`` as of
+    its first call.  ``equidistant`` gives the blocks of a whole node grid
+    by stepping from node to node (see there).  Safe to call from several
+    threads: its one lock is held across a whole call, from the lookup
+    through the exp_action it makes, so each block is built once.  The
+    operator's lock is taken inside it, never the other way round.
 
     V is checked once, when the ``BlockActions`` is made: its shape
     (InvalidInput) and whether it is finite, which a nontrivial action
@@ -560,9 +436,8 @@ class BlockActions:
     def __init__(self, op: StiffOperator, v: np.ndarray):
         self.op = op
         self.v, self._finite = _checked_block(op, v)
-        self._spaces = OrderedDict()
         self._blocks = OrderedDict()
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
         def make():
@@ -573,15 +448,12 @@ class BlockActions:
         with self._lock:
             return _lru_get(self._blocks, (t, opts), make, _BLOCK_CACHE)
 
-    def equidistant(self, h: float, degree: int,
-                    opts: ExpActionOptions = ExpActionOptions()) -> tuple:
-        """The blocks at the nodes np.linspace(0, h, degree + 1).
-
-        A sparse operator calls self per node, with the same bits.  A dense
-        one steps along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-        2011): with E = expm((h/degree) A^T), block k is E times block k-1
-        for 0 < k < degree, and the last block is expm(h A^T) V, the matrix
-        the propagation over h caches.  A grid thus takes two N x N
+    def equidistant(self, h: float, degree: int) -> tuple:
+        """The blocks at the nodes np.linspace(0, h, degree + 1), stepped
+        along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011):
+        with E = expm((h/degree) A^T), block k is E times block k-1 for
+        0 < k < degree, and the last block is expm(h A^T) V, the matrix the
+        propagation over h caches.  A grid thus takes two N x N
         exponentials, not one per node (``QuadraturePool.prepare`` primes
         both, with those of the other grids of its step, from one scipy
         expm), and its inner blocks agree with exp_action to round-off, not
@@ -590,8 +462,6 @@ class BlockActions:
         if degree < 1:
             raise InvalidInput(f"degree must be >= 1, got {degree}")
         nodes = np.linspace(0.0, h, degree + 1)
-        if self.op.is_sparse:
-            return tuple(self(s, opts) for s in nodes)
         _check_time(h)
         v = self.v
         if v.shape[1] == 0 or h == 0.0:

@@ -390,6 +390,7 @@ def _write_trajectory(out: Path, records) -> None:
 
 def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
     """One solver run; writes trajectory.csv, the final factor and a summary.
+    The trajectory keeps only the initial and final factors.
 
     On StepSizeCollapse the accepted steps of the partial trajectory go to
     trajectory.csv and the summary gets a ``collapsed:`` line with the
@@ -403,13 +404,13 @@ def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
         if config.n_steps is not None:
             traj = integrate_fixed(
                 problem, config.spec, config.n_steps, config.exp_opts(),
-                config.comp_opts(),
+                config.comp_opts(), store_factors=False,
             )
         else:
             params = ControllerParams(tol=config.tol, epus=config.epus)
             traj = integrate_adaptive(
                 problem, config.spec, config.h1, params, config.exp_opts(),
-                config.comp_opts(),
+                config.comp_opts(), store_factors=False,
             )
     except StepSizeCollapse as exc:
         records = exc.trajectory.records if exc.trajectory is not None else []

@@ -16,16 +16,18 @@ How X(h) is formed depends on the width of the rule of the scheme's degree,
 - At N or more columns X(h) would be an N x N core anyway.  There it is
   exact: ``ProblemData.source_integral``, from Van Loan's block exponential
   (``expaction.SourceIntegral``), as an N x N core on the identity basis.
-  This holds for a dense or a sparse A alike.
 - Below N columns (the low-rank regime) it is the equidistant rule with
   nodes k h / degree, whose stability constant is always that of the
   equidistant rule.  Its weights are h times the unit rule's, computed
-  exactly once per degree (``quad_weights``).  On a dense operator the
-  node blocks exp(s_k A^T) L_Q are stepped with one exponential of
-  (h/degree) A^T, plus the exp(h A^T) the propagation over h shares
+  exactly once per degree (``quad_weights``).  The node blocks
+  exp(s_k A^T) L_Q are stepped with one exponential of (h/degree) A^T,
+  plus the exp(h A^T) the propagation over h shares
   (``BlockActions.equidistant``; ``adaptive.QuadraturePool`` primes both
-  from one expm); on a sparse one the blocks of recent node times are
-  kept, so a node that two rules share is computed once.
+  from one expm).
+
+The flows and the integral need a dense A.  A sparse problem is solved on
+its Galerkin space (``ProblemData.projected``), a dense m x m problem, and
+the flows raise InvalidInput on a sparse A.
 
 Both flows work on a factor of any rank, so the affine flow and the rule
 keep a sum of N or more columns uncompressed, as its N x N core on the
@@ -136,9 +138,8 @@ class ProblemData:
     The source and initial factors must be finite and their cores positive
     semi-definite (up to a -1e-12 eigenvalue tolerance); this is what
     guarantees existence of the exact solution.  ``source_blocks`` gives
-    the quadrature blocks exp(s A^T) L_Q; on a sparse operator it keeps the
-    Krylov spaces of L_Q per octave of s, and each new problem starts with
-    none.
+    the quadrature blocks exp(s A^T) L_Q of a dense operator.  A problem
+    with a sparse operator is solved through ``projected``.
     """
 
     a: StiffOperator
@@ -166,6 +167,22 @@ class ProblemData:
     @property
     def n(self) -> int:
         return self.a.n
+
+    def projected(self, u: np.ndarray) -> "ProblemData":
+        """The Galerkin projection onto the orthonormal columns of U
+        (N x m): the dense operator U^T A U, the source factor U^T L_Q with
+        D_Q, the quadratic term U^T S(U) (symmetrized), the initial factor
+        U^T L_P0 with D_P0, and the same horizon.  Its solution Y lifts to
+        U Y U^T, exact where P stays in range(U).  The initial factor is set
+        as in ``_restarted``, so the factor of a restarted problem passes."""
+        cross = u.T @ self.s.apply(u)
+        return ProblemData(
+            a=StiffOperator(u.T @ (self.a.matrix @ u)),
+            q=LDLTFactor._trusted(u.T @ self.q.L, self.q.D),
+            s=QuadraticTerm.from_dense(0.5 * (cross + cross.T)),
+            p0=LDLTFactor.zero(u.shape[1]),
+            horizon=self.horizon,
+        )._restarted(LDLTFactor._trusted(u.T @ self.p0.L, self.p0.D), self.horizon)
 
     def _restarted(self, p0: LDLTFactor, horizon: float) -> "ProblemData":
         """This problem from p0 over [0, horizon], sharing its other parts and
@@ -296,12 +313,13 @@ def init_quadrature(
     full width (``full_width``) it is the exact X(h) of
     ``problem.source_integral`` on the identity basis, with no node, the
     single weight h and no fresh block.  Below, it is the rule with
-    equidistant nodes k*h/degree and all blocks freshly computed."""
+    equidistant nodes k*h/degree and all blocks freshly computed.  Dense
+    operators only (InvalidInput otherwise)."""
     weights = quad_weights(degree, h)  # checks h and degree
     if full_width(problem, degree):
         assembled = LDLTFactor._trusted(identity_basis(problem.n), problem.source_integral(h))
         return QuadratureState(degree, h, np.empty(0), np.array([h]), assembled, 0)
-    blocks = problem.source_blocks.equidistant(h, degree, exp_opts)
+    blocks = problem.source_blocks.equidistant(h, degree)
     assembled = _assemble(problem, weights, blocks, comp_opts)
     return QuadratureState(degree, h, np.linspace(0.0, h, degree + 1), weights, assembled,
                            degree + 1)
@@ -345,14 +363,14 @@ def affine_flow(
     is on that basis already, and the propagated factor is added onto it
     by ``add_to_identity_sum``, the same one product with the same bits.
     A factor of rank 0 is passed as it is, and ``combine`` leaves it out.
-    Raises
-    NonFiniteFactor naming the flow and h when the core of the sum is not
-    finite.
+    Raises InvalidInput on a sparse operator, and NonFiniteFactor naming
+    the flow and h when the core of the sum is not finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
     if h == 0.0:
         return factor
+    problem.a.require_dense()
     if not abs(state.h - h) <= 1e-12 * abs(h):
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     propagated = factor

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 # BLAS is pinned to one thread before numpy loads it (an existing setting
@@ -85,9 +86,8 @@ def make_random_problem(rng, n, rank, horizon=1.0, spectral_scale=None):
 
 def make_sparse_linear_problem(rng, horizon):
     """Sparse N=40 problem with Q = 0, S = 0 and a rank-one P0: the solution
-    exp(tA^T) P0 exp(tA) stays rank one, so every exponential action is on
-    one column and needs more Krylov dimensions the longer its t (15 at
-    t = 0.1, 12 at t = 0.05 for rel_tol 1e-10)."""
+    exp(tA^T) P0 exp(tA) stays rank one, and every step's estimate is
+    round-off."""
     n = 40
     a = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], [-1, 0, 1]) * 10.0
     return ProblemData(
@@ -102,3 +102,8 @@ def make_sparse_linear_problem(rng, horizon):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def stored_dense(problem):
+    """problem with its operator stored as a dense matrix."""
+    return dataclasses.replace(problem, a=StiffOperator(problem.a.as_dense()))

@@ -32,6 +32,7 @@ from dresplit import (
     to_dense,
 )
 from dresplit.adaptive import QuadraturePool, default_quad_degree
+from dresplit.expaction import KrylovSpace
 from dresplit.lowrank import LDLTFactor, compress, frob_norm
 from dresplit.oracle import dense_reference, dense_subflow
 from dresplit.problems import to_dense_problem
@@ -115,8 +116,12 @@ def test_criterion_2_subflow_oracle_equivalence():
     # Full-width instances, where the rule's 10 rank(Q) columns reach N and
     # init_quadrature gives the exact integral: the N = 10 study problem, a
     # stiff one (laplacian_lqr N = 30, ||h A||_1 = 192, dense and sparse),
-    # and a non-normal one (-I + 8 shift, N = 12, ||h A||_1 = 4.5).
+    # and a non-normal one (-I + 8 shift, N = 12, ||h A||_1 = 4.5).  The
+    # sparse one flows on its Galerkin projection, onto the Krylov space of
+    # L_Q (all of R^30 here), and is lifted back.
     laplacian = generate_problem("laplacian_lqr", 30)
+    space = KrylovSpace(laplacian.a, laplacian.q.L, 1e-3)
+    assert space.grow(30)
     nonnormal = ProblemData(
         a=StiffOperator(-np.eye(12) + 8.0 * np.diag(np.ones(11), 1)),
         q=LDLTFactor(rng.standard_normal((12, 2)), np.eye(2)),
@@ -125,17 +130,22 @@ def test_criterion_2_subflow_oracle_equivalence():
         horizon=1.0,
     )
     named = {
-        "full width": (study_problem(), 0.1),
+        "full width": (study_problem(), None, 0.1),
         "stiff dense": (dataclasses.replace(
-            laplacian, a=StiffOperator(laplacian.a.matrix.toarray())), 0.05),
-        "stiff sparse": (laplacian, 0.05),
-        "non-normal": (nonnormal, 0.5),
+            laplacian, a=StiffOperator(laplacian.a.matrix.toarray())), None, 0.05),
+        "stiff sparse": (laplacian, space.basis, 0.05),
+        "non-normal": (nonnormal, None, 0.5),
     }
     worst_named = {}
-    for name, (problem, h) in named.items():
+    for name, (problem, u, h) in named.items():
         factor = LDLTFactor(rng.standard_normal((problem.n, 2)), np.eye(2))
-        state = init_quadrature(problem, h, 9, exp_opts, comp_opts)
-        got_f = to_dense(affine_flow(factor, h, problem, state, exp_opts, comp_opts))
+        if u is None:
+            solved, start, u = problem, factor, np.eye(problem.n)
+        else:
+            solved, start = problem.projected(u), LDLTFactor(u.T @ factor.L, factor.D)
+        state = init_quadrature(solved, h, 9, exp_opts, comp_opts)
+        flowed = affine_flow(start, h, solved, state, exp_opts, comp_opts)
+        got_f = to_dense(LDLTFactor(u @ flowed.L, flowed.D))
         ref_f = dense_subflow("affine", to_dense(factor), h, to_dense_problem(problem))
         worst_named[name] = relative_error(got_f, ref_f)
     worst_affine = max(worst_affine, *worst_named.values())

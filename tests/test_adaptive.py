@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dresplit import adaptive, expaction, lowrank, subflows
+from dresplit import adaptive, expaction, lowrank, schemes, subflows
 from dresplit import (
     CompressionOptions,
     ControllerParams,
@@ -16,6 +16,7 @@ from dresplit import (
     QuadraticTerm,
     SchemeSpec,
     StepSizeCollapse,
+    StepTooLarge,
     StiffOperator,
     generate_problem,
     integrate_adaptive,
@@ -32,6 +33,7 @@ from conftest import (
     make_sparse_linear_problem,
     make_tanh_problem,
     random_factor,
+    stored_dense,
 )
 
 EXP = ExpActionOptions(rel_tol=1e-12)
@@ -244,31 +246,43 @@ class TestAdaptiveDriver:
         # The run collapses one shrink below the floor (horizon 1).
         assert trials[-1] / cap < adaptive.H_MIN_FACTOR <= trials[-1]
 
+    @staticmethod
+    def _singular_above(monkeypatch, h_max):
+        """Make every quadratic flow over h > h_max raise StepTooLarge."""
+        real = schemes.quadratic_flow
+
+        def flow(factor, h, s_op):
+            if h > h_max:
+                raise StepTooLarge(f"quadratic subflow system is singular for h={h:g}")
+            return real(factor, h, s_op)
+
+        monkeypatch.setattr(schemes, "quadratic_flow", flow)
+
     def test_failed_subflow_counts_as_rejection(self, rng, monkeypatch):
-        # A Krylov dimension cap of 13 cannot reach the exp-action tolerance
-        # at t = 0.1 but can at t <= 0.05, so the first trial raises
-        # ToleranceNotMet; it must shrink the step instead of aborting the
-        # run.  Uncapped, the same problem takes h = 0.1 in one step.
+        # A quadratic flow singular above h = 0.05 fails the first trial,
+        # h = 0.1; the driver must shrink the step instead of aborting the
+        # run.  Unhindered, the same problem takes h = 0.1 in one step.
         problem = make_sparse_linear_problem(rng, 0.1)
-        uncapped = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
-                                      ControllerParams(tol=1e-6))
-        assert [r.rejections for r in uncapped.records] == [0]
-        monkeypatch.setattr(expaction, "_MAX_DIM", 13)
-        traj = integrate_adaptive(dataclasses.replace(problem), SchemeSpec("sym", 2), 0.1,
+        unhindered = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
+                                        ControllerParams(tol=1e-6))
+        assert [r.rejections for r in unhindered.records] == [0]
+        self._singular_above(monkeypatch, 0.05)
+        traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.1,
                                   ControllerParams(tol=1e-6))
         assert traj.records[0].rejections >= 1
         assert traj.records[0].h < 0.1
         assert traj.times[-1] == 0.1
 
     def test_collapse_names_failure_cause(self, rng, monkeypatch):
-        # A one-dimensional Krylov space can never confirm convergence.
-        monkeypatch.setattr(expaction, "_MAX_DIM", 1)
+        # A quadratic flow singular at every h halves the step to collapse;
+        # the partial trajectory is lifted from the Galerkin space.
+        self._singular_above(monkeypatch, 0.0)
         problem = make_sparse_linear_problem(rng, 0.2)
         monkeypatch.setattr(adaptive, "H_MIN_FACTOR", 0.3)
         params = ControllerParams(tol=1e-6)
-        with pytest.raises(StepSizeCollapse, match="last rejection: ToleranceNotMet") as info:
+        with pytest.raises(StepSizeCollapse, match="last rejection: StepTooLarge") as info:
             integrate_adaptive(problem, SchemeSpec("sym", 2), 0.2, params)
-        assert info.value.trajectory is not None
+        assert [f.n for f in info.value.trajectory.factors] == [problem.n]
 
     def test_blow_up_names_the_step(self):
         with np.errstate(over="ignore", invalid="ignore"), \
@@ -333,6 +347,61 @@ def test_dense_warm_cache_rerun_gives_identical_bits(spec, tol):
             assert sum(r.rejections for r in traj.records) > 0
         finals.append((traj.final.L.tobytes(), traj.final.D.tobytes(), len(traj.records)))
     assert finals[0] == finals[1]
+
+
+@pytest.mark.parametrize("tol", [None, 1e-4])
+def test_sparse_storage_matches_dense_storage(tol):
+    # laplacian_lqr N=60, sym2: the sparse operator is solved on Galerkin
+    # spaces of 50 and then 60 = N columns, the dense one as it is; both
+    # take the equidistant rule.  2 fixed steps, or adaptive at tol 1e-4
+    # (64 steps, 3 rejections).
+    sparse = generate_problem("laplacian_lqr", n=60)
+    runs = []
+    for problem in (sparse, stored_dense(sparse)):
+        if tol is None:
+            traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+        else:
+            traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01,
+                                      ControllerParams(tol=tol))
+        runs.append(traj)
+    got, want = runs
+    assert [r.rejections for r in got.records] == [r.rejections for r in want.records]
+    assert np.allclose(got.times, want.times, rtol=1e-9, atol=0)
+    assert relative_error(to_dense(got.final), to_dense(want.final)) <= 1e-12
+
+
+def test_sliver_final_step_is_stretched():
+    # h1 falls 1e-13 short of the horizon.  Clamped only past the horizon,
+    # the run took that step and then a sliver of 1e-15, whose per unit step
+    # estimate (round-off over h) every rejection made worse, to collapse.
+    # Within STRETCH of the horizon, the first step lands on it.
+    problem = generate_problem("random_lowrank", 10, rank=2, seed=1, horizon=0.01)
+    traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01 * (1 - 1e-13),
+                              ControllerParams(tol=0.1, epus=True))
+    assert [(r.t, r.h, r.clamped, r.rejections) for r in traj.records] == \
+        [(0.01, 0.01, True, 0)]
+
+
+def test_stretched_step_after_the_controller(monkeypatch):
+    # The controller keeps h, which would leave 1e-13 of the horizon after
+    # the second step; that step is stretched to land on the horizon.
+    monkeypatch.setattr(adaptive, "pi_update", lambda e_prev, e_new, h, params, p: h)
+    h1 = 0.5 * (1 - 1e-13)
+    traj = integrate_adaptive(make_tanh_problem(), SchemeSpec("sym", 2), h1,
+                              ControllerParams(tol=1.0))
+    assert [(r.t, r.h, r.clamped) for r in traj.records] == \
+        [(h1, h1, False), (1.0, 1.0 - h1, True)]
+
+
+def test_sparse_problem_with_an_initial_factor_matches_dense_storage():
+    # A random P0 lies outside the Krylov space of L_Q; the Galerkin space
+    # starts from [L_Q, L_P0], so the sparse solve keeps it.
+    rng = np.random.default_rng(3)
+    sparse = dataclasses.replace(generate_problem("laplacian_lqr", n=100),
+                                 p0=LDLTFactor(rng.standard_normal((100, 2)), np.eye(2)))
+    got = integrate_fixed(sparse, SchemeSpec("sym", 2), 2).final
+    want = integrate_fixed(stored_dense(sparse), SchemeSpec("sym", 2), 2).final
+    assert relative_error(to_dense(got), to_dense(want)) <= 1e-9
 
 
 def test_sparse_warm_cache_rerun_gives_identical_bits():

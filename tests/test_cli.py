@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -17,12 +18,14 @@ from dresplit import (
     LDLTFactor,
     ProblemData,
     QuadraticTerm,
+    RunConfig,
     StiffOperator,
+    StudySpec,
     generate_problem,
     ingest_problem,
     to_dense,
 )
-from dresplit.cli import _add_run_flags, build_parser, main
+from dresplit.cli import _FLAG_SETTINGS, _add_run_flags, build_parser, main
 from dresplit.problems import export_problem
 
 
@@ -166,7 +169,8 @@ class TestCommands:
                      "--seed", "5", "--out", str(prob_dir)]) == 0
         assert main(["solve", "--problem", str(prob_dir), "--scheme", "sym",
                      "--stages", "2", "--steps", "8", "--out", str(out_dir)]) == 0
-        rows = list(csv.reader(open(out_dir / "trajectory.csv")))
+        with open(out_dir / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert len(rows) == 9  # header + 8 steps
         assert (out_dir / "final_L.mtx").exists()
         assert (out_dir / "config.json").exists()
@@ -179,7 +183,8 @@ class TestCommands:
         assert main(["solve", "--problem", str(prob_dir), "--scheme", "sym",
                      "--stages", "2", "--tol", "1e-3", "--h1", "0.05", "--epus",
                      "--out", str(out_dir)]) == 0
-        rows = list(csv.reader(open(out_dir / "trajectory.csv")))
+        with open(out_dir / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         header, data = rows[0], rows[1:]
         t_col = header.index("t")
         assert float(data[-1][t_col]) == 1.0
@@ -195,7 +200,8 @@ class TestCommands:
         assert (out_dir / "order.csv").exists()
         assert (out_dir / "slopes.csv").exists()
         assert (out_dir / "summary.txt").exists()
-        rows = list(csv.reader(open(out_dir / "order.csv")))
+        with open(out_dir / "order.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:4] == ["scheme", "stages", "n_steps", "h"]
         assert len(rows) == 7
 
@@ -446,7 +452,8 @@ class TestCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("solver error: step size")
-        rows = list(csv.reader(open(out_dir / "trajectory.csv")))
+        with open(out_dir / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows == [["step", "t", "h", "err_est", "rank", "rejections",
                          "fresh_quad_blocks", "clamped", "min_core_eig"]]
         summary = (out_dir / "summary.txt").read_text().splitlines()
@@ -474,6 +481,17 @@ def test_readme_names_every_run_flag():
     _add_run_flags(parser)
     options = {o for action in parser._actions for o in action.option_strings}
     assert set(re.findall(r"--[a-z][a-z0-9-]*", paragraph)) == options
+
+
+def test_every_study_flag_names_its_setting():
+    # A study kind rejects the flags whose setting it does not read; a flag
+    # missing from the table would be dropped without a word.
+    study = next(action for action in build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)).choices["study"]
+    flags = {action.dest for action in study._actions if action.option_strings}
+    assert flags - {"help", "problem", "out"} == set(_FLAG_SETTINGS)
+    settings = set(dataclasses.asdict(RunConfig(n_steps=1))) | set(dataclasses.asdict(StudySpec()))
+    assert set(_FLAG_SETTINGS.values()) <= settings
 
 
 def test_readme_names_every_command():

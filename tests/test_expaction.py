@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.linalg import expm
 
 from dresplit import (
@@ -25,18 +26,14 @@ from dresplit import (
     generate_problem,
     integrate_adaptive,
     integrate_fixed,
+    relative_error,
 )
-from dresplit import expaction
+from dresplit import adaptive, expaction
 from dresplit.adaptive import QuadraturePool, default_quad_degree
-from dresplit.subflows import init_quadrature
-from dresplit.expaction import (
-    _BLOCK_CACHE,
-    _EXPM_CACHE,
-    _LU_CACHE,
-    BlockActions,
-    _dense_expm,
-    _relative_change,
-)
+from dresplit.expaction import _BLOCK_CACHE, _EXPM_CACHE, BlockActions, KrylovSpace, _dense_expm
+from dresplit.lowrank import to_dense
+
+from conftest import stored_dense
 
 
 def laplacian(n):
@@ -48,6 +45,16 @@ def nonsymmetric_sparse(n, seed):
     r = sp.random(n, n, density=0.02, random_state=seed) * 20.0
     drift = sp.diags(30.0 * np.ones(n - 1), 1)
     return (r + drift - 50.0 * sp.identity(n)).tocsr()
+
+
+def galerkin_action(a, t, v, size):
+    """U exp(t T^T) U^T v on the Krylov space U of v grown to ``size``
+    columns (gamma = 1e-3), T = U^T A U: the projected problem's action,
+    lifted; and the space."""
+    space = KrylovSpace(StiffOperator(a), v, 1e-3)
+    space.grow(size)
+    u = space.basis
+    return u @ (expm(t * (u.T @ (a @ u)).T) @ (u.T @ v)), space
 
 
 def run_threads(worker, count):
@@ -120,30 +127,23 @@ def test_semigroup_property(rng):
     assert np.linalg.norm(direct - chained) <= 1e-9 * np.linalg.norm(direct)
 
 
-def test_sparse_path_matches_dense_path(rng):
-    n = 20
-    dx = 1.0 / (n + 1)
-    main = -2.0 * np.ones(n) / dx**2
-    off = np.ones(n - 1) / dx**2
-    a_sp = sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    op_sp = StiffOperator(a_sp)
-    op_de = StiffOperator(a_sp.toarray())
-    v = rng.standard_normal((n, 2))
-    opts = ExpActionOptions(rel_tol=1e-10)
-    w_sp = exp_action(op_sp, 1e-3, v, opts)
-    w_de = exp_action(op_de, 1e-3, v, opts)
-    assert np.linalg.norm(w_sp - w_de) <= 1e-8 * np.linalg.norm(w_de)
+def test_sparse_path_matches_dense_path():
+    # At N = 20 the Galerkin space of the sparse operator is all of R^N,
+    # so its solve is the dense one's up to round-off.
+    sparse = generate_problem("laplacian_lqr", 20)
+    got = integrate_fixed(sparse, SchemeSpec("sym", 2), 2).final
+    want = integrate_fixed(stored_dense(sparse), SchemeSpec("sym", 2), 2).final
+    assert relative_error(to_dense(got), to_dense(want)) <= 1e-12
 
 
-def test_tolerance_not_met_carries_best(rng, monkeypatch):
-    # A dimension cap far below N stops the Krylov iteration unconverged.
-    monkeypatch.setattr(expaction, "_MAX_DIM", 4)
-    op = StiffOperator(laplacian(200))
-    v = rng.standard_normal((200, 1))
-    with pytest.raises(ToleranceNotMet) as info:
-        exp_action(op, 1e-4, v, ExpActionOptions(rel_tol=1e-14))
-    assert info.value.best is not None
-    assert info.value.estimate > 0
+def test_sparse_operator_has_no_exponential(rng):
+    op = StiffOperator(laplacian(20))
+    blocks = BlockActions(op, rng.standard_normal((20, 2)))
+    for call in (lambda: exp_action(op, 0.1, blocks.v), lambda: blocks(0.1),
+                 lambda: blocks.equidistant(0.1, 3), lambda: op.expm(0.1),
+                 lambda: op.prime_expm(0.1, {0.1: 1})):
+        with pytest.raises(InvalidInput, match="ProblemData.projected"):
+            call()
 
 
 @pytest.mark.parametrize("tol", [np.nan, 0.0])
@@ -162,15 +162,6 @@ def count_scipy_expm(monkeypatch):
     """The list to which each scipy expm call of expaction appends."""
     calls = []
     monkeypatch.setattr(expaction, "expm", lambda m: calls.append(1) or expm(m))
-    return calls
-
-
-def count_shift_lu(monkeypatch):
-    """The list to which each sparse LU factorization appends its gamma."""
-    calls = []
-    factor = expaction._shift_lu
-    monkeypatch.setattr(expaction, "_shift_lu",
-                        lambda at, gamma: calls.append(gamma) or factor(at, gamma))
     return calls
 
 
@@ -209,15 +200,10 @@ def test_propagator_cache_under_thread_contention(rng):
     assert len(op._cache) <= _EXPM_CACHE
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_concurrent_misses_build_each_entry_once(rng, monkeypatch, sparse):
+def test_concurrent_misses_build_each_entry_once(rng, monkeypatch):
     # Threads that miss on the same key at once wait for the one build.
-    if sparse:
-        op, calls = StiffOperator(laplacian(200)), count_shift_lu(monkeypatch)
-        lookup, keys = op.shift_lu, [2.0**-k for k in range(8, 8 + _LU_CACHE)]
-    else:
-        op, calls = StiffOperator(rng.standard_normal((60, 60))), count_scipy_expm(monkeypatch)
-        lookup, keys = op.expm, [0.1 / k for k in range(1, 1 + _EXPM_CACHE)]
+    op, calls = StiffOperator(rng.standard_normal((60, 60))), count_scipy_expm(monkeypatch)
+    lookup, keys = op.expm, [0.1 / k for k in range(1, 1 + _EXPM_CACHE)]
     got = {key: [] for key in keys}
 
     def worker(k):
@@ -262,18 +248,11 @@ def test_large_finite_block_scale_invariant(rng):
     v = rng.standard_normal((6, 2))
     big = exp_action(op, 1.0, 2.0**530 * v)
     assert np.array_equal(big / 2.0**530, exp_action(op, 1.0, v))
-    w, w_prev = rng.standard_normal((2, 6, 3))
-    unscaled = np.linalg.norm(w - w_prev) / np.linalg.norm(w)
-    assert _relative_change(w, w_prev) == unscaled
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_nonfinite_block_raises_promptly(rng, sparse):
-    # A NaN column can never converge; the action must stop at once instead
-    # of growing the Krylov space to its cap.
-    problem = generate_problem("laplacian_lqr", n=100)
-    a = problem.a.matrix
-    op = StiffOperator(a if sparse else a.toarray())
+def test_nonfinite_block_raises_promptly(rng):
+    # A NaN column is refused before the exponential is formed.
+    op = StiffOperator(laplacian(100).toarray())
     v = rng.standard_normal((100, 3))
     v[:, 1] = np.nan
     start = time.perf_counter()
@@ -303,22 +282,28 @@ def test_nonfinite_operator_rejected(sparse, value):
 
 
 def test_singular_shift_raises_step_too_large_sparse():
-    # t = 0.5 puts the shift on gamma = 2^floor(log2 t) / 2 = 0.25, so the
-    # diagonal entry 4 makes I - gamma A^T exactly singular.
-    a = sp.csr_matrix(np.diag([4.0, -1.0, -2.0]))
-    with pytest.raises(StepTooLarge, match=r"t=0\.5 .*gamma=0\.25"):
-        exp_action(StiffOperator(a), 0.5, np.ones((3, 2)))
+    # horizon 25 puts the Galerkin space's shift on gamma = horizon / 100 =
+    # 0.25, so the diagonal entry 4 makes I - gamma A^T exactly singular.
+    problem = ProblemData(a=StiffOperator(sp.csr_matrix(np.diag([4.0, -1.0, -2.0]))),
+                          q=LDLTFactor(np.ones((3, 1)), np.eye(1)),
+                          s=QuadraticTerm.from_dense(np.eye(3)), p0=LDLTFactor.zero(3),
+                          horizon=25.0)
+    with pytest.raises(StepTooLarge, match=r"gamma=0\.25"):
+        integrate_fixed(problem, SchemeSpec("sym", 2), 2)
 
+
+# The Galerkin space of a sparse operator: exp(t A^T) V is approximated by
+# the lifted action of the projected operator, U exp(t T^T) U^T V.
 
 @pytest.mark.parametrize("kind", ["laplacian", "nonsymmetric"])
 def test_krylov_matches_dense_expm(rng, kind):
     n = 400
     a = laplacian(n) if kind == "laplacian" else nonsymmetric_sparse(n, 7)
-    op, a_t = StiffOperator(a), a.toarray().T
     v = rng.standard_normal((n, 4))
     for t in (1e-5, 1e-4, 1e-3, 1e-2, 5e-2):
-        ref = expm(t * a_t) @ v
-        out = exp_action(op, t, v)
+        ref = expm(t * a.toarray().T) @ v
+        out, space = galerkin_action(a, t, v, 240)
+        assert space.basis.shape[1] == 240 and not space.exact
         assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref), t
 
 
@@ -326,10 +311,10 @@ def test_rank_deficient_block(rng):
     # Dependent columns deflate out of the first block; the action stays
     # linear in them.
     n = 100
-    op = StiffOperator(laplacian(n))
     base = rng.standard_normal((n, 2))
     v = np.column_stack([base, base @ [1.0, -2.0], np.zeros(n)])
-    out = exp_action(op, 1e-3, v)
+    out, space = galerkin_action(laplacian(n), 1e-3, v, 60)
+    assert KrylovSpace(StiffOperator(laplacian(n)), v, 1e-3).basis.shape[1] == 2
     ref = expm(1e-3 * laplacian(n).toarray().T) @ v
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
     assert np.allclose(out[:, 2], out[:, :2] @ [1.0, -2.0], rtol=0, atol=1e-12)
@@ -338,151 +323,136 @@ def test_rank_deficient_block(rng):
 
 def test_invariant_subspace_is_exact():
     # Eigenvectors of the symmetric Laplacian span an invariant subspace:
-    # the first new block deflates away and the iterate is returned exactly.
+    # the first new block deflates away and the space is exact.
     n = 50
     a = laplacian(n)
     lam, vecs = np.linalg.eigh(a.toarray())
     v = vecs[:, [0, 3, 7]]
-    out = exp_action(StiffOperator(a), 1e-3, v, ExpActionOptions(rel_tol=1e-14))
+    out, space = galerkin_action(a, 1e-3, v, 48)
+    assert space.exact and space.basis.shape[1] == 3
     ref = v * np.exp(1e-3 * lam[[0, 3, 7]])
     assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_block_wider_than_half_n(rng):
+    # The space fills R^N, where it is exact.
     n = 40
     a = nonsymmetric_sparse(n, 3)
     v = rng.standard_normal((n, 25))
-    out = exp_action(StiffOperator(a), 0.02, v)
+    out, space = galerkin_action(a, 0.02, v, 48)
+    assert space.exact and space.basis.shape[1] == n
     ref = expm(0.02 * a.toarray().T) @ v
     assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
-def test_unreachable_tolerance_is_bounded(rng):
-    # Successive iterates cannot agree to 5e-16; the dimension cap (here N,
-    # which is exact) bounds the cost of the attempt.  The first call also
-    # factors the shifted matrix; the best of three runs keeps a busy shared
-    # CPU from being read as cost of the action.
-    op = StiffOperator(laplacian(400))
-    v = rng.standard_normal((400, 4))
-    opts = ExpActionOptions(rel_tol=5e-16)
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        try:
-            exp_action(op, 0.01, v, opts)
-        except ToleranceNotMet:
-            pass
-        times.append(time.perf_counter() - start)
-    assert min(times) < 1.0
-
-
-def test_shift_lu_shared_within_an_octave(rng, monkeypatch):
-    op = StiffOperator(laplacian(60))
-    v = rng.standard_normal((60, 2))
-    factored = count_shift_lu(monkeypatch)
-    lookup = op.shift_lu
-    lus = []
-    op.shift_lu = lambda gamma: lus.append(lookup(gamma)) or lus[-1]
-    for t in (0.016, 0.02, 0.031):  # all in [2^-6, 2^-5), on gamma = 2^-7
-        exp_action(op, t, v)
-    assert factored == [2.0**-7]
-    assert len(lus) == 3 and lus[1] is lus[0] and lus[2] is lus[0]
-    assert len(op._cache) == 1
-
-
-def test_lu_cache_under_thread_contention(rng):
-    # More octaves than cache entries, so concurrent misses and evictions
-    # interleave; every action must match its serial result byte for byte.
-    op = StiffOperator(laplacian(80))
-    v = rng.standard_normal((80, 3))
-    ts = [0.05 / 2.0**k for k in range(2 * _LU_CACHE)]
-    serial = {t: exp_action(StiffOperator(laplacian(80)), t, v).tobytes() for t in ts}
-    wrong = []
-
-    def worker(offset):
-        for i in range(12):
-            t = ts[(offset + 3 * i) % len(ts)]
-            if exp_action(op, t, v).tobytes() != serial[t]:
-                wrong.append(t)
-
-    run_threads(worker, 4)
-    assert wrong == []
-    assert len(op._cache) <= _LU_CACHE
-
-
-# Cached source blocks: every result must carry the bits of a one-shot action.
-
-def _spaces(blocks):
-    return list(blocks._spaces.values())
-
-
-def test_source_blocks_match_one_shot_across_octaves():
-    problem = generate_problem("laplacian_lqr", n=200)
-    # Three octaves of s, revisited out of order and with repeats.
-    nodes = [0.01, 0.0125, 0.02, 0.0075, 0.01, 0.03, 0.0125, 0.005, 0.005, 0.0]
-    for s in nodes:
-        cached = problem.source_blocks(s)
-        assert cached.tobytes() == exp_action(problem.a, s, problem.q.L).tobytes()
-    assert len(_spaces(problem.source_blocks)) == 3
-
-
-def test_source_blocks_grow_past_the_cached_dimension():
-    problem = generate_problem("laplacian_lqr", n=200)
-    # One octave (gamma = 2^-8); each tighter tolerance needs checkpoints
-    # past those already built, a looser one replays the built ones only.
-    runs = [(2.0**-7 * 1.9, 1e-4), (2.0**-7 * 1.9, 1e-8), (2.0**-7 * 1.9, 1e-12),
-            (2.0**-7 * 1.2, 1e-6), (2.0**-7, 1e-12)]
-    built = []
-    for t, tol in runs:
-        opts = ExpActionOptions(rel_tol=tol)
-        cached = problem.source_blocks(t, opts)
-        assert cached.tobytes() == exp_action(problem.a, t, problem.q.L, opts).tobytes()
-        (space,) = _spaces(problem.source_blocks)
-        built.append(len(space.checkpoints))
-    assert built[0] < built[1] < built[2] == built[3] < built[4]
-
-
-def test_source_blocks_on_an_exhausted_space():
-    # N = 12 is below the dimension the tolerance asks for, so the space
-    # exhausts and its last checkpoint is exact.
-    problem = generate_problem("laplacian_lqr", n=12)
-    for t in (0.003, 0.0035, 0.002, 0.0039, 0.003):
-        opts = ExpActionOptions(rel_tol=1e-14)
-        cached = problem.source_blocks(t, opts)
-        assert cached.tobytes() == exp_action(problem.a, t, problem.q.L, opts).tobytes()
-    (space,) = _spaces(problem.source_blocks)
-    assert space.checkpoints[-1][1]
-
-
-def test_source_blocks_tolerance_not_met_matches_one_shot(monkeypatch):
-    monkeypatch.setattr(expaction, "_MAX_DIM", 12)
-    problem = generate_problem("laplacian_lqr", n=200)
-    opts = ExpActionOptions(rel_tol=1e-15)
-    with pytest.raises(ToleranceNotMet) as direct:
-        exp_action(problem.a, 0.05, problem.q.L, opts)
-    for t in (0.05, 0.05, 0.04):
-        with pytest.raises(ToleranceNotMet) as cached:
-            problem.source_blocks(t, opts)
-        if t == 0.05:
-            assert cached.value.best.tobytes() == direct.value.best.tobytes()
-            assert cached.value.estimate == direct.value.estimate
-    # A space keeps the cap it was built with, so the default cap gets its
-    # own problem.
+def test_unreachable_tolerance_is_bounded(monkeypatch):
+    # Successive answers cannot agree to 5e-16; the dimension cap (here N,
+    # where the space is exact) bounds the cost of the attempt, and the
+    # exact space's answer is returned.
+    problem = generate_problem("laplacian_lqr", 100)
+    dims = []
+    real = ProblemData.projected
+    monkeypatch.setattr(ProblemData, "projected",
+                        lambda self, u: dims.append(u.shape[1]) or real(self, u))
+    got = integrate_fixed(problem, SchemeSpec("sym", 2), 2,
+                          ExpActionOptions(rel_tol=5e-16)).final
     monkeypatch.undo()
-    problem = generate_problem("laplacian_lqr", n=200)
-    ok = problem.source_blocks(0.05)
-    assert ok.tobytes() == exp_action(problem.a, 0.05, problem.q.L).tobytes()
+    assert dims == [48, 72, 100]
+    want = integrate_fixed(stored_dense(problem), SchemeSpec("sym", 2), 2).final
+    assert relative_error(to_dense(got), to_dense(want)) <= 1e-12
+
+
+def _solve_sizes(monkeypatch):
+    """(dimension, lifted final factor) of each Galerkin solve, and the
+    list to which each sparse LU factorization appends."""
+    solves, lus = [], []
+    real_solve, real_lu = adaptive._integrate_fixed, scipy.sparse.linalg.splu
+
+    def solve(problem, *args):
+        traj = real_solve(problem, *args)
+        solves.append((problem.n, traj.final))
+        return traj
+
+    monkeypatch.setattr(adaptive, "_integrate_fixed", solve)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", lambda m: lus.append(1) or real_lu(m))
+    return solves, lus
+
+
+def test_space_stops_on_agreement(monkeypatch):
+    # laplacian_lqr N=400, sym2, 2 fixed steps: spaces of 48, 72 and 108
+    # columns, one sparse LU for all three; the answers at 72 and 108
+    # agree to the default 1e-10, those at 48 and 72 do not.
+    solves, lus = _solve_sizes(monkeypatch)
+    problem = generate_problem("laplacian_lqr", 400)
+    final = integrate_fixed(problem, SchemeSpec("sym", 2), 2).final
+    monkeypatch.undo()
+    assert [m for m, _ in solves] == [48, 72, 108] and lus == [1]
+    lifted = []
+    for m, f in solves:
+        space = KrylovSpace(problem.a, problem.q.L, 1e-3)
+        space.grow(m)
+        lifted.append(LDLTFactor(space.basis @ f.L, f.D))
+    assert to_dense(final).tobytes() == to_dense(lifted[-1]).tobytes()
+    assert relative_error(to_dense(lifted[0]), to_dense(lifted[1])) > 1e-10
+    assert relative_error(to_dense(lifted[1]), to_dense(lifted[2])) <= 1e-10
+
+
+def test_space_is_exact_when_exhausted(monkeypatch):
+    # L_Q spans four eigenvectors of the Laplacian, an invariant space: the
+    # space exhausts at dimension 4, and its one solve is the dense one.
+    # At N = 20 sym2's rule would stack 24 >= N columns, so both take the
+    # exact source integral.
+    n = 20
+    a = laplacian(n)
+    vecs = np.linalg.eigh(a.toarray())[1][:, [0, 3, 7, 12]]
+    problem = ProblemData(a=StiffOperator(a), q=LDLTFactor(vecs, np.eye(4)),
+                          s=QuadraticTerm.from_dense(np.eye(n)), p0=LDLTFactor.zero(n),
+                          horizon=0.1)
+    solves, _ = _solve_sizes(monkeypatch)
+    got = integrate_fixed(problem, SchemeSpec("sym", 2), 2).final
+    monkeypatch.undo()
+    assert [m for m, _ in solves] == [4]
+    want = integrate_fixed(stored_dense(problem), SchemeSpec("sym", 2), 2).final
+    assert relative_error(to_dense(got), to_dense(want)) <= 1e-12
+
+
+def test_space_grows_by_whole_blocks_keeping_its_basis(rng):
+    op = StiffOperator(laplacian(200))
+    v = rng.standard_normal((200, 3))
+    space = KrylovSpace(op, v, 1e-3)
+    assert space.basis.shape[1] == 3
+    assert not space.grow(10)
+    first = space.basis.copy()
+    assert first.shape[1] == 12
+    space.grow(40)
+    u = space.basis
+    assert u.shape[1] == 42 and np.array_equal(u[:, :12], first)
+    assert np.linalg.norm(u.T @ u - np.eye(42)) <= 1e-13
+    assert np.linalg.norm(u @ (u.T @ v) - v) <= 1e-13 * np.linalg.norm(v)
+    at_once = KrylovSpace(op, v, 1e-3)
+    at_once.grow(40)
+    assert at_once.basis.tobytes() == u.tobytes()
+
+
+def test_space_cap_raises_tolerance_not_met(monkeypatch):
+    # A cap of 60 below N = 400: the answers at 48 and 60 columns do not
+    # agree to 1e-10, and no larger space is allowed.
+    monkeypatch.setattr(expaction, "_MAX_DIM", 60)
+    problem = generate_problem("laplacian_lqr", 400)
+    with pytest.raises(ToleranceNotMet, match="dimension 60 of N=400"):
+        integrate_fixed(problem, SchemeSpec("sym", 2), 2)
+    with pytest.raises(ToleranceNotMet, match="dimension 60 of N=400"):
+        integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01, ControllerParams(tol=1e-4))
 
 
 def test_source_blocks_under_thread_contention():
-    # More octaves than cache entries, so concurrent misses, evictions and
-    # growth of one space interleave; every block must keep its bits.
-    problem = generate_problem("laplacian_lqr", n=80)
-    ts = [0.05 / 2.0**k * f for k in range(2 * _LU_CACHE) for f in (1.0, 1.7)]
+    # More times than cache entries, so concurrent misses and evictions
+    # interleave; every block must keep its bits.
+    problem = stored_dense(generate_problem("laplacian_lqr", n=80))
+    ts = [0.05 / 2.0**k * f for k in range(2 * _EXPM_CACHE) for f in (1.0, 1.7)]
     serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
     blocks = BlockActions(problem.a, problem.q.L)
     wrong = []
-    sizes = []
 
     def worker(offset):
         for i in range(12):
@@ -491,39 +461,10 @@ def test_source_blocks_under_thread_contention():
             got = exp_action(problem.a, t, problem.q.L, ExpActionOptions(), blocks)
             if got.tobytes() != serial[t]:
                 wrong.append(t)
-            sizes.append(len(blocks._spaces))
 
     run_threads(worker, 4)
     assert wrong == []
-    assert max(sizes) <= _LU_CACHE
-    assert len(problem.a._cache) <= _LU_CACHE
-
-
-def test_fresh_problem_starts_with_no_spaces():
-    problem = generate_problem("laplacian_lqr", n=60)
-    integrate_fixed(problem, SchemeSpec("sym", 2), 2)
-    assert 0 < len(_spaces(problem.source_blocks)) <= _LU_CACHE
-    assert _spaces(generate_problem("laplacian_lqr", n=60).source_blocks) == []
-    copy = dataclasses.replace(problem, horizon=0.2)
-    assert _spaces(copy.source_blocks) == []
-
-
-def test_one_exp_action_per_sparse_node(monkeypatch):
-    # Each sparse source block is one exp_action call on L_Q that resumes
-    # the block's cached Krylov spaces.  The degree-5 rule stacks 24 < 30
-    # columns, so it is built from node blocks.
-    problem = generate_problem("laplacian_lqr", n=30)
-    calls = []
-    real = expaction.exp_action
-
-    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-        calls.append((t, v is problem.q.L, blocks is problem.source_blocks))
-        return real(op, t, v, opts, blocks)
-
-    monkeypatch.setattr(expaction, "exp_action", counting)
-    state = init_quadrature(problem, 0.01, 5)
-    assert [t for t, _, _ in calls] == list(state.nodes)
-    assert all(source and cached for _, source, cached in calls)
+    assert len(problem.a._cache) <= _EXPM_CACHE
 
 
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
@@ -539,9 +480,12 @@ def test_exp_action_refuses_the_blocks_of_another_block(kind):
                   (other.a, problem.q.L)):
         with pytest.raises(InvalidInput, match="another operator or block"):
             exp_action(op, 0.01, v, ExpActionOptions(), blocks)
-    assert _spaces(blocks) == []
-    assert exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks).tobytes() == (
-        exp_action(problem.a, 0.01, problem.q.L).tobytes())
+    if kind == "sparse":
+        with pytest.raises(InvalidInput, match="ProblemData.projected"):
+            exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks)
+    else:
+        assert exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks).tobytes() \
+            == exp_action(problem.a, 0.01, problem.q.L).tobytes()
 
 
 def test_dense_source_blocks_keep_the_dense_path():
@@ -549,7 +493,6 @@ def test_dense_source_blocks_keep_the_dense_path():
     for t in (0.1, 0.3, 0.1):
         assert problem.source_blocks(t).tobytes() == (
             problem.a.expm(t) @ problem.q.L).tobytes()
-    assert _spaces(problem.source_blocks) == []
 
 
 def test_dense_blocks_are_kept_read_only_with_the_bits_of_expm(rng):
@@ -560,10 +503,10 @@ def test_dense_blocks_are_kept_read_only_with_the_bits_of_expm(rng):
     assert blocks(0.1) is first and not first.flags.writeable
     assert first.tobytes() == (op.expm(0.1) @ v).tobytes()
     assert blocks(0.2).tobytes() == (op.expm(0.2) @ v).tobytes()
-    assert len(blocks._blocks) == 2 and _spaces(blocks) == []
+    assert len(blocks._blocks) == 2
 
 
-# Dense node grids are stepped with one exponential; sparse ones are not.
+# Node grids are stepped with one exponential.
 
 def _stepped_operator(kind, n, rng):
     """A dense operator with ||h A||_1 = 4 at h = 1 (the scale of the dense
@@ -615,15 +558,6 @@ def test_equidistant_rejects_bad_degree():
     blocks = BlockActions(StiffOperator(np.eye(3)), np.ones((3, 1)))
     with pytest.raises(InvalidInput, match="degree"):
         blocks.equidistant(1.0, 0)
-
-
-def test_sparse_equidistant_is_per_node_source_blocks():
-    stepped = generate_problem("laplacian_lqr", n=200).source_blocks
-    per_node = generate_problem("laplacian_lqr", n=200).source_blocks
-    for h, degree in ((0.0125, 4), (0.025, 3), (0.00625, 9)):
-        got = stepped.equidistant(h, degree)
-        want = [per_node(s) for s in np.linspace(0.0, h, degree + 1)]
-        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
 
 
 def test_fixed_run_takes_two_exponentials_per_node_grid():
@@ -844,12 +778,10 @@ def test_block_is_checked_once_when_its_actions_are_made(rng, monkeypatch):
         assert block.tobytes() == (op.expm(t) @ v).tobytes()
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_nonfinite_block_of_block_actions_raises_at_its_first_nontrivial_action(sparse):
+def test_nonfinite_block_of_block_actions_raises_at_its_first_nontrivial_action():
     # As exp_action would: a trivial action (t = 0) returns the block, any
     # other raises naming t, for one call and for a node grid alike.
-    a = laplacian(5)
-    op = StiffOperator(a if sparse else a.toarray())
+    op = StiffOperator(laplacian(5).toarray())
     v = np.ones((5, 2))
     v[1, 1] = np.nan
     blocks = BlockActions(op, v)
@@ -858,38 +790,14 @@ def test_nonfinite_block_of_block_actions_raises_at_its_first_nontrivial_action(
         blocks(0.1)
     with pytest.raises(NonFiniteFactor, match=r"t=0\.2 produced a non-finite input block"):
         exp_action(op, 0.2, v)
-    if not sparse:
-        with pytest.raises(NonFiniteFactor, match=r"t=2 produced a non-finite input block"):
-            blocks.equidistant(2.0, 3)
+    with pytest.raises(NonFiniteFactor, match=r"t=2 produced a non-finite input block"):
+        blocks.equidistant(2.0, 3)
     with pytest.raises(InvalidInput, match="4 rows"):
         BlockActions(op, np.ones((4, 1)))
 
 
-# Sparse node blocks are kept by node time, so node times that several
-# rules share are computed once.
-
-def test_shared_node_times_take_one_exp_action(monkeypatch):
-    # sym2 over h = 0.05 builds rules on [0, 0.05] and [0, 0.025], degree
-    # 5 (24 < 30 columns); the nodes 0, 0.01 and 0.02 of the two agree bit
-    # for bit.
-    problem = generate_problem("laplacian_lqr", n=30)
-    calls = []
-    real = expaction.exp_action
-
-    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-        if blocks is problem.source_blocks:
-            calls.append(t)
-        return real(op, t, v, opts, blocks)
-
-    monkeypatch.setattr(expaction, "exp_action", counting)
-    integrate_fixed(problem, SchemeSpec("sym", 2), 2)
-    nodes = set(np.linspace(0.0, 0.05, 6)) | set(np.linspace(0.0, 0.025, 6))
-    assert len(nodes) == 9
-    assert sorted(calls) == sorted(nodes)
-
-
 def test_kept_blocks_are_read_only_and_keep_their_bits():
-    problem = generate_problem("laplacian_lqr", n=60)
+    problem = stored_dense(generate_problem("laplacian_lqr", n=60))
     blocks = problem.source_blocks
     loose = ExpActionOptions(rel_tol=1e-6)
     first = blocks(0.01)
@@ -901,26 +809,8 @@ def test_kept_blocks_are_read_only_and_keep_their_bits():
     assert len(blocks._blocks) == 2
 
 
-def test_kept_blocks_stay_within_their_bound_over_an_adaptive_run(monkeypatch):
-    sizes = []
-    real = BlockActions.__call__
-
-    def recording(self, *args):
-        block = real(self, *args)
-        sizes.append(len(self._blocks))
-        return block
-
-    monkeypatch.setattr(BlockActions, "__call__", recording)
-    problem = generate_problem("laplacian_lqr", n=30)
-    traj = integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01, ControllerParams(tol=1e-4))
-    assert len(traj.records) > 3
-    assert max(sizes) == _BLOCK_CACHE
-    for t, block in problem.source_blocks._blocks.items():
-        assert block.tobytes() == exp_action(problem.a, t[0], problem.q.L, t[1]).tobytes()
-
-
 def test_kept_blocks_under_thread_contention():
-    problem = generate_problem("laplacian_lqr", n=80)
+    problem = stored_dense(generate_problem("laplacian_lqr", n=80))
     ts = [0.05 / 2.0**k * f for k in range(8) for f in (1.0, 1.3, 1.7)]
     serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
     blocks = BlockActions(problem.a, problem.q.L)

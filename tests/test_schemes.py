@@ -35,7 +35,7 @@ from dresplit.schemes import AFFINE_FIRST, QUADRATIC_FIRST, coefficient_residual
 from dresplit.study import fit_order
 from dresplit.subflows import init_quadrature
 
-from conftest import make_tanh_problem, random_factor
+from conftest import make_tanh_problem, random_factor, stored_dense
 
 EXP = ExpActionOptions(rel_tol=1e-12)
 COMP = CompressionOptions(rel_tol=1e-15)
@@ -276,7 +276,7 @@ class TestSharedQRStep:
     @pytest.mark.parametrize("kind, n, stages", [("laplacian_lqr", 20, 2),
                                                  ("random_lowrank", 10, 3)])
     def test_matches_separate_combinations(self, kind, n, stages):
-        problem = generate_problem(kind, n, rank=4)
+        problem = stored_dense(generate_problem(kind, n, rank=4))
         nxt, est, chains, ks, coeffs = self._step_and_chains(
             problem, SchemeSpec("sym", stages), 0.01)
         if kind == "laplacian_lqr":
@@ -382,20 +382,24 @@ class TestSharedFactorWork:
         # At N = 20 the rule's sum reaches N columns, so the chains run on
         # the identity basis.  The first step propagates the identity over
         # h/2 once; the second the start basis over h and h/2 and the
-        # identity over h/2, which both chains of divisor 2 need.
+        # identity over h/2, which both chains of divisor 2 need.  The
+        # Galerkin space is R^20, and the start basis that of the projected
+        # problem.
         problem = generate_problem("laplacian_lqr", 20)
         calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
         assert traj.factors[0].rank == 0
         h = problem.horizon / 2
         assert [(v is identity_basis(20), t) for v, t in calls[:1]] == [(True, h / 2)]
-        assert sum(v is traj.factors[1].L for v, _ in calls[1:]) == 2
+        starts = [(v, t) for v, t in calls[1:] if v is not identity_basis(20)]
+        assert [t for _, t in starts] == [h, h / 2] and starts[0][0] is starts[1][0]
+        assert starts[0][0].shape == traj.factors[1].L.shape
         assert [t for v, t in calls[1:] if v is identity_basis(20)] == [h / 2]
         assert len(calls) == 4
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_affine_first_chain_from_zero(self, k):
-        problem = generate_problem("laplacian_lqr", 20)
+        problem = stored_dense(generate_problem("laplacian_lqr", 20))
         h = 0.02
         states = _states_for(problem, h, (k,))
         qf = lie_chain(problem.p0, h, k, QUADRATIC_FIRST, problem, states[k], EXP, COMP)
@@ -412,7 +416,7 @@ class TestSharedFactorWork:
         # substep size, and has the bits of its chains evaluated one by one
         # without sharing.  The start basis is L_Q itself, so the source
         # node blocks are told apart by their BlockActions.
-        problem = generate_problem(kind, 20, rank=4, seed=3)
+        problem = stored_dense(generate_problem(kind, 20, rank=4, seed=3))
         start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
         spec = SchemeSpec("sym", 3)
         coeffs = SchemeCoefficients.for_spec(spec)

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from dresplit import (
+    ControllerParams,
     InvalidInput,
     LDLTFactor,
     ProblemData,
@@ -18,6 +19,7 @@ from dresplit import (
     StiffOperator,
     StudySpec,
     generate_problem,
+    integrate_adaptive,
     integrate_fixed,
     run_study,
     to_dense,
@@ -101,7 +103,8 @@ class TestRunSolveCollapse:
         config = RunConfig(scheme="sym", stages=2, tol=1e-6, h1=0.1)
         with pytest.raises(StepSizeCollapse):
             run_solve(problem, config, tmp_path)
-        rows = list(csv.reader(open(tmp_path / "trajectory.csv")))
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0][:3] == ["step", "t", "h"]
         assert [row[0] for row in rows[1:]] == ["1", "2", "3"]
         assert [float(row[3]) for row in rows[1:]] == [1e-5, 2e-5, 3e-5]
@@ -110,6 +113,27 @@ class TestRunSolveCollapse:
         assert summary[0] == "steps: 3"
         assert summary[1] == "collapsed: step size 1e-13 fell below the floor"
         assert not (tmp_path / "final_L.mtx").exists()
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_solve_keeps_only_the_first_and_last_factor(self, tmp_path, adaptive):
+        # run_solve writes the final factor only, so it stores no other; its
+        # files are those of a run that stores every factor.
+        problem = generate_problem("random_lowrank", 8, rank=2, seed=1)
+        if adaptive:
+            config = RunConfig(scheme="sym", stages=2, tol=1e-8, h1=0.1)
+            full = integrate_adaptive(problem, config.spec, config.h1,
+                                      ControllerParams(tol=config.tol))
+        else:
+            config = RunConfig(scheme="sym", stages=2, n_steps=8)
+            full = integrate_fixed(problem, config.spec, 8)
+        traj = run_solve(problem, config, tmp_path / "kept")
+        assert len(traj.records) == len(full.records) >= 8
+        assert len(traj.factors) == 2 and len(full.factors) == len(full.records) + 1
+        study._write_trajectory(tmp_path, full.records)
+        study._write_mm(tmp_path / "final_L.mtx", full.final.L)
+        study._write_mm(tmp_path / "final_D.mtx", full.final.D)
+        for name in ("trajectory.csv", "final_L.mtx", "final_D.mtx"):
+            assert (tmp_path / "kept" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 class TestStudySpec:

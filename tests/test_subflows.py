@@ -394,6 +394,8 @@ class TestAffineFlow:
         # all-zero core.  Below N = 12 columns that sum is compressed; the
         # rank-3 factor and the rule's rank-10 X(h) reach 13, so the flow
         # returns the uncompressed 12 x 12 sum on the identity basis.
+        # A sparse operator's problem goes through its projection, here
+        # onto all of R^N.
         n, h = 12, 0.05
         if kind == "dense":
             a = StiffOperator(rng.standard_normal((n, n)))
@@ -403,6 +405,8 @@ class TestAffineFlow:
              if source_rank else LDLTFactor.zero(n))
         problem = ProblemData(a=a, q=q, s=QuadraticTerm.from_dense(np.eye(n)),
                               p0=LDLTFactor.zero(n), horizon=1.0)
+        if kind == "sparse":
+            problem = problem.projected(np.eye(n))
         state = init_quadrature(problem, h, 4, EXP, COMP)
         full = []
         for factor in (random_factor(rng, n, factor_rank) if factor_rank else LDLTFactor.zero(n),
@@ -506,9 +510,13 @@ class TestExactSourceIntegral:
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     def test_state_is_the_exact_integral_on_the_identity(self, storage):
+        # A sparse operator's problem goes through its projection, here
+        # onto all of R^N.
         problem = generate_problem("laplacian_lqr", 20)
         if storage == "dense":
             problem = _source_problem(problem.a.matrix.toarray(), problem.q.L)
+        else:
+            problem = problem.projected(np.eye(20))
         h = 0.01
         state = init_quadrature(problem, h, 5, EXP, COMP)
         assert state.assembled.L is identity_basis(20)
@@ -535,6 +543,29 @@ class TestExactSourceIntegral:
 
 
 class TestProblemData:
+    def test_projection_onto_an_orthonormal_basis(self, rng):
+        n, m = 30, 7
+        problem = dataclasses.replace(generate_problem("laplacian_lqr", n),
+                                      p0=LDLTFactor(rng.standard_normal((n, 2)), np.eye(2)))
+        u = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        proj = problem.projected(u)
+        assert (proj.n, proj.horizon, proj.a.is_sparse) == (m, problem.horizon, False)
+        a, s = problem.a.as_dense(), problem.s.as_dense()
+        assert np.allclose(proj.a.matrix, u.T @ a @ u, rtol=1e-14, atol=0)
+        assert np.array_equal(proj.s.as_dense(), proj.s.as_dense().T)
+        assert np.allclose(proj.s.as_dense(), u.T @ s @ u, rtol=0, atol=1e-15)
+        for got, factor in ((proj.q, problem.q), (proj.p0, problem.p0)):
+            assert np.array_equal(got.L, u.T @ factor.L) and got.D is factor.D
+
+    def test_projection_keeps_a_restarted_initial_factor(self, rng):
+        # A restarted problem's factor may carry a round-off negative core
+        # eigenvalue, which the input check refuses; its projection keeps it.
+        problem = generate_problem("laplacian_lqr", 20)
+        start = LDLTFactor(np.linalg.qr(rng.standard_normal((20, 2)))[0],
+                           np.diag([1e-3, -1e-9]))
+        proj = problem._restarted(start, 0.01).projected(np.eye(20))
+        assert proj.p0.D is start.D and proj.horizon == 0.01
+
     def test_psd_check_on_cores(self, rng):
         n = 4
         with pytest.raises(InvalidInput):
