@@ -159,8 +159,10 @@ class QuadraturePool:
     At full width (``subflows.full_width``) a new step size h needs
     exp((h/k) A^T) and X(h/k) for every divisor k.  Both are sums of
     lcm(k) / k steps u = h / lcm(k), so prepare() fills the missing ones
-    from one Van Loan exponential at u (``SourceIntegral.prime``) before
-    any state is built or chain runs.
+    from one Van Loan exponential at u, in one addition-chain pass straight
+    into both caches (``SourceIntegral.prime``), before any state is built
+    or chain runs; each state then reads its X(h/k) from the cache, and
+    the flows their exp((h/k) A^T).
 
     In the low-rank regime it needs expm at h/k (the
     substep's propagation, and the last node of its rule) and at

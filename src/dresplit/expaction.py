@@ -20,7 +20,9 @@ has a closed form in the 2N x 2N exponential of Van Loan's block matrix
 [[-A^T, Q], [0, A]] (``SourceIntegral``).  One such exponential at u, with
 the doubling a stiff A needs, gives both X(m u) and exp(m u A^T) for a
 set of integers m by one addition chain of products, as ``prime_expm``
-does for powers.  It serves problems of small N only, where X(t) is an
+does for powers, in one pass straight into both caches.  The chain's
+memo is a local dict, so the powers no cache keeps are freed when the
+priming returns.  It serves problems of small N only, where X(t) is an
 N x N matrix anyway.
 
 A sparse operator has no exponential here: exp_action, the flows and the
@@ -56,8 +58,7 @@ from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
 
 # Exponentials kept per dense operator, keyed by t.
 _EXPM_CACHE = 8
-# Blocks kept per BlockActions, keyed by t (and the options); each block is
-# N x rank(V).
+# Blocks kept per BlockActions, keyed by t; each block is N x rank(V).
 _BLOCK_CACHE = 16
 # Galerkin space dimension cap, min(N, _MAX_DIM), fixed when a space is
 # built.
@@ -78,26 +79,34 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return xy
 
 
-def _addition_chain(first, compose):
-    """m -> the m-th power of first() under compose, for integers m >= 1.
+def _chain_power(memo: dict, m: int, first, compose):
+    """The m-th power of first() under compose (m >= 1), formed into memo.
 
     first() is called once, when a power first needs it.  Each further
     power is compose(power(a), power(m - a)) of two powers already formed:
-    the largest a of the memo whose m - a is there too, else a = m // 2.
-    The memo lives as long as the returned function.
+    the largest a of the memo whose m - a is there too, else a = m // 2,
+    power(a) formed before power(m - a).  A loop over a stack of pending
+    powers does the work, so memo, the caller's local dict, is freed when
+    the caller returns.
     """
-    memo = {}
+    pending = [(m, 0)]
+    while pending:
+        j, a = pending.pop()
+        if j in memo:
+            continue
+        if j == 1:
+            memo[1] = first()
+        elif a:
+            memo[j] = compose(memo[a], memo[j - a])
+        else:
+            a = max((b for b in memo if j - b in memo), default=j // 2)
+            pending += [(j, a), (j - a, 0), (a, 0)]
+    return memo[m]
 
-    def power(m):
-        if m not in memo:
-            if m == 1:
-                memo[1] = first()
-            else:
-                a = next((a for a in sorted(memo, reverse=True) if m - a in memo), m // 2)
-                memo[m] = compose(power(a), power(m - a))
-        return memo[m]
 
-    return power
+def _by_power(powers: dict) -> list:
+    """The (t, m) items of powers = {t: m} in ascending order of m."""
+    return sorted(powers.items(), key=lambda item: item[1])
 
 
 class StiffOperator:
@@ -159,14 +168,15 @@ class StiffOperator:
         self.require_dense()
         if len(powers) > _EXPM_CACHE:
             return
-        self._fill_expm(powers, _addition_chain(lambda: _dense_expm(self._at, u), _product))
-
-    def _fill_expm(self, powers: dict, power) -> None:
-        """Store power(m) under each missing key t of ``powers`` = {t: m},
-        looked up in ascending order of m under the operator's lock."""
+        first = functools.partial(_dense_expm, self._at, u)
+        memo = {}
+        cache = self._cache
         with self._lock:
-            for t in sorted(powers, key=powers.get):
-                _lru_get(self._cache, t, functools.partial(power, powers[t]), _EXPM_CACHE)
+            for t, m in _by_power(powers):
+                if t in cache:
+                    cache.move_to_end(t)
+                else:
+                    _lru_put(cache, t, _chain_power(memo, m, first, _product), _EXPM_CACHE)
 
     @property
     def n(self) -> int:
@@ -237,6 +247,19 @@ class KrylovSpace:
         return self.exact
 
 
+def _van_loan_exponential(block: np.ndarray, v: float) -> tuple:
+    """(exp(v A^T), X(v)), both read-only, from expm(v block) of Van Loan's
+    block matrix [[-A^T, Q], [0, A]]."""
+    n = block.shape[0] // 2
+    f = expm(v * block)
+    e = f[n:, n:].T.copy()
+    e.flags.writeable = False
+    x = e @ f[:n, n:]
+    x = 0.5 * (x + x.T)
+    x.flags.writeable = False
+    return e, x
+
+
 def _van_loan_pair(first: tuple, second: tuple) -> tuple:
     """(exp((s + t) A^T), X(s + t)) from the pairs (exp(s A^T), X(s)) and
     (exp(t A^T), X(t)): exp(s A^T) exp(t A^T) and
@@ -270,13 +293,16 @@ class SourceIntegral:
         exp((s + t) A^T) = exp(s A^T) exp(t A^T),
         X(s + t) = X(s) + exp(s A^T) X(t) exp(s A).
 
-    Each exp(t A^T) goes into the operator's ``expm`` cache as well.  Only
-    missing entries are computed, and nothing unless every t fits in the cache at
-    once.  ``__call__(t)`` is X(t) from the cache, after ``prime(t, {t: 1})``.
-    X(m u) agrees with a direct Van Loan exponential at m u to round-off,
-    not bit for bit.  The X are kept in an LRU of _EXPM_CACHE entries keyed
-    by t.  Safe to call from several threads: its one reentrant lock is held
-    across a fill, and the operator's lock is taken inside it.
+    One pass over the keys, in ascending order of m, stores each pair
+    straight into the two caches: exp(t A^T) into the operator's ``expm``
+    cache, X(t) into this one.  A pair is formed only where a cache lacks
+    its key, and nothing unless every t fits in the cache at once.
+    ``__call__(t)`` is the cached X(t), or ``prime(t, {t: 1})``'s where
+    there is none.  X(m u) agrees with a direct Van Loan exponential at m u
+    to round-off, not bit for bit.  The X are kept in an LRU of _EXPM_CACHE
+    entries keyed by t.  Safe to call from several threads: its one
+    reentrant lock is held across a fill, and the operator's lock is taken
+    inside it.
     """
 
     def __init__(self, op: StiffOperator, l_q: np.ndarray, d_q: np.ndarray):
@@ -302,32 +328,29 @@ class SourceIntegral:
             return
         with self._lock:
             block = self._generator()
-            n = self.op.n
             scaled = u * self._norm
             k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
-
-            def first():
-                f = expm(np.ldexp(u, -k) * block)
-                e = f[n:, n:].T.copy()
-                e.flags.writeable = False
-                x = e @ f[:n, n:]
-                x = 0.5 * (x + x.T)
-                x.flags.writeable = False
-                return e, x
-
-            chain = _addition_chain(first, _van_loan_pair)
-
-            def power(m):
-                return chain(m << k)
-
-            self.op._fill_expm(powers, lambda m: power(m)[0])
-            for t in sorted(powers, key=powers.get):
-                _lru_get(self._cache, t, lambda m=powers[t]: power(m)[1], _EXPM_CACHE)
+            first = functools.partial(_van_loan_exponential, block, np.ldexp(u, -k))
+            memo = {}
+            with self.op._lock:
+                for t, m in _by_power(powers):
+                    pair = None
+                    for i, cache in enumerate((self.op._cache, self._cache)):
+                        if t in cache:
+                            cache.move_to_end(t)
+                            continue
+                        if pair is None:
+                            pair = _chain_power(memo, m << k, first, _van_loan_pair)
+                        _lru_put(cache, t, pair[i], _EXPM_CACHE)
 
     def __call__(self, t: float) -> np.ndarray:
         with self._lock:
-            self.prime(t, {t: 1})
-            return self._cache[t]
+            x = self._cache.get(t)
+            if x is None:
+                self.prime(t, {t: 1})
+                return self._cache[t]
+            self._cache.move_to_end(t)
+            return x
 
 
 @dataclass(frozen=True)
@@ -368,18 +391,24 @@ def _checked_block(op: StiffOperator, v) -> tuple:
     return v, bool(np.isfinite(v).all())
 
 
+def _lru_put(cache: OrderedDict, key, value, cap: int) -> None:
+    """Store value under key, which cache lacks, as its most recent entry.
+    The oldest entry is evicted first, so the cache never holds more than
+    cap entries.  Callers hold the cache's lock."""
+    if len(cache) >= cap:
+        cache.popitem(last=False)
+    cache[key] = value
+
+
 def _lru_get(cache: OrderedDict, key, make, cap: int):
-    """The value cached under key, after storing make() there if none is;
-    key becomes the most recent.  The oldest entry is evicted before an
-    insert, so the cache never holds more than cap entries.  Callers hold
-    the cache's lock."""
+    """The value cached under key, after storing make() there if none is
+    (``_lru_put``); key becomes the most recent.  Callers hold the cache's
+    lock."""
     if key in cache:
         cache.move_to_end(key)
         return cache[key]
     value = make()
-    if len(cache) >= cap:
-        cache.popitem(last=False)
-    cache[key] = value
+    _lru_put(cache, key, value, cap)
     return value
 
 
@@ -413,15 +442,14 @@ def exp_action(
 
 class BlockActions:
     """t -> exp(t A^T) V for one dense operator and one fixed block V: the
-    source factor L_Q (``ProblemData.source_blocks``), or one of the bases
-    every chain of an additive step propagates over its substep: the step's
-    start basis and the identity basis of its full-width flows.
+    source factor L_Q (``ProblemData.source_blocks``), or the start basis
+    that every chain of an additive step propagates over its substep.
 
     A call is ``exp_action(op, t, V, opts, self)``.  The blocks are kept,
-    read-only, in an LRU of _BLOCK_CACHE entries keyed by t and the
-    options, so a t that several callers share (a substep of both chain
-    directions) is computed once; a kept block is ``op.expm(t) @ V`` as of
-    its first call.  ``equidistant`` gives the blocks of a whole node grid
+    read-only, in an LRU of _BLOCK_CACHE entries keyed by t alone (a dense
+    action does not read the options), so a t that several callers share
+    (a substep of both chain directions) is computed once; a kept block is
+    ``op.expm(t) @ V`` as of its first call.  ``equidistant`` gives the blocks of a whole node grid
     by stepping from node to node (see there).  Safe to call from several
     threads: its one lock is held across a whole call, from the lookup
     through the exp_action it makes, so each block is built once.  The
@@ -446,7 +474,7 @@ class BlockActions:
             return block
 
         with self._lock:
-            return _lru_get(self._blocks, (t, opts), make, _BLOCK_CACHE)
+            return _lru_get(self._blocks, t, make, _BLOCK_CACHE)
 
     def equidistant(self, h: float, degree: int) -> tuple:
         """The blocks at the nodes np.linspace(0, h, degree + 1), stepped

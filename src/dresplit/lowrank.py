@@ -18,7 +18,9 @@ further flows (the affine flow's two terms, the quadrature rule's X(h))
 is therefore not compressed at all: ``combine(..., truncate=False)``
 returns it as its N x N core on the shared, read-only identity basis
 ``identity_basis(N)``, and the step that ends on it compresses once
-(``compress`` takes an identity basis as it is, with no QR).
+(``compress`` takes an identity basis as it is, with no QR).  Onto an
+exact X(h), already on that basis, the affine flow forms the sum itself
+(``subflows.affine_flow``), checked by the same ``_symmetric_core``.
 """
 
 import functools
@@ -386,20 +388,6 @@ def combine(
     if not estimating:
         return nxt
     return nxt, _core_norm(core_of(est_cores), width, n)
-
-
-def add_to_identity_sum(term: LDLTFactor, total: LDLTFactor) -> LDLTFactor:
-    """term + total for a ``total`` on ``identity_basis`` and a term of
-    nonzero rank: combine([(1.0, term), (1.0, total)], truncate=False)
-    without the merge.  The core is the one product [B C, X] [B, I]^T of
-    term = (B, C) and total = (I, X), symmetrized and checked finite as
-    there, so it has combine's bits and NonFiniteFactor wording wherever
-    combine stacks both terms: unless a core is zero (combine leaves it
-    out) or B equals I entry by entry (combine merges the two)."""
-    n = total.n
-    core = (np.concatenate([term.L @ term.D, total.D], axis=1)
-            @ np.concatenate([term.L, total.L], axis=1).T)
-    return LDLTFactor._trusted(total.L, _symmetric_core(core, term.rank + n, n))
 
 
 def frob_norm(factor: LDLTFactor) -> float:

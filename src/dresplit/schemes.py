@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod, NonFiniteFactor
 from .expaction import BlockActions, ExpActionOptions
-from .lowrank import (CompressionOptions, LDLTFactor, combine, compress, identity_basis,
-                      on_identity)
+from .lowrank import CompressionOptions, LDLTFactor, combine, compress, on_identity
 from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
 MULTIPLICATIVE_KINDS = ("lie", "strang")
@@ -178,9 +177,9 @@ def lie_chain(
 
     order QUADRATIC_FIRST applies the quadratic flow then the affine flow in
     each repetition; AFFINE_FIRST is the reverse.  ``starts`` is passed to
-    every affine flow, which takes the propagation of the step's bases from
-    it (see ``affine_flow``).  At N or more columns the chain ends on its
-    uncompressed N x N core on the identity basis.
+    every affine flow, which takes the propagation of the step's start
+    basis from it (see ``affine_flow``).  At N or more columns the chain
+    ends on its uncompressed N x N core on the identity basis.
     """
     if k < 1:
         raise InvalidInput(f"repetition count must be >= 1, got {k}")
@@ -254,9 +253,9 @@ def additive_step(
     Repeated factor work is done once, with the same bits.  The
     ``BlockActions`` of the step's basis L keeps exp((h/k) A^T) L from the
     first chain of divisor k that needs it; the other direction takes it
-    from there, so L is propagated once per substep size.  So is the
-    identity basis, through a ``BlockActions`` of its own, for the flows
-    after a chain's first full-width one.  From a factor
+    from there, so L is propagated once per substep size.  The flows after
+    a chain's first full-width one start on the identity basis and make no
+    action: their propagation is the cached exp((h/k) A^T).  From a factor
     of rank 0, on which ``quadratic_flow`` returns the factor itself, the
     AFFINE_FIRST chain k equals ``quadratic_flow`` of the QUADRATIC_FIRST
     chain k over h/k, and is computed so.  A NonFiniteFactor from combining
@@ -274,11 +273,6 @@ def additive_step(
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
     starts = (BlockActions(problem.a, factor.L),)
-    # A chain of divisor k sums at most rank(L) + k rank(X(h/k)) columns;
-    # where that reaches N its flows end on the identity basis, which the
-    # step then propagates once per substep size as well.
-    if any(factor.rank + k * states[k].assembled.rank >= problem.n for k in ks):
-        starts += (BlockActions(problem.a, identity_basis(problem.n)),)
     chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, starts)
               for k, d in runs]
     if shared_prefix:

@@ -34,8 +34,8 @@ keep a sum of N or more columns uncompressed, as its N x N core on the
 identity basis (``combine(..., truncate=False)``); the step that ends on
 it compresses once.  On that basis both flows work in N x N arithmetic:
 the quadratic flow takes the cross term S(I) its quadratic term keeps, and
-the affine flow adds onto an exact X(h) with one product
-(``lowrank.add_to_identity_sum``).
+the affine flow forms B D B^T + X(h) on an exact X(h) directly, with B the
+cached exp(h A^T) itself for a factor on the identity basis.
 """
 
 import copy
@@ -49,8 +49,8 @@ from scipy.linalg import lapack
 from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
 from .expaction import (BlockActions, ExpActionOptions, SourceIntegral, StiffOperator,
                         exp_action)
-from .lowrank import (CompressionOptions, LDLTFactor, add_to_identity_sum, combine,
-                      identity_basis, on_identity)
+from .lowrank import (CompressionOptions, LDLTFactor, _symmetric_core, combine, identity_basis,
+                      on_identity)
 
 PSD_EIG_TOL = 1e-12
 
@@ -202,6 +202,8 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
     condition estimate and the solve.  Raises StepTooLarge when that estimate
     is below eps or not finite: the system is numerically singular, which
     signals that h exceeds the invertibility bound of the Woodbury update.
+    Where ||h D S||_1 <= 1/2 (LAPACK dlange) the estimate is not taken:
+    there kappa_1(I + h D S) <= 3, so it could not fall below eps.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
@@ -212,14 +214,16 @@ def quadratic_flow(factor: LDLTFactor, h: float, s_op: QuadraticTerm) -> LDLTFac
     else:
         cross = factor.L.T @ s_op.apply(factor.L)
     system = h * (factor.D @ cross)
+    checked = not lapack.dlange("1", system) <= 0.5
     system.flat[:: factor.rank + 1] += 1.0
     lu, piv, info = lapack.dgetrf(system)
-    rcond = lapack.dgecon(lu, np.abs(system).sum(axis=0).max())[0] if info == 0 else 0.0
-    if not rcond >= np.finfo(np.float64).eps:
-        cond = 1.0 / rcond if rcond > 0.0 else np.inf
-        raise StepTooLarge(
-            f"quadratic subflow system has condition estimate {cond:.3e} for h={h:g}"
-        )
+    if checked:
+        rcond = lapack.dgecon(lu, lapack.dlange("1", system))[0] if info == 0 else 0.0
+        if not rcond >= np.finfo(np.float64).eps:
+            cond = 1.0 / rcond if rcond > 0.0 else np.inf
+            raise StepTooLarge(
+                f"quadratic subflow system has condition estimate {cond:.3e} for h={h:g}"
+            )
     core = lapack.dgetrs(lu, piv, factor.D)[0]
     return LDLTFactor._trusted(factor.L, 0.5 * (core + core.T))
 
@@ -353,18 +357,20 @@ def affine_flow(
     exp(h A^T) L D L^T exp(h A) + X(h), where X(h) = L_X D_X L_X^T is the
     quadrature factor of ``state``.
 
-    ``starts`` holds the ``BlockActions`` of the bases that a step
-    propagates more than once (its start basis and the identity).  When L
-    is the block of one of them, exp(h A^T) L is taken from it, kept there
-    for the step's other flows; otherwise it is one exp_action.  The two
-    terms are summed by ``combine`` with ``truncate=False``: below N
-    columns the sum is compressed, at N or more it is the N x N core on
-    the identity basis, left for the step to compress once.  An exact X(h)
-    is on that basis already, and the propagated factor is added onto it
-    by ``add_to_identity_sum``, the same one product with the same bits.
-    A factor of rank 0 is passed as it is, and ``combine`` leaves it out.
-    Raises InvalidInput on a sparse operator, and NonFiniteFactor naming
-    the flow and h when the core of the sum is not finite.
+    B = exp(h A^T) L is the cached ``expm(h)`` itself for L on the
+    identity basis, with no action.  ``starts`` holds the ``BlockActions``
+    of the basis that a step propagates more than once, its start basis:
+    when L is its block, B is taken from it, kept there for the step's
+    other flows; otherwise it is one exp_action.  An exact X(h) is on the
+    identity basis already, and the sum is formed directly as its N x N
+    core B D B^T + X(h), checked finite as ``combine`` checks a stacked
+    rank(L) + N columns.  Other sums go through ``combine`` with
+    ``truncate=False``: below N columns the sum is compressed, at N or more
+    it is the N x N core on the identity basis, left for the step to
+    compress once.  A factor of rank 0 is passed as it is, and ``combine``
+    leaves it out.  Raises InvalidInput on a sparse operator, and
+    NonFiniteFactor naming the flow and h when the core of the sum is not
+    finite.
     """
     if not h >= 0:
         raise InvalidInput(f"h must be nonnegative, got {h}")
@@ -375,15 +381,21 @@ def affine_flow(
         raise InvalidInput(f"quadrature state is for h={state.h:g}, step is h={h:g}")
     propagated = factor
     if factor.rank > 0:
-        actions = next((b for b in starts if factor.L is b.v), None)
-        if actions is not None:
-            basis = actions(h, exp_opts)
+        if on_identity(factor):
+            basis = problem.a.expm(h)
         else:
-            basis = exp_action(problem.a, h, factor.L, exp_opts)
+            actions = next((b for b in starts if factor.L is b.v), None)
+            if actions is not None:
+                basis = actions(h, exp_opts)
+            else:
+                basis = exp_action(problem.a, h, factor.L, exp_opts)
         propagated = LDLTFactor._trusted(basis, factor.D)
     try:
         if factor.rank > 0 and on_identity(state.assembled):
-            return add_to_identity_sum(propagated, state.assembled)
+            n = problem.n
+            core = basis @ factor.D @ basis.T + state.assembled.D
+            return LDLTFactor._trusted(state.assembled.L,
+                                       _symmetric_core(core, factor.rank + n, n))
         return combine([(1.0, propagated), (1.0, state.assembled)], comp_opts, truncate=False)
     except NonFiniteFactor as exc:
         raise NonFiniteFactor(f"affine flow over h={h:g}: {exc}") from exc

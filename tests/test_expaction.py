@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import sys
 import threading
 import time
@@ -663,6 +664,50 @@ def test_priming_under_thread_contention(rng):
     assert len(op._cache) <= _EXPM_CACHE
 
 
+def test_priming_leaves_nothing_for_the_cyclic_collector(rng):
+    # The addition chain's memo of powers is a local dict, built by a loop,
+    # so it is freed when a priming call returns: with the collector off,
+    # gc.collect() finds nothing unreachable after each call.  ||u A||_1 is
+    # about 4, so the source integral's chain starts with two doublings.
+    n = 8
+    a = rng.standard_normal((n, n))
+    problem = ProblemData(a=StiffOperator(a * (40.0 / np.linalg.norm(a, 1))),
+                          q=LDLTFactor(rng.standard_normal((n, 2)), np.eye(2)),
+                          s=QuadraticTerm.from_dense(np.eye(n)), p0=LDLTFactor.zero(n),
+                          horizon=1.0)
+    primings = (lambda: problem.a.prime_expm(0.1, {0.2: 2, 0.3: 3, 0.7: 7}),
+                lambda: problem.source_integral.prime(0.1, {0.4: 4, 0.6: 6, 1.2: 12}),
+                lambda: problem.source_integral(0.5),
+                lambda: problem.source_integral(0.5))
+    gc.collect()
+    gc.disable()
+    try:
+        found = []
+        for prime in primings:
+            prime()
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    assert found == [0, 0, 0, 0]
+    assert len(problem.a._cache) == 7 and len(problem.source_integral._cache) == 4
+
+
+def test_cached_source_integral_is_returned_without_priming(rng, monkeypatch):
+    problem = ProblemData(a=StiffOperator(rng.standard_normal((6, 6))),
+                          q=LDLTFactor(rng.standard_normal((6, 2)), np.eye(2)),
+                          s=QuadraticTerm.from_dense(np.eye(6)), p0=LDLTFactor.zero(6),
+                          horizon=1.0)
+    integral = problem.source_integral
+    integral.prime(0.1, {0.2: 2, 0.3: 3})
+    primed = []
+    prime = integral.prime
+    monkeypatch.setattr(integral, "prime", lambda u, powers: primed.append(u) or prime(u, powers))
+    x = integral(0.2)
+    assert integral(0.2) is x and not x.flags.writeable and primed == []
+    assert integral(0.5) is integral._cache[0.5] and primed == [0.5]
+    assert list(integral._cache) == [0.3, 0.2, 0.5]
+
+
 def test_source_integral_under_thread_contention(rng):
     # Threads prime overlapping key sets of one problem's source integral and
     # look keys up while others prime; every lookup must return its own t's
@@ -803,10 +848,11 @@ def test_kept_blocks_are_read_only_and_keep_their_bits():
     first = blocks(0.01)
     assert blocks(0.01) is first and not first.flags.writeable
     assert first.tobytes() == exp_action(problem.a, 0.01, problem.q.L).tobytes()
-    other = blocks(0.01, loose)
-    assert other is not first
-    assert other.tobytes() == exp_action(problem.a, 0.01, problem.q.L, loose).tobytes()
-    assert len(blocks._blocks) == 2
+    # Dense actions do not read the options, so the blocks are keyed by t
+    # alone: one block serves every options value.
+    assert blocks(0.01, loose) is first
+    assert first.tobytes() == exp_action(problem.a, 0.01, problem.q.L, loose).tobytes()
+    assert len(blocks._blocks) == 1
 
 
 def test_kept_blocks_under_thread_contention():

@@ -484,29 +484,6 @@ class TestUncompressedSum:
                                     r"dimension 6: its core is not finite$"):
             combine(terms, truncate=False)
 
-    @pytest.mark.parametrize("width", [2, 6, 9])
-    def test_sum_onto_the_identity_has_the_bits_of_combine(self, rng, width):
-        # add_to_identity_sum skips combine's merge; the sum it forms is
-        # the one product combine forms, with its bits.
-        term = random_factor(rng, 6, width)
-        total = LDLTFactor._trusted(lowrank.identity_basis(6), random_factor(rng, 6, 6).D)
-        out = lowrank.add_to_identity_sum(term, total)
-        ref = combine([(1.0, term), (1.0, total)], truncate=False)
-        assert out.L is ref.L is lowrank.identity_basis(6)
-        assert out.D.tobytes() == ref.D.tobytes()
-
-    def test_nonfinite_sum_onto_the_identity_reads_as_combine(self, rng):
-        term = random_factor(rng, 6, 2)
-        total = LDLTFactor._trusted(lowrank.identity_basis(6), random_factor(rng, 6, 6).D)
-        message = (r"^cannot compress a rank-8 factor of dimension 6: "
-                   r"its core is not finite$")
-        with np.errstate(over="ignore", invalid="ignore"):
-            term = LDLTFactor._trusted(term.L, np.finfo(np.float64).max * term.D)
-            for add in (lambda: lowrank.add_to_identity_sum(term, total),
-                        lambda: combine([(1.0, term), (1.0, total)], truncate=False)):
-                with pytest.raises(NonFiniteFactor, match=message):
-                    add()
-
 
 class TestFrobNorm:
     def test_diagonal(self):

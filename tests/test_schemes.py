@@ -318,9 +318,10 @@ class TestSharedQRStep:
 
 
 class TestSharedFactorWork:
-    """An additive step propagates each basis once per substep size, builds
-    the AFFINE_FIRST chains from a zero start out of the QUADRATIC_FIRST
-    ones, and keeps the bits of the unshared evaluation."""
+    """An additive step propagates its start basis once per substep size
+    and the identity basis of its full-width flows never, builds the
+    AFFINE_FIRST chains from a zero start out of the QUADRATIC_FIRST ones,
+    and keeps the bits of the unshared evaluation."""
 
     @staticmethod
     def _count_propagations(monkeypatch, problem):
@@ -351,21 +352,20 @@ class TestSharedFactorWork:
             assert sum(v is start.L for v, _ in step) == 3
             assert len({(id(v), t) for v, t in step}) == 9
 
-    def test_dense_full_width_sym3_step_propagates_the_identity_once_per_substep(
-            self, monkeypatch):
+    def test_dense_full_width_sym3_step_makes_no_identity_action(self, monkeypatch):
         # At N = 20 the rule's 8 blocks of rank 4 reach N columns, so every
         # affine flow ends on the identity basis.  A sym3 step propagates
-        # its start basis over h, h/2 and h/3 and the identity over h/2
-        # and h/3, each once: 5 propagations, no (basis, t) pair twice.
+        # its start basis over h, h/2 and h/3, each once; a flow from the
+        # identity takes the cached exp((h/k) A^T) itself and makes no
+        # action.
         problem = generate_problem("random_lowrank", 20, rank=4, seed=3, horizon=0.05)
         calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 3), 2)
-        assert len(calls) == 10
+        assert len(calls) == 6
         h = problem.horizon / 2
-        for start, step in zip(traj.factors, (calls[:5], calls[5:])):
-            assert sum(v is start.L for v, _ in step) == 3
-            assert [t for v, t in step if v is identity_basis(20)] == [h / 2, h / 3]
-            assert len({(id(v), t) for v, t in step}) == 5
+        for start, step in zip(traj.factors, (calls[:3], calls[3:])):
+            assert [t for v, t in step if v is start.L] == [h, h / 2, h / 3]
+        assert not any(v is identity_basis(20) for v, _ in calls)
 
     def test_sparse_sym2_from_zero_propagates_five_times(self, monkeypatch):
         # From P0 = 0 only the second substep of chain 2 propagates (the
@@ -378,24 +378,19 @@ class TestSharedFactorWork:
         assert traj.factors[0].rank == 0
         assert len(calls) == 5
 
-    def test_sparse_full_width_sym2_from_zero_propagates_four_times(self, monkeypatch):
+    def test_sparse_full_width_sym2_from_zero_propagates_twice(self, monkeypatch):
         # At N = 20 the rule's sum reaches N columns, so the chains run on
-        # the identity basis.  The first step propagates the identity over
-        # h/2 once; the second the start basis over h and h/2 and the
-        # identity over h/2, which both chains of divisor 2 need.  The
-        # Galerkin space is R^20, and the start basis that of the projected
-        # problem.
+        # the identity basis, whose flows make no action.  The first step
+        # starts from rank 0 and propagates nothing; the second propagates
+        # its start basis over h and h/2.  The Galerkin space is R^20, and
+        # the start basis that of the projected problem.
         problem = generate_problem("laplacian_lqr", 20)
         calls = self._count_propagations(monkeypatch, problem)
         traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
         assert traj.factors[0].rank == 0
         h = problem.horizon / 2
-        assert [(v is identity_basis(20), t) for v, t in calls[:1]] == [(True, h / 2)]
-        starts = [(v, t) for v, t in calls[1:] if v is not identity_basis(20)]
-        assert [t for _, t in starts] == [h, h / 2] and starts[0][0] is starts[1][0]
-        assert starts[0][0].shape == traj.factors[1].L.shape
-        assert [t for v, t in calls[1:] if v is identity_basis(20)] == [h / 2]
-        assert len(calls) == 4
+        assert [t for _, t in calls] == [h, h / 2] and calls[0][0] is calls[1][0]
+        assert calls[0][0].shape == traj.factors[1].L.shape
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_affine_first_chain_from_zero(self, k):
@@ -411,9 +406,9 @@ class TestSharedFactorWork:
 
     @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
     def test_shared_propagations_keep_the_bits_of_unshared_chains(self, monkeypatch, kind):
-        # A step propagates its start basis, and the identity basis its
-        # full-width flows end on (8 blocks of rank 4 at N = 20), once per
-        # substep size, and has the bits of its chains evaluated one by one
+        # A step propagates its start basis once per substep size, and the
+        # identity basis its full-width flows end on (8 blocks of rank 4 at
+        # N = 20) never, and has the bits of its chains evaluated one by one
         # without sharing.  The start basis is L_Q itself, so the source
         # node blocks are told apart by their BlockActions.
         problem = stored_dense(generate_problem(kind, 20, rank=4, seed=3))
@@ -428,9 +423,8 @@ class TestSharedFactorWork:
                            CompressionOptions(), [coeffs.alpha[k - 1] for k, _ in jobs])
         calls = self._count_propagations(monkeypatch, problem)
         shared = additive_step(start, h, spec, coeffs, problem, states)
-        assert sum(v is start.L for v, _ in calls) == 3
-        assert sum(v is identity_basis(20) for v, _ in calls) == 2
-        assert len(calls) == 5
+        assert [t for v, t in calls if v is start.L] == [h, h / 2, h / 3]
+        assert len(calls) == 3
         assert shared[0].L.tobytes() == unshared[0].L.tobytes()
         assert shared[0].D.tobytes() == unshared[0].D.tobytes()
         assert shared[1] == unshared[1]

@@ -1,9 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg import expm
+from scipy.linalg import expm, lapack
 
 from dresplit import (
     CompressionOptions,
@@ -96,6 +97,76 @@ class TestQuadraticFlow:
         f = LDLTFactor(np.ones((1, 1)), -np.ones((1, 1)))
         with pytest.raises(StepTooLarge, match="condition estimate inf for h=1"):
             quadratic_flow(f, 1.0, QuadraticTerm.from_dense(np.ones((1, 1))))
+
+    @staticmethod
+    def _always_estimated(factor, h, s_op, dgecon):
+        """quadratic_flow's core as it was before the small-step skip: the
+        condition estimate taken on every call.  (core, rcond)."""
+        system = h * (factor.D @ (factor.L.T @ s_op.apply(factor.L)))
+        system.flat[:: factor.rank + 1] += 1.0
+        lu, piv, info = lapack.dgetrf(system)
+        rcond = dgecon(lu, np.abs(system).sum(axis=0).max())[0] if info == 0 else 0.0
+        if not rcond >= np.finfo(np.float64).eps:
+            cond = 1.0 / rcond if rcond > 0.0 else np.inf
+            raise StepTooLarge(
+                f"quadratic subflow system has condition estimate {cond:.3e} for h={h:g}"
+            )
+        core = lapack.dgetrs(lu, piv, factor.D)[0]
+        return 0.5 * (core + core.T), rcond
+
+    def test_small_steps_skip_the_condition_estimate(self, rng, monkeypatch):
+        # ||h D S||_1 <= 1/2 bounds kappa_1(I + h D S) by 3, so the estimate
+        # (rcond >= 1/3) could not trip the eps check: the flow skips dgecon
+        # there, with the bits and StepTooLarge decisions of the flow that
+        # always takes it.  Above 1/2 it takes the estimate once, as before.
+        # An indefinite core adds the h at which I + h D S is singular.
+        real = lapack.dgecon
+        calls, reference_calls = [], []
+        monkeypatch.setattr(lapack, "dgecon", lambda *a: calls.append(a) or real(*a))
+
+        def estimate(*args):
+            reference_calls.append(args)
+            return real(*args)
+
+        checked = raised = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            factor = random_factor(rng, n, int(rng.integers(1, min(n, 5) + 1)),
+                                   definite=bool(rng.integers(2)))
+            g = rng.standard_normal((n, n))
+            s_op = QuadraticTerm.from_dense(g @ g.T)
+            ds = factor.D @ (factor.L.T @ s_op.apply(factor.L))
+            unit = np.abs(ds).sum(axis=0).max()
+            steps = [scale / unit for scale in (1e-3, 0.1, 0.3, 0.5, 0.55, 0.7, 3.0, 1e2, 1e8)]
+            lowest = np.linalg.eigvals(ds).real.min()
+            if lowest < 0:
+                steps.append(-1.0 / lowest)
+            for h in steps:
+                small = np.abs(h * ds).sum(axis=0).max() <= 0.5
+                estimated = len(reference_calls)
+                try:
+                    want, rcond = self._always_estimated(factor, h, s_op, estimate)
+                except StepTooLarge as exc:
+                    raised += 1
+                    with pytest.raises(StepTooLarge, match=f"^{re.escape(str(exc))}$"):
+                        quadratic_flow(factor, h, s_op)
+                else:
+                    got = quadratic_flow(factor, h, s_op)
+                    assert got.D.tobytes() == want.tobytes() and got.L is factor.L
+                    assert rcond >= (1.0 - 1e-12) / 3.0 or not small
+                # The LU of an exactly singular system takes no estimate.
+                checked += not small and len(reference_calls) > estimated
+                assert len(calls) == checked
+        assert raised > 0 and 0 < checked < 400
+
+    def test_near_singular_system_still_raises(self):
+        # diag(1 - h, 1 + h) at h = 1 - 2^-52 has condition 9.0e15, past
+        # 1/eps: the step is too large, with the message it always had.
+        f = LDLTFactor(np.eye(2), np.diag([-1.0, 1.0]))
+        with pytest.raises(StepTooLarge,
+                           match=r"^quadratic subflow system has condition estimate "
+                                 r"9\.007e\+15 for h=1$"):
+            quadratic_flow(f, 1.0 - 2.0**-52, QuadraticTerm.from_dense(np.eye(2)))
 
     def test_rank_zero_passthrough(self):
         f = LDLTFactor.zero(4)
@@ -447,6 +518,45 @@ class TestAffineFlow:
             affine_flow(problem.p0, 1.0, problem, state, EXP, COMP)
 
 
+    @pytest.mark.parametrize("width", [2, 6, 9])
+    def test_full_width_sum_matches_combine(self, rng, width):
+        # On an exact X(h) (3 * rank(Q) >= N = 6) the flow forms
+        # B D B^T + X(h) directly, with B = exp(h A^T) L, and a factor on
+        # the identity basis takes B = the cached expm(h) itself.  combine
+        # stacks the same two terms into one product: the sums agree to
+        # round-off and land on the identity basis, exactly symmetric.
+        n, h = 6, 0.05
+        problem = _source_problem(rng.standard_normal((n, n)), rng.standard_normal((n, 2)))
+        state = init_quadrature(problem, h, 2, EXP, COMP)
+        assert state.assembled.L is identity_basis(n)
+        core = random_factor(rng, n, n).D
+        for factor in (random_factor(rng, n, width),
+                       LDLTFactor._trusted(identity_basis(n), core)):
+            got = affine_flow(factor, h, problem, state, EXP, COMP)
+            propagated = LDLTFactor._trusted(exp_action(problem.a, h, factor.L), factor.D)
+            want = combine([(1.0, propagated), (1.0, state.assembled)], COMP, truncate=False)
+            assert got.L is want.L is identity_basis(n)
+            assert got.D.tobytes() == got.D.T.tobytes()
+            assert np.linalg.norm(got.D - want.D) <= 1e-14 * np.linalg.norm(want.D)
+
+    def test_nonfinite_full_width_sum_reads_as_combine(self, rng):
+        # The direct sum is checked as combine checks its stacked one, and
+        # names the same rank-(2 + N) factor.
+        n, h = 6, 0.05
+        problem = _source_problem(rng.standard_normal((n, n)), rng.standard_normal((n, 2)))
+        state = init_quadrature(problem, h, 2, EXP, COMP)
+        message = (r"cannot compress a rank-8 factor of dimension 6: "
+                   r"its core is not finite$")
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = random_factor(rng, n, 2)
+            term = LDLTFactor._trusted(term.L, np.finfo(np.float64).max * term.D)
+            with pytest.raises(NonFiniteFactor, match=r"^affine flow over h=0\.05: " + message):
+                affine_flow(term, h, problem, state, EXP, COMP)
+            propagated = LDLTFactor._trusted(exp_action(problem.a, h, term.L), term.D)
+            with pytest.raises(NonFiniteFactor, match="^" + message):
+                combine([(1.0, propagated), (1.0, state.assembled)], COMP, truncate=False)
+
+
 def _operator(kind, n, rng):
     """A random operator with ||A||_1 = 4, a strongly non-normal one
     (-I + 8 shift) or a stiff one (laplacian_lqr's, stored dense)."""
@@ -540,6 +650,27 @@ class TestExactSourceIntegral:
             finals[name] = to_dense(integrate_fixed(problem, SchemeSpec("sym", 2), 2).final)
             assert relative_error(finals[name], ref) <= 1e-5
         assert relative_error(finals["dense"], finals["sparse"]) <= 1e-13
+
+    def test_nonnormal_convection_dense_and_sparse_meet_the_reference(self):
+        # laplacian_lqr N = 16 plus a first-order upwind convection of
+        # speed 50, 50 (u_{i-1} - u_i) / dx: a stiff, non-normal A.  sym2
+        # reads 2.48e-6 at 2 steps and 4.38e-7 at 8, whichever way A is
+        # stored.
+        n = 16
+        diffusion = generate_problem("laplacian_lqr", n)
+        dx = 1.0 / (n + 1)
+        convection = (50.0 / dx) * sp.diags([np.ones(n - 1), -np.ones(n)], [-1, 0])
+        sparse = dataclasses.replace(
+            diffusion, a=StiffOperator((diffusion.a.matrix + convection).tocsr()))
+        dense = dataclasses.replace(sparse, a=StiffOperator(sparse.a.as_dense()))
+        ref = dense_reference(to_dense_problem(sparse))
+        for steps, bound in ((2, 1e-5), (8, 1e-6)):
+            finals = {}
+            for name, problem in (("sparse", sparse), ("dense", dense)):
+                final = integrate_fixed(problem, SchemeSpec("sym", 2), steps).final
+                finals[name] = to_dense(final)
+                assert relative_error(finals[name], ref) <= bound
+            assert relative_error(finals["dense"], finals["sparse"]) <= 1e-10
 
 
 class TestProblemData:
