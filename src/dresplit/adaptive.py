@@ -18,10 +18,15 @@ Both drivers solve a problem with a sparse operator on one Galerkin space
 (``expaction.KrylovSpace``, ``ProblemData.projected``): the same run on
 the dense m x m projected problem, its factors lifted as L = U L_Y.  The
 space grows, from GALERKIN_FIRST_DIM columns by GALERKIN_GROWTH each time,
-until the lifted final factors of two successive dimensions agree to
-``exp_opts.rel_tol`` in relative Frobenius norm, or the space is exact;
-the records are those of the last run.  A dense problem is solved as it
-is, the case U = I.
+until the space is exact or the projected answer Y = L_Y D L_Y^T has
+converged: the rows of Y that belong to the space's newest Krylov block
+(``KrylovSpace.newest``) have a Frobenius norm of at most
+``exp_opts.rel_tol`` ||Y||_F.  That reads convergence off the solve at
+hand, as Krylov projection solvers for Lyapunov and Riccati equations do
+with the last block row of their projected solution (Simoncini, SIAM Rev.
+58, 2016).  The records are those of the last run, and the trajectory
+carries its space's dimension and newest-block share.  A dense problem is
+solved as it is, the case U = I.
 """
 
 import math
@@ -31,7 +36,7 @@ import numpy as np
 
 from .errors import InvalidInput, NonFiniteFactor, StepSizeCollapse, StepTooLarge, ToleranceNotMet
 from .expaction import ExpActionOptions, KrylovSpace
-from .lowrank import CompressionOptions, LDLTFactor, combine, compress, frob_norm
+from .lowrank import CompressionOptions, LDLTFactor, compress, frob_norm
 from .schemes import SchemeCoefficients, SchemeSpec, additive_step, multiplicative_step
 from .subflows import ProblemData, full_width, init_quadrature, update_quadrature
 
@@ -94,12 +99,17 @@ class Trajectory:
 
     factors[0] is the initial factor and factors[i] the result of step i;
     when factor storage is disabled only the initial and final factors are
-    kept.
+    kept.  A sparse problem's run also records the dimension of the
+    Galerkin space it was solved on and the share of the projected answer
+    in the space's newest block (see the module docstring; None on a
+    partial trajectory); both are None on a dense problem.
     """
 
     records: list = field(default_factory=list)
     factors: list = field(default_factory=list)
     store_factors: bool = True
+    galerkin_dim: int | None = None
+    newest_block_share: float | None = None
 
     @property
     def final(self) -> LDLTFactor:
@@ -244,10 +254,19 @@ def _lift(factor: LDLTFactor, u: np.ndarray) -> LDLTFactor:
     return LDLTFactor._trusted(u @ factor.L, factor.D)
 
 
-def _lifted(trajectory: Trajectory, u: np.ndarray) -> Trajectory:
-    """trajectory with every factor lifted from the Galerkin space."""
+def _lifted(trajectory: Trajectory, u: np.ndarray, share: float | None = None) -> Trajectory:
+    """trajectory with every factor lifted from the Galerkin space, and the
+    space's dimension and newest-block share recorded."""
     return Trajectory(trajectory.records, [_lift(f, u) for f in trajectory.factors],
-                      trajectory.store_factors)
+                      trajectory.store_factors, u.shape[1], share)
+
+
+def _newest_block_share(factor: LDLTFactor, newest: slice) -> float:
+    """||Y[newest, :]||_F / ||Y||_F of Y = L D L^T, 0 where Y = 0."""
+    total = frob_norm(factor)
+    if not total:
+        return 0.0
+    return float(np.linalg.norm(factor.L[newest] @ (factor.D @ factor.L.T))) / total
 
 
 def _on_galerkin_spaces(problem: ProblemData, exp_opts: ExpActionOptions, solve) -> Trajectory:
@@ -259,7 +278,7 @@ def _on_galerkin_spaces(problem: ProblemData, exp_opts: ExpActionOptions, solve)
         return solve(problem)
     space = KrylovSpace(problem.a, np.concatenate([problem.q.L, problem.p0.L], axis=1),
                         GALERKIN_SHIFT * problem.horizon)
-    size, previous = GALERKIN_FIRST_DIM, None
+    size = GALERKIN_FIRST_DIM
     while True:
         exact = space.grow(size)
         u = space.basis
@@ -268,20 +287,17 @@ def _on_galerkin_spaces(problem: ProblemData, exp_opts: ExpActionOptions, solve)
         except StepSizeCollapse as exc:
             exc.trajectory = _lifted(exc.trajectory, u)
             raise
-        if exact:
-            return _lifted(trajectory, u)
-        final = _lift(trajectory.final, u)
-        if previous is not None:
-            diff = combine([(1.0, final), (-1.0, previous)], CompressionOptions(rel_tol=0.0))
-            if frob_norm(diff) <= exp_opts.rel_tol * frob_norm(final):
-                return _lifted(trajectory, u)
+        share = _newest_block_share(trajectory.final, space.newest)
+        if exact or share <= exp_opts.rel_tol:
+            return _lifted(trajectory, u, share)
         m = u.shape[1]
         if m >= space.cap:
             raise ToleranceNotMet(
                 f"the Galerkin space reached its cap, dimension {m} of N={problem.n}, "
-                f"before two successive answers agreed to rel_tol={exp_opts.rel_tol:g}"
+                f"with {share:.2e} of the answer in its newest Krylov block, "
+                f"above rel_tol={exp_opts.rel_tol:g}"
             )
-        previous, size = final, math.ceil(GALERKIN_GROWTH * m)
+        size = math.ceil(GALERKIN_GROWTH * m)
 
 
 @np.errstate(**_SILENCED)

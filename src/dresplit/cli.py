@@ -34,8 +34,9 @@ def _add_run_flags(parser):
                         help="compare error per unit step against the tolerance")
     parser.add_argument("--exp-tol", type=float, default=1e-10,
                         help="stopping tolerance of a sparse problem's Galerkin space "
-                        "(the answers of two successive sizes agree); a dense problem "
-                        "is solved as it is")
+                        "(the rows of the projected answer in the space's newest Krylov "
+                        "block hold at most this share of its Frobenius norm); a dense "
+                        "problem is solved as it is")
     parser.add_argument("--comp-tol", type=float, default=None,
                         help="column compression tolerance (default N*eps)")
     parser.add_argument("--out", required=True, help="output directory")

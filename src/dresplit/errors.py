@@ -14,8 +14,9 @@ class RefusedDense(DresplitError):
 
 
 class ToleranceNotMet(DresplitError):
-    """A sparse problem's Galerkin space reached its dimension cap before
-    two successive answers agreed to the tolerance."""
+    """A sparse problem's Galerkin space reached its dimension cap while
+    the rows of the projected answer that belong to its newest Krylov block
+    still held more than the tolerance of the answer's Frobenius norm."""
 
 
 class NonFiniteFactor(DresplitError):

@@ -39,8 +39,9 @@ orthogonalized twice against the basis; its SVD then drops the directions
 below _DEFLATE_TOL of the block's norm before orthogonalization (rank loss,
 or an exhausted space), and the kept ones are orthogonalized once more.
 An exhausted (A^T-invariant) space, or dimension N, is exact.  The drivers
-in ``adaptive`` grow the space until two successive lifted answers agree to
-``rel_tol``; reaching the cap min(N, _MAX_DIM) below N first raises
+in ``adaptive`` grow the space until the rows of the projected answer that
+belong to its newest block hold at most ``rel_tol`` of the answer's
+Frobenius norm; reaching the cap min(N, _MAX_DIM) below N first raises
 ToleranceNotMet.
 """
 
@@ -201,12 +202,14 @@ class KrylovSpace:
     demand (see the module docstring).
 
     One sparse LU of I - gamma A^T serves the whole build.  ``basis`` holds
-    the columns built so far.  ``grow(size)`` adds whole blocks until there
-    are at least min(size, ``cap``) columns, cap = min(N, _MAX_DIM) as of
-    construction, or until the space is ``exact``: exhausted (a new block
-    deflates to nothing, so the space is A^T-invariant) or of dimension N.
-    Raises StepTooLarge if I - gamma A^T is exactly singular, and
-    NonFiniteFactor on a non-finite block.
+    the columns built so far, and ``newest`` the slice of them that the last
+    block added (all of them before the first): the columns whose image
+    under M the space does not yet span.  ``grow(size)`` adds whole blocks
+    until there are at least min(size, ``cap``) columns, cap = min(N,
+    _MAX_DIM) as of construction, or until the space is ``exact``: exhausted
+    (a new block deflates to nothing, so the space is A^T-invariant) or of
+    dimension N.  Raises StepTooLarge if I - gamma A^T is exactly singular,
+    and NonFiniteFactor on a non-finite block.
     """
 
     def __init__(self, op: StiffOperator, v: np.ndarray, gamma: float):
@@ -224,6 +227,10 @@ class KrylovSpace:
         self.basis = _rank_revealing(v)
         self._done = 0  # leading basis columns whose image under M is spanned
         self._exhausted = self.basis.shape[1] == 0
+
+    @property
+    def newest(self) -> slice:
+        return slice(self._done, None)
 
     @property
     def exact(self) -> bool:
@@ -355,9 +362,10 @@ class SourceIntegral:
 
 @dataclass(frozen=True)
 class ExpActionOptions:
-    """rel_tol: stop of a sparse problem's Galerkin space, where two
-    successive lifted answers agree to it (``adaptive``).  Dense actions
-    are exact and do not consult it."""
+    """rel_tol: stop of a sparse problem's Galerkin space, where the rows
+    of the projected answer Y that belong to the space's newest block have
+    a Frobenius norm of at most rel_tol ||Y||_F (``adaptive``).  Dense
+    actions are exact and do not consult it."""
 
     rel_tol: float = 1e-10
 

@@ -390,7 +390,9 @@ def _write_trajectory(out: Path, records) -> None:
 
 def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
     """One solver run; writes trajectory.csv, the final factor and a summary.
-    The trajectory keeps only the initial and final factors.
+    The trajectory keeps only the initial and final factors.  A sparse
+    problem's summary names the dimension of its Galerkin space and the
+    newest block's share of the answer.
 
     On StepSizeCollapse the accepted steps of the partial trajectory go to
     trajectory.csv and the summary gets a ``collapsed:`` line with the
@@ -425,8 +427,11 @@ def run_solve(problem: ProblemData, config: RunConfig, out_dir) -> Trajectory:
     _write_trajectory(out, traj.records)
     _write_mm(out / "final_L.mtx", traj.final.L)
     _write_mm(out / "final_D.mtx", traj.final.D)
+    space = ("" if traj.galerkin_dim is None else
+             f"galerkin space: dimension {traj.galerkin_dim}, "
+             f"newest-block share {traj.newest_block_share:.3e}\n")
     (out / "summary.txt").write_text(
-        f"steps: {len(traj.records)}\nfinal rank: {traj.final.rank}\n"
+        f"steps: {len(traj.records)}\nfinal rank: {traj.final.rank}\n{space}"
         f"wallclock_s: {elapsed!r}\n"
     )
     return traj

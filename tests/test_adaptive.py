@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dresplit import adaptive, expaction, lowrank, schemes, subflows
 from dresplit import (
@@ -402,6 +403,38 @@ def test_sparse_problem_with_an_initial_factor_matches_dense_storage():
     got = integrate_fixed(sparse, SchemeSpec("sym", 2), 2).final
     want = integrate_fixed(stored_dense(sparse), SchemeSpec("sym", 2), 2).final
     assert relative_error(to_dense(got), to_dense(want)) <= 1e-9
+
+
+def _galerkin_accuracy_problem(name):
+    """laplacian_lqr N=100 as generated, plus an upwind convection of speed
+    50 (non-normal), or with a random rank-2 P0 (outside the Krylov space of
+    L_Q)."""
+    n = 100
+    problem = generate_problem("laplacian_lqr", n)
+    if name == "convection":
+        convection = (50.0 * (n + 1)) * sp.diags([np.ones(n - 1), -np.ones(n)], [-1, 0])
+        return dataclasses.replace(
+            problem, a=StiffOperator((problem.a.matrix + convection).tocsr()))
+    if name == "initial factor":
+        rng = np.random.default_rng(3)
+        return dataclasses.replace(
+            problem, p0=LDLTFactor(rng.standard_normal((n, 2)), np.eye(2)))
+    return problem
+
+
+@pytest.mark.parametrize("name", ["laplacian", "convection", "initial factor"])
+def test_galerkin_stop_meets_its_tolerance(name):
+    # sym2, 2 fixed steps: the sparse solve stops once the newest Krylov
+    # block holds at most rel_tol of the projected answer, and is then
+    # within rel_tol of the same solve on the operator stored dense.  The
+    # worst case is 1.1e-6 (the initial factor at 1e-4, a 48-column space);
+    # every other one is 1.6e-8 or less.
+    sparse = _galerkin_accuracy_problem(name)
+    want = to_dense(integrate_fixed(stored_dense(sparse), SchemeSpec("sym", 2), 2).final)
+    for rel_tol in (1e-4, 1e-6, 1e-8, 1e-10):
+        traj = integrate_fixed(sparse, SchemeSpec("sym", 2), 2, ExpActionOptions(rel_tol=rel_tol))
+        assert traj.newest_block_share <= rel_tol
+        assert relative_error(to_dense(traj.final), want) <= rel_tol
 
 
 def test_sparse_warm_cache_rerun_gives_identical_bits():

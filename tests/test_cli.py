@@ -175,6 +175,28 @@ class TestCommands:
         assert (out_dir / "final_L.mtx").exists()
         assert (out_dir / "config.json").exists()
 
+    @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
+    def test_solve_summary_names_the_galerkin_space(self, tmp_path, kind):
+        # A sparse problem's summary gets one line with its Galerkin space's
+        # dimension and newest-block share, the same on a rerun; a dense
+        # problem's has none.
+        prob_dir = tmp_path / "prob"
+        export_problem(generate_problem(kind, 100), prob_dir)
+        summaries = []
+        for run in ("a", "b"):
+            assert main(["solve", "--problem", str(prob_dir), "--scheme", "sym",
+                         "--stages", "2", "--steps", "2", "--out", str(tmp_path / run)]) == 0
+            summaries.append((tmp_path / run / "summary.txt").read_text().splitlines())
+        lines = [line for line in summaries[0] if line.startswith("galerkin space:")]
+        if kind == "random_lowrank":
+            assert lines == []
+            return
+        assert re.fullmatch(r"galerkin space: dimension 72, newest-block share "
+                            r"\d\.\d{3}e-\d\d", lines[0])
+        share = float(lines[0].rsplit(" ", 1)[1])
+        assert 0 < share <= 1e-10
+        assert summaries[0][:-1] == summaries[1][:-1]  # all but wallclock_s
+
     def test_solve_adaptive(self, tmp_path):
         prob_dir = tmp_path / "prob"
         out_dir = tmp_path / "run"

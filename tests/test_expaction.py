@@ -379,23 +379,28 @@ def _solve_sizes(monkeypatch):
     return solves, lus
 
 
-def test_space_stops_on_agreement(monkeypatch):
-    # laplacian_lqr N=400, sym2, 2 fixed steps: spaces of 48, 72 and 108
-    # columns, one sparse LU for all three; the answers at 72 and 108
-    # agree to the default 1e-10, those at 48 and 72 do not.
+def test_space_stops_on_its_newest_block(monkeypatch):
+    # laplacian_lqr N=400, sym2, 2 fixed steps: spaces of 48 and 72
+    # columns, one sparse LU for both.  The rows of the projected answer
+    # that belong to the newest Krylov block hold more than the default
+    # 1e-10 of its Frobenius norm at 48 columns and no more at 72, so the
+    # 72-column solve is returned, lifted, and no larger one is made.
     solves, lus = _solve_sizes(monkeypatch)
     problem = generate_problem("laplacian_lqr", 400)
-    final = integrate_fixed(problem, SchemeSpec("sym", 2), 2).final
+    traj = integrate_fixed(problem, SchemeSpec("sym", 2), 2)
     monkeypatch.undo()
-    assert [m for m, _ in solves] == [48, 72, 108] and lus == [1]
-    lifted = []
+    assert [m for m, _ in solves] == [48, 72] and lus == [1]
+    shares, lifted = [], []
     for m, f in solves:
         space = KrylovSpace(problem.a, problem.q.L, 1e-3)
         space.grow(m)
+        y = f.L @ f.D @ f.L.T
+        shares.append(np.linalg.norm(y[space.newest]) / np.linalg.norm(y))
         lifted.append(LDLTFactor(space.basis @ f.L, f.D))
-    assert to_dense(final).tobytes() == to_dense(lifted[-1]).tobytes()
-    assert relative_error(to_dense(lifted[0]), to_dense(lifted[1])) > 1e-10
-    assert relative_error(to_dense(lifted[1]), to_dense(lifted[2])) <= 1e-10
+    assert to_dense(traj.final).tobytes() == to_dense(lifted[-1]).tobytes()
+    assert shares[0] > 1e-10 >= shares[1]
+    assert traj.galerkin_dim == 72
+    assert traj.newest_block_share == pytest.approx(shares[1], rel=1e-6)
 
 
 def test_space_is_exact_when_exhausted(monkeypatch):
@@ -436,13 +441,14 @@ def test_space_grows_by_whole_blocks_keeping_its_basis(rng):
 
 
 def test_space_cap_raises_tolerance_not_met(monkeypatch):
-    # A cap of 60 below N = 400: the answers at 48 and 60 columns do not
-    # agree to 1e-10, and no larger space is allowed.
-    monkeypatch.setattr(expaction, "_MAX_DIM", 60)
+    # A cap of 48 below N = 400: the newest Krylov block of the 48-column
+    # space still holds about 1e-7 of the fixed run's answer and 1e-4 of
+    # the adaptive run's, above 1e-10, and no larger space is allowed.
+    monkeypatch.setattr(expaction, "_MAX_DIM", 48)
     problem = generate_problem("laplacian_lqr", 400)
-    with pytest.raises(ToleranceNotMet, match="dimension 60 of N=400"):
+    with pytest.raises(ToleranceNotMet, match="dimension 48 of N=400"):
         integrate_fixed(problem, SchemeSpec("sym", 2), 2)
-    with pytest.raises(ToleranceNotMet, match="dimension 60 of N=400"):
+    with pytest.raises(ToleranceNotMet, match="dimension 48 of N=400"):
         integrate_adaptive(problem, SchemeSpec("sym", 2), 0.01, ControllerParams(tol=1e-4))
 
 
