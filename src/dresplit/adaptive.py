@@ -181,18 +181,16 @@ class QuadraturePool:
     the missing ones from that one exponential.
     """
 
-    def __init__(self, problem: ProblemData, degree: int,
-                 exp_opts: ExpActionOptions, comp_opts: CompressionOptions):
+    def __init__(self, problem: ProblemData, degree: int, comp_opts: CompressionOptions):
         self.problem = problem
         self.degree = degree
-        self.exp_opts = exp_opts
         self.comp_opts = comp_opts
         self.states: dict = {}
 
     def _prime(self, h: float, divisors) -> None:
         lcm = math.lcm(*divisors) * self.degree
         # The keys are the exact float expressions lie_chain and
-        # BlockActions.equidistant ask the cache for.
+        # expaction.equidistant ask the cache for.
         powers = {}
         for k in divisors:
             powers[h / k] = lcm // k
@@ -209,13 +207,11 @@ class QuadraturePool:
         for k in divisors:
             sub = h / k
             if k in self.states:
-                self.states[k] = update_quadrature(
-                    self.states[k], sub, self.problem, self.exp_opts, self.comp_opts
-                )
+                self.states[k] = update_quadrature(self.states[k], sub, self.problem,
+                                                   self.comp_opts)
             else:
-                self.states[k] = init_quadrature(
-                    self.problem, sub, self.degree, self.exp_opts, self.comp_opts
-                )
+                self.states[k] = init_quadrature(self.problem, sub, self.degree,
+                                                 self.comp_opts)
             fresh += self.states[k].fresh_blocks
         return fresh
 
@@ -315,17 +311,17 @@ def integrate_fixed(
     once per substep size and reused for every step; their initial cost is
     attributed to the first record.  The chains of each step run one after
     another.  A sparse problem is solved on its Galerkin space (see the
-    module docstring).
+    module docstring), which ``exp_opts`` stops; nothing else reads it.
     """
     return _on_galerkin_spaces(problem, exp_opts, lambda p: _integrate_fixed(
-        p, spec, n_steps, exp_opts, comp_opts, store_factors))
+        p, spec, n_steps, comp_opts, store_factors))
 
 
-def _integrate_fixed(problem, spec, n_steps, exp_opts, comp_opts, store_factors) -> Trajectory:
+def _integrate_fixed(problem, spec, n_steps, comp_opts, store_factors) -> Trajectory:
     if n_steps < 1:
         raise InvalidInput(f"n_steps must be >= 1, got {n_steps}")
     h = problem.horizon / n_steps
-    pool = QuadraturePool(problem, default_quad_degree(spec), exp_opts, comp_opts)
+    pool = QuadraturePool(problem, default_quad_degree(spec), comp_opts)
     divisors = spec.substep_divisors()
     init_fresh = pool.prepare(h, divisors)
     coeffs = SchemeCoefficients.for_spec(spec) if spec.is_additive else None
@@ -337,12 +333,11 @@ def _integrate_fixed(problem, spec, n_steps, exp_opts, comp_opts, store_factors)
         try:
             if spec.is_additive:
                 current, estimate = additive_step(
-                    current, h, spec, coeffs, problem, pool.states,
-                    exp_opts, comp_opts,
+                    current, h, spec, coeffs, problem, pool.states, comp_opts
                 )
             else:
                 current = multiplicative_step(
-                    current, h, spec.kind, problem, pool.states, exp_opts, comp_opts,
+                    current, h, spec.kind, problem, pool.states, comp_opts
                 )
                 estimate = None
         except NonFiniteFactor as exc:
@@ -374,21 +369,21 @@ def integrate_adaptive(
     StepSizeCollapse (carrying the partial trajectory, its message naming
     the last rejection's cause) if the controller drives the step below
     H_MIN_FACTOR * horizon.  A sparse problem is solved on its Galerkin
-    space (see the module docstring).
+    space (see the module docstring), which ``exp_opts`` stops; nothing
+    else reads it.
     """
     return _on_galerkin_spaces(problem, exp_opts, lambda p: _integrate_adaptive(
-        p, spec, h1, params, exp_opts, comp_opts, store_factors))
+        p, spec, h1, params, comp_opts, store_factors))
 
 
-def _integrate_adaptive(problem, spec, h1, params, exp_opts, comp_opts,
-                        store_factors) -> Trajectory:
+def _integrate_adaptive(problem, spec, h1, params, comp_opts, store_factors) -> Trajectory:
     if not spec.is_additive or spec.stages < 2:
         raise InvalidInput("adaptive integration needs an additive scheme with >= 2 stages")
     if not h1 > 0:
         raise InvalidInput(f"h1 must be positive, got {h1}")
     p_est = spec.embedded_order
     coeffs = SchemeCoefficients.for_spec(spec)
-    pool = QuadraturePool(problem, default_quad_degree(spec), exp_opts, comp_opts)
+    pool = QuadraturePool(problem, default_quad_degree(spec), comp_opts)
     divisors = spec.substep_divisors()
     h_min = H_MIN_FACTOR * problem.horizon
 
@@ -412,8 +407,7 @@ def _integrate_adaptive(problem, spec, h1, params, exp_opts, comp_opts,
                 # a retry follows a shrink, so every rule is new.
                 fresh += (pool.reset if rejections else pool.prepare)(h, divisors)
                 candidate, estimate = additive_step(
-                    current, h, spec, coeffs, problem, pool.states,
-                    exp_opts, comp_opts,
+                    current, h, spec, coeffs, problem, pool.states, comp_opts
                 )
             except NonFiniteFactor as exc:
                 raise _blown_up(exc, t, h) from exc

@@ -5,12 +5,12 @@ Dense operators form E = expm(t A^T) by scaling and squaring (Al-Mohy &
 Higham, SIAM J. Matrix Anal. Appl. 31, 2009) and return E V.  E is kept in a
 bounded per-operator LRU cache keyed by t, so a repeated t costs a lookup;
 the cache lives and dies with its operator.  This path is exact to
-round-off, so ``rel_tol`` is not consulted there.  On an equidistant grid
-of t (the quadrature nodes k h / degree), BlockActions steps from
-node to node with the one matrix expm((h/degree) A^T), as Al-Mohy & Higham
-(SIAM J. Sci. Comput. 33, 2011) do for the action on a grid, and takes the
-last node from the expm(h A^T) that the propagation over h caches.  The
-t of a set of grids and substeps are integer multiples m u of one u, so
+round-off.  On an equidistant grid of t (the quadrature nodes k h /
+degree), ``equidistant`` steps from node to node with the one matrix
+expm((h/degree) A^T), as Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011)
+do for the action on a grid, and takes the last node from the
+expm(h A^T) that the propagation over h caches.  The t of a set of grids
+and substeps are integer multiples m u of one u, so
 ``StiffOperator.prime_expm`` fills their cache entries with the powers
 expm(u A^T)^m, formed by products from one scipy expm: one N x N
 exponential per set instead of one per t.
@@ -25,16 +25,16 @@ memo is a local dict, so the powers no cache keeps are freed when the
 priming returns.  It serves problems of small N only, where X(t) is an
 N x N matrix anyway.
 
-A sparse operator has no exponential here: exp_action, the flows and the
-source integral raise InvalidInput on it.  Its problem is solved on one
-Galerkin space instead (Behr, Benner & Heiland, Appl. Math. Comput. 2021).
-The factored solution stays in the smallest A^T-invariant space that holds
-range(L_Q) and range(L_P0), so projecting the problem onto an orthonormal
-basis U of a space that (nearly) holds that one gives a dense m x m problem
-(``ProblemData.projected``) whose solution, lifted as L = U L_Y, is exact up
-to the space.  U is the block shift-and-invert Krylov space of A^T on
-[L_Q, L_P0] (``KrylovSpace``; Moret & Novati, BIT 44, 2004), with
-M = (I - gamma A^T)^{-1} from one sparse LU.  Each new block is
+A sparse operator has no exponential here: exp_action, equidistant, the
+flows and the source integral raise InvalidInput on it.  Its problem is
+solved on one Galerkin space instead (Behr, Benner & Heiland, Appl. Math.
+Comput. 2021).  The factored solution stays in the smallest A^T-invariant
+space that holds range(L_Q) and range(L_P0), so projecting the problem onto
+an orthonormal basis U of a space that (nearly) holds that one gives a
+dense m x m problem (``ProblemData.projected``) whose solution, lifted as
+L = U L_Y, is exact up to the space.  U is the block shift-and-invert
+Krylov space of A^T on [L_Q, L_P0] (``KrylovSpace``; Moret & Novati, BIT
+44, 2004), with M = (I - gamma A^T)^{-1} from one sparse LU.  Each new block is
 orthogonalized twice against the basis; its SVD then drops the directions
 below _DEFLATE_TOL of the block's norm before orthogonalization (rank loss,
 or an exhausted space), and the kept ones are orthogonalized once more.
@@ -59,8 +59,6 @@ from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
 
 # Exponentials kept per dense operator, keyed by t.
 _EXPM_CACHE = 8
-# Blocks kept per BlockActions, keyed by t; each block is N x rank(V).
-_BLOCK_CACHE = 16
 # Galerkin space dimension cap, min(N, _MAX_DIM), fixed when a space is
 # built.
 _MAX_DIM = 512
@@ -150,7 +148,13 @@ class StiffOperator:
     def expm(self, t: float) -> np.ndarray:
         self.require_dense()
         with self._lock:
-            return _lru_get(self._cache, t, lambda: _dense_expm(self._at, t), _EXPM_CACHE)
+            e = self._cache.get(t)
+            if e is None:
+                e = _dense_expm(self._at, t)
+                _lru_put(self._cache, t, e, _EXPM_CACHE)
+            else:
+                self._cache.move_to_end(t)
+            return e
 
     def prime_expm(self, u: float, powers: dict) -> None:
         """Fill the ``expm`` cache entries t of ``powers`` = {t: m} that are
@@ -364,8 +368,8 @@ class SourceIntegral:
 class ExpActionOptions:
     """rel_tol: stop of a sparse problem's Galerkin space, where the rows
     of the projected answer Y that belong to the space's newest block have
-    a Frobenius norm of at most rel_tol ||Y||_F (``adaptive``).  Dense
-    actions are exact and do not consult it."""
+    a Frobenius norm of at most rel_tol ||Y||_F (``adaptive``).  Only the
+    drivers take it: dense actions are exact and take no options."""
 
     rel_tol: float = 1e-10
 
@@ -384,19 +388,24 @@ def _finite_iterate(w: np.ndarray, t: float) -> np.ndarray:
     return w
 
 
-def _check_time(t: float) -> None:
+def _checked_block(op: StiffOperator, t: float, v) -> tuple:
+    """(v as a float64 N x k block, whether its action over t is trivial:
+    t = 0 or no columns).  Raises InvalidInput on a t that is not finite
+    and nonnegative, on a sparse operator (``StiffOperator.require_dense``)
+    and on a block of the wrong height, and NonFiniteFactor on a non-finite
+    block whose action is not trivial."""
     if not (np.isfinite(t) and t >= 0):
         raise InvalidInput(f"t must be finite and nonnegative, got {t}")
-
-
-def _checked_block(op: StiffOperator, v) -> tuple:
-    """(v as a float64 N x k block, whether it is finite)."""
+    op.require_dense()
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
     if v.shape[0] != op.n:
         raise InvalidInput(f"block has {v.shape[0]} rows, operator dimension is {op.n}")
-    return v, bool(np.isfinite(v).all())
+    trivial = v.shape[1] == 0 or t == 0.0
+    if not (trivial or np.isfinite(v).all()):
+        raise _nonfinite(t, "input block")
+    return v, trivial
 
 
 def _lru_put(cache: OrderedDict, key, value, cap: int) -> None:
@@ -408,106 +417,35 @@ def _lru_put(cache: OrderedDict, key, value, cap: int) -> None:
     cache[key] = value
 
 
-def _lru_get(cache: OrderedDict, key, make, cap: int):
-    """The value cached under key, after storing make() there if none is
-    (``_lru_put``); key becomes the most recent.  Callers hold the cache's
-    lock."""
-    if key in cache:
-        cache.move_to_end(key)
-        return cache[key]
-    value = make()
-    _lru_put(cache, key, value, cap)
-    return value
+def exp_action(op: StiffOperator, t: float, v: np.ndarray) -> np.ndarray:
+    """exp(t A^T) @ v, exact to round-off through the cached expm(t A^T).
+    Checks its arguments as ``_checked_block`` says, and raises
+    NonFiniteFactor on a non-finite result."""
+    v, trivial = _checked_block(op, t, v)
+    return v.copy() if trivial else _finite_iterate(op.expm(t) @ v, t)
 
 
-def exp_action(
-    op: StiffOperator,
-    t: float,
-    v: np.ndarray,
-    opts: ExpActionOptions = ExpActionOptions(),
-    blocks: "BlockActions | None" = None,
-) -> np.ndarray:
-    """exp(t A^T) @ v, exact to round-off through the cached expm(t A^T);
-    ``opts`` is not consulted.
-
-    Given the ``BlockActions`` of op and v (the same objects; InvalidInput
-    otherwise), the block is the one checked when it was made.  Raises
-    InvalidInput on a sparse operator (``StiffOperator.require_dense``),
-    and NonFiniteFactor on a non-finite block (unless the action is
-    trivial: t = 0 or no columns) or result.
+def equidistant(op: StiffOperator, v: np.ndarray, h: float, degree: int) -> tuple:
+    """exp(s A^T) V at the nodes s of np.linspace(0, h, degree + 1), stepped
+    along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011): with
+    E = expm((h/degree) A^T), block k is E times block k-1 for 0 < k <
+    degree, and the last block is expm(h A^T) V, the matrix the propagation
+    over h caches.  A grid thus takes two N x N exponentials, not one per
+    node (``QuadraturePool.prepare`` primes both, with those of the other
+    grids of its step, from one scipy expm), and its inner blocks agree
+    with exp_action to round-off, not bit for bit.  The block and every
+    result are checked as in exp_action.
     """
-    if blocks is not None and (blocks.op is not op or blocks.v is not v):
-        raise InvalidInput("blocks caches the actions of another operator or block")
-    _check_time(t)
-    op.require_dense()
-    v, finite = (v, blocks._finite) if blocks is not None else _checked_block(op, v)
-    if v.shape[1] == 0 or t == 0.0:
-        return v.copy()
-    if not finite:
-        raise _nonfinite(t, "input block")
-    return _finite_iterate(op.expm(t) @ v, t)
-
-
-class BlockActions:
-    """t -> exp(t A^T) V for one dense operator and one fixed block V: the
-    source factor L_Q (``ProblemData.source_blocks``), or the start basis
-    that every chain of an additive step propagates over its substep.
-
-    A call is ``exp_action(op, t, V, opts, self)``.  The blocks are kept,
-    read-only, in an LRU of _BLOCK_CACHE entries keyed by t alone (a dense
-    action does not read the options), so a t that several callers share
-    (a substep of both chain directions) is computed once; a kept block is
-    ``op.expm(t) @ V`` as of its first call.  ``equidistant`` gives the blocks of a whole node grid
-    by stepping from node to node (see there).  Safe to call from several
-    threads: its one lock is held across a whole call, from the lookup
-    through the exp_action it makes, so each block is built once.  The
-    operator's lock is taken inside it, never the other way round.
-
-    V is checked once, when the ``BlockActions`` is made: its shape
-    (InvalidInput) and whether it is finite, which a nontrivial action
-    then reports as exp_action does.  Every block an action returns is
-    still checked finite.
-    """
-
-    def __init__(self, op: StiffOperator, v: np.ndarray):
-        self.op = op
-        self.v, self._finite = _checked_block(op, v)
-        self._blocks = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __call__(self, t: float, opts: ExpActionOptions = ExpActionOptions()) -> np.ndarray:
-        def make():
-            block = exp_action(self.op, t, self.v, opts, self)
-            block.flags.writeable = False
-            return block
-
-        with self._lock:
-            return _lru_get(self._blocks, t, make, _BLOCK_CACHE)
-
-    def equidistant(self, h: float, degree: int) -> tuple:
-        """The blocks at the nodes np.linspace(0, h, degree + 1), stepped
-        along the grid (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011):
-        with E = expm((h/degree) A^T), block k is E times block k-1 for
-        0 < k < degree, and the last block is expm(h A^T) V, the matrix the
-        propagation over h caches.  A grid thus takes two N x N
-        exponentials, not one per node (``QuadraturePool.prepare`` primes
-        both, with those of the other grids of its step, from one scipy
-        expm), and its inner blocks agree with exp_action to round-off, not
-        bit for bit.  Each block is checked finite as in exp_action.
-        """
-        if degree < 1:
-            raise InvalidInput(f"degree must be >= 1, got {degree}")
-        nodes = np.linspace(0.0, h, degree + 1)
-        _check_time(h)
-        v = self.v
-        if v.shape[1] == 0 or h == 0.0:
-            return tuple(v.copy() for _ in nodes)
-        if not self._finite:
-            raise _nonfinite(h, "input block")
-        blocks = [v.copy()]
-        if degree > 1:
-            step = self.op.expm(h / degree)
-            for s in nodes[1:-1]:
-                blocks.append(_finite_iterate(step @ blocks[-1], s))
-        blocks.append(_finite_iterate(self.op.expm(h) @ v, h))
-        return tuple(blocks)
+    if degree < 1:
+        raise InvalidInput(f"degree must be >= 1, got {degree}")
+    nodes = np.linspace(0.0, h, degree + 1)
+    v, trivial = _checked_block(op, h, v)
+    if trivial:
+        return tuple(v.copy() for _ in nodes)
+    blocks = [v.copy()]
+    if degree > 1:
+        step = op.expm(h / degree)
+        for s in nodes[1:-1]:
+            blocks.append(_finite_iterate(step @ blocks[-1], s))
+    blocks.append(_finite_iterate(op.expm(h) @ v, h))
+    return tuple(blocks)

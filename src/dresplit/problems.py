@@ -90,7 +90,7 @@ def _write_mm(path: Path, matrix) -> None:
 
 
 def _read_mm(path: Path):
-    if not path.exists():
+    if not path.is_file():
         raise IngestError(f"{path}: file not found")
     with open(path) as fh:
         first = fh.readline()
@@ -136,8 +136,8 @@ def export_problem(problem: ProblemData, out_dir) -> Path:
 def ingest_problem(path) -> ProblemData:
     """Read a problem directory (or manifest path) into solver form.
 
-    Errors carry the offending file name; dimension mismatches name both
-    sides.
+    Errors carry the offending file name, or the manifest and its key;
+    dimension mismatches name both sides.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
@@ -148,12 +148,24 @@ def ingest_problem(path) -> ProblemData:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise IngestError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise IngestError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("form", "horizon", "files"):
         if key not in manifest:
             raise IngestError(f"{manifest_path}: manifest lacks required key {key!r}")
     files = manifest["files"]
+    if not isinstance(files, dict):
+        raise IngestError(f"{manifest_path}: 'files' is not a JSON object")
+    try:
+        horizon = float(manifest["horizon"])
+    except (TypeError, ValueError) as exc:
+        raise IngestError(
+            f"{manifest_path}: 'horizon' is not a number ({manifest['horizon']!r})"
+        ) from exc
 
     def fpath(key):
+        if not (isinstance(files.get(key), str) and files[key]):
+            raise IngestError(f"{manifest_path}: 'files' has no file name for {key!r}")
         return base / files[key]
 
     def build(key, make, *args):
@@ -192,8 +204,8 @@ def ingest_problem(path) -> ProblemData:
             raise IngestError(f"{fpath('Q_L')}: {q_l.shape[0]} rows, operator dimension is {n}")
         q = build("Q_D", LDLTFactor, q_l, q_d)
         s_raw = _read_mm(fpath("S"))
-        s_op = (QuadraticTerm.from_sparse(s_raw) if sp.issparse(s_raw)
-                else QuadraticTerm.from_dense(np.asarray(s_raw, dtype=np.float64)))
+        s_op = build("S", QuadraticTerm.from_sparse if sp.issparse(s_raw)
+                     else QuadraticTerm.from_dense, s_raw)
         if s_op.n != n:
             raise IngestError(f"{fpath('S')}: dimension {s_op.n}, operator dimension is {n}")
     else:
@@ -209,6 +221,6 @@ def ingest_problem(path) -> ProblemData:
         p0 = LDLTFactor.zero(n)
 
     try:
-        return ProblemData(a=a, q=q, s=s_op, p0=p0, horizon=float(manifest["horizon"]))
+        return ProblemData(a=a, q=q, s=s_op, p0=p0, horizon=horizon)
     except InvalidInput as exc:
         raise IngestError(f"{manifest_path}: {exc}") from exc

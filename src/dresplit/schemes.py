@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CoefficientConditioning, InvalidInput, NoEmbeddedMethod, NonFiniteFactor
-from .expaction import BlockActions, ExpActionOptions
 from .lowrank import CompressionOptions, LDLTFactor, combine, compress, on_identity
 from .subflows import ProblemData, QuadratureState, affine_flow, quadratic_flow
 
@@ -169,14 +168,13 @@ def lie_chain(
     order: str,
     problem: ProblemData,
     state: QuadratureState,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    starts: tuple = (),
+    start: tuple | None = None,
 ) -> LDLTFactor:
     """k repetitions of the Lie-type substep of size h/k.
 
     order QUADRATIC_FIRST applies the quadratic flow then the affine flow in
-    each repetition; AFFINE_FIRST is the reverse.  ``starts`` is passed to
+    each repetition; AFFINE_FIRST is the reverse.  ``start`` is passed to
     every affine flow, which takes the propagation of the step's start
     basis from it (see ``affine_flow``).  At N or more columns the chain
     ends on its uncompressed N x N core on the identity basis.
@@ -188,9 +186,9 @@ def lie_chain(
     for _ in range(k):
         if order == QUADRATIC_FIRST:
             current = quadratic_flow(current, sub, problem.s)
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, starts)
+            current = affine_flow(current, sub, problem, state, comp_opts, start)
         else:
-            current = affine_flow(current, sub, problem, state, exp_opts, comp_opts, starts)
+            current = affine_flow(current, sub, problem, state, comp_opts, start)
             current = quadratic_flow(current, sub, problem.s)
     return current
 
@@ -206,7 +204,6 @@ def multiplicative_step(
     kind: str,
     problem: ProblemData,
     states: dict,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> LDLTFactor:
     """One Lie or Strang step in factored form.
@@ -220,11 +217,11 @@ def multiplicative_step(
     """
     if kind == "lie":
         return _compressed(lie_chain(factor, h, 1, QUADRATIC_FIRST, problem, states[1],
-                                     exp_opts, comp_opts), comp_opts)
+                                     comp_opts), comp_opts)
     if kind != "strang":
         raise InvalidInput(f"unknown multiplicative kind {kind!r}")
     mid = quadratic_flow(factor, h / 2, problem.s)
-    mid = _compressed(affine_flow(mid, h, problem, states[1], exp_opts, comp_opts), comp_opts)
+    mid = _compressed(affine_flow(mid, h, problem, states[1], comp_opts), comp_opts)
     return quadratic_flow(mid, h / 2, problem.s)
 
 
@@ -235,7 +232,6 @@ def additive_step(
     coeffs: SchemeCoefficients,
     problem: ProblemData,
     states: dict,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ):
     """One additive step: (next factor, error estimate or None).
@@ -250,10 +246,10 @@ def additive_step(
     merges them into one N x N core and compresses it, the step's one
     eigendecomposition.
 
-    Repeated factor work is done once, with the same bits.  The
-    ``BlockActions`` of the step's basis L keeps exp((h/k) A^T) L from the
-    first chain of divisor k that needs it; the other direction takes it
-    from there, so L is propagated once per substep size.  The flows after
+    Repeated factor work is done once, with the same bits.  A dict that the
+    step owns keeps exp((h/k) A^T) L of the step's basis L from the first
+    chain of divisor k that needs it; the other direction takes it from
+    there, so L is propagated once per substep size.  The flows after
     a chain's first full-width one start on the identity basis and make no
     action: their propagation is the cached exp((h/k) A^T).  From a factor
     of rank 0, on which ``quadratic_flow`` returns the factor itself, the
@@ -272,8 +268,8 @@ def additive_step(
     jobs = [(k, d) for k in ks for d in directions]
     shared_prefix = spec.kind == "sym" and factor.rank == 0
     runs = [(k, QUADRATIC_FIRST) for k in ks] if shared_prefix else jobs
-    starts = (BlockActions(problem.a, factor.L),)
-    chains = [lie_chain(factor, h, k, d, problem, states[k], exp_opts, comp_opts, starts)
+    start = (factor.L, {})
+    chains = [lie_chain(factor, h, k, d, problem, states[k], comp_opts, start)
               for k, d in runs]
     if shared_prefix:
         chains = [c for k, chain in zip(ks, chains)

@@ -22,7 +22,7 @@ How X(h) is formed depends on the width of the rule of the scheme's degree,
   exactly once per degree (``quad_weights``).  The node blocks
   exp(s_k A^T) L_Q are stepped with one exponential of (h/degree) A^T,
   plus the exp(h A^T) the propagation over h shares
-  (``BlockActions.equidistant``; ``adaptive.QuadraturePool`` primes both
+  (``expaction.equidistant``; ``adaptive.QuadraturePool`` primes both
   from one expm).
 
 The flows and the integral need a dense A.  A sparse problem is solved on
@@ -47,8 +47,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import InvalidInput, NonFiniteFactor, StepTooLarge
-from .expaction import (BlockActions, ExpActionOptions, SourceIntegral, StiffOperator,
-                        exp_action)
+from .expaction import SourceIntegral, StiffOperator, equidistant, exp_action
 from .lowrank import (CompressionOptions, LDLTFactor, _symmetric_core, combine, identity_basis,
                       on_identity)
 
@@ -60,10 +59,15 @@ def _require_finite(what: str, *arrays) -> None:
         raise InvalidInput(f"{what} has non-finite entries")
 
 
+def _require_square(s) -> None:
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise InvalidInput(f"quadratic term must be square, got shape {s.shape}")
+
+
 class QuadraticTerm:
     """The quadratic-term operator S, applied to tall blocks.
 
-    Backed by a dense matrix, a sparse matrix, or the low-rank control form
+    Backed by a square dense or sparse matrix, or the low-rank control form
     S = B Ru_inv B^T; every entry must be finite.
     """
 
@@ -76,12 +80,14 @@ class QuadraticTerm:
     @classmethod
     def from_dense(cls, s) -> "QuadraticTerm":
         s = np.asarray(s, dtype=np.float64)
+        _require_square(s)
         _require_finite("quadratic term", s)
         return cls(lambda x: s @ x, s.shape[0], lambda: s)
 
     @classmethod
     def from_sparse(cls, s) -> "QuadraticTerm":
         s = s.tocsr()
+        _require_square(s)
         _require_finite("quadratic term", s.data)
         return cls(lambda x: s @ x, s.shape[0], lambda: s.toarray())
 
@@ -137,9 +143,9 @@ class ProblemData:
 
     The source and initial factors must be finite and their cores positive
     semi-definite (up to a -1e-12 eigenvalue tolerance); this is what
-    guarantees existence of the exact solution.  ``source_blocks`` gives
-    the quadrature blocks exp(s A^T) L_Q of a dense operator.  A problem
-    with a sparse operator is solved through ``projected``.
+    guarantees existence of the exact solution.  ``source_integral`` gives
+    the exact X(h) of a dense operator.  A problem with a sparse operator
+    is solved through ``projected``.
     """
 
     a: StiffOperator
@@ -147,7 +153,6 @@ class ProblemData:
     s: QuadraticTerm
     p0: LDLTFactor
     horizon: float
-    source_blocks: BlockActions = field(init=False, repr=False, compare=False)
     source_integral: SourceIntegral = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,7 +166,6 @@ class ProblemData:
         for name, factor in (("source", self.q), ("initial", self.p0)):
             _require_finite(f"{name} factor", factor.L, factor.D)
             _check_psd_core(factor.D, name)
-        object.__setattr__(self, "source_blocks", BlockActions(self.a, self.q.L))
         object.__setattr__(self, "source_integral", SourceIntegral(self.a, self.q.L, self.q.D))
 
     @property
@@ -186,7 +190,7 @@ class ProblemData:
 
     def _restarted(self, p0: LDLTFactor, horizon: float) -> "ProblemData":
         """This problem from p0 over [0, horizon], sharing its other parts and
-        the cached source blocks.  For a p0 the library built: the input checks
+        the cached source integral.  For a p0 the library built: the input checks
         are not run again, so a round-off negative core eigenvalue is legal."""
         sub = copy.copy(self)
         object.__setattr__(sub, "p0", p0)
@@ -310,7 +314,6 @@ def init_quadrature(
     problem: ProblemData,
     h: float,
     degree: int,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
     """The source integral over [0, h] for the rule of this degree.  At
@@ -323,7 +326,7 @@ def init_quadrature(
     if full_width(problem, degree):
         assembled = LDLTFactor._trusted(identity_basis(problem.n), problem.source_integral(h))
         return QuadratureState(degree, h, np.empty(0), np.array([h]), assembled, 0)
-    blocks = problem.source_blocks.equidistant(h, degree)
+    blocks = equidistant(problem.a, problem.q.L, h, degree)
     assembled = _assemble(problem, weights, blocks, comp_opts)
     return QuadratureState(degree, h, np.linspace(0.0, h, degree + 1), weights, assembled,
                            degree + 1)
@@ -333,7 +336,6 @@ def update_quadrature(
     state: QuadratureState,
     h_new: float,
     problem: ProblemData,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
 ) -> QuadratureState:
     """The rule of ``state`` moved to [0, h_new]: the state itself (with no
@@ -341,7 +343,7 @@ def update_quadrature(
     equidistant rule of the same degree over h_new."""
     if h_new == state.h:
         return replace(state, fresh_blocks=0)
-    return init_quadrature(problem, h_new, state.degree, exp_opts, comp_opts)
+    return init_quadrature(problem, h_new, state.degree, comp_opts)
 
 
 def affine_flow(
@@ -349,26 +351,26 @@ def affine_flow(
     h: float,
     problem: ProblemData,
     state: QuadratureState,
-    exp_opts: ExpActionOptions = ExpActionOptions(),
     comp_opts: CompressionOptions = CompressionOptions(),
-    starts: tuple = (),
+    start: tuple | None = None,
 ) -> LDLTFactor:
     """Exact flow of P' = A^T P + P A + Q over a step h:
     exp(h A^T) L D L^T exp(h A) + X(h), where X(h) = L_X D_X L_X^T is the
     quadrature factor of ``state``.
 
     B = exp(h A^T) L is the cached ``expm(h)`` itself for L on the
-    identity basis, with no action.  ``starts`` holds the ``BlockActions``
-    of the basis that a step propagates more than once, its start basis:
-    when L is its block, B is taken from it, kept there for the step's
-    other flows; otherwise it is one exp_action.  An exact X(h) is on the
-    identity basis already, and the sum is formed directly as its N x N
-    core B D B^T + X(h), checked finite as ``combine`` checks a stacked
-    rank(L) + N columns.  Other sums go through ``combine`` with
-    ``truncate=False``: below N columns the sum is compressed, at N or more
-    it is the N x N core on the identity basis, left for the step to
-    compress once.  A factor of rank 0 is passed as it is, and ``combine``
-    leaves it out.  Raises InvalidInput on a sparse operator, and
+    identity basis, with no action.  ``start`` is (basis, blocks): the
+    basis a step propagates more than once, its start basis, and the dict
+    of its propagations by h that the step owns.  When L is that very
+    basis, B is blocks[h], made read-only by one exp_action where the dict
+    lacks it and kept there for the step's other flows.  Otherwise B is
+    one exp_action.  An exact X(h) is on the identity basis already, and
+    the sum is formed directly as its N x N core B D B^T + X(h), checked
+    finite as ``combine`` checks a stacked rank(L) + N columns.  Other
+    sums go through ``combine`` with ``truncate=False``: below N columns
+    the sum is compressed, at N or more it is the N x N core on the
+    identity basis, left for the step to compress once.  A factor of rank
+    0 is passed as it is, and ``combine`` leaves it out.  Raises InvalidInput on a sparse operator, and
     NonFiniteFactor naming the flow and h when the core of the sum is not
     finite.
     """
@@ -383,12 +385,14 @@ def affine_flow(
     if factor.rank > 0:
         if on_identity(factor):
             basis = problem.a.expm(h)
+        elif start is not None and factor.L is start[0]:
+            basis = start[1].get(h)
+            if basis is None:
+                basis = exp_action(problem.a, h, factor.L)
+                basis.flags.writeable = False
+                start[1][h] = basis
         else:
-            actions = next((b for b in starts if factor.L is b.v), None)
-            if actions is not None:
-                basis = actions(h, exp_opts)
-            else:
-                basis = exp_action(problem.a, h, factor.L, exp_opts)
+            basis = exp_action(problem.a, h, factor.L)
         propagated = LDLTFactor._trusted(basis, factor.D)
     try:
         if factor.rank > 0 and on_identity(state.assembled):

@@ -97,7 +97,6 @@ def test_criterion_1_order_study():
 def test_criterion_2_subflow_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    exp_opts = ExpActionOptions(rel_tol=1e-12)
     comp_opts = CompressionOptions(rel_tol=1e-15)
     worst_quadratic = worst_affine = 0.0
     n_instances = 100
@@ -108,8 +107,8 @@ def test_criterion_2_subflow_oracle_equivalence():
         got_g = to_dense(quadratic_flow(factor, h, problem.s))
         ref_g = dense_subflow("quadratic", p_dense, h, dense)
         worst_quadratic = max(worst_quadratic, relative_error(got_g, ref_g))
-        state = init_quadrature(problem, h, 9, exp_opts, comp_opts)
-        got_f = to_dense(affine_flow(factor, h, problem, state, exp_opts, comp_opts))
+        state = init_quadrature(problem, h, 9, comp_opts)
+        got_f = to_dense(affine_flow(factor, h, problem, state, comp_opts))
         ref_f = dense_subflow("affine", p_dense, h, dense)
         worst_affine = max(worst_affine, relative_error(got_f, ref_f))
 
@@ -143,8 +142,8 @@ def test_criterion_2_subflow_oracle_equivalence():
             solved, start, u = problem, factor, np.eye(problem.n)
         else:
             solved, start = problem.projected(u), LDLTFactor(u.T @ factor.L, factor.D)
-        state = init_quadrature(solved, h, 9, exp_opts, comp_opts)
-        flowed = affine_flow(start, h, solved, state, exp_opts, comp_opts)
+        state = init_quadrature(solved, h, 9, comp_opts)
+        flowed = affine_flow(start, h, solved, state, comp_opts)
         got_f = to_dense(LDLTFactor(u @ flowed.L, flowed.D))
         ref_f = dense_subflow("affine", to_dense(factor), h, to_dense_problem(problem))
         worst_named[name] = relative_error(got_f, ref_f)

@@ -422,6 +422,26 @@ def _galerkin_accuracy_problem(name):
     return problem
 
 
+@pytest.mark.parametrize("n", [10, 40])
+def test_exp_options_steer_only_the_galerkin_stop(n):
+    # A dense problem has no Galerkin space, so rel_tol must leave every bit
+    # of its runs as it is: at N = 10 the sym3 steps take the exact source
+    # integral, at N = 40 the rule's node blocks.  Each run gets a fresh
+    # problem, so no cache is shared between the two options.
+    runs = []
+    for rel_tol in (1e-4, 1e-12):
+        opts = ExpActionOptions(rel_tol=rel_tol)
+        trajs = (
+            integrate_fixed(generate_problem("random_lowrank", n, seed=2, horizon=0.05),
+                            SchemeSpec("sym", 3), 2, opts),
+            integrate_adaptive(generate_problem("random_lowrank", n, seed=2, horizon=0.05),
+                               SchemeSpec("sym", 3), 0.01, ControllerParams(tol=1e-6), opts),
+        )
+        assert all(t.galerkin_dim is None for t in trajs)
+        runs.append([(f.L.tobytes(), f.D.tobytes()) for t in trajs for f in t.factors])
+    assert len(runs[0]) > 4 and runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("name", ["laplacian", "convection", "initial factor"])
 def test_galerkin_stop_meets_its_tolerance(name):
     # sym2, 2 fixed steps: the sparse solve stops once the newest Krylov
@@ -440,8 +460,7 @@ def test_galerkin_stop_meets_its_tolerance(name):
 def test_sparse_warm_cache_rerun_gives_identical_bits():
     # From P0 = 0 the AFFINE_FIRST chains are quadratic flows of the
     # QUADRATIC_FIRST ones; the second step shares the start propagations.
-    # The second run finds the first one's source blocks, Krylov spaces and
-    # LU factors cached and must give the same bits.
+    # A second run on the same problem must give the same bits.
     problem = generate_problem("laplacian_lqr", n=60)
     finals = []
     for _ in range(2):
@@ -466,10 +485,9 @@ def test_adaptive_run_propagates_each_basis_once_per_substep(monkeypatch):
         steps.append((current.L, []))
         return real_step(current, h, *args)
 
-    def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-        if blocks is not problem.source_blocks:
-            steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
-        return real(op, t, v, opts, blocks)
+    def counting(op, t, v):
+        steps[-1][1].append((v, t))  # keeps v alive, so identities stay unique
+        return real(op, t, v)
 
     problem = generate_problem("random_lowrank", n=30, rank=4, seed=2, horizon=0.05)
     monkeypatch.setattr(adaptive, "additive_step", stepping)

@@ -246,6 +246,7 @@ class TestCommands:
     @pytest.mark.parametrize("kind", ["random_lowrank", "laplacian_lqr"])
     @pytest.mark.parametrize("name, fault", [
         ("A.mtx", "nonsquare"), ("A.mtx", np.nan), ("Q_D.mtx", np.nan), ("S.mtx", np.nan),
+        ("S.mtx", "nonsquare"),
     ])
     def test_malformed_input_exit_code(self, tmp_path, capsys, kind, name, fault):
         prob_dir = tmp_path / "prob"
@@ -256,6 +257,25 @@ class TestCommands:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("ingestion error:") and name in err
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda m: [m], "JSON object"),
+        (lambda m: {**m, "files": ["A.mtx"]}, "'files'"),
+        (lambda m: {**m, "files": {k: v for k, v in m["files"].items() if k != "A"}}, "'A'"),
+        (lambda m: {**m, "files": {**m["files"], "S": ""}}, "'S'"),
+        (lambda m: {**m, "horizon": "abc"}, "'horizon'"),
+        (lambda m: {**m, "horizon": None}, "'horizon'"),
+    ], ids=["not an object", "files not an object", "no A", "empty S", "horizon abc",
+            "horizon null"])
+    def test_malformed_manifest_exit_code(self, tmp_path, capsys, edit, key):
+        prob_dir = tmp_path / "prob"
+        manifest = export_problem(generate_problem("random_lowrank", 6, 2, seed=1), prob_dir)
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        code = main(["solve", "--problem", str(prob_dir), "--steps", "2",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ingestion error:") and "problem.json" in err and key in err
 
     def test_solver_error_exit_code(self, tmp_path):
         prob_dir = tmp_path / "prob"

@@ -23,15 +23,17 @@ from dresplit import (
     StepTooLarge,
     StiffOperator,
     ToleranceNotMet,
+    affine_flow,
     exp_action,
     generate_problem,
+    init_quadrature,
     integrate_adaptive,
     integrate_fixed,
     relative_error,
 )
-from dresplit import adaptive, expaction
+from dresplit import adaptive, expaction, subflows
 from dresplit.adaptive import QuadraturePool, default_quad_degree
-from dresplit.expaction import _BLOCK_CACHE, _EXPM_CACHE, BlockActions, KrylovSpace, _dense_expm
+from dresplit.expaction import _EXPM_CACHE, KrylovSpace, _dense_expm, equidistant
 from dresplit.lowrank import to_dense
 
 from conftest import stored_dense
@@ -95,36 +97,34 @@ def test_empty_block(rng):
 
 def test_nilpotent():
     op = StiffOperator(np.array([[0.0, 0.0], [1.0, 0.0]]))  # A^T = [[0,1],[0,0]]
-    out = exp_action(op, 1.0, np.array([[0.0], [1.0]]), ExpActionOptions(rel_tol=1e-12))
+    out = exp_action(op, 1.0, np.array([[0.0], [1.0]]))
     assert np.allclose(out.ravel(), [1.0, 1.0], atol=1e-12)
 
 
 def test_matches_dense_expm(rng):
-    opts = ExpActionOptions(rel_tol=1e-9)
     for _ in range(10):
         a = rng.standard_normal((5, 5))
         v = rng.standard_normal((5, 2))
         ref = expm(0.3 * a.T) @ v
-        out = exp_action(StiffOperator(a), 0.3, v, opts)
-        assert np.linalg.norm(out - ref) <= 10 * opts.rel_tol * np.linalg.norm(ref)
+        out = exp_action(StiffOperator(a), 0.3, v)
+        assert np.linalg.norm(out - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 def test_diagonal_operator(rng):
     d = np.array([-3.0, -1.0, 0.5])
     op = StiffOperator(np.diag(d))
     v = rng.standard_normal((3, 4))
-    out = exp_action(op, 0.8, v, ExpActionOptions(rel_tol=1e-12))
+    out = exp_action(op, 0.8, v)
     ref = np.exp(0.8 * d)[:, None] * v
     assert np.allclose(out, ref, rtol=1e-11, atol=1e-13)
 
 
 def test_semigroup_property(rng):
-    opts = ExpActionOptions(rel_tol=1e-11)
     a = rng.standard_normal((6, 6))
     op = StiffOperator(a)
     v = rng.standard_normal((6, 2))
-    direct = exp_action(op, 0.5, v, opts)
-    chained = exp_action(op, 0.3, exp_action(op, 0.2, v, opts), opts)
+    direct = exp_action(op, 0.5, v)
+    chained = exp_action(op, 0.3, exp_action(op, 0.2, v))
     assert np.linalg.norm(direct - chained) <= 1e-9 * np.linalg.norm(direct)
 
 
@@ -139,10 +139,9 @@ def test_sparse_path_matches_dense_path():
 
 def test_sparse_operator_has_no_exponential(rng):
     op = StiffOperator(laplacian(20))
-    blocks = BlockActions(op, rng.standard_normal((20, 2)))
-    for call in (lambda: exp_action(op, 0.1, blocks.v), lambda: blocks(0.1),
-                 lambda: blocks.equidistant(0.1, 3), lambda: op.expm(0.1),
-                 lambda: op.prime_expm(0.1, {0.1: 1})):
+    v = rng.standard_normal((20, 2))
+    for call in (lambda: exp_action(op, 0.1, v), lambda: equidistant(op, v, 0.1, 3),
+                 lambda: op.expm(0.1), lambda: op.prime_expm(0.1, {0.1: 1})):
         with pytest.raises(InvalidInput, match="ProblemData.projected"):
             call()
 
@@ -458,14 +457,12 @@ def test_source_blocks_under_thread_contention():
     problem = stored_dense(generate_problem("laplacian_lqr", n=80))
     ts = [0.05 / 2.0**k * f for k in range(2 * _EXPM_CACHE) for f in (1.0, 1.7)]
     serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
-    blocks = BlockActions(problem.a, problem.q.L)
     wrong = []
 
     def worker(offset):
         for i in range(12):
             t = ts[(offset + 5 * i) % len(ts)]
-            # exp_action with the cache, past the kept blocks of blocks(t).
-            got = exp_action(problem.a, t, problem.q.L, ExpActionOptions(), blocks)
+            got = exp_action(problem.a, t, problem.q.L)
             if got.tobytes() != serial[t]:
                 wrong.append(t)
 
@@ -474,43 +471,40 @@ def test_source_blocks_under_thread_contention():
     assert len(problem.a._cache) <= _EXPM_CACHE
 
 
-@pytest.mark.parametrize("kind", ["dense", "sparse"])
-def test_exp_action_refuses_the_blocks_of_another_block(kind):
-    # A cache's spaces belong to its own operator and block; an equal copy
-    # of the block is refused too, since the cache keys only on t.
-    problem = generate_problem("laplacian_lqr" if kind == "sparse" else "random_lowrank",
-                               n=20, seed=1)
-    blocks = problem.source_blocks
-    other = generate_problem("laplacian_lqr" if kind == "sparse" else "random_lowrank",
-                             n=20, seed=1)
-    for op, v in ((problem.a, problem.q.L.copy()), (problem.a, problem.p0.L),
-                  (other.a, problem.q.L)):
-        with pytest.raises(InvalidInput, match="another operator or block"):
-            exp_action(op, 0.01, v, ExpActionOptions(), blocks)
-    if kind == "sparse":
-        with pytest.raises(InvalidInput, match="ProblemData.projected"):
-            exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks)
-    else:
-        assert exp_action(problem.a, 0.01, problem.q.L, ExpActionOptions(), blocks).tobytes() \
-            == exp_action(problem.a, 0.01, problem.q.L).tobytes()
-
-
 def test_dense_source_blocks_keep_the_dense_path():
     problem = generate_problem("random_lowrank", n=8, seed=1)
     for t in (0.1, 0.3, 0.1):
-        assert problem.source_blocks(t).tobytes() == (
+        assert exp_action(problem.a, t, problem.q.L).tobytes() == (
             problem.a.expm(t) @ problem.q.L).tobytes()
 
 
-def test_dense_blocks_are_kept_read_only_with_the_bits_of_expm(rng):
-    op = StiffOperator(rng.standard_normal((8, 8)))
-    v = rng.standard_normal((8, 3))
-    blocks = BlockActions(op, v)
-    first = blocks(0.1)
-    assert blocks(0.1) is first and not first.flags.writeable
-    assert first.tobytes() == (op.expm(0.1) @ v).tobytes()
-    assert blocks(0.2).tobytes() == (op.expm(0.2) @ v).tobytes()
-    assert len(blocks._blocks) == 2
+def _counting_actions(monkeypatch):
+    """The blocks V of the exponential actions the affine flows make."""
+    blocks = []
+    monkeypatch.setattr(subflows, "exp_action",
+                        lambda op, t, v: blocks.append(v) or exp_action(op, t, v))
+    return blocks
+
+
+def test_dense_blocks_are_kept_read_only_with_the_bits_of_expm(rng, monkeypatch):
+    # An affine flow from a step's start basis keeps its propagation in the
+    # step's dict, read-only and keyed by h; another flow over the same h
+    # takes it from there, with no action.
+    problem = generate_problem("random_lowrank", n=8, seed=1)
+    factor = LDLTFactor(rng.standard_normal((8, 3)), np.eye(3))
+    start = (factor.L, {})
+    states = {h: init_quadrature(problem, h, 4) for h in (0.1, 0.2)}
+    first = affine_flow(factor, 0.1, problem, states[0.1], start=start)
+    block = start[1][0.1]
+    assert not block.flags.writeable
+    assert block.tobytes() == (problem.a.expm(0.1) @ factor.L).tobytes()
+    actions = _counting_actions(monkeypatch)
+    again = affine_flow(factor, 0.1, problem, states[0.1], start=start)
+    assert actions == [] and start[1][0.1] is block
+    assert again.L.tobytes() == first.L.tobytes() and again.D.tobytes() == first.D.tobytes()
+    affine_flow(factor, 0.2, problem, states[0.2], start=start)
+    assert len(actions) == 1 and sorted(start[1]) == [0.1, 0.2]
+    assert start[1][0.2].tobytes() == (problem.a.expm(0.2) @ factor.L).tobytes()
 
 
 # Node grids are stepped with one exponential.
@@ -530,7 +524,7 @@ def test_equidistant_matches_per_node_actions(rng, kind, degree):
     op = StiffOperator(_stepped_operator(kind, 40, rng))
     v = rng.standard_normal((40, 4))
     h = 1.0
-    blocks = BlockActions(op, v).equidistant(h, degree)
+    blocks = equidistant(op, v, h, degree)
     nodes = np.linspace(0.0, h, degree + 1)
     assert len(blocks) == degree + 1
     scale = np.linalg.norm(v) * max(np.linalg.norm(expm(s * op.matrix.T), 2) for s in nodes)
@@ -547,7 +541,7 @@ def test_equidistant_takes_two_exponentials(rng, degree):
     asked = []
     cached = op.expm
     op.expm = lambda t: asked.append(t) or cached(t)
-    BlockActions(op, rng.standard_normal((10, 3))).equidistant(0.3, degree)
+    equidistant(op, rng.standard_normal((10, 3)), 0.3, degree)
     # Degree 1 (nodes 0 and h) has no inner node, so nothing is stepped.
     assert asked == ([0.3] if degree == 1 else [0.3 / degree, 0.3])
 
@@ -556,15 +550,13 @@ def test_equidistant_takes_two_exponentials(rng, degree):
 @pytest.mark.parametrize("degree, t", [(1, "2"), (3, "1.33333"), (8, "1")])
 def test_equidistant_overflow_raises_nonfinite(degree, t):
     # exp(800 s) overflows from s = 0.89 on; the first such node names it.
-    blocks = BlockActions(StiffOperator(800.0 * np.eye(5)), np.ones((5, 2)))
     with pytest.raises(NonFiniteFactor, match=f"t={t} "):
-        blocks.equidistant(2.0, degree)
+        equidistant(StiffOperator(800.0 * np.eye(5)), np.ones((5, 2)), 2.0, degree)
 
 
 def test_equidistant_rejects_bad_degree():
-    blocks = BlockActions(StiffOperator(np.eye(3)), np.ones((3, 1)))
     with pytest.raises(InvalidInput, match="degree"):
-        blocks.equidistant(1.0, 0)
+        equidistant(StiffOperator(np.eye(3)), np.ones((3, 1)), 1.0, 0)
 
 
 def test_fixed_run_takes_two_exponentials_per_node_grid():
@@ -613,7 +605,7 @@ def test_primed_powers_match_direct_exponentials(rng, monkeypatch, kind, h, spec
     op.prime_expm = lambda u, powers: primed.append(dict(powers)) or prime(u, powers)
     calls = count_scipy_expm(monkeypatch)
     degree = default_quad_degree(spec)
-    QuadraturePool(problem, degree, ExpActionOptions(), CompressionOptions()).prepare(
+    QuadraturePool(problem, degree, CompressionOptions()).prepare(
         h, spec.substep_divisors())
     monkeypatch.undo()
     assert len(calls) == 1 and len(primed) == 1
@@ -771,19 +763,17 @@ def test_adaptive_dense_run_takes_one_scipy_expm_per_step_size(monkeypatch):
     # before the step's work and chains read them; nothing else takes one.
     # adaptive_n10 of the benchmark made 586 calls over 193 tried step
     # sizes before priming.
-    # The step's basis is propagated through BlockActions.__call__ from
-    # additive_step or its chains, which must be reached for the check to
-    # mean anything.
-    step_work = ("BlockActions.__call__", "additive_step", "lie_chain")
+    # The step's basis is propagated by the affine flows' exp_action from
+    # additive_step's chains, which must be reached for the check to mean
+    # anything.
+    step_work = ("exp_action", "additive_step", "lie_chain")
     calls, sizes, propagations = [], [], []
     monkeypatch.setattr(expaction, "expm", lambda m: calls.append(_callers()) or expm(m))
     prepare = QuadraturePool.prepare
     monkeypatch.setattr(QuadraturePool, "prepare",
                         lambda pool, h, ks: sizes.append(h) or prepare(pool, h, ks))
-    real_call = BlockActions.__call__
-    monkeypatch.setattr(BlockActions, "__call__",
-                        lambda self, *a: propagations.append(_callers())
-                        or real_call(self, *a))
+    monkeypatch.setattr(subflows, "exp_action",
+                        lambda *a: propagations.append(_callers()) or exp_action(*a))
     problem = generate_problem("random_lowrank", n=40, rank=4, seed=2, horizon=0.05)
     traj = integrate_adaptive(problem, SchemeSpec("sym", 3), 0.01,
                               ControllerParams(tol=1e-5, epus=True))
@@ -816,66 +806,52 @@ def test_adaptive_full_width_run_takes_one_van_loan_expm_per_step_size(monkeypat
 
 
 def test_block_is_checked_once_when_its_actions_are_made(rng, monkeypatch):
+    # A node grid checks its block once for all of its actions.
     op = StiffOperator(rng.standard_normal((6, 6)))
     v = rng.standard_normal((6, 2))
     checks = []
     real = expaction._checked_block
     monkeypatch.setattr(expaction, "_checked_block",
-                        lambda op, v: checks.append(1) or real(op, v))
-    blocks = BlockActions(op, v)
-    got = [blocks(t) for t in (0.1, 0.2, 0.3)]
-    assert len(checks) == 1
-    for t, block in zip((0.1, 0.2, 0.3), got):
-        assert block.tobytes() == (op.expm(t) @ v).tobytes()
+                        lambda *args: checks.append(1) or real(*args))
+    blocks = equidistant(op, v, 0.3, 3)
+    assert len(checks) == 1 and len(blocks) == 4
+    assert blocks[0].tobytes() == v.tobytes()
+    assert blocks[-1].tobytes() == (op.expm(0.3) @ v).tobytes()
 
 
-def test_nonfinite_block_of_block_actions_raises_at_its_first_nontrivial_action():
-    # As exp_action would: a trivial action (t = 0) returns the block, any
-    # other raises naming t, for one call and for a node grid alike.
+def test_nonfinite_block_raises_at_its_first_nontrivial_action():
+    # A trivial action (t = 0) returns the block, any other raises naming
+    # t, for one action and for a node grid alike.
     op = StiffOperator(laplacian(5).toarray())
     v = np.ones((5, 2))
     v[1, 1] = np.nan
-    blocks = BlockActions(op, v)
-    assert np.isnan(blocks(0.0)[1, 1])
-    with pytest.raises(NonFiniteFactor, match=r"t=0\.1 produced a non-finite input block"):
-        blocks(0.1)
+    assert np.isnan(exp_action(op, 0.0, v)[1, 1])
+    assert all(np.isnan(block[1, 1]) for block in equidistant(op, v, 0.0, 3))
     with pytest.raises(NonFiniteFactor, match=r"t=0\.2 produced a non-finite input block"):
         exp_action(op, 0.2, v)
     with pytest.raises(NonFiniteFactor, match=r"t=2 produced a non-finite input block"):
-        blocks.equidistant(2.0, 3)
-    with pytest.raises(InvalidInput, match="4 rows"):
-        BlockActions(op, np.ones((4, 1)))
+        equidistant(op, v, 2.0, 3)
+    for call in (lambda: exp_action(op, 0.2, np.ones((4, 1))),
+                 lambda: equidistant(op, np.ones((4, 1)), 2.0, 3)):
+        with pytest.raises(InvalidInput, match="4 rows"):
+            call()
 
 
-def test_kept_blocks_are_read_only_and_keep_their_bits():
+def test_kept_blocks_are_read_only_and_keep_their_bits(monkeypatch):
+    # The step's dict serves its very start basis only: a flow from an
+    # equal copy of that basis makes its own action and leaves the dict as
+    # it was, with the same bits.
     problem = stored_dense(generate_problem("laplacian_lqr", n=60))
-    blocks = problem.source_blocks
-    loose = ExpActionOptions(rel_tol=1e-6)
-    first = blocks(0.01)
-    assert blocks(0.01) is first and not first.flags.writeable
-    assert first.tobytes() == exp_action(problem.a, 0.01, problem.q.L).tobytes()
-    # Dense actions do not read the options, so the blocks are keyed by t
-    # alone: one block serves every options value.
-    assert blocks(0.01, loose) is first
-    assert first.tobytes() == exp_action(problem.a, 0.01, problem.q.L, loose).tobytes()
-    assert len(blocks._blocks) == 1
-
-
-def test_kept_blocks_under_thread_contention():
-    problem = stored_dense(generate_problem("laplacian_lqr", n=80))
-    ts = [0.05 / 2.0**k * f for k in range(8) for f in (1.0, 1.3, 1.7)]
-    serial = {t: exp_action(problem.a, t, problem.q.L).tobytes() for t in ts}
-    blocks = BlockActions(problem.a, problem.q.L)
-    wrong = []
-    sizes = []
-
-    def worker(offset):
-        for i in range(24):
-            t = ts[(offset + 7 * i) % len(ts)]
-            if blocks(t).tobytes() != serial[t]:
-                wrong.append(t)
-            sizes.append(len(blocks._blocks))
-
-    run_threads(worker, 4)
-    assert wrong == []
-    assert max(sizes) <= _BLOCK_CACHE
+    factor = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
+    start = (factor.L, {})
+    state = init_quadrature(problem, 0.01, 3)
+    kept = affine_flow(factor, 0.01, problem, state, start=start)
+    block = start[1][0.01]
+    assert not block.flags.writeable
+    assert block.tobytes() == exp_action(problem.a, 0.01, problem.q.L).tobytes()
+    copy = LDLTFactor(factor.L.copy(), factor.D)
+    actions = _counting_actions(monkeypatch)
+    other = affine_flow(copy, 0.01, problem, state, start=start)
+    assert len(actions) == 1 and actions[0] is copy.L
+    assert list(start[1]) == [0.01] and start[1][0.01] is block
+    assert other.L.tobytes() == kept.L.tobytes() and other.D.tobytes() == kept.D.tobytes()

@@ -117,7 +117,7 @@ class TestSpec:
 
 
 def _states_for(problem, h, divisors, degree=6):
-    return {k: init_quadrature(problem, h / k, degree, EXP, COMP) for k in divisors}
+    return {k: init_quadrature(problem, h / k, degree, COMP) for k in divisors}
 
 
 class TestChainsAndSteps:
@@ -125,8 +125,8 @@ class TestChainsAndSteps:
         problem = make_tanh_problem(p0=0.3)
         h = 0.1
         states = _states_for(problem, h, (1,))
-        chain = lie_chain(problem.p0, h, 1, "quadratic_first", problem, states[1], EXP, COMP)
-        lie = multiplicative_step(problem.p0, h, "lie", problem, states, EXP, COMP)
+        chain = lie_chain(problem.p0, h, 1, "quadratic_first", problem, states[1], COMP)
+        lie = multiplicative_step(problem.p0, h, "lie", problem, states, COMP)
         assert np.allclose(to_dense(chain), to_dense(lie), atol=1e-15)
 
     def test_chain_collapses_without_source_and_quadratic(self, rng):
@@ -145,7 +145,7 @@ class TestChainsAndSteps:
 
         for k in (1, 3):
             states = _states_for(problem, h, (k,))
-            out = to_dense(lie_chain(p, h, k, "quadratic_first", problem, states[k], EXP, COMP))
+            out = to_dense(lie_chain(p, h, k, "quadratic_first", problem, states[k], COMP))
             phi = expm(h * a)
             ref = phi.T @ to_dense(p) @ phi
             assert np.linalg.norm(out - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -155,7 +155,7 @@ class TestChainsAndSteps:
         h, k = 0.3, 3
         states = _states_for(problem, h, (k,), degree=8)
         got = to_dense(lie_chain(problem.p0, h, k, "quadratic_first", problem,
-                                 states[k], EXP, COMP))[0, 0]
+                                 states[k], COMP))[0, 0]
         # dense composition of the exact scalar subflows
         p = 0.2
         sub = h / k
@@ -180,8 +180,8 @@ class TestChainsAndSteps:
         states = _states_for(problem, h, (1,))
         from dresplit import affine_flow
 
-        strang = multiplicative_step(p, h, "strang", problem, states, EXP, COMP)
-        affine = affine_flow(p, h, problem, states[1], EXP, COMP)
+        strang = multiplicative_step(p, h, "strang", problem, states, COMP)
+        affine = affine_flow(p, h, problem, states[1], COMP)
         assert np.allclose(to_dense(strang), to_dense(affine), atol=1e-13)
 
     def test_tanh_orders_lie_strang(self):
@@ -203,10 +203,10 @@ class TestChainsAndSteps:
         spec = SchemeSpec("sym", 1)
         coeffs = SchemeCoefficients.for_spec(spec)
         states = _states_for(problem, h, (1,))
-        nxt, est = additive_step(problem.p0, h, spec, coeffs, problem, states, EXP, COMP)
+        nxt, est = additive_step(problem.p0, h, spec, coeffs, problem, states, COMP)
         assert est is None
-        fg = lie_chain(problem.p0, h, 1, "quadratic_first", problem, states[1], EXP, COMP)
-        gf = lie_chain(problem.p0, h, 1, "affine_first", problem, states[1], EXP, COMP)
+        fg = lie_chain(problem.p0, h, 1, "quadratic_first", problem, states[1], COMP)
+        gf = lie_chain(problem.p0, h, 1, "affine_first", problem, states[1], COMP)
         ref = 0.5 * (to_dense(fg) + to_dense(gf))
         assert np.allclose(to_dense(nxt), ref, atol=1e-13)
 
@@ -237,7 +237,7 @@ class TestChainsAndSteps:
         for k in (1, 2):
             for order in ("quadratic_first", "affine_first"):
                 chains.append(
-                    (k, lie_chain(problem.p0, h, k, order, problem, states[k], EXP, zero_tol))
+                    (k, lie_chain(problem.p0, h, k, order, problem, states[k], zero_tol))
                 )
         full = combine([(coeffs.gamma[k - 1], c) for k, c in chains], zero_tol)
         embedded = combine([(coeffs.beta[k - 1], c) for k, c in chains], zero_tol)
@@ -251,7 +251,7 @@ class TestChainsAndSteps:
         spec = SchemeSpec("sym", 2)
         coeffs = SchemeCoefficients.for_spec(spec)
         states = _states_for(problem, h, (1, 2))
-        nxt, est = additive_step(problem.p0, h, spec, coeffs, problem, states, EXP, COMP)
+        nxt, est = additive_step(problem.p0, h, spec, coeffs, problem, states, COMP)
         x = to_dense(nxt)
         assert np.array_equal(x, x.T)
         assert est is not None and est >= 0.0
@@ -325,16 +325,15 @@ class TestSharedFactorWork:
 
     @staticmethod
     def _count_propagations(monkeypatch, problem):
-        """(v, t) of every exponential action but those of the source node
-        blocks: the affine flows' own, and those of the step basis, which
-        go through its BlockActions."""
+        """(v, t) of every exponential action: the affine flows' own, and
+        those of the step basis, which the step keeps by h.  The source node
+        blocks are stepped along their grid, with no action."""
         calls = []
         real = expaction.exp_action
 
-        def counting(op, t, v, opts=ExpActionOptions(), blocks=None):
-            if blocks is not problem.source_blocks:
-                calls.append((v, t))  # keeps v alive, so identities stay unique
-            return real(op, t, v, opts, blocks)
+        def counting(op, t, v):
+            calls.append((v, t))  # keeps v alive, so identities stay unique
+            return real(op, t, v)
 
         monkeypatch.setattr(subflows, "exp_action", counting)
         monkeypatch.setattr(expaction, "exp_action", counting)
@@ -397,8 +396,8 @@ class TestSharedFactorWork:
         problem = stored_dense(generate_problem("laplacian_lqr", 20))
         h = 0.02
         states = _states_for(problem, h, (k,))
-        qf = lie_chain(problem.p0, h, k, QUADRATIC_FIRST, problem, states[k], EXP, COMP)
-        af = lie_chain(problem.p0, h, k, AFFINE_FIRST, problem, states[k], EXP, COMP)
+        qf = lie_chain(problem.p0, h, k, QUADRATIC_FIRST, problem, states[k], COMP)
+        af = lie_chain(problem.p0, h, k, AFFINE_FIRST, problem, states[k], COMP)
         via = quadratic_flow(qf, h / k, problem.s)
         assert qf.rank > 0
         assert af.L.tobytes() == via.L.tobytes()
@@ -409,8 +408,8 @@ class TestSharedFactorWork:
         # A step propagates its start basis once per substep size, and the
         # identity basis its full-width flows end on (8 blocks of rank 4 at
         # N = 20) never, and has the bits of its chains evaluated one by one
-        # without sharing.  The start basis is L_Q itself, so the source
-        # node blocks are told apart by their BlockActions.
+        # without sharing.  The start basis is L_Q itself, whose node blocks
+        # are stepped along their grid with no action.
         problem = stored_dense(generate_problem(kind, 20, rank=4, seed=3))
         start = LDLTFactor(problem.q.L, np.eye(problem.q.rank))
         spec = SchemeSpec("sym", 3)
@@ -491,7 +490,7 @@ class TestAdditiveStepFailures:
                               match=r"^additive step over h=0\.01, combining its chains: "
                                     rf"cannot take the norm of the estimate, a rank-{width} "
                                     rf"factor of dimension {n}: its core is not finite$"):
-            additive_step(problem.p0, 0.01, spec, huge, problem, states, EXP, COMP)
+            additive_step(problem.p0, 0.01, spec, huge, problem, states, COMP)
 
     def test_nonfinite_estimate_names_the_estimate_and_h(self):
         problem = generate_problem("random_lowrank", 10, rank=4)
@@ -504,4 +503,4 @@ class TestAdditiveStepFailures:
                 pytest.raises(NonFiniteFactor,
                               match=r"^additive step over h=0\.01, combining its chains: "
                                     r"cannot take the norm of the estimate"):
-            additive_step(problem.p0, 0.01, spec, huge, problem, states, EXP, COMP)
+            additive_step(problem.p0, 0.01, spec, huge, problem, states, COMP)

@@ -224,7 +224,7 @@ class TestRefinement:
         problem = generate_problem("laplacian_lqr", 20)
         start = generate_problem("random_lowrank", 20, 2, seed=1).p0
         sub = problem._restarted(start, 0.02)
-        assert sub.source_blocks is problem.source_blocks
+        assert sub.source_integral is problem.source_integral
         assert (sub.p0, sub.horizon) == (start, 0.02)
         checked = ProblemData(a=problem.a, q=problem.q, s=problem.s, p0=start, horizon=0.02)
         spec = SchemeSpec("sym", 2)

@@ -9,7 +9,6 @@ from scipy.linalg import expm, lapack
 from dresplit import (
     CompressionOptions,
     ControllerParams,
-    ExpActionOptions,
     InvalidInput,
     LDLTFactor,
     NonFiniteFactor,
@@ -37,7 +36,6 @@ from dresplit.problems import to_dense_problem
 
 from conftest import _random_instance, random_factor
 
-EXP = ExpActionOptions(rel_tol=1e-12)
 COMP = CompressionOptions(rel_tol=1e-15)
 
 
@@ -270,20 +268,20 @@ def _narrow_instance(rng):
 class TestQuadratureState:
     def test_init_trapezoid(self, rng):
         problem = _narrow_instance(rng)
-        state = init_quadrature(problem, 1.0, 1, EXP, COMP)
+        state = init_quadrature(problem, 1.0, 1, COMP)
         assert np.allclose(state.nodes, [0.0, 1.0])
         assert np.allclose(state.weights, [0.5, 0.5])
         assert state.fresh_blocks == 2
 
     def test_init_simpson(self, rng):
         problem = _narrow_instance(rng)
-        state = init_quadrature(problem, 2.0, 2, EXP, COMP)
+        state = init_quadrature(problem, 2.0, 2, COMP)
         assert np.allclose(state.nodes, [0.0, 1.0, 2.0])
         assert np.allclose(state.weights, [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0])
 
     def test_zero_source_gives_rank_zero(self):
         problem = scalar_problem(0.5, 0.0, 1.0, 1.0)
-        state = init_quadrature(problem, 0.5, 3, EXP, COMP)
+        state = init_quadrature(problem, 0.5, 3, COMP)
         assert state.assembled.rank == 0
 
     def test_zero_operator_integral(self, rng):
@@ -297,22 +295,22 @@ class TestQuadratureState:
             horizon=1.0,
         )
         h = 0.3
-        state = init_quadrature(problem, h, 4, EXP, COMP)
+        state = init_quadrature(problem, h, 4, COMP)
         expected = h * (q_l @ q_l.T)
         assert np.linalg.norm(to_dense(state.assembled) - expected) <= 1e-10
 
     def test_scalar_closed_form(self):
         a, q, h = 0.7, 1.3, 0.4
         problem = scalar_problem(a, q, 1.0, 0.0)
-        state = init_quadrature(problem, h, 8, EXP, COMP)
+        state = init_quadrature(problem, h, 8, COMP)
         exact = q * (np.exp(2 * a * h) - 1.0) / (2 * a)
         got = to_dense(state.assembled)[0, 0]
         assert got == pytest.approx(exact, rel=1e-8)
 
     def test_update_same_h_no_fresh(self, rng):
         problem = _random_instance(rng, 5)[0]
-        state = init_quadrature(problem, 0.2, 4, EXP, COMP)
-        out = update_quadrature(state, 0.2, problem, EXP, COMP)
+        state = init_quadrature(problem, 0.2, 4, COMP)
+        out = update_quadrature(state, 0.2, problem, COMP)
         assert out.fresh_blocks == 0
         assert np.array_equal(out.nodes, state.nodes)
 
@@ -320,10 +318,10 @@ class TestQuadratureState:
         # However close the new h, the rule is rebuilt equidistant, with the
         # bits of init_quadrature and its stability constant 1.
         problem = _narrow_instance(rng)
-        state = init_quadrature(problem, 0.2, 4, EXP, COMP)
+        state = init_quadrature(problem, 0.2, 4, COMP)
         for h_new in (0.2 * (1 + 1e-15), 0.22, 0.19):
-            out = update_quadrature(state, h_new, problem, EXP, COMP)
-            fresh = init_quadrature(problem, h_new, 4, EXP, COMP)
+            out = update_quadrature(state, h_new, problem, COMP)
+            fresh = init_quadrature(problem, h_new, 4, COMP)
             assert out.fresh_blocks == 5
             assert np.array_equal(out.nodes, fresh.nodes)
             assert np.array_equal(out.weights, fresh.weights)
@@ -334,26 +332,26 @@ class TestQuadratureState:
     def test_update_reset_on_large_growth(self, rng):
         problem = _narrow_instance(rng)
         d = 4
-        state = init_quadrature(problem, 0.2, d, EXP, COMP)
-        out = update_quadrature(state, 0.3, problem, EXP, COMP)
+        state = init_quadrature(problem, 0.2, d, COMP)
+        out = update_quadrature(state, 0.3, problem, COMP)
         assert out.fresh_blocks == d + 1
         assert np.allclose(out.nodes, np.linspace(0, 0.3, d + 1))
 
     def test_update_reset_on_large_shrink(self, rng):
         problem = _narrow_instance(rng)
         d = 3
-        state = init_quadrature(problem, 0.2, d, EXP, COMP)
-        out = update_quadrature(state, 0.2 * 0.8, problem, EXP, COMP)
+        state = init_quadrature(problem, 0.2, d, COMP)
+        out = update_quadrature(state, 0.2 * 0.8, problem, COMP)
         assert out.fresh_blocks == d + 1
 
     def test_update_preserves_exactness_and_order(self, rng):
         problem = _narrow_instance(rng)
         d = 5
         h = 0.1
-        state = init_quadrature(problem, h, d, EXP, COMP)
+        state = init_quadrature(problem, h, d, COMP)
         for ratio in [1.1, 0.9, 1.2, 0.85, 1.05, 0.95, 1.15]:
             h *= ratio
-            state = update_quadrature(state, h, problem, EXP, COMP)
+            state = update_quadrature(state, h, problem, COMP)
             assert np.all(np.diff(state.nodes) > 0)
             assert state.nodes[0] >= 0.0 and state.nodes[-1] <= h + 1e-15
             for j in range(d + 1):
@@ -365,7 +363,7 @@ class TestQuadratureState:
         # Up to degree 7 the weights are positive; the 9-point Newton-Cotes
         # rule (degree 8) has negative ones.
         problem = _narrow_instance(rng)
-        state = init_quadrature(problem, 0.3, degree, EXP, COMP)
+        state = init_quadrature(problem, 0.3, degree, COMP)
         if degree <= 7:
             assert abs(state.lebesgue - 1.0) <= 1e-14
         else:
@@ -376,18 +374,18 @@ class TestQuadratureState:
         # "t must be finite and nonnegative".
         problem = _random_instance(rng, 4)[0]
         with pytest.raises(InvalidInput, match="h must be positive, got nan"):
-            init_quadrature(problem, np.nan, 3, EXP, COMP)
-        state = init_quadrature(problem, 0.1, 3, EXP, COMP)
+            init_quadrature(problem, np.nan, 3, COMP)
+        state = init_quadrature(problem, 0.1, 3, COMP)
         with pytest.raises(InvalidInput, match="h must be positive, got nan"):
-            update_quadrature(state, np.nan, problem, EXP, COMP)
+            update_quadrature(state, np.nan, problem, COMP)
 
     def test_update_matches_fresh_init_value(self, rng):
         # The updated integral is that of a fresh equidistant rule of the
         # same degree.
         problem = _random_instance(rng, 6)[0]
-        state = init_quadrature(problem, 0.1, 8, EXP, COMP)
-        state = update_quadrature(state, 0.11, problem, EXP, COMP)
-        fresh = init_quadrature(problem, 0.11, 8, EXP, COMP)
+        state = init_quadrature(problem, 0.1, 8, COMP)
+        state = update_quadrature(state, 0.11, problem, COMP)
+        fresh = init_quadrature(problem, 0.11, 8, COMP)
         a = to_dense(state.assembled)
         b = to_dense(fresh.assembled)
         assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
@@ -397,8 +395,8 @@ class TestAffineFlow:
     def test_scalar_exponential(self):
         a, h = 0.6, 0.25
         problem = scalar_problem(a, 0.0, 1.0, 2.0)
-        state = init_quadrature(problem, h, 3, EXP, COMP)
-        out = to_dense(affine_flow(problem.p0, h, problem, state, EXP, COMP))[0, 0]
+        state = init_quadrature(problem, h, 3, COMP)
+        out = to_dense(affine_flow(problem.p0, h, problem, state, COMP))[0, 0]
         assert out == pytest.approx(2.0 * np.exp(2 * a * h), rel=1e-10)
 
     def test_zero_operator(self, rng):
@@ -413,8 +411,8 @@ class TestAffineFlow:
             horizon=1.0,
         )
         h = 0.4
-        state = init_quadrature(problem, h, 4, EXP, COMP)
-        out = to_dense(affine_flow(p, h, problem, state, EXP, COMP))
+        state = init_quadrature(problem, h, 4, COMP)
+        out = to_dense(affine_flow(p, h, problem, state, COMP))
         expected = to_dense(p) + h * (q_l @ q_l.T)
         assert np.linalg.norm(out - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -422,8 +420,8 @@ class TestAffineFlow:
         for _ in range(10):
             n = int(rng.integers(2, 9))
             problem, dense, factor, h = _random_instance(rng, n)
-            state = init_quadrature(problem, h, 9, EXP, COMP)
-            got = to_dense(affine_flow(factor, h, problem, state, EXP, COMP))
+            state = init_quadrature(problem, h, 9, COMP)
+            got = to_dense(affine_flow(factor, h, problem, state, COMP))
             ref = dense_subflow("affine", to_dense(factor), h, dense)
             assert relative_error(got, ref) <= 1e-10
 
@@ -438,24 +436,24 @@ class TestAffineFlow:
             horizon=1.0,
         )
         h = 0.3
-        full = init_quadrature(problem, h, 3, EXP, COMP)
-        half = init_quadrature(problem, h / 2, 3, EXP, COMP)
-        one = to_dense(affine_flow(p, h, problem, full, EXP, COMP))
-        two = affine_flow(p, h / 2, problem, half, EXP, COMP)
-        two = to_dense(affine_flow(two, h / 2, problem, half, EXP, COMP))
+        full = init_quadrature(problem, h, 3, COMP)
+        half = init_quadrature(problem, h / 2, 3, COMP)
+        one = to_dense(affine_flow(p, h, problem, full, COMP))
+        two = affine_flow(p, h / 2, problem, half, COMP)
+        two = to_dense(affine_flow(two, h / 2, problem, half, COMP))
         assert np.linalg.norm(one - two) <= 1e-9 * np.linalg.norm(one)
 
     def test_state_step_mismatch_rejected(self, rng):
         problem = _random_instance(rng, 4)[0]
-        state = init_quadrature(problem, 0.1, 3, EXP, COMP)
+        state = init_quadrature(problem, 0.1, 3, COMP)
         with pytest.raises(InvalidInput):
-            affine_flow(problem.p0, 0.2, problem, state, EXP, COMP)
+            affine_flow(problem.p0, 0.2, problem, state, COMP)
 
     def test_nan_step_rejected(self, rng):
         problem = _random_instance(rng, 4)[0]
-        state = init_quadrature(problem, 0.1, 3, EXP, COMP)
+        state = init_quadrature(problem, 0.1, 3, COMP)
         with pytest.raises(InvalidInput, match="h must be nonnegative, got nan"):
-            affine_flow(problem.p0, np.nan, problem, state, EXP, COMP)
+            affine_flow(problem.p0, np.nan, problem, state, COMP)
 
     @pytest.mark.parametrize("kind", ["dense", "sparse"])
     @pytest.mark.parametrize("factor_rank, source_rank", [(3, 2), (0, 2), (3, 0), (0, 0)])
@@ -478,17 +476,17 @@ class TestAffineFlow:
                               p0=LDLTFactor.zero(n), horizon=1.0)
         if kind == "sparse":
             problem = problem.projected(np.eye(n))
-        state = init_quadrature(problem, h, 4, EXP, COMP)
+        state = init_quadrature(problem, h, 4, COMP)
         full = []
         for factor in (random_factor(rng, n, factor_rank) if factor_rank else LDLTFactor.zero(n),
                        LDLTFactor(rng.standard_normal((n, 2)), np.zeros((2, 2)))):
             terms = []
             if factor.rank:
-                propagated = exp_action(problem.a, h, factor.L, EXP)
+                propagated = exp_action(problem.a, h, factor.L)
                 terms.append((1.0, LDLTFactor._trusted(propagated, factor.D)))
             terms.append((1.0, state.assembled))
             want = combine(terms, COMP, truncate=False)
-            got = affine_flow(factor, h, problem, state, EXP, COMP)
+            got = affine_flow(factor, h, problem, state, COMP)
             assert got.L.tobytes() == want.L.tobytes()
             assert got.D.tobytes() == want.D.tobytes()
             assert got.L.shape == want.L.shape
@@ -511,11 +509,11 @@ class TestAffineFlow:
             p0=LDLTFactor(np.ones((n, 1)), np.eye(1)),
             horizon=1.0,
         )
-        state = init_quadrature(problem, 1.0, 2, EXP, COMP)
+        state = init_quadrature(problem, 1.0, 2, COMP)
         # Called outside a driver, which would silence numpy's overflow warning.
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteFactor, match="affine flow over h=1: cannot compress"):
-            affine_flow(problem.p0, 1.0, problem, state, EXP, COMP)
+            affine_flow(problem.p0, 1.0, problem, state, COMP)
 
 
     @pytest.mark.parametrize("width", [2, 6, 9])
@@ -527,12 +525,12 @@ class TestAffineFlow:
         # round-off and land on the identity basis, exactly symmetric.
         n, h = 6, 0.05
         problem = _source_problem(rng.standard_normal((n, n)), rng.standard_normal((n, 2)))
-        state = init_quadrature(problem, h, 2, EXP, COMP)
+        state = init_quadrature(problem, h, 2, COMP)
         assert state.assembled.L is identity_basis(n)
         core = random_factor(rng, n, n).D
         for factor in (random_factor(rng, n, width),
                        LDLTFactor._trusted(identity_basis(n), core)):
-            got = affine_flow(factor, h, problem, state, EXP, COMP)
+            got = affine_flow(factor, h, problem, state, COMP)
             propagated = LDLTFactor._trusted(exp_action(problem.a, h, factor.L), factor.D)
             want = combine([(1.0, propagated), (1.0, state.assembled)], COMP, truncate=False)
             assert got.L is want.L is identity_basis(n)
@@ -544,14 +542,14 @@ class TestAffineFlow:
         # names the same rank-(2 + N) factor.
         n, h = 6, 0.05
         problem = _source_problem(rng.standard_normal((n, n)), rng.standard_normal((n, 2)))
-        state = init_quadrature(problem, h, 2, EXP, COMP)
+        state = init_quadrature(problem, h, 2, COMP)
         message = (r"cannot compress a rank-8 factor of dimension 6: "
                    r"its core is not finite$")
         with np.errstate(over="ignore", invalid="ignore"):
             term = random_factor(rng, n, 2)
             term = LDLTFactor._trusted(term.L, np.finfo(np.float64).max * term.D)
             with pytest.raises(NonFiniteFactor, match=r"^affine flow over h=0\.05: " + message):
-                affine_flow(term, h, problem, state, EXP, COMP)
+                affine_flow(term, h, problem, state, COMP)
             propagated = LDLTFactor._trusted(exp_action(problem.a, h, term.L), term.D)
             with pytest.raises(NonFiniteFactor, match="^" + message):
                 combine([(1.0, propagated), (1.0, state.assembled)], COMP, truncate=False)
@@ -628,15 +626,15 @@ class TestExactSourceIntegral:
         else:
             problem = problem.projected(np.eye(20))
         h = 0.01
-        state = init_quadrature(problem, h, 5, EXP, COMP)
+        state = init_quadrature(problem, h, 5, COMP)
         assert state.assembled.L is identity_basis(20)
         assert state.fresh_blocks == 0 and state.h == h
         assert state.nodes.size == 0 and state.lebesgue == 1.0
         ref = dense_subflow("affine", np.zeros((20, 20)), h, to_dense_problem(problem))
         assert np.linalg.norm(state.assembled.D - ref) <= 1e-13 * np.linalg.norm(ref)
-        same = update_quadrature(state, h, problem, EXP, COMP)
+        same = update_quadrature(state, h, problem, COMP)
         assert same.assembled is state.assembled and same.fresh_blocks == 0
-        moved = update_quadrature(state, 2 * h, problem, EXP, COMP)
+        moved = update_quadrature(state, 2 * h, problem, COMP)
         assert moved.assembled.D.tobytes() == problem.source_integral(2 * h).tobytes()
 
     def test_stiff_laplacian_dense_and_sparse_meet_the_reference(self):
@@ -735,6 +733,15 @@ class TestProblemData:
                 QuadraticTerm.from_sparse(sp.csr_matrix(s))
             else:
                 QuadraticTerm.from_lowrank(s[:, 1:])
+
+    @pytest.mark.parametrize("form", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 4), (4,)])
+    def test_nonsquare_quadratic_term_rejected(self, form, shape):
+        s = np.ones(shape)
+        make = QuadraticTerm.from_dense if form == "dense" else (
+            lambda m: QuadraticTerm.from_sparse(sp.csr_matrix(m)))
+        with pytest.raises(InvalidInput, match="must be square"):
+            make(s)
 
     @pytest.mark.parametrize("horizon", [np.nan, np.inf])
     def test_nonfinite_horizon_rejected(self, horizon):
